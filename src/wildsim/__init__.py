@@ -3,9 +3,9 @@ cascades: kernels, trees, weights, rotations, samplers, diagnostics."""
 
 from .errors import WildsimError
 from .kernel import CollisionKernel, KernelFunctionals, make_kernel, sample_phi, spectral_functionals, truncate
-from .tree import McKeanTree, enumerate_trees, germinate, sample_tree, split_depths, tree_probability
+from .tree import McKeanTree, enumerate_trees, sample_tree, tree_probability
 from .weights import WeightArray, expected_sum_closed_form, leaf_weights, psi_envelope, symmetric_function_bound, w_statistic
-from .geometry import ChartAtlas, RotationArray, chart_basis, collision_frames, leaf_directions, rotation_array
+from .geometry import RotationArray, chart_basis, collision_frames, frame_for, leaf_directions, rotation_array
 from .initial import InitialDatum, make_initial_datum
 from .sampler import CfEstimate, TreeSample, cf_estimate, conditional_cf, draw_tree_sample, rng_stream, sample_nu, wild_velocity
 from .diagnostics import (
@@ -26,11 +26,10 @@ __all__ = [
     "WildsimError",
     "CollisionKernel", "KernelFunctionals", "make_kernel", "sample_phi",
     "spectral_functionals", "truncate",
-    "McKeanTree", "enumerate_trees", "germinate", "sample_tree",
-    "split_depths", "tree_probability",
+    "McKeanTree", "enumerate_trees", "sample_tree", "tree_probability",
     "WeightArray", "expected_sum_closed_form", "leaf_weights", "psi_envelope",
     "symmetric_function_bound", "w_statistic",
-    "ChartAtlas", "RotationArray", "chart_basis", "collision_frames",
+    "RotationArray", "chart_basis", "collision_frames", "frame_for",
     "leaf_directions", "rotation_array",
     "InitialDatum", "make_initial_datum",
     "CfEstimate", "TreeSample", "cf_estimate", "conditional_cf",

@@ -53,9 +53,15 @@ DEFAULTS = {
 
 
 def _parse_t(value):
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(chunk) for chunk in str(value).split(",") if chunk.strip()]
+    chunks = value if isinstance(value, (list, tuple)) else [
+        chunk for chunk in str(value).split(",") if chunk.strip()]
+    try:
+        times = [float(v) for v in chunks]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"time list must hold numbers: {exc}") from exc
+    if not times:
+        raise ConfigError("time list is empty")
+    return times
 
 
 def _parse_json_or_name(value):
@@ -84,15 +90,36 @@ def _parse_xi_grid(value):
     if value is None:
         return default_xi_grid()
     spec = _parse_json_or_name(value)
-    if isinstance(spec, dict):
-        rhos = [float(r) for r in spec["rho"]]
-        directions = np.asarray(spec["directions"], float)
-        directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        return np.array([r * d for r in rhos for d in directions])
-    grid = np.asarray(spec, float)
-    if grid.ndim != 2 or grid.shape[1] != 3:
-        raise ConfigError("xi grid must be a list of 3-vectors")
-    return grid
+    if not isinstance(spec, dict):
+        return _as_array(spec, 2)
+    missing = {"rho", "directions"} - spec.keys()
+    if missing:
+        raise ConfigError(f"xi grid spec lacks {sorted(missing)}")
+    directions = _as_array(spec["directions"], 2)
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ConfigError("xi grid directions must be nonzero")
+    return np.array([r * d for r in _as_array(spec["rho"], 1) for d in directions / norms])
+
+
+def _as_array(value, ndim: int) -> np.ndarray:
+    """A list of numbers (ndim 1) or of 3-vectors (ndim 2) from the xi grid spec."""
+    try:
+        array = np.asarray(value, float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid xi grid: {exc}") from exc
+    if array.ndim != ndim or (ndim == 2 and array.shape[1] != 3):
+        raise ConfigError("xi grid must be a list of 3-vectors"
+                          if ndim == 2 else "xi grid 'rho' must be a list of numbers")
+    return array
+
+
+def _spec(config, key, build):
+    """Build the kernel or initial datum named by config[key]."""
+    try:
+        return build(_parse_json_or_name(config[key]))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(f"malformed {key} spec: {exc!r}") from exc
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -110,11 +137,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     if merged["workers"] is None:
-        merged["workers"] = int(os.environ.get("WILDSIM_WORKERS", "1"))
+        merged["workers"] = os.environ.get("WILDSIM_WORKERS", "1")
     merged["t"] = _parse_t(merged["t"])
-    merged["samples"] = int(merged["samples"])
-    merged["seed"] = int(merged["seed"])
-    merged["workers"] = int(merged["workers"])
+    for key, minimum in (("samples", 1), ("seed", 0), ("workers", 1)):
+        try:
+            merged[key] = int(merged[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} must be an integer: {exc}") from exc
+        if merged[key] < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {merged[key]}")
     return merged
 
 
@@ -182,7 +213,7 @@ def _fit_outcome(fit, config, suite, extra_checks=()) -> int:
 
 
 def _cmd_identities(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
+    kernel = _spec(config, "kernel", make_kernel)
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
         a_star=float(config["a_star"]), workers=config["workers"],
@@ -192,8 +223,8 @@ def _cmd_identities(config):
 
 
 def _cmd_conserve(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
-    mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+    kernel = _spec(config, "kernel", make_kernel)
+    mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.conservation_check(
         mu0, kernel, config["t"], config["samples"], config["seed"],
         workers=config["workers"], z_threshold=float(config["z_threshold"]),
@@ -203,11 +234,11 @@ def _cmd_conserve(config):
 
 
 def _cmd_decay(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
+    kernel = _spec(config, "kernel", make_kernel)
     moment = config["moment"]
     mu0 = None
     if moment not in ("W", "w"):
-        mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+        mu0 = _spec(config, "mu0", make_initial_datum)
     fit = diagnostics.moment_decay_fit(
         mu0, kernel, config["t"], moment_spec=moment,
         n_samples=config["samples"], seed=config["seed"],
@@ -217,8 +248,8 @@ def _cmd_decay(config):
 
 
 def _cmd_cfcurve(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
-    mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+    kernel = _spec(config, "kernel", make_kernel)
+    mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
     rows = diagnostics.transform_grid_estimates(
         mu0, kernel, config["t"], grid, config["samples"], config["seed"],
@@ -244,8 +275,8 @@ def _cmd_cfcurve(config):
 
 
 def _cmd_crosscheck(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
-    mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+    kernel = _spec(config, "kernel", make_kernel)
+    mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
     status = EXIT_OK
     for t in config["t"]:
@@ -261,7 +292,7 @@ def _cmd_crosscheck(config):
 
 
 def _cmd_legendre(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
+    kernel = _spec(config, "kernel", make_kernel)
     report = diagnostics.legendre_moment_checks(
         kernel, tree_size=int(config["tree_size"]), n_theta=config["samples"],
         seed=config["seed"], z_threshold=float(config["z_threshold"]),
@@ -270,8 +301,8 @@ def _cmd_legendre(config):
 
 
 def _cmd_envelope(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
-    mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+    kernel = _spec(config, "kernel", make_kernel)
+    mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.envelope_check(
         mu0, float(config["lam"]), float(config["q"]), kernel,
         t=config["t"][0], n_samples=config["samples"], seed=config["seed"],
@@ -281,8 +312,8 @@ def _cmd_envelope(config):
 
 
 def _cmd_simulate(config):
-    kernel = make_kernel(_parse_json_or_name(config["kernel"]))
-    mu0 = make_initial_datum(_parse_json_or_name(config["mu0"]))
+    kernel = _spec(config, "kernel", make_kernel)
+    mu0 = _spec(config, "mu0", make_initial_datum)
     t = config["t"][0]
     rng = rng_stream(config["seed"], 0)
     draws = wild_velocity_batch(t, mu0, kernel, rng, config["samples"],

@@ -2,10 +2,16 @@
 
 Every suite returns an IdentityReport (per-check z-scores against closed
 forms, quadrature values or independent estimators) or a DecayFit (weighted
-log-linear fit of an exponentially decaying curve).  All Monte Carlo work
-runs through counter-based worker streams and accumulates plain sums, so a
-run is reproducible given (seed, workers) and partial results combine by
-addition in any order.
+log-linear fit of an exponentially decaying curve).
+
+Monte Carlo work runs on the cascade engine of `wildsim.sampler`.  For one
+(suite, time) pair, all cascade sizes come from the stream
+rng_stream(seed, suite, t_index); they are sorted in descending order and
+cut into chunks of at most LEAF_BUDGET leaves, and chunk c draws its
+germination record (and any leaf velocities or probe directions) from
+rng_stream(seed, suite, t_index, c).  Each chunk reduces to (mean, M2)
+pairs, and the chunks merge in chunk order, so a run depends on the seed
+alone: any worker count gives bit-identical reports.
 """
 
 from __future__ import annotations
@@ -19,18 +25,25 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
-from .geometry import ATLAS, leaf_third_columns_batch
+from .geometry import frame_for, leaf_third_columns_batch
 from .initial import InitialDatum
-from .kernel import CollisionKernel, KernelFunctionals, spectral_functionals
+from .kernel import CollisionKernel, spectral_functionals
 from .sampler import (
     DEFAULT_NU_CAP,
-    draw_tree_sample,
+    cascade_velocities,
+    chunk_slices,
+    germination_record,
+    leaf_frames,
+    mean_se,
+    merge_sums,
     rng_stream,
-    weight_statistic_sums,
-    wild_velocity,
+    sorted_sizes,
+    summarize,
+    transform_sums,
+    weight_sums,
 )
 from .tree import enumerate_trees
-from .weights import leaf_weights, legendre_value, psi_envelope
+from .weights import leaf_weights, legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
 
@@ -161,148 +174,73 @@ def fit_exponential_decay(times, values, std_errors, reference_rate=float("nan")
     )
 
 
-# --- parallel reduction ---------------------------------------------------------
+# --- chunked reduction -----------------------------------------------------------
 
-def _worker_entry(args):
-    task, count, seed, key, kwargs = args
-    return task(count, rng_stream(seed, *key), **kwargs)
+def _chunk_entry(args):
+    task, nus, seed, key, kwargs = args
+    return task(nus, rng_stream(seed, *key), **kwargs)
 
 
-def _reduce_sums(task, n_samples, seed, key, workers, **kwargs) -> dict:
-    """Run task(count, rng, **kwargs) across workers and sum the result dicts."""
-    workers = max(1, int(workers))
+def _reduce_sums(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
+    """Draw n_samples cascade sizes at time t from stream `key`, run
+    task(nus, rng, **kwargs) on each chunk with stream key + (chunk,), and
+    merge the chunk summaries in chunk order."""
+    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
+    jobs = [(task, nus[chunk], seed, key + (c,), kwargs)
+            for c, chunk in enumerate(chunk_slices(nus))]
+    workers = min(max(1, int(workers)), len(jobs))
     if workers == 1:
-        return task(n_samples, rng_stream(seed, *key, 0), **kwargs)
-    counts = [n_samples // workers] * workers
-    for w in range(n_samples % workers):
-        counts[w] += 1
-    jobs = [
-        (task, counts[w], seed, key + (w,), kwargs)
-        for w in range(workers)
-        if counts[w] > 0
-    ]
+        return merge_sums(map(_chunk_entry, jobs))
     with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_worker_entry, jobs)
-    total = parts[0]
-    for part in parts[1:]:
-        for name, value in part.items():
-            total[name] = total[name] + value
-    return total
-
-
-def _mean_se(sums: dict, key: str, count: float) -> tuple[float, float]:
-    total, total_sq = float(sums[key][0]), float(sums[key][1])
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    se = math.sqrt(var / (count - 1.0)) if count > 1 else 0.0
-    return mean, se
+        return merge_sums(pool.map(_chunk_entry, jobs))
 
 
 def _z_score(diff: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if abs(diff) < 1e-12 else math.inf
-    return diff / se
+    """diff / se, with differences below 1e-12 taken as roundoff (z = 0):
+    exactly determined statistics carry a roundoff-sized standard error."""
+    if abs(diff) < 1e-12:
+        return 0.0
+    return diff / se if se > 0.0 else math.inf
 
 
-# --- worker tasks (module level so they pickle) ---------------------------------
+# --- chunk tasks (module level so they pickle) ------------------------------------
 
-def _weights_task(count, rng, t, kernel, s_powers, with_zeta_eta, a_star, n_max):
-    return weight_statistic_sums(
-        t, kernel, rng, count,
-        s_powers=s_powers, with_zeta_eta=with_zeta_eta, a_star=a_star, n_max=n_max,
-    )
-
-
-def _wild_moments_task(count, rng, t, mu0, kernel, n_max, direction=None):
+def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
+    v = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
     axis = np.array([1.0, 0.0, 0.0]) if direction is None else np.asarray(direction)
-    sums = {k: np.zeros(2) for k in ("v1", "v2", "v3", "energy", "v1_fourth")}
-    sums["count"] = np.array(float(count))
-    for _ in range(count):
-        v = wild_velocity(t, mu0, kernel, rng, n_max)
-        energy = float(v @ v)
-        quartic = float(v @ axis) ** 4
-        for key, val in (("v1", float(v[0])), ("v2", float(v[1])),
-                         ("v3", float(v[2])), ("energy", energy),
-                         ("v1_fourth", quartic)):
-            sums[key] += (val, val * val)
-    return sums
+    return summarize({"v1": v[:, 0], "v2": v[:, 1], "v3": v[:, 2],
+                      "energy": np.einsum("ij,ij->i", v, v),
+                      "v1_fourth": (v @ axis) ** 4}, len(nus))
 
 
-def _cf_grid_task(count, rng, t, mu0, kernel, xi_grid, estimator, n_max):
-    """Per-frequency sums of the transform estimator over shared cascades."""
-    xi_grid = np.asarray(xi_grid, float)
-    rhos = np.linalg.norm(xi_grid, axis=1)
-    units = xi_grid / rhos[:, None]
-    bases = np.stack([ATLAS.frame_for(u) for u in units])
-    m = len(xi_grid)
-    sums = {k: np.zeros(m) for k in ("re", "im", "re_sq", "im_sq")}
-    sums["count"] = np.array(float(count))
-    cf = mu0.require_cf() if estimator == "raoblackwell" else None
-    for _ in range(count):
-        sample = draw_tree_sample(t, kernel, rng, n_max)
-        cols = sample.rotations.third_columns()
-        psis = np.einsum("vj,mkj->mvk", cols, bases)  # (m, nu, 3)
-        if estimator == "raoblackwell":
-            args = rhos[:, None, None] * sample.pi.values[None, :, None] * psis
-            values = np.prod(cf(args), axis=1)
-        else:
-            velocities = mu0.sampler(rng, sample.nu)
-            s = np.einsum("mvk,vk,v->m", psis, velocities, sample.pi.values)
-            values = np.exp(1j * rhos * s)
-        sums["re"] += values.real
-        sums["im"] += values.imag
-        sums["re_sq"] += values.real**2
-        sums["im_sq"] += values.imag**2
-    return sums
+def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
+    """Empirical transform of wild-cascade velocity draws on the grid."""
+    phases = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ np.asarray(xi_grid).T
+    return summarize({"re": np.cos(phases), "im": np.sin(phases)}, len(nus))
 
 
-def _wild_cf_task(count, rng, t, mu0, kernel, xi_grid, n_max):
-    """Empirical transform sums of wild-cascade velocity draws."""
-    xi_grid = np.asarray(xi_grid, float)
-    m = len(xi_grid)
-    sums = {k: np.zeros(m) for k in ("re", "im", "re_sq", "im_sq")}
-    sums["count"] = np.array(float(count))
-    block = np.empty((min(count, 4096), 3))
-    done = 0
-    while done < count:
-        size = min(len(block), count - done)
-        for i in range(size):
-            block[i] = wild_velocity(t, mu0, kernel, rng, n_max)
-        phases = block[:size] @ xi_grid.T
-        re, im = np.cos(phases), np.sin(phases)
-        sums["re"] += re.sum(axis=0)
-        sums["im"] += im.sum(axis=0)
-        sums["re_sq"] += (re**2).sum(axis=0)
-        sums["im_sq"] += (im**2).sum(axis=0)
-        done += size
-    return sums
-
-
-def _envelope_task(count, rng, t, mu0, kernel, lam, q, n_rho, n_max):
+def _envelope_task(nus, rng, mu0, kernel, lam, q, n_rho):
+    """Per-cascade count of radii in [0, R] where the conditional transform
+    along a uniform random direction exceeds the envelope."""
     cf = mu0.require_cf()
-    m4 = mu0.require_m4()
     lam2 = lam * lam
-    violations = 0
-    checked = 0
-    for _ in range(count):
-        sample = draw_tree_sample(t, kernel, rng, n_max)
-        w_stat = float(np.sum(sample.pi.values**4))
-        radius = 0.5 * (1.0 / (m4 * w_stat)) ** 0.25
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        psi = sample.leaf_directions(direction)
-        rhos = np.linspace(0.0, radius, n_rho)
-        args = rhos[:, None, None] * sample.pi.values[None, :, None] * psi[None, :, :]
-        transform = np.abs(np.prod(cf(args), axis=1))
-        pi_sq = sample.pi.values**2
-        envelope = np.exp(
-            q * np.sum(np.log(lam2 / (lam2 + rhos[:, None] ** 2 * pi_sq[None, :])), axis=1)
-        )
-        violations += int(np.sum(transform > envelope * (1.0 + 1e-10) + 1e-12))
-        checked += n_rho
-    return {"violations": np.array(float(violations)),
-            "checked": np.array(float(checked)),
-            "count": np.array(float(count))}
+    record = germination_record(nus, kernel, rng)
+    weights, rotations = leaf_frames(record)
+    radius = 0.5 * (1.0 / (mu0.require_m4() * record.per_cascade(weights**4))) ** 0.25
+    directions = rng.standard_normal((len(nus), 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    bases = np.stack([frame_for(u) for u in directions])
+    psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
+                    rotations.third_columns())
+    violations = np.zeros(len(nus))
+    for fraction in np.linspace(0.0, 1.0, n_rho):
+        rho = np.repeat(fraction * radius, record.nus)
+        transform = np.abs(record.per_cascade(
+            cf(rho[:, None] * weights[:, None] * psi), np.multiply))
+        envelope = np.exp(q * record.per_cascade(
+            np.log(lam2 / (lam2 + rho**2 * weights**2))))
+        violations += transform > envelope * (1.0 + 1e-10) + 1e-12
+    return summarize({"violations": violations}, len(nus))
 
 
 # --- suites ---------------------------------------------------------------------
@@ -326,18 +264,16 @@ def run_identity_suite(
     report = IdentityReport("identities", config, kernel_functionals=fn.as_dict())
     for it, t in enumerate(t_list):
         sums = _reduce_sums(
-            _weights_task, n_samples, seed, (1, it), workers,
-            t=t, kernel=kernel, s_powers=tuple(s_list), with_zeta_eta=True,
-            a_star=a_star, n_max=n_max,
+            weight_sums, seed, (1, it), workers, t, n_samples, n_max,
+            kernel=kernel, s_powers=tuple(s_list), a_star=a_star,
         )
-        count = float(sums["count"])
         targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
                     math.exp(-(1.0 - 2.0 * fn.l_s_table[s]) * t)) for s in s_list]
         targets.append(("zeta", "sum w^2|zeta|", math.exp(-(1.0 - fn.f_b) * t)))
         targets.append(("eta", "sum|w^3 eta|", math.exp(-(1.0 - fn.g_b) * t)))
         targets.append(("W", "sum w^4", math.exp(fn.lambda_b * t)))
         for key, label, reference in targets:
-            mean, se = _mean_se(sums, key, count)
+            mean, se = map(float, mean_se(sums, key))
             z = _z_score(mean - reference, se)
             report.entries.append(IdentityEntry(
                 identity=label, params={"t": t, "n_samples": n_samples},
@@ -345,7 +281,7 @@ def run_identity_suite(
                 reference_provenance="closed form from kernel quadrature",
                 z_score=z, passed=abs(z) <= z_threshold,
             ))
-        tail_mean, tail_se = _mean_se(sums, "W_tail", count)
+        tail_mean, tail_se = map(float, mean_se(sums, "W_tail"))
         bound = min(1.0, math.exp(fn.lambda_b * t) / a_star)
         z = _z_score(tail_mean - bound, tail_se)
         report.entries.append(IdentityEntry(
@@ -375,14 +311,13 @@ def conservation_check(
     report = IdentityReport("conservation", config)
     for it, t in enumerate(t_list):
         sums = _reduce_sums(
-            _wild_moments_task, n_samples, seed, (2, it), workers,
-            t=t, mu0=mu0, kernel=kernel, n_max=n_max,
+            _velocity_moments_task, seed, (2, it), workers, t, n_samples, n_max,
+            mu0=mu0, kernel=kernel,
         )
-        count = float(sums["count"])
         references = [("v1", mu0.mean[0]), ("v2", mu0.mean[1]),
                       ("v3", mu0.mean[2]), ("energy", mu0.m2)]
         for key, reference in references:
-            mean, se = _mean_se(sums, key, count)
+            mean, se = map(float, mean_se(sums, key))
             z = _z_score(mean - float(reference), se)
             report.entries.append(IdentityEntry(
                 identity=f"conserved_{key}", params={"t": t},
@@ -428,11 +363,10 @@ def moment_decay_fit(
     if moment_spec in ("W", "w"):
         for it, t in enumerate(times):
             sums = _reduce_sums(
-                _weights_task, n_samples, seed, (3, it), workers,
-                t=float(t), kernel=kernel, s_powers=(), with_zeta_eta=False,
-                a_star=None, n_max=n_max,
+                weight_sums, seed, (3, it), workers, float(t), n_samples, n_max,
+                kernel=kernel, s_powers=(),
             )
-            values[it], ses[it] = _mean_se(sums, "W", float(sums["count"]))
+            values[it], ses[it] = mean_se(sums, "W")
     elif moment_spec in ("v1^4", "v1_fourth"):
         if mu0 is None:
             raise ConfigError("moment_spec 'v1^4' needs an initial datum")
@@ -445,11 +379,10 @@ def moment_decay_fit(
             direction = direction / np.linalg.norm(direction)
         for it, t in enumerate(times):
             sums = _reduce_sums(
-                _wild_moments_task, n_samples, seed, (3, it), workers,
-                t=float(t), mu0=mu0, kernel=kernel, n_max=n_max,
-                direction=direction,
+                _velocity_moments_task, seed, (3, it), workers, float(t), n_samples,
+                n_max, mu0=mu0, kernel=kernel, direction=direction,
             )
-            mean, se = _mean_se(sums, "v1_fourth", float(sums["count"]))
+            mean, se = mean_se(sums, "v1_fourth")
             values[it] = abs(mean - 3.0)
             ses[it] = se
     else:
@@ -458,11 +391,7 @@ def moment_decay_fit(
 
 
 def _grid_estimates(sums) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    count = float(sums["count"])
-    re = sums["re"] / count
-    im = sums["im"] / count
-    se_re = np.sqrt(np.maximum(sums["re_sq"] / count - re**2, 0.0) / (count - 1.0))
-    se_im = np.sqrt(np.maximum(sums["im_sq"] / count - im**2, 0.0) / (count - 1.0))
+    (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
     return re + 1j * im, se_re, se_im
 
 
@@ -483,9 +412,8 @@ def transform_grid_estimates(
     rows = []
     for it, t in enumerate(t_list):
         sums = _reduce_sums(
-            _cf_grid_task, n_samples, seed, (4, it), workers,
-            t=float(t), mu0=mu0, kernel=kernel, xi_grid=xi_grid,
-            estimator=estimator, n_max=n_max,
+            transform_sums, seed, (4, it), workers, float(t), n_samples, n_max,
+            mu0=mu0, kernel=kernel, xi_grid=xi_grid, estimator=estimator,
         )
         estimate, se_re, se_im = _grid_estimates(sums)
         for i, xi in enumerate(xi_grid):
@@ -576,13 +504,12 @@ def representation_crosscheck(
     report = IdentityReport("representation_crosscheck", config,
                             pass_fraction_required=0.95)
     tree_sums = _reduce_sums(
-        _cf_grid_task, n_samples, seed, (5, 0), workers,
-        t=t, mu0=mu0, kernel=kernel, xi_grid=xi_grid,
-        estimator="raoblackwell", n_max=n_max,
+        transform_sums, seed, (5, 0), workers, t, n_samples, n_max,
+        mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
     wild_sums = _reduce_sums(
-        _wild_cf_task, n_samples, seed, (5, 1), workers,
-        t=t, mu0=mu0, kernel=kernel, xi_grid=xi_grid, n_max=n_max,
+        _wild_cf_task, seed, (5, 1), workers, t, n_samples, n_max,
+        mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
     est_tree, se_re_t, se_im_t = _grid_estimates(tree_sums)
     est_wild, se_re_w, se_im_w = _grid_estimates(wild_sums)
@@ -622,7 +549,7 @@ def legendre_moment_checks(
     u /= np.linalg.norm(u)
     xi = np.array([-0.5, 0.7, 0.4])
     xi /= np.linalg.norm(xi)
-    basis = ATLAS.frame_for(u)
+    basis = frame_for(u)
     u_dot_xi = float(u @ xi)
     config = {"tree_size": tree_size, "n_theta": n_theta, "seed": seed}
     report = IdentityReport("legendre_moments", config)
@@ -690,16 +617,16 @@ def envelope_check(
                 f"for (lam, q) = ({lam:g}, {q:g})"
             )
     sums = _reduce_sums(
-        _envelope_task, n_samples, seed, (7, 0), workers,
-        t=t, mu0=mu0, kernel=kernel, lam=lam, q=q, n_rho=n_rho, n_max=n_max,
+        _envelope_task, seed, (7, 0), workers, t, n_samples, n_max,
+        mu0=mu0, kernel=kernel, lam=lam, q=q, n_rho=n_rho,
     )
     config = {"mu0": mu0.name, "lam": lam, "q": q, "t": t,
               "n_samples": n_samples, "seed": seed, "n_rho": n_rho}
     report = IdentityReport("envelope", config)
-    violations = float(sums["violations"])
+    violations = float(round(sums["violations"][0] * sums["count"]))
     report.entries.append(IdentityEntry(
         identity="transform_under_envelope",
-        params={"checked_points": int(float(sums["checked"]))},
+        params={"checked_points": n_samples * n_rho},
         mc_value=violations, mc_se=0.0, reference_value=0.0,
         reference_provenance="pointwise envelope inequality",
         z_score=0.0 if violations == 0 else math.inf,

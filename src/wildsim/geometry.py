@@ -96,7 +96,6 @@ class RotationArray:
     """One rotation per leaf, in left-to-right leaf order."""
 
     rotations: np.ndarray                 # (n, 3, 3)
-    provenance: tuple | None = None
 
     def __len__(self):
         return len(self.rotations)
@@ -264,29 +263,6 @@ def chart_basis(k: int, w) -> np.ndarray:
     return _basis_from_parameters(k, u, v)
 
 
-@dataclass(frozen=True)
-class ChartAtlas:
-    """The four-chart atlas; chart selection is first-containing in 1..4."""
-
-    charts: tuple[int, ...] = (1, 2, 3, 4)
-
-    def contains(self, k, w):
-        return chart_contains(k, w)
-
-    def parameters(self, k, w):
-        return chart_parameters(k, w)
-
-    def point(self, k, u, v):
-        return chart_point(k, u, v)
-
-    def basis(self, k, w):
-        return chart_basis(k, w)
-
-    def chart_for(self, w):
-        return chart_for_direction(w)
-
-    def frame_for(self, w) -> np.ndarray:
-        return chart_basis(chart_for_direction(w), w)
-
-
-ATLAS = ChartAtlas()
+def frame_for(w) -> np.ndarray:
+    """Orthonormal frame B with B e3 = w, from the first chart containing w."""
+    return chart_basis(chart_for_direction(w), w)

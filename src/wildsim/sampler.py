@@ -1,19 +1,31 @@
 """Sampling of collision cascades and of the solution they represent.
 
-Two equivalent views of the same random object are implemented.
+One random object underlies every statistic: a cascade size nu, drawn from
+the geometric law at time t, and a germination record of nu - 1 steps.
+Step i picks a uniform slot among the i + 1 current leaves and splits it at
+angles (phi, theta): the chosen leaf stays in place and a new leaf is
+appended.  Every statistic computed downstream is symmetric in the leaf
+index, which is what makes this slot/append order legal.
 
-TreeSample path: grow the leaf arrays incrementally.  A germination of
-slot k at angles (phi, theta) replaces weight w_k by w_k cos(phi),
-appends w_k sin(phi), replaces rotation Q_k by Q_k left(phi, theta) and
-appends Q_k right(phi, theta).  After nu - 1 germinations the multiset of
-(weight, rotation) pairs has the law of the recursively built arrays of a
-chain-sampled tree; every statistic computed downstream is symmetric in
-the leaf index, which is what makes the slot/append order legal.
+The engine runs a chunk of cascades in lockstep.  Their sizes are sorted in
+descending order, so the cascades still growing at step i are a prefix, and
+the record is stored step-major in flat arrays (`GerminationRecord`).  Leaf
+values live in flat arrays too, with per-cascade offsets, and two passes
+walk the record:
 
-Velocity path: the same germination record replayed backwards folds i.i.d.
-initial velocities through pairwise collisions (children created last are
-merged first, so each merge sees fully collapsed subtrees) and returns one
-draw from the solution at time t.
+* forward (`grow`): the chosen leaf's value v becomes v * left and the new
+  leaf gets v * right.  Scalar factors (P_k(cos phi), P_k(sin phi)) give
+  the order-k Legendre leaf weights; the collision frames left(phi, theta)
+  and right(phi, theta) give the leaf rotations.
+* backward (`replay`): i.i.d. initial velocities at the leaves are folded
+  through pairwise collisions (`collide`), latest step first, so each merge
+  sees fully collapsed subtrees; the root keeps one draw from the solution.
+
+Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
+and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
+pairs and merged chunk by chunk with the pairwise update of Chan, Golub and
+LeVeque.  The public single-draw functions are one-cascade chunks of the
+same engine.
 
 The characteristic-function estimator averages exp(i rho S) with
 S = sum_j w_j psi_j . V_j, or its conditional expectation given the tree,
@@ -25,29 +37,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import TimeTooLarge
-from .geometry import ATLAS, RotationArray, left_frame, right_frame
+from .errors import ConfigError, TimeTooLarge
+from .geometry import RotationArray, frame_for, leaf_directions, left_frame, right_frame
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel
-from .weights import WeightArray
+from .weights import WeightArray, legendre_value
 
 DEFAULT_NU_CAP = 1_000_000
+LEAF_BUDGET = 1 << 14   # leaves per chunk; a larger cascade is a chunk of its own
 TWO_PI = 2.0 * math.pi
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream key); reproducible and
-    independent across keys, so worker streams never overlap."""
+    independent across keys, so chunk streams never overlap."""
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
 
 
 def _check_time(t: float, n_max: int) -> None:
-    if t < 0.0:
-        raise TimeTooLarge("time must be nonnegative")
+    if not t >= 0.0:
+        raise ConfigError(f"time must be a nonnegative number, got {t!r}")
     if math.exp(t) > n_max:
         raise TimeTooLarge(
             f"expected cascade size exp({t:g}) exceeds the cap {n_max}"
@@ -56,28 +70,273 @@ def _check_time(t: float, n_max: int) -> None:
 
 def sample_nu(t: float, rng: np.random.Generator, n_max: int = DEFAULT_NU_CAP) -> int:
     """Cascade size: P[nu = n] = e^-t (1 - e^-t)^(n-1)."""
-    _check_time(t, n_max)
-    if t == 0.0:
-        return 1
-    log_fail = math.log1p(-math.exp(-t))
-    u = rng.random()
-    nu = 1 + int(math.log(u if u > 0.0 else 5e-324) / log_fail)
-    if nu > n_max:
-        raise TimeTooLarge(f"drew cascade size {nu} above the cap {n_max}")
-    return nu
+    return int(sample_nu_batch(t, rng, 1, n_max)[0])
 
 
 def sample_nu_batch(t, rng, size, n_max: int = DEFAULT_NU_CAP) -> np.ndarray:
     _check_time(t, n_max)
     if t == 0.0:
         return np.ones(size, dtype=np.int64)
-    log_fail = math.log1p(-math.exp(-t))
+    log_fail = math.log(-math.expm1(-t))  # log(1 - e^-t), finite for tiny t
     u = np.clip(rng.random(size), 5e-324, None)
     nus = 1 + (np.log(u) / log_fail).astype(np.int64)
     if np.any(nus > n_max):
         raise TimeTooLarge(f"drew cascade size above the cap {n_max}")
     return nus
 
+
+def sorted_sizes(t, rng, size, n_max: int = DEFAULT_NU_CAP):
+    """size cascade sizes in descending order, with the draw index of each."""
+    nus = sample_nu_batch(t, rng, size, n_max)
+    order = np.argsort(-nus, kind="stable")
+    return nus[order], order
+
+
+def chunk_slices(nus) -> list[slice]:
+    """Cut descending sizes into consecutive chunks of at most LEAF_BUDGET
+    leaves each (a cascade above the budget forms a chunk of its own)."""
+    ends = np.cumsum(nus)
+    slices, start = [], 0
+    while start < len(nus):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + LEAF_BUDGET, side="right")))
+        slices.append(slice(start, stop))
+        start = stop
+    return slices
+
+
+# --- the engine -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GerminationRecord:
+    """Germination steps of a chunk of cascades, stored step-major.
+
+    Cascade j owns the leaves offsets[j] .. offsets[j] + nus[j] - 1, its root
+    first.  Sizes are descending, so step i involves cascades 0 .. a_i - 1;
+    their entries sit at bounds[i] .. bounds[i + 1] of the flat arrays.  An
+    entry splits leaf `parent` at angles (phi, theta), keeping `parent` and
+    creating leaf `child`.
+    """
+
+    nus: np.ndarray
+    offsets: np.ndarray
+    bounds: np.ndarray
+    phis: np.ndarray
+    thetas: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
+
+    @property
+    def n_leaves(self) -> int:
+        return int(self.offsets[-1] + self.nus[-1])
+
+    def steps(self):
+        """(start, stop) of each step's entries, first step first."""
+        return pairwise(self.bounds.tolist())
+
+    def per_cascade(self, leaf_values, ufunc=np.add) -> np.ndarray:
+        """Reduce leaf values (along axis 0) to one value per cascade."""
+        return ufunc.reduceat(leaf_values, self.offsets, axis=0)
+
+
+def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -> GerminationRecord:
+    """Draw the germination record of cascades with the given sizes
+    (descending): angles, then azimuths, then slots, all step-major."""
+    nus = np.asarray(nus, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(nus[:-1])))
+    steps = nus - 1
+    active = len(nus) - np.cumsum(np.bincount(steps, minlength=steps[0] + 1))[:-1]
+    bounds = np.concatenate(([0], np.cumsum(active)))
+    step = np.repeat(np.arange(len(active)), active)
+    cascade = np.arange(bounds[-1]) - np.repeat(bounds[:-1], active)
+    phis = kernel.inverse_beta_cdf(rng.random(bounds[-1]))
+    thetas = rng.uniform(0.0, TWO_PI, bounds[-1])
+    slots = np.minimum((rng.random(bounds[-1]) * (step + 1)).astype(np.int64), step)
+    return GerminationRecord(
+        nus=nus, offsets=offsets, bounds=bounds, phis=phis, thetas=thetas,
+        parent=offsets[cascade] + slots, child=offsets[cascade] + step + 1,
+    )
+
+
+def grow(record: GerminationRecord, left, right, root) -> np.ndarray:
+    """Forward pass: leaf values from per-entry left/right factors.
+
+    Every root starts at `root`; at each entry the split leaf's value v
+    becomes v * left and the new leaf's is v * right.  Factors of shape
+    (entries, 3, 3) compose as matrices (v @ factor), any other shape
+    multiplies elementwise.
+    """
+    values = np.empty((record.n_leaves,) + np.shape(root))
+    values[record.offsets] = root
+    compose = np.matmul if np.ndim(left) == 3 else np.multiply
+    for a, b in record.steps():
+        parent = record.parent[a:b]
+        value = values[parent]
+        values[record.child[a:b]] = compose(value, right[a:b])
+        values[parent] = compose(value, left[a:b])
+    return values
+
+
+def leaf_frames(record: GerminationRecord) -> tuple[np.ndarray, RotationArray]:
+    """Order-1 leaf weights and leaf rotations of every cascade in the record."""
+    weights = grow(record, np.cos(record.phis), np.sin(record.phis), 1.0)
+    rotations = grow(record, left_frame(record.phis, record.thetas),
+                     right_frame(record.phis, record.thetas), np.eye(3))
+    return weights, RotationArray(rotations=rotations)
+
+
+def collide(v, w, phi, theta):
+    """Post-collisional pair for incoming velocities v = (vx, vy, vz) and
+    w = (wx, wy, wz); components and angles may be scalars or equal-shape
+    arrays, and each output stacks its three components along axis 0.
+
+    The deflection direction is built from the unit relative velocity and
+    the branchless orthonormal completion of Duff et al. (JCGT 2017); theta
+    is uniform, so the law of the outcome does not depend on the completion
+    choice.  Momentum and kinetic energy are conserved exactly up to
+    roundoff, and identical velocities pass through unchanged.
+    """
+    vx, vy, vz = v
+    wx, wy, wz = w
+    dx, dy, dz = wx - vx, wy - vy, wz - vz
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    scale = 1.0 / np.where(norm > 0.0, norm, 1.0)
+    ux, uy, uz = dx * scale, dy * scale, dz * scale
+    sign = np.copysign(1.0, uz)
+    a = -1.0 / (sign + uz)
+    b = ux * uy * a
+    sp, cp = np.sin(phi), np.cos(phi)
+    c1, c2 = sp * np.cos(theta), sp * np.sin(theta)
+    g = norm * cp  # (w - v) . omega
+    gx = g * (c1 * (1.0 + sign * ux * ux * a) + c2 * b + cp * ux)
+    gy = g * (c1 * sign * b + c2 * (sign + uy * uy * a) + cp * uy)
+    gz = g * (cp * uz - c1 * sign * ux - c2 * uy)
+    return np.array([vx + gx, vy + gy, vz + gz]), np.array([wx - gx, wy - gy, wz - gz])
+
+
+def replay(record: GerminationRecord, velocities) -> np.ndarray:
+    """Backward pass: fold leaf velocities, shape (leaves, 3), through the
+    record, latest step first; returns each cascade's root velocity,
+    shape (cascades, 3)."""
+    components = np.array(np.asarray(velocities, float).T)
+    for a, b in reversed(list(record.steps())):
+        parent = record.parent[a:b]
+        components[:, parent] = collide(components[:, parent],
+                                        components[:, record.child[a:b]],
+                                        record.phis[a:b], record.thetas[a:b])[0]
+    return components[:, record.offsets].T
+
+
+def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) -> np.ndarray:
+    """One draw from the solution per cascade size, shape (len(nus), 3)."""
+    record = germination_record(nus, kernel, rng)
+    return replay(record, mu0.sampler(rng, record.n_leaves))
+
+
+# --- reductions -------------------------------------------------------------------
+
+def moments(values) -> np.ndarray:
+    """(mean, M2) along axis 0, M2 the sum of squared deviations."""
+    values = np.asarray(values, float)
+    mean = values.mean(axis=0)
+    return np.stack([mean, np.sum((values - mean) ** 2, axis=0)])
+
+
+def summarize(stats: dict, count: int) -> dict:
+    """Chunk summary: (mean, M2) of every per-cascade statistic, and the count."""
+    return {"count": float(count), **{key: moments(x) for key, x in stats.items()}}
+
+
+def merge_sums(parts) -> dict:
+    """Merge chunk summaries in order (Chan, Golub and LeVeque's update)."""
+    parts = iter(parts)
+    total = dict(next(parts))
+    for part in parts:
+        n_a, n_b = total["count"], part["count"]
+        n = n_a + n_b
+        for key in part.keys() - {"count"}:
+            (mean_a, m2_a), (mean_b, m2_b) = total[key], part[key]
+            delta = mean_b - mean_a
+            total[key] = np.stack([mean_a + delta * (n_b / n),
+                                   m2_a + m2_b + delta * delta * (n_a * n_b / n)])
+        total["count"] = n
+    return total
+
+
+def mean_se(sums: dict, key: str):
+    """Mean and its standard error for one statistic of a summary."""
+    n = sums["count"]
+    mean, m2 = sums[key]
+    se = np.sqrt(m2 / (n * (n - 1.0))) if n > 1 else np.zeros_like(m2)
+    return mean, se
+
+
+def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
+                a_star: float | None = None) -> dict:
+    """Chunk summary of sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
+    W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
+    w, zeta, eta the order-1, -2 and -3 leaf weights."""
+    record = germination_record(nus, kernel, rng)
+    cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
+    orders = (1, 2, 3)
+    left = np.stack([legendre_value(k, cos_p) for k in orders], axis=-1)
+    right = np.stack([legendre_value(k, sin_p) for k in orders], axis=-1)
+    w, zeta, eta = np.abs(grow(record, left, right, np.ones(3))).T
+    sq = w * w
+    stats = {f"abs_pow_{s}": record.per_cascade(w**s) for s in s_powers}
+    stats["zeta"] = record.per_cascade(sq * zeta)
+    stats["eta"] = record.per_cascade(sq * w * eta)
+    stats["W"] = record.per_cascade(sq * sq)
+    if a_star is not None:
+        stats["W_tail"] = (stats["W"] >= a_star).astype(float)
+    return summarize(stats, len(nus))
+
+
+def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid,
+                   estimator: str = "raoblackwell") -> dict:
+    """Chunk summary of the transform estimator at every grid frequency, as
+    real parts 're' and imaginary parts 'im' (exactly 1 at xi = 0).
+
+    'raoblackwell' takes the conditional transform prod_j cf(rho w_j psi_j);
+    'raw' takes exp(i rho S) with velocities drawn at the leaves.
+    Frequencies are evaluated one at a time, so memory stays O(leaves).
+    """
+    if estimator not in ("raoblackwell", "raw"):
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    record = germination_record(nus, kernel, rng)
+    weights, rotations = leaf_frames(record)
+    columns = rotations.third_columns()
+    if estimator == "raoblackwell":
+        cf = mu0.require_cf()
+    else:
+        velocities = mu0.sampler(rng, record.n_leaves)
+    xi_grid = np.asarray(xi_grid, float)
+    real = np.empty((2, len(xi_grid)))
+    imag = np.empty((2, len(xi_grid)))
+    for i, xi in enumerate(xi_grid):
+        rho = float(np.linalg.norm(xi))
+        if rho == 0.0:
+            values = np.ones(len(nus), dtype=complex)
+        else:
+            psi = columns @ frame_for(xi / rho).T
+            if estimator == "raoblackwell":
+                values = record.per_cascade(cf(rho * weights[:, None] * psi), np.multiply)
+            else:
+                s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
+                values = np.exp(1j * rho * s)
+        real[:, i] = moments(values.real)
+        imag[:, i] = moments(values.imag)
+    return {"count": float(len(nus)), "re": real, "im": imag}
+
+
+def _over_chunks(t, rng, size, n_max, reduce) -> dict:
+    """Merged summaries of reduce(sizes, rng) over the chunks of size cascades,
+    every draw taken from rng."""
+    nus, _ = sorted_sizes(t, rng, size, n_max)
+    return merge_sums(reduce(nus[chunk], rng) for chunk in chunk_slices(nus))
+
+
+# --- single-draw views and batch front ends --------------------------------------
 
 @dataclass(frozen=True)
 class TreeSample:
@@ -89,18 +348,10 @@ class TreeSample:
     phis: np.ndarray
     thetas: np.ndarray
     t: float
-    rng_seed: int | None = None
 
     def leaf_directions(self, u) -> np.ndarray:
         """Unit leaf directions for the probe direction u."""
-        return self.rotations.third_columns() @ ATLAS.frame_for(u).T
-
-
-def _germination_draws(kernel, rng, steps):
-    phis = kernel.inverse_beta_cdf(rng.random(steps))
-    thetas = rng.uniform(0.0, TWO_PI, steps)
-    slots = rng.random(steps)
-    return phis, thetas, slots
+        return leaf_directions(frame_for(u), self.rotations)
 
 
 def draw_tree_sample(
@@ -110,32 +361,18 @@ def draw_tree_sample(
     n_max: int = DEFAULT_NU_CAP,
     nu: int | None = None,
 ) -> TreeSample:
-    """Draw a TreeSample by incremental germination (nu overrides the size
-    draw, for conditional studies)."""
+    """Draw a TreeSample, a one-cascade chunk of the engine (nu overrides
+    the size draw, for conditional studies)."""
     if nu is None:
         nu = sample_nu(t, rng, n_max)
-    phis, thetas, slots = _germination_draws(kernel, rng, nu - 1)
-    pis = [1.0]
-    rots = [np.eye(3)]
-    if nu > 1:
-        lefts = left_frame(phis, thetas)
-        rights = right_frame(phis, thetas)
-        cos_p = np.cos(phis)
-        sin_p = np.sin(phis)
-        for i in range(nu - 1):
-            k = int(slots[i] * (i + 1))
-            w = pis[k]
-            pis[k] = w * cos_p[i]
-            pis.append(w * sin_p[i])
-            q = rots[k]
-            rots[k] = q @ lefts[i]
-            rots.append(q @ rights[i])
+    record = germination_record([nu], kernel, rng)
+    weights, rotations = leaf_frames(record)
     return TreeSample(
         nu=nu,
-        pi=WeightArray(values=np.array(pis), order=1),
-        rotations=RotationArray(rotations=np.array(rots)),
-        phis=phis,
-        thetas=thetas,
+        pi=WeightArray(values=weights, order=1),
+        rotations=rotations,
+        phis=record.phis,
+        thetas=record.thetas,
         t=t,
     )
 
@@ -170,16 +407,6 @@ class CfEstimate:
     estimator: str
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[complex, float, float]:
-    mean = complex(values.mean())
-    n = len(values)
-    if n < 2:
-        return mean, 0.0, 0.0
-    se_re = float(values.real.std(ddof=1) / math.sqrt(n))
-    se_im = float(values.imag.std(ddof=1) / math.sqrt(n))
-    return mean, se_re, se_im
-
-
 def cf_estimate(
     xi,
     t: float,
@@ -190,133 +417,26 @@ def cf_estimate(
     estimator: str = "raoblackwell",
     n_max: int = DEFAULT_NU_CAP,
 ) -> CfEstimate:
-    """Estimate the transform of the solution at frequency xi and time t.
+    """Estimate the transform of the solution at frequency xi and time t,
+    as a one-row grid of `transform_sums`.
 
     'raoblackwell' averages the conditional transform (needs mu0.cf);
     'raw' averages exp(i rho S) over velocity draws attached to the leaves.
     """
     xi = np.asarray(xi, float)
-    rho = float(np.linalg.norm(xi))
-    if rho == 0.0:
-        return CfEstimate(1.0 + 0.0j, 0.0, 0.0, 0.0, n_samples, xi, t, "exact")
-    if estimator not in ("raoblackwell", "raw"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    u = xi / rho
-    basis = ATLAS.frame_for(u)
-    if estimator == "raoblackwell":
-        cf = mu0.require_cf()
-    values = np.empty(n_samples, dtype=complex)
-    for i in range(n_samples):
-        sample = draw_tree_sample(t, kernel, rng, n_max)
-        psi = sample.rotations.third_columns() @ basis.T
-        if estimator == "raoblackwell":
-            args = rho * sample.pi.values[:, None] * psi
-            values[i] = np.prod(cf(args))
-        else:
-            velocities = mu0.sampler(rng, sample.nu)
-            s = float(np.sum(sample.pi.values * np.einsum("ji,ji->j", psi, velocities)))
-            values[i] = complex(math.cos(rho * s), math.sin(rho * s))
-    mean, se_re, se_im = _mean_and_se(values)
+    sums = _over_chunks(t, rng, n_samples, n_max, lambda nus, r: transform_sums(
+        nus, r, mu0=mu0, kernel=kernel, xi_grid=[xi], estimator=estimator))
+    (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
     return CfEstimate(
-        value=mean,
-        std_error=math.hypot(se_re, se_im),
-        se_real=se_re,
-        se_imag=se_im,
+        value=complex(re[0], im[0]),
+        std_error=math.hypot(se_re[0], se_im[0]),
+        se_real=float(se_re[0]),
+        se_imag=float(se_im[0]),
         n_samples=n_samples,
         xi=xi,
         t=t,
         estimator=estimator,
     )
-
-
-# --- the velocity cascade -----------------------------------------------------
-
-def collide(v, w, phi: float, theta: float):
-    """Post-collisional pair for incoming velocities (v, w).
-
-    The deflection direction is built from the unit relative velocity and a
-    deterministic orthonormal completion; theta is uniform, so the law of
-    the outcome does not depend on the completion choice.  Momentum and
-    kinetic energy are conserved exactly up to roundoff.
-    """
-    vx, vy, vz = v
-    wx, wy, wz = w
-    dx, dy, dz = wx - vx, wy - vy, wz - vz
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if norm == 0.0:  # identical velocities: the collision is the identity
-        return (vx, vy, vz), (wx, wy, wz)
-    ux, uy, uz = dx / norm, dy / norm, dz / norm
-
-    # complete against the axis least aligned with the relative direction
-    ax, ay, az = abs(ux), abs(uy), abs(uz)
-    if ax <= ay and ax <= az:
-        bx, by, bz = 1.0 - ux * ux, -ux * uy, -ux * uz
-    elif ay <= az:
-        bx, by, bz = -uy * ux, 1.0 - uy * uy, -uy * uz
-    else:
-        bx, by, bz = -uz * ux, -uz * uy, 1.0 - uz * uz
-    bn = math.sqrt(bx * bx + by * by + bz * bz)
-    bx, by, bz = bx / bn, by / bn, bz / bn
-    cx = uy * bz - uz * by
-    cy = uz * bx - ux * bz
-    cz = ux * by - uy * bx
-
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    ox = sp * (ct * bx + st * cx) + cp * ux
-    oy = sp * (ct * by + st * cy) + cp * uy
-    oz = sp * (ct * bz + st * cz) + cp * uz
-
-    g = norm * cp  # (w - v) . omega
-    return (
-        (vx + g * ox, vy + g * oy, vz + g * oz),
-        (wx - g * ox, wy - g * oy, wz - g * oz),
-    )
-
-
-def _cascade_value(nu, velocities, phis, thetas, slots):
-    """Fold leaf velocities through the germination record, replayed
-    backwards so children merge before their parents.
-
-    Same collision rule as collide(), inlined with precomputed trigs; the
-    agreement of the two paths is covered by the sampler tests.
-    """
-    values = velocities.tolist()
-    sin_p = np.sin(phis).tolist()
-    cos_p = np.cos(phis).tolist()
-    sin_t = np.sin(thetas).tolist()
-    cos_t = np.cos(thetas).tolist()
-    sqrt = math.sqrt
-    for s in range(nu - 2, -1, -1):
-        k = int(slots[s] * (s + 1))
-        vx, vy, vz = values[k]
-        wx, wy, wz = values[s + 1]
-        dx, dy, dz = wx - vx, wy - vy, wz - vz
-        norm = sqrt(dx * dx + dy * dy + dz * dz)
-        if norm == 0.0:
-            continue
-        ux, uy, uz = dx / norm, dy / norm, dz / norm
-        ax, ay, az = abs(ux), abs(uy), abs(uz)
-        if ax <= ay and ax <= az:
-            bx, by, bz = 1.0 - ux * ux, -ux * uy, -ux * uz
-        elif ay <= az:
-            bx, by, bz = -uy * ux, 1.0 - uy * uy, -uy * uz
-        else:
-            bx, by, bz = -uz * ux, -uz * uy, 1.0 - uz * uz
-        bn = sqrt(bx * bx + by * by + bz * bz)
-        bx, by, bz = bx / bn, by / bn, bz / bn
-        cx = uy * bz - uz * by
-        cy = uz * bx - ux * bz
-        cz = ux * by - uy * bx
-        sp, cp = sin_p[s], cos_p[s]
-        st, ct = sin_t[s], cos_t[s]
-        g = norm * cp
-        values[k] = (
-            vx + g * (sp * (ct * bx + st * cx) + cp * ux),
-            vy + g * (sp * (ct * by + st * cy) + cp * uy),
-            vz + g * (sp * (ct * bz + st * cz) + cp * uz),
-        )
-    return values[0]
 
 
 def wild_velocity(
@@ -328,11 +448,7 @@ def wild_velocity(
 ) -> np.ndarray:
     """One velocity draw from the solution at time t."""
     nu = sample_nu(t, rng, n_max)
-    velocities = mu0.sampler(rng, nu)
-    if nu == 1:
-        return velocities[0]
-    phis, thetas, slots = _germination_draws(kernel, rng, nu - 1)
-    return np.array(_cascade_value(nu, velocities, phis, thetas, slots))
+    return cascade_velocities([nu], rng, mu0=mu0, kernel=kernel)[0]
 
 
 def wild_velocity_batch(
@@ -343,14 +459,14 @@ def wild_velocity_batch(
     size: int,
     n_max: int = DEFAULT_NU_CAP,
 ) -> np.ndarray:
-    """size independent draws from the solution at time t, shape (size, 3)."""
+    """size independent draws from the solution at time t, shape (size, 3),
+    in the order their sizes were drawn."""
+    nus, order = sorted_sizes(t, rng, size, n_max)
     out = np.empty((size, 3))
-    for i in range(size):
-        out[i] = wild_velocity(t, mu0, kernel, rng, n_max)
+    for chunk in chunk_slices(nus):
+        out[order[chunk]] = cascade_velocities(nus[chunk], rng, mu0=mu0, kernel=kernel)
     return out
 
-
-# --- weight-only cascades (identity statistics) --------------------------------
 
 def weight_statistic_sums(
     t: float,
@@ -358,77 +474,10 @@ def weight_statistic_sums(
     rng: np.random.Generator,
     n_samples: int,
     s_powers: tuple = (1, 2, 3, 4),
-    with_zeta_eta: bool = True,
     a_star: float | None = None,
     n_max: int = DEFAULT_NU_CAP,
 ) -> dict[str, np.ndarray]:
-    """Accumulate sums and squared sums of the per-cascade statistics
-    sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j| and W.
-
-    Only first and second moments are kept, so partial results from
-    independent workers combine by plain addition.
-    """
-    keys = [f"abs_pow_{s}" for s in s_powers] + (
-        ["zeta", "eta"] if with_zeta_eta else []
-    ) + ["W"]
-    sums = {key: np.zeros(2) for key in keys}
-    if a_star is not None:
-        sums["W_tail"] = np.zeros(2)
-    sums["count"] = np.array(float(n_samples))
-
-    for _ in range(n_samples):
-        nu = sample_nu(t, rng, n_max)
-        if nu == 1:
-            stats = {key: 1.0 for key in keys}
-        else:
-            phis = kernel.inverse_beta_cdf(rng.random(nu - 1))
-            slots = rng.random(nu - 1)
-            cos_p = np.cos(phis)
-            sin_p = np.sin(phis)
-            pis = [1.0]
-            zetas = [1.0] if with_zeta_eta else None
-            etas = [1.0] if with_zeta_eta else None
-            for i in range(nu - 1):
-                k = int(slots[i] * (i + 1))
-                c, s = cos_p[i], sin_p[i]
-                w = pis[k]
-                pis[k] = w * c
-                pis.append(w * s)
-                if with_zeta_eta:
-                    c2, s2 = c * c, s * s
-                    z = zetas[k]
-                    zetas[k] = z * (1.5 * c2 - 0.5)
-                    zetas.append(z * (1.5 * s2 - 0.5))
-                    e = etas[k]
-                    etas[k] = e * (2.5 * c2 - 1.5) * c
-                    etas.append(e * (2.5 * s2 - 1.5) * s)
-            absolute = np.abs(pis)
-            stats = {f"abs_pow_{s}": float(np.sum(absolute**s)) for s in s_powers}
-            sq = absolute * absolute
-            stats["W"] = float(np.sum(sq * sq))
-            if with_zeta_eta:
-                stats["zeta"] = float(np.sum(sq * np.abs(zetas)))
-                stats["eta"] = float(np.sum(absolute**3 * np.abs(etas)))
-        for key in keys:
-            v = stats[key]
-            sums[key] += (v, v * v)
-        if a_star is not None:
-            hit = 1.0 if stats["W"] >= a_star else 0.0
-            sums["W_tail"] += (hit, hit)
-    return sums
-
-
-def tree_sample_pool(
-    t: float,
-    kernel: CollisionKernel,
-    rng: np.random.Generator,
-    n_samples: int,
-    n_max: int = DEFAULT_NU_CAP,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reduced cascade draws (weights, rotation third columns) for
-    transform estimation over frequency grids."""
-    pool = []
-    for _ in range(n_samples):
-        sample = draw_tree_sample(t, kernel, rng, n_max)
-        pool.append((sample.pi.values, sample.rotations.third_columns()))
-    return pool
+    """`weight_sums` over n_samples cascades at time t: a dict of
+    (mean, M2) pairs per statistic, plus the count."""
+    return _over_chunks(t, rng, n_samples, n_max, lambda nus, r: weight_sums(
+        nus, r, kernel=kernel, s_powers=s_powers, a_star=a_star))

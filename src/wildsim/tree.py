@@ -131,20 +131,6 @@ class McKeanTree:
 LEAF = McKeanTree()
 
 
-def germinate(tree: McKeanTree, k: int) -> McKeanTree:
-    return tree.germinate(k)
-
-
-def split_depths(tree: McKeanTree):
-    """Subtrees and leaf depths of a tree with at least two leaves."""
-    left, right = tree.split()
-    return left, right, tree.depths()
-
-
-def depths(tree: McKeanTree) -> tuple[int, ...]:
-    return tree.depths()
-
-
 def sample_tree(n: int, rng) -> McKeanTree:
     """Run the uniform-leaf germination chain from one leaf up to n."""
     if n < 1:

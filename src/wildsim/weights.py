@@ -44,7 +44,6 @@ class WeightArray:
 
     values: np.ndarray
     order: int
-    provenance: tuple | None = None
 
     def __len__(self):
         return len(self.values)

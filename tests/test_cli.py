@@ -130,3 +130,21 @@ def test_crosscheck_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["suite"] == "representation_crosscheck"
     assert len(payload["entries"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--t", "-1", "--samples", "10"],
+    ["identities", "--t", "abc", "--samples", "10"],
+    ["identities", "--t", ",", "--samples", "10"],
+    ["identities", "--samples", "0"],
+    ["identities", "--workers", "0", "--samples", "10"],
+    ["crosscheck", "--samples", "10", "--xi-grid", '{"directions": [[1,0,0]]}'],
+    ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [1], "directions": [[0,0,0]]}'],
+    ["crosscheck", "--samples", "10", "--xi-grid", '[[1, "x", 0]]'],
+    ["conserve", "--samples", "10", "--mu0", '{"preset": "mixture"}'],
+])
+def test_malformed_configuration_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from wildsim.diagnostics import (
     moment_decay_fit,
     representation_crosscheck,
     run_identity_suite,
+    transform_grid_estimates,
 )
 from wildsim.errors import ConfigError, InsufficientSignal, PremiseFailed
 from wildsim.initial import gaussian_datum, sixpoint_datum
@@ -78,12 +79,24 @@ def test_identity_suite_zero_time_is_exact(kernel):
             assert entry.passed
 
 
+def report_values(report):
+    return [(e.mc_value, e.mc_se, e.z_score) for e in report.entries]
+
+
 def test_identity_suite_parallel_workers_reduce_identically(kernel):
-    serial = run_identity_suite(kernel, [0.5], 2000, seed=7, workers=1)
-    twice = run_identity_suite(kernel, [0.5], 2000, seed=7, workers=2)
+    # at t = 3 the 2000 cascades hold about 40k leaves, several chunks
+    serial = run_identity_suite(kernel, [0.5, 3.0], 2000, seed=7, workers=1)
+    twice = run_identity_suite(kernel, [0.5, 3.0], 2000, seed=7, workers=2)
     assert twice.passed
-    # same closed-form references, independent streams
     assert serial.entries[0].reference_value == twice.entries[0].reference_value
+    assert report_values(serial) == report_values(twice)
+
+
+def test_conservation_parallel_workers_reduce_identically(kernel, sixpoint):
+    serial = conservation_check(sixpoint, kernel, [2.5], 3000, seed=13, workers=1)
+    twice = conservation_check(sixpoint, kernel, [2.5], 3000, seed=13, workers=2)
+    assert twice.passed
+    assert report_values(serial) == report_values(twice)
 
 
 def test_conservation_small(kernel, sixpoint):
@@ -188,3 +201,16 @@ def test_envelope_premise_failure(kernel):
     with pytest.raises(PremiseFailed):
         envelope_check(gaussian_datum(), math.sqrt(0.5), 0.5, kernel,
                        t=1.0, n_samples=10, seed=62)
+
+
+def test_zero_frequency_rows_are_exact(kernel, sixpoint):
+    grid = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    for estimator in ("raoblackwell", "raw"):
+        rows = transform_grid_estimates(sixpoint, kernel, [1.0], grid, 200, 3,
+                                        estimator=estimator)
+        zero, other = rows
+        assert (zero["re"], zero["im"], zero["se_re"], zero["se_im"]) == (1.0, 0.0, 0.0, 0.0)
+        assert other["se_re"] > 0.0
+    report = representation_crosscheck(sixpoint, kernel, 1.0, grid, 200, seed=3)
+    zero = report.entries[0]
+    assert (zero.mc_value, zero.mc_se, zero.z_score, zero.passed) == (0.0, 0.0, 0.0, True)

@@ -7,13 +7,13 @@ import pytest
 
 from wildsim.errors import ArityMismatch, OutOfChart
 from wildsim.geometry import (
-    ATLAS,
     E3,
     chart_basis,
     chart_contains,
     chart_for_direction,
     chart_point,
     collision_frames,
+    frame_for,
     is_rotation,
     leaf_directions,
     leaf_third_columns_batch,
@@ -169,7 +169,7 @@ def test_golden_matrices():
 def test_leaf_directions():
     rng = np.random.default_rng(6)
     u = random_unit(rng)
-    basis = ATLAS.frame_for(u)
+    basis = frame_for(u)
     single = leaf_directions(basis, rotation_array(LEAF, [], []))
     np.testing.assert_allclose(single, [u], atol=1e-13)
 

@@ -13,9 +13,7 @@ from wildsim.tree import (
     McKeanTree,
     chain_distribution,
     enumerate_trees,
-    germinate,
     sample_tree,
-    split_depths,
     tree_probability,
 )
 
@@ -28,14 +26,14 @@ def comb(n):
 
 
 def test_germinate_single_leaf():
-    assert germinate(LEAF, 1) == McKeanTree(LEAF, LEAF)
+    assert LEAF.germinate(1) == McKeanTree(LEAF, LEAF)
     with pytest.raises(IndexOutOfRange):
-        germinate(LEAF, 2)
+        LEAF.germinate(2)
 
 
 def test_germinate_depths():
-    cherry = germinate(LEAF, 1)
-    assert germinate(cherry, 1).depths() == (2, 2, 1)
+    cherry = LEAF.germinate(1)
+    assert cherry.germinate(1).depths() == (2, 2, 1)
     assert comb(4).depths() == (3, 3, 2, 1)
 
 
@@ -64,11 +62,11 @@ def test_germination_depth_relations():
 
 def test_split_and_depths():
     cherry = McKeanTree(LEAF, LEAF)
-    left, right, ds = split_depths(cherry)
+    left, right = cherry.split()
     assert left is LEAF and right is LEAF
-    assert ds == (1, 1)
+    assert cherry.depths() == (1, 1)
     with pytest.raises(SplitOfLeaf):
-        split_depths(LEAF)
+        LEAF.split()
     assert LEAF.depths() == (0,)
 
 
