@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSignal, PremiseFailed
+from .errors import ConfigError, InsufficientSignal, PremiseFailed, WildsimError
 from .geometry import frame_for, leaf_third_columns_batch
 from .initial import InitialDatum
 from .kernel import CollisionKernel, spectral_functionals
@@ -62,6 +62,27 @@ class IdentityEntry:
     passed: bool
 
 
+def _run_id(suite: str, config: dict, kernel: CollisionKernel,
+            mu0: InitialDatum | None = None) -> str:
+    """Digest of what a run's numbers depend on: the suite, its configuration,
+    the kernel's tabulated angle law, the initial datum when the suite uses
+    one (its name, moment table and first draws from a fixed stream) and the
+    package version."""
+    from . import __version__  # the package imports this module before setting it
+
+    datum = None
+    if mu0 is not None:
+        arrays = (mu0.mean, mu0.covariance, mu0.m3_vector, mu0.sampler(rng_stream(0), 8))
+        datum = [mu0.name, mu0.m2, mu0.m3, mu0.m4,
+                 *(np.asarray(a, float).tolist() for a in arrays)]
+    payload = json.dumps({
+        "suite": suite, "config": config, "version": __version__,
+        "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
+        "mu0": datum,
+    }, sort_keys=True, default=str)
+    return hashlib.sha1(payload.encode()).hexdigest()[:12]
+
+
 @dataclass
 class IdentityReport:
     suite: str
@@ -70,12 +91,6 @@ class IdentityReport:
     kernel_functionals: dict | None = None
     pass_fraction_required: float | None = None
     run_id: str = ""
-
-    def __post_init__(self):
-        if not self.run_id:
-            payload = json.dumps({"suite": self.suite, "config": self.config},
-                                 sort_keys=True, default=str)
-            self.run_id = hashlib.sha1(payload.encode()).hexdigest()[:12]
 
     @property
     def pass_fraction(self) -> float:
@@ -177,8 +192,16 @@ def fit_exponential_decay(times, values, std_errors, reference_rate=float("nan")
 # --- chunked reduction -----------------------------------------------------------
 
 def _chunk_entry(args):
+    """Run one chunk task; a failure that is not already a WildsimError
+    becomes one naming the chunk's seed and stream key."""
     task, nus, seed, key, kwargs = args
-    return task(nus, rng_stream(seed, *key), **kwargs)
+    try:
+        return task(nus, rng_stream(seed, *key), **kwargs)
+    except WildsimError:
+        raise
+    except Exception as exc:
+        raise WildsimError(f"chunk {key[-1]} failed (seed {seed}, stream key "
+                           f"{key}): {exc!r}") from exc
 
 
 def _reduce_sums(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
@@ -261,7 +284,8 @@ def run_identity_suite(
     config = {"t_list": list(t_list), "n_samples": n_samples, "seed": seed,
               "s_list": list(s_list), "a_star": a_star, "workers": workers,
               "z_threshold": z_threshold}
-    report = IdentityReport("identities", config, kernel_functionals=fn.as_dict())
+    report = IdentityReport("identities", config, kernel_functionals=fn.as_dict(),
+                            run_id=_run_id("identities", config, kernel))
     for it, t in enumerate(t_list):
         sums = _reduce_sums(
             weight_sums, seed, (1, it), workers, t, n_samples, n_max,
@@ -308,7 +332,8 @@ def conservation_check(
         raise ConfigError("conservation check needs a finite second moment")
     config = {"mu0": mu0.name, "t_list": list(t_list), "n_samples": n_samples,
               "seed": seed, "workers": workers}
-    report = IdentityReport("conservation", config)
+    report = IdentityReport("conservation", config,
+                            run_id=_run_id("conservation", config, kernel, mu0))
     for it, t in enumerate(t_list):
         sums = _reduce_sums(
             _velocity_moments_task, seed, (2, it), workers, t, n_samples, n_max,
@@ -502,7 +527,8 @@ def representation_crosscheck(
     config = {"mu0": mu0.name, "t": t, "n_samples": n_samples, "seed": seed,
               "grid_size": len(xi_grid), "workers": workers}
     report = IdentityReport("representation_crosscheck", config,
-                            pass_fraction_required=0.95)
+                            pass_fraction_required=0.95,
+                            run_id=_run_id("representation_crosscheck", config, kernel, mu0))
     tree_sums = _reduce_sums(
         transform_sums, seed, (5, 0), workers, t, n_samples, n_max,
         mu0=mu0, kernel=kernel, xi_grid=xi_grid,
@@ -525,7 +551,7 @@ def representation_crosscheck(
                 math.hypot(se_im_t[i], se_im_w[i]))),
             reference_value=0.0,
             reference_provenance="independent wild-cascade empirical transform",
-            z_score=z, passed=z <= z_threshold,
+            z_score=z, passed=bool(z <= z_threshold),
         ))
     return report
 
@@ -552,7 +578,8 @@ def legendre_moment_checks(
     basis = frame_for(u)
     u_dot_xi = float(u @ xi)
     config = {"tree_size": tree_size, "n_theta": n_theta, "seed": seed}
-    report = IdentityReport("legendre_moments", config)
+    report = IdentityReport("legendre_moments", config,
+                            run_id=_run_id("legendre_moments", config, kernel))
     for n in range(1, tree_size + 1):
         for tree in enumerate_trees(n):
             phis = kernel.inverse_beta_cdf(rng.random(n - 1))
@@ -622,7 +649,8 @@ def envelope_check(
     )
     config = {"mu0": mu0.name, "lam": lam, "q": q, "t": t,
               "n_samples": n_samples, "seed": seed, "n_rho": n_rho}
-    report = IdentityReport("envelope", config)
+    report = IdentityReport("envelope", config,
+                            run_id=_run_id("envelope", config, kernel, mu0))
     violations = float(round(sums["violations"][0] * sums["count"]))
     report.entries.append(IdentityEntry(
         identity="transform_under_envelope",

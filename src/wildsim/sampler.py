@@ -13,13 +13,18 @@ the record is stored step-major in flat arrays (`GerminationRecord`).  Leaf
 values live in flat arrays too, with per-cascade offsets, and two passes
 walk the record:
 
-* forward (`grow`): the chosen leaf's value v becomes v * left and the new
-  leaf gets v * right.  Scalar factors (P_k(cos phi), P_k(sin phi)) give
-  the order-k Legendre leaf weights; the collision frames left(phi, theta)
-  and right(phi, theta) give the leaf rotations.
+* forward (`grow`), step by step: the chosen leaf's value v becomes
+  v * left and the new leaf gets v * right.  Scalar factors
+  (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights; the
+  collision frames left(phi, theta) and right(phi, theta) give the leaf
+  rotations.
 * backward (`replay`): i.i.d. initial velocities at the leaves are folded
-  through pairwise collisions (`collide`), latest step first, so each merge
-  sees fully collapsed subtrees; the root keeps one draw from the solution.
+  through pairwise collisions (`collide`).  Read backward, the record is a
+  binary tree of collisions whose depth grows like log nu while nu grows
+  like e^t; the pass visits it one depth at a time, deepest level first,
+  with one vectorised `collide` per level over every cascade of the chunk,
+  so each merge sees fully collapsed subtrees; the root keeps one draw
+  from the solution.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
@@ -139,6 +144,80 @@ class GerminationRecord:
         return ufunc.reduceat(leaf_values, self.offsets, axis=0)
 
 
+@dataclass(frozen=True)
+class CollisionLevels:
+    """A record's entries as a binary tree of collisions, deepest level first.
+
+    Entry e collides two inputs: its left input is the output of the next
+    split of the same leaf, or that leaf's velocity if there is none; its
+    right input is the output of the first split of the new leaf, or the new
+    leaf's velocity.  Slots index one buffer that holds the leaf velocities
+    (slots 0 .. leaves - 1) followed by the entry outputs in `order`: entry
+    order[k] reads slots left[k] and right[k] and writes slot leaves + k.
+    Level k, counted from the deepest, is order[bounds[k]:bounds[k + 1]];
+    every input of a level lies in a deeper level or among the leaves, and
+    roots[j] is the slot holding cascade j's root velocity at the end.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+
+
+def _small_keys(keys: np.ndarray) -> np.ndarray:
+    """Nonnegative integer keys in their smallest unsigned dtype, so that a
+    stable argsort of up to 16-bit keys runs as a radix sort."""
+    return keys.astype(np.min_scalar_type(int(keys.max(initial=0))))
+
+
+def collision_levels(record: GerminationRecord) -> CollisionLevels:
+    """Derive each entry's inputs and depth from parent/child, no new draws.
+
+    Depth (the number of collisions between an entry and its cascade's root)
+    comes from pointer jumping over the link from each entry to the entry
+    that consumes its output, O(log depth) vector passes.
+    """
+    n, m = record.n_leaves, len(record.parent)
+    entries = np.arange(m)
+    # Each leaf's splits in step order (entries are step-major).
+    by_leaf = np.argsort(_small_keys(record.parent), kind="stable")
+    leaf = record.parent[by_leaf]
+    same = leaf[1:] == leaf[:-1]
+    earlier, later = by_leaf[:-1][same], by_leaf[1:][same]
+    first = np.concatenate(([True], ~same))[:m]
+    # An entry's output feeds the earlier split of its leaf, else the entry
+    # that created the leaf; the first split of a root leaf points at itself.
+    creator = np.full(n, -1)
+    creator[record.child] = entries
+    up = creator[record.parent]
+    up[later] = earlier
+    up = np.where(up >= 0, up, entries)
+    depth = (up != entries).astype(np.int64)
+    while True:
+        upper = up[up]
+        if np.array_equal(upper, up):
+            break
+        depth += depth[up]
+        up = upper
+    level = _small_keys(depth.max(initial=0) - depth)
+    order = np.argsort(level, kind="stable")
+    slot = np.empty(m, dtype=np.int64)
+    slot[order] = n + entries
+    left = record.parent.copy()
+    left[earlier] = slot[later]
+    head = np.arange(n)  # a leaf's first split's output, else its velocity
+    head[leaf[first]] = slot[by_leaf[first]]
+    return CollisionLevels(
+        order=order,
+        bounds=np.concatenate(([0], np.cumsum(np.bincount(level)))),
+        left=left[order],
+        right=head[record.child[order]],
+        roots=head[record.offsets],
+    )
+
+
 def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -> GerminationRecord:
     """Draw the germination record of cascades with the given sizes
     (descending): angles, then azimuths, then slots, all step-major."""
@@ -216,15 +295,20 @@ def collide(v, w, phi, theta):
 
 def replay(record: GerminationRecord, velocities) -> np.ndarray:
     """Backward pass: fold leaf velocities, shape (leaves, 3), through the
-    record, latest step first; returns each cascade's root velocity,
-    shape (cascades, 3)."""
-    components = np.array(np.asarray(velocities, float).T)
-    for a, b in reversed(list(record.steps())):
-        parent = record.parent[a:b]
-        components[:, parent] = collide(components[:, parent],
-                                        components[:, record.child[a:b]],
-                                        record.phis[a:b], record.thetas[a:b])[0]
-    return components[:, record.offsets].T
+    record one tree level at a time, deepest level first, with one
+    `collide` call per level; returns each cascade's root velocity,
+    shape (cascades, 3).  Each collision sees the same inputs as in a
+    step-by-step replay, latest step first, so the result is identical."""
+    levels = collision_levels(record)
+    n = record.n_leaves
+    buffer = np.empty((3, n + len(levels.order)))
+    buffer[:, :n] = np.asarray(velocities, float).T
+    phis, thetas = record.phis[levels.order], record.thetas[levels.order]
+    for a, b in pairwise(levels.bounds.tolist()):
+        buffer[:, n + a:n + b] = collide(buffer[:, levels.left[a:b]],
+                                         buffer[:, levels.right[a:b]],
+                                         phis[a:b], thetas[a:b])[0]
+    return buffer[:, levels.roots].T
 
 
 def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) -> np.ndarray:

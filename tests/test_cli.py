@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from wildsim import diagnostics
+from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from wildsim.sampler import LEAF_BUDGET, weight_sums
 
 
 def test_identities_writes_report(tmp_path):
@@ -148,3 +150,59 @@ def test_malformed_configuration_is_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+SUITE_ARGS = {
+    "identities": ["--t", "0.5"],
+    "conserve": ["--t", "0.5"],
+    "decay": ["--moment", "W", "--t", "0.5,1,1.5,2"],
+    "cfcurve": ["--t", "0.5,1", "--xi-grid", "[[1,0,0]]"],
+    "crosscheck": ["--t", "0.5", "--xi-grid", "[[1,0,0],[0,0.6,0.8]]"],
+    "legendre": ["--tree-size", "2"],
+    "envelope": ["--mu0", "gaussian", "--t", "1"],
+    "simulate": ["--t", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_ARGS))
+def test_reports_write_json_booleans(command, tmp_path):
+    out = tmp_path / "report.json"
+    main([command, "--samples", "300", "--seed", "5", "--out", str(out),
+          *SUITE_ARGS[command]])
+    payload = json.loads(out.read_text())
+    flags = [payload["passed"], *payload.get("checks", {}).values(),
+             *(entry["passed"] for entry in payload.get("entries", []))]
+    assert all(type(flag) is bool for flag in flags)
+
+
+def test_run_id_names_kernel_and_initial_datum(tmp_path):
+    out = tmp_path / "report.json"
+
+    def run_id(*argv):
+        main([*argv, "--t", "0.5", "--samples", "200", "--seed", "4", "--out", str(out)])
+        return json.loads(out.read_text())["run_id"]
+
+    xabs = run_id("identities", "--kernel", "xabs")
+    assert run_id("identities", "--kernel", "xabs") == xabs
+    assert run_id("identities", "--kernel", "cubic") != xabs
+    gaussian = run_id("conserve", "--mu0", "gaussian")
+    assert run_id("conserve", "--mu0", "gaussian") == gaussian
+    assert run_id("conserve", "--mu0", '{"preset": "gaussian", "mean": [1, 0, 0]}') != gaussian
+
+
+def _weight_sums_failing_on_chunk_one(nus, rng, **kwargs):
+    if rng.bit_generator.seed_seq.spawn_key[-1] == 1:
+        raise RuntimeError("injected failure")
+    return weight_sums(nus, rng, **kwargs)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_chunk_failure_names_its_stream(workers, monkeypatch, capsys):
+    monkeypatch.setattr(diagnostics, "weight_sums", _weight_sums_failing_on_chunk_one)
+    code = main(["identities", "--t", "0", "--samples", str(LEAF_BUDGET + 10),
+                 "--seed", "8", "--workers", workers])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err == ("error: chunk 1 failed (seed 8, stream key (1, 0, 1)): "
+                   "RuntimeError('injected failure')\n")

@@ -95,6 +95,36 @@ def test_replay_matches_pairwise_loop(seed, size, t):
         np.testing.assert_allclose(roots[j], values[0], rtol=0.0, atol=1e-12)
 
 
+def step_replay(record, velocities):
+    """Reference backward pass: one `collide` per germination step, latest first."""
+    components = np.array(np.asarray(velocities, float).T)
+    for a, b in reversed(list(record.steps())):
+        parent, child = record.parent[a:b], record.child[a:b]
+        components[:, parent] = collide(components[:, parent], components[:, child],
+                                        record.phis[a:b], record.thetas[a:b])[0]
+    return components[:, record.offsets].T
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 12), st.floats(0.0, 5.0))
+def test_replay_equals_step_order_replay(seed, size, t):
+    record, rng = chunk(seed, size, t)
+    velocities = SIXPOINT.sampler(rng, record.n_leaves)
+    assert np.array_equal(replay(record, velocities), step_replay(record, velocities))
+
+
+@pytest.mark.parametrize("nus", [
+    [1, 1, 1],                       # t = 0: no entries
+    [300, 120, 7, 2, 1, 1, 1],       # nu = 1 beside long cascades
+    [LEAF_BUDGET + 500],             # one cascade above the leaf budget
+])
+def test_replay_equals_step_order_replay_on_fixed_sizes(nus):
+    rng = rng_stream(11, len(nus))
+    record = germination_record(nus, KERNEL, rng)
+    velocities = SIXPOINT.sampler(rng, record.n_leaves)
+    assert np.array_equal(replay(record, velocities), step_replay(record, velocities))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(1, 64), st.floats(1e-3, 1e3))
 def test_vectorised_collide_conserves_each_pair(seed, pairs, scale):
