@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -118,7 +120,9 @@ def _spec(config, key, build):
     """Build the kernel or initial datum named by config[key]."""
     try:
         return build(_parse_json_or_name(config[key]))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (ConfigError, BadSpec):
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed {key} spec: {exc!r}") from exc
 
 
@@ -172,25 +176,42 @@ def _write_outputs(payload: dict, rows, header, config) -> None:
                 writer.writerow(row)
 
 
-def _report_outcome(report, config) -> int:
-    payload = report.as_dict()
+def _report_outcome(config, *reports) -> int:
+    """Print each report's summary and write them out as one report: a
+    single report as it is, several (one per time) with their entries
+    concatenated and each one's run id and verdict under 'parts'."""
+    if len(reports) == 1:
+        payload = reports[0].as_dict()
+    else:
+        parts = [{"t": r.config["t"], "run_id": r.run_id, "passed": r.passed,
+                  "pass_fraction": r.pass_fraction} for r in reports]
+        entries = [e for r in reports for e in r.entries]
+        payload = {**reports[0].as_dict(),
+                   "run_id": hashlib.sha1(" ".join(r.run_id for r in reports)
+                                          .encode()).hexdigest()[:12],
+                   "passed": all(r.passed for r in reports),
+                   "pass_fraction": sum(e.passed for e in entries) / len(entries),
+                   "entries": [asdict(e) for e in entries],
+                   "parts": parts}
     payload["config"] = _echo_config(config)
-    rows = list(report.csv_rows())
+    rows = [row for r in reports for row in r.csv_rows()]
     header = ["identity", "params", "mc_value", "mc_se", "reference_value",
               "z_score", "passed"]
     _write_outputs(payload, rows, header, config)
-    failed = [e for e in report.entries if not e.passed]
-    print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
-          f"checks passed (run {report.run_id})")
-    for entry in failed:
-        print(f"  FAIL {entry.identity} {entry.params}: "
-              f"mc={entry.mc_value:.6g} ref={entry.reference_value:.6g} "
-              f"z={entry.z_score:.2f}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    for report in reports:
+        failed = [e for e in report.entries if not e.passed]
+        print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
+              f"checks passed (run {report.run_id})")
+        for entry in failed:
+            print(f"  FAIL {entry.identity} {entry.params}: "
+                  f"mc={entry.mc_value:.6g} ref={entry.reference_value:.6g} "
+                  f"z={entry.z_score:.2f}")
+    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
 def _fit_outcome(fit, config, suite, extra_checks=()) -> int:
-    payload = {"suite": suite, "config": _echo_config(config), "fit": fit.as_dict()}
+    payload = {"suite": suite, "run_id": fit.run_id, "config": _echo_config(config),
+               "fit": fit.as_dict()}
     checks = {}
     if config.get("rate_tol") is not None and math.isfinite(fit.fitted_rate):
         rel = abs(fit.fitted_rate - fit.reference_rate) / abs(fit.reference_rate)
@@ -208,7 +229,8 @@ def _fit_outcome(fit, config, suite, extra_checks=()) -> int:
     ]
     _write_outputs(payload, rows, ["t", "value", "std_error", "used"], config)
     print(f"{suite}: fitted rate {fit.fitted_rate:.5f} "
-          f"(reference {fit.reference_rate:.5f}), residual {fit.residual:.3g}")
+          f"(reference {fit.reference_rate:.5f}), residual {fit.residual:.3g} "
+          f"(run {fit.run_id})")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
@@ -219,7 +241,7 @@ def _cmd_identities(config):
         a_star=float(config["a_star"]), workers=config["workers"],
         z_threshold=float(config["z_threshold"]), n_max=int(config["nmax"]),
     )
-    return _report_outcome(report, config)
+    return _report_outcome(config, report)
 
 
 def _cmd_conserve(config):
@@ -230,7 +252,7 @@ def _cmd_conserve(config):
         workers=config["workers"], z_threshold=float(config["z_threshold"]),
         n_max=int(config["nmax"]),
     )
-    return _report_outcome(report, config)
+    return _report_outcome(config, report)
 
 
 def _cmd_decay(config):
@@ -261,7 +283,7 @@ def _cmd_cfcurve(config):
         estimator=config["estimator"], workers=config["workers"],
         n_max=int(config["nmax"]), grid_rows=rows,
     )
-    payload = {"suite": "cfcurve", "config": _echo_config(config),
+    payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": _echo_config(config),
                "fit": fit.as_dict(),
                "estimates": rows, "passed": True}
     if config.get("max_rate") is not None and math.isfinite(fit.fitted_rate):
@@ -270,7 +292,7 @@ def _cmd_cfcurve(config):
                    ["t", "xi_x", "xi_y", "xi_z", "re", "im", "se_re", "se_im", "n"],
                    config)
     print(f"cfcurve: fitted rate {fit.fitted_rate:.5f} "
-          f"(reference {fit.reference_rate:.5f})")
+          f"(reference {fit.reference_rate:.5f}) (run {fit.run_id})")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
@@ -278,17 +300,12 @@ def _cmd_crosscheck(config):
     kernel = _spec(config, "kernel", make_kernel)
     mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
-    status = EXIT_OK
-    for t in config["t"]:
-        report = diagnostics.representation_crosscheck(
-            mu0, kernel, t, grid, config["samples"], config["seed"],
-            workers=config["workers"], z_threshold=float(config["z_threshold"]),
-            n_max=int(config["nmax"]),
-        )
-        outcome = _report_outcome(report, config if t == config["t"][-1] else
-                                  {**config, "out": None, "csv": None})
-        status = max(status, outcome)
-    return status
+    reports = [diagnostics.representation_crosscheck(
+        mu0, kernel, t, grid, config["samples"], config["seed"],
+        workers=config["workers"], z_threshold=float(config["z_threshold"]),
+        n_max=int(config["nmax"]),
+    ) for t in config["t"]]
+    return _report_outcome(config, *reports)
 
 
 def _cmd_legendre(config):
@@ -297,7 +314,7 @@ def _cmd_legendre(config):
         kernel, tree_size=int(config["tree_size"]), n_theta=config["samples"],
         seed=config["seed"], z_threshold=float(config["z_threshold"]),
     )
-    return _report_outcome(report, config)
+    return _report_outcome(config, report)
 
 
 def _cmd_envelope(config):
@@ -308,7 +325,7 @@ def _cmd_envelope(config):
         t=config["t"][0], n_samples=config["samples"], seed=config["seed"],
         workers=config["workers"], n_max=int(config["nmax"]),
     )
-    return _report_outcome(report, config)
+    return _report_outcome(config, report)
 
 
 def _cmd_simulate(config):

@@ -7,8 +7,9 @@ log-linear fit of an exponentially decaying curve).
 Monte Carlo work runs on the cascade engine of `wildsim.sampler`.  For one
 (suite, time) pair, all cascade sizes come from the stream
 rng_stream(seed, suite, t_index); they are sorted in descending order and
-cut into chunks of at most LEAF_BUDGET leaves, and chunk c draws its
-germination record (and any leaf velocities or probe directions) from
+cut into chunks of at most LEAF_BUDGET leaves.  Chunk c draws its
+germination record, the trees of all its cascades grown top-down one level
+at a time, and then any leaf velocities or probe directions, from
 rng_stream(seed, suite, t_index, c).  Each chunk reduces to (mean, M2)
 pairs, and the chunks merge in chunk order, so a run depends on the seed
 alone: any worker count gives bit-identical reports.
@@ -20,7 +21,7 @@ import hashlib
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -140,6 +141,7 @@ class DecayFit:
     residual: float
     reference_rate: float
     used: np.ndarray
+    run_id: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -383,6 +385,10 @@ def moment_decay_fit(
     times = np.asarray(list(t_list), float)
     if len(times) < 4:
         raise ConfigError("need at least 4 time points for a rate fit")
+    config = {"moment": moment_spec, "t_list": times.tolist(), "n_samples": n_samples,
+              "seed": seed, "workers": workers,
+              "direction": None if direction is None else np.asarray(direction, float).tolist()}
+    run_id = _run_id("decay", config, kernel, None if moment_spec in ("W", "w") else mu0)
     values = np.empty(len(times))
     ses = np.empty(len(times))
     if moment_spec in ("W", "w"):
@@ -412,7 +418,8 @@ def moment_decay_fit(
             ses[it] = se
     else:
         raise ConfigError(f"unknown moment_spec {moment_spec!r}")
-    return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
+    return replace(fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b),
+                   run_id=run_id)
 
 
 def _grid_estimates(sums) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -476,6 +483,8 @@ def cf_distance_curve(
     xi_grid = np.asarray(xi_grid, float)
     gauss = np.exp(-0.5 * np.einsum("ij,ij->i", xi_grid, xi_grid))
     times = np.asarray(list(t_list), float)
+    config = {"mu0": mu0.name, "t_list": times.tolist(), "xi_grid": xi_grid.tolist(),
+              "n_samples": n_samples, "seed": seed, "estimator": estimator, "workers": workers}
     if grid_rows is None:
         grid_rows = transform_grid_estimates(
             mu0, kernel, t_list, xi_grid, n_samples, seed,
@@ -495,14 +504,15 @@ def cf_distance_curve(
         values[it] = float(deviation[at])
         ses[it] = float(se_mod[at])
     try:
-        return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
+        fit = fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
     except InsufficientSignal:
-        return DecayFit(
+        fit = DecayFit(
             times=times, values=values, std_errors=ses,
             fitted_rate=float("nan"), fitted_log_prefactor=float("nan"),
             residual=0.0, reference_rate=fn.lambda_b,
             used=np.zeros(len(times), dtype=bool),
         )
+    return replace(fit, run_id=_run_id("cfcurve", config, kernel, mu0))
 
 
 def representation_crosscheck(

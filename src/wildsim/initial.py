@@ -48,10 +48,6 @@ class InitialDatum:
             return self.sampler(rng, 1)[0]
         return self.sampler(rng, size)
 
-    @property
-    def has_cf(self) -> bool:
-        return self.cf is not None
-
     def require_cf(self) -> Callable:
         if self.cf is None:
             raise NoAnalyticCf(f"initial datum {self.name!r} has no transform")

@@ -1,30 +1,31 @@
 """Sampling of collision cascades and of the solution they represent.
 
 One random object underlies every statistic: a cascade size nu, drawn from
-the geometric law at time t, and a germination record of nu - 1 steps.
-Step i picks a uniform slot among the i + 1 current leaves and splits it at
-angles (phi, theta): the chosen leaf stays in place and a new leaf is
-appended.  Every statistic computed downstream is symmetric in the leaf
-index, which is what makes this slot/append order legal.
+the geometric law at time t, and a McKean tree with nu leaves whose nu - 1
+split nodes carry collision angles (phi, theta).  The tree is drawn
+top-down: the root of an n-leaf tree sends a uniform 1 .. n - 1 of its
+leaves to the left subtree, and the two subtrees are drawn the same way,
+independently.  That is the shape law p_n(tree) = p(left) p(right) / (n - 1)
+of `wildsim.tree`.
 
-The engine runs a chunk of cascades in lockstep.  Their sizes are sorted in
-descending order, so the cascades still growing at step i are a prefix, and
-the record is stored step-major in flat arrays (`GerminationRecord`).  Leaf
-values live in flat arrays too, with per-cascade offsets, and two passes
-walk the record:
+The engine runs a chunk of cascades in lockstep, one tree level per vector
+step.  Their sizes are sorted in descending order; each cascade's leaves
+are contiguous, in left-to-right tree order, and the nodes of all cascades
+are numbered level by level (`GerminationRecord`).  Leaf and node values
+live in one flat buffer, and two passes walk the levels:
 
-* forward (`grow`), step by step: the chosen leaf's value v becomes
-  v * left and the new leaf gets v * right.  Scalar factors
+* forward (`grow`), roots first: a node's value v becomes v * left on its
+  left subtree and v * right on its right.  Scalar factors
   (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights; the
   collision frames left(phi, theta) and right(phi, theta) give the leaf
   rotations.
-* backward (`replay`): i.i.d. initial velocities at the leaves are folded
-  through pairwise collisions (`collide`).  Read backward, the record is a
-  binary tree of collisions whose depth grows like log nu while nu grows
-  like e^t; the pass visits it one depth at a time, deepest level first,
-  with one vectorised `collide` per level over every cascade of the chunk,
-  so each merge sees fully collapsed subtrees; the root keeps one draw
-  from the solution.
+* backward (`replay`), deepest level first: i.i.d. initial velocities at
+  the leaves are folded through pairwise collisions (`collide`), one
+  vectorised call per level over every cascade of the chunk, so each merge
+  sees fully collapsed subtrees; the root keeps one draw from the solution.
+
+Both passes cost O(depth) Python-level steps per chunk; the depth grows
+like log nu while nu grows like e^t.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
@@ -114,13 +115,16 @@ def chunk_slices(nus) -> list[slice]:
 
 @dataclass(frozen=True)
 class GerminationRecord:
-    """Germination steps of a chunk of cascades, stored step-major.
+    """The trees of a chunk of cascades, drawn top-down and stored level by level.
 
-    Cascade j owns the leaves offsets[j] .. offsets[j] + nus[j] - 1, its root
-    first.  Sizes are descending, so step i involves cascades 0 .. a_i - 1;
-    their entries sit at bounds[i] .. bounds[i + 1] of the flat arrays.  An
-    entry splits leaf `parent` at angles (phi, theta), keeping `parent` and
-    creating leaf `child`.
+    Cascade j owns the leaves offsets[j] .. offsets[j] + nus[j] - 1, in
+    left-to-right tree order.  Its nus[j] - 1 split nodes carry angles
+    (phis, thetas) and are numbered in level order over the whole chunk:
+    level k (roots at k = 0) holds the nodes bounds[k] .. bounds[k + 1] - 1.
+    Slots index one buffer of leaves then nodes: slot i < n_leaves is leaf i,
+    slot n_leaves + k is node k.  Node k's subtrees sit at slots left[k] and
+    right[k], always a leaf or a node of the next level, and roots[j] is the
+    slot of cascade j's root (its only leaf when nus[j] = 1).
     """
 
     nus: np.ndarray
@@ -128,15 +132,16 @@ class GerminationRecord:
     bounds: np.ndarray
     phis: np.ndarray
     thetas: np.ndarray
-    parent: np.ndarray
-    child: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
 
     @property
     def n_leaves(self) -> int:
         return int(self.offsets[-1] + self.nus[-1])
 
-    def steps(self):
-        """(start, stop) of each step's entries, first step first."""
+    def levels(self):
+        """(start, stop) of each level's nodes, the roots' level first."""
         return pairwise(self.bounds.tolist())
 
     def per_cascade(self, leaf_values, ufunc=np.add) -> np.ndarray:
@@ -144,116 +149,59 @@ class GerminationRecord:
         return ufunc.reduceat(leaf_values, self.offsets, axis=0)
 
 
-@dataclass(frozen=True)
-class CollisionLevels:
-    """A record's entries as a binary tree of collisions, deepest level first.
-
-    Entry e collides two inputs: its left input is the output of the next
-    split of the same leaf, or that leaf's velocity if there is none; its
-    right input is the output of the first split of the new leaf, or the new
-    leaf's velocity.  Slots index one buffer that holds the leaf velocities
-    (slots 0 .. leaves - 1) followed by the entry outputs in `order`: entry
-    order[k] reads slots left[k] and right[k] and writes slot leaves + k.
-    Level k, counted from the deepest, is order[bounds[k]:bounds[k + 1]];
-    every input of a level lies in a deeper level or among the leaves, and
-    roots[j] is the slot holding cascade j's root velocity at the end.
-    """
-
-    order: np.ndarray
-    bounds: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    roots: np.ndarray
-
-
-def _small_keys(keys: np.ndarray) -> np.ndarray:
-    """Nonnegative integer keys in their smallest unsigned dtype, so that a
-    stable argsort of up to 16-bit keys runs as a radix sort."""
-    return keys.astype(np.min_scalar_type(int(keys.max(initial=0))))
-
-
-def collision_levels(record: GerminationRecord) -> CollisionLevels:
-    """Derive each entry's inputs and depth from parent/child, no new draws.
-
-    Depth (the number of collisions between an entry and its cascade's root)
-    comes from pointer jumping over the link from each entry to the entry
-    that consumes its output, O(log depth) vector passes.
-    """
-    n, m = record.n_leaves, len(record.parent)
-    entries = np.arange(m)
-    # Each leaf's splits in step order (entries are step-major).
-    by_leaf = np.argsort(_small_keys(record.parent), kind="stable")
-    leaf = record.parent[by_leaf]
-    same = leaf[1:] == leaf[:-1]
-    earlier, later = by_leaf[:-1][same], by_leaf[1:][same]
-    first = np.concatenate(([True], ~same))[:m]
-    # An entry's output feeds the earlier split of its leaf, else the entry
-    # that created the leaf; the first split of a root leaf points at itself.
-    creator = np.full(n, -1)
-    creator[record.child] = entries
-    up = creator[record.parent]
-    up[later] = earlier
-    up = np.where(up >= 0, up, entries)
-    depth = (up != entries).astype(np.int64)
-    while True:
-        upper = up[up]
-        if np.array_equal(upper, up):
-            break
-        depth += depth[up]
-        up = upper
-    level = _small_keys(depth.max(initial=0) - depth)
-    order = np.argsort(level, kind="stable")
-    slot = np.empty(m, dtype=np.int64)
-    slot[order] = n + entries
-    left = record.parent.copy()
-    left[earlier] = slot[later]
-    head = np.arange(n)  # a leaf's first split's output, else its velocity
-    head[leaf[first]] = slot[by_leaf[first]]
-    return CollisionLevels(
-        order=order,
-        bounds=np.concatenate(([0], np.cumsum(np.bincount(level)))),
-        left=left[order],
-        right=head[record.child[order]],
-        roots=head[record.offsets],
-    )
-
-
 def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -> GerminationRecord:
-    """Draw the germination record of cascades with the given sizes
-    (descending): angles, then azimuths, then slots, all step-major."""
+    """Draw the trees of cascades with the given sizes (descending), one
+    level at a time: a node over s leaves sends a uniform 1 .. s - 1 of them
+    to its left subtree and the rest to its right, which is the shape law
+    p_n(tree) = p(left) p(right) / (n - 1).  Angles, azimuths and the cut
+    variables of all nodes are drawn up front, in that order."""
     nus = np.asarray(nus, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(nus[:-1])))
-    steps = nus - 1
-    active = len(nus) - np.cumsum(np.bincount(steps, minlength=steps[0] + 1))[:-1]
-    bounds = np.concatenate(([0], np.cumsum(active)))
-    step = np.repeat(np.arange(len(active)), active)
-    cascade = np.arange(bounds[-1]) - np.repeat(bounds[:-1], active)
-    phis = kernel.inverse_beta_cdf(rng.random(bounds[-1]))
-    thetas = rng.uniform(0.0, TWO_PI, bounds[-1])
-    slots = np.minimum((rng.random(bounds[-1]) * (step + 1)).astype(np.int64), step)
+    n = int(offsets[-1] + nus[-1])
+    m = n - len(nus)
+    phis = kernel.inverse_beta_cdf(rng.random(m))
+    thetas = rng.uniform(0.0, TWO_PI, m)
+    cuts = rng.random(m)
+    left, right = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    split = nus > 1
+    roots = offsets.copy()
+    roots[split] = n + np.arange(np.count_nonzero(split))
+    start, size = offsets[split], nus[split]  # leaf range of each node of a level
+    bounds = [0]
+    while len(size):
+        a, b = bounds[-1], bounds[-1] + len(size)
+        cut = 1 + (cuts[a:b] * (size - 1)).astype(np.int64)
+        child_start = np.stack([start, start + cut], axis=1).ravel()
+        child_size = np.stack([cut, size - cut], axis=1).ravel()
+        inner = child_size > 1
+        slots = child_start.copy()
+        slots[inner] = n + b + np.arange(np.count_nonzero(inner))
+        left[a:b], right[a:b] = slots[0::2], slots[1::2]
+        start, size = child_start[inner], child_size[inner]
+        bounds.append(b)
     return GerminationRecord(
-        nus=nus, offsets=offsets, bounds=bounds, phis=phis, thetas=thetas,
-        parent=offsets[cascade] + slots, child=offsets[cascade] + step + 1,
+        nus=nus, offsets=offsets, bounds=np.array(bounds), phis=phis, thetas=thetas,
+        left=left, right=right, roots=roots,
     )
 
 
 def grow(record: GerminationRecord, left, right, root) -> np.ndarray:
-    """Forward pass: leaf values from per-entry left/right factors.
+    """Forward pass: leaf values from per-node left/right factors.
 
-    Every root starts at `root`; at each entry the split leaf's value v
-    becomes v * left and the new leaf's is v * right.  Factors of shape
-    (entries, 3, 3) compose as matrices (v @ factor), any other shape
-    multiplies elementwise.
+    Every root starts at `root`; level by level, roots first, a node's
+    value v passes v * left to its left subtree and v * right to its right.
+    Factors of shape (nodes, 3, 3) compose as matrices (v @ factor), any
+    other shape multiplies elementwise.
     """
-    values = np.empty((record.n_leaves,) + np.shape(root))
-    values[record.offsets] = root
+    n = record.n_leaves
+    values = np.empty((n + len(record.phis),) + np.shape(root))
+    values[record.roots] = root
     compose = np.matmul if np.ndim(left) == 3 else np.multiply
-    for a, b in record.steps():
-        parent = record.parent[a:b]
-        value = values[parent]
-        values[record.child[a:b]] = compose(value, right[a:b])
-        values[parent] = compose(value, left[a:b])
-    return values
+    for a, b in record.levels():
+        value = values[n + a:n + b]
+        values[record.left[a:b]] = compose(value, left[a:b])
+        values[record.right[a:b]] = compose(value, right[a:b])
+    return values[:n]
 
 
 def leaf_frames(record: GerminationRecord) -> tuple[np.ndarray, RotationArray]:
@@ -296,19 +244,17 @@ def collide(v, w, phi, theta):
 def replay(record: GerminationRecord, velocities) -> np.ndarray:
     """Backward pass: fold leaf velocities, shape (leaves, 3), through the
     record one tree level at a time, deepest level first, with one
-    `collide` call per level; returns each cascade's root velocity,
-    shape (cascades, 3).  Each collision sees the same inputs as in a
-    step-by-step replay, latest step first, so the result is identical."""
-    levels = collision_levels(record)
+    `collide` call per level: a node's output is the first outgoing
+    velocity of collide(left input, right input, phi, theta).  Returns each
+    cascade's root velocity, shape (cascades, 3)."""
     n = record.n_leaves
-    buffer = np.empty((3, n + len(levels.order)))
+    buffer = np.empty((3, n + len(record.phis)))
     buffer[:, :n] = np.asarray(velocities, float).T
-    phis, thetas = record.phis[levels.order], record.thetas[levels.order]
-    for a, b in pairwise(levels.bounds.tolist()):
-        buffer[:, n + a:n + b] = collide(buffer[:, levels.left[a:b]],
-                                         buffer[:, levels.right[a:b]],
-                                         phis[a:b], thetas[a:b])[0]
-    return buffer[:, levels.roots].T
+    for a, b in reversed(list(record.levels())):
+        buffer[:, n + a:n + b] = collide(buffer[:, record.left[a:b]],
+                                         buffer[:, record.right[a:b]],
+                                         record.phis[a:b], record.thetas[a:b])[0]
+    return buffer[:, record.roots].T
 
 
 def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Command-line interface: config merge, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildsim import diagnostics
 from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -144,6 +148,13 @@ def test_crosscheck_command(tmp_path):
     ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [1], "directions": [[0,0,0]]}'],
     ["crosscheck", "--samples", "10", "--xi-grid", '[[1, "x", 0]]'],
     ["conserve", "--samples", "10", "--mu0", '{"preset": "mixture"}'],
+    ["conserve", "--samples", "10", "--kernel", '{"table": "x"}'],
+    ["conserve", "--samples", "10", "--kernel", '{"table": [[0.1, 1], [0.9, "a"]]}'],
+    ["conserve", "--samples", "10", "--kernel", '{"table": [[0.2, 1], [0.1, 1], [0.9, 1]]}'],
+    ["conserve", "--samples", "10", "--mu0", '{"preset": "gaussian", "cov": "x"}'],
+    ["conserve", "--samples", "10", "--mu0", '{"preset": "gaussian", "mean": [1, 2]}'],
+    ["conserve", "--samples", "10",
+     "--mu0", '{"preset": "gaussian", "cov": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}'],
 ])
 def test_malformed_configuration_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
@@ -175,12 +186,51 @@ def test_reports_write_json_booleans(command, tmp_path):
     assert all(type(flag) is bool for flag in flags)
 
 
-def test_run_id_names_kernel_and_initial_datum(tmp_path):
+SPEC_KEYS = ["preset", "table", "function", "endpoint_exponents", "mean", "cov",
+             "components", "weight", "points", "masses", "normalize", "q"]
+PRESETS = ["xabs", "cubic", "gaussian", "sixpoint", "mixture", "discrete", "heavytail"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.sampled_from(PRESETS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+specs = json_values | st.fixed_dictionaries(
+    {"preset": st.sampled_from(PRESETS)},
+    optional={key: json_values for key in SPEC_KEYS if key != "preset"})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["--kernel", "--mu0"]), specs, st.integers(2, 50))
+def test_random_kernel_and_initial_specs_exit_cleanly(option, spec, samples):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["conserve", "--t", "0.5", "--samples", str(samples), "--seed", "1",
+                     f"{option}={json.dumps(spec)}"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CHECK_FAILED), err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+
+
+def test_crosscheck_writes_every_time(tmp_path):
+    out, csv_path = tmp_path / "cross.json", tmp_path / "cross.csv"
+    code = main(["crosscheck", "--t", "0.5,1", "--samples", "2000", "--seed", "2",
+                 "--xi-grid", "[[1,0,0]]", "--out", str(out), "--csv", str(csv_path)])
+    payload = json.loads(out.read_text())
+    assert [entry["params"]["t"] for entry in payload["entries"]] == [0.5, 1.0]
+    assert [part["t"] for part in payload["parts"]] == [0.5, 1.0]
+    assert payload["passed"] is all(part["passed"] for part in payload["parts"])
+    assert code == (EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED)
+    assert len(csv_path.read_text().splitlines()) == 1 + 2
+
+
+def test_run_id_names_kernel_and_initial_datum(tmp_path, capsys):
     out = tmp_path / "report.json"
 
-    def run_id(*argv):
-        main([*argv, "--t", "0.5", "--samples", "200", "--seed", "4", "--out", str(out)])
-        return json.loads(out.read_text())["run_id"]
+    def run_id(*argv, t="0.5"):
+        main([*argv, "--t", t, "--samples", "200", "--seed", "4", "--out", str(out)])
+        found = json.loads(out.read_text())["run_id"]
+        assert f"(run {found})" in capsys.readouterr().out
+        return found
 
     xabs = run_id("identities", "--kernel", "xabs")
     assert run_id("identities", "--kernel", "xabs") == xabs
@@ -188,6 +238,16 @@ def test_run_id_names_kernel_and_initial_datum(tmp_path):
     gaussian = run_id("conserve", "--mu0", "gaussian")
     assert run_id("conserve", "--mu0", "gaussian") == gaussian
     assert run_id("conserve", "--mu0", '{"preset": "gaussian", "mean": [1, 0, 0]}') != gaussian
+    decay = run_id("decay", "--moment", "W", t="0.5,1,1.5,2")
+    assert run_id("decay", "--moment", "W", t="0.5,1,1.5,2") == decay
+    assert run_id("decay", "--moment", "W", "--kernel", "cubic", t="0.5,1,1.5,2") != decay
+    assert run_id("decay", "--moment", "W", t="0.5,1,1.5,2.5") != decay
+    grid = ["cfcurve", "--xi-grid", "[[1,0,0]]"]
+    cfcurve = run_id(*grid, "--mu0", "gaussian", t="0.5,1")
+    assert run_id(*grid, "--mu0", "gaussian", t="0.5,1") == cfcurve
+    assert run_id(*grid, "--mu0", "sixpoint", t="0.5,1") != cfcurve
+    assert run_id(*grid, "--mu0", "gaussian", "--kernel", "cubic", t="0.5,1") != cfcurve
+    assert len({xabs, gaussian, decay, cfcurve}) == 4
 
 
 def _weight_sums_failing_on_chunk_one(nus, rng, **kwargs):

@@ -1,13 +1,15 @@
-"""Property tests of the lockstep cascade engine against per-cascade loops."""
+"""Property tests of the lockstep cascade engine against per-cascade
+recursions over the same trees and the tree-based references."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildsim.geometry import is_rotation, left_frame, right_frame
+from wildsim.geometry import is_rotation, left_frame, right_frame, rotation_array
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
@@ -15,11 +17,14 @@ from wildsim.sampler import (
     chunk_slices,
     collide,
     germination_record,
+    grow,
     leaf_frames,
     replay,
     rng_stream,
     sorted_sizes,
 )
+from wildsim.tree import LEAF, McKeanTree, enumerate_trees, tree_probability
+from wildsim.weights import leaf_weights, legendre_value
 
 KERNEL = make_kernel("xabs")
 SIXPOINT = sixpoint_datum()
@@ -35,16 +40,52 @@ def chunk(seed, size, t):
     return germination_record(nus, KERNEL, rng), rng
 
 
-def cascade_entries(record):
-    """Per cascade, its (local slot, local new leaf, phi, theta) in step order."""
-    out = [[] for _ in record.nus]
-    for a, b in record.steps():
-        for e in range(a, b):
-            j = e - a
-            base = record.offsets[j]
-            out[j].append((record.parent[e] - base, record.child[e] - base,
-                           record.phis[e], record.thetas[e]))
-    return out
+def cascade_trees(record):
+    """Per cascade, (McKeanTree, phis, thetas, leaves) by recursion over the
+    record: angles in the order of `leaf_weights` and `rotation_array` (left
+    subtree, right subtree, root) and leaf positions left to right."""
+    n = record.n_leaves
+
+    def build(slot):
+        if slot < n:
+            return LEAF, [], [], [slot]
+        k = slot - n
+        left, l_phis, l_thetas, l_leaves = build(record.left[k])
+        right, r_phis, r_thetas, r_leaves = build(record.right[k])
+        return (McKeanTree(left, right), l_phis + r_phis + [record.phis[k]],
+                l_thetas + r_thetas + [record.thetas[k]], l_leaves + r_leaves)
+
+    return [build(int(root)) for root in record.roots]
+
+
+def top_down(tree, phis, thetas, value, factors):
+    """Leaf values of one cascade, composing factors(v, phi, theta) from the
+    root down; angles in `cascade_trees` order."""
+    if tree.is_leaf:
+        return [value]
+    n_l = tree.left.leaf_count
+    left, right = factors(value, phis[-1], thetas[-1])
+    return (top_down(tree.left, phis[:n_l - 1], thetas[:n_l - 1], left, factors)
+            + top_down(tree.right, phis[n_l - 1:-1], thetas[n_l - 1:-1], right, factors))
+
+
+def fold(tree, phis, thetas, velocities, merge):
+    """Root velocity of one cascade, merging subtrees with merge(v, w, phi, theta)."""
+    if tree.is_leaf:
+        return velocities[0]
+    n_l = tree.left.leaf_count
+    v = fold(tree.left, phis[:n_l - 1], thetas[:n_l - 1], velocities[:n_l], merge)
+    w = fold(tree.right, phis[n_l - 1:-1], thetas[n_l - 1:-1], velocities[n_l:], merge)
+    return merge(v, w, phis[-1], thetas[-1])
+
+
+def scalar_collide(v, w, phi, theta):
+    return collide(v, w, phi, theta)[0]
+
+
+def vector_collide(v, w, phi, theta):
+    """The vectorised `collide` on one-column arrays, as `replay` calls it."""
+    return collide(v[:, None], w[:, None], np.array([phi]), np.array([theta]))[0][:, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -53,15 +94,20 @@ def test_weights_match_loop_and_stay_normalized(seed, size, t):
     record, _ = chunk(seed, size, t)
     weights, _ = leaf_frames(record)
     assert np.all(np.abs(record.per_cascade(weights**2) - 1.0) < 1e-10)
-    for j, entries in enumerate(cascade_entries(record)):
-        pis = [1.0]
-        for i, (slot, new, phi, _) in enumerate(entries):
-            assert 0 <= slot <= i and new == i + 1
-            w = pis[slot]
-            pis[slot] = w * math.cos(phi)
-            pis.append(w * math.sin(phi))
+    cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
+    for k in (2, 3):
+        grown = grow(record, legendre_value(k, cos_p), legendre_value(k, sin_p), 1.0)
+        for j, (tree, phis, _, _) in enumerate(cascade_trees(record)):
+            start = record.offsets[j]
+            np.testing.assert_allclose(grown[start:start + record.nus[j]],
+                                       leaf_weights(tree, phis, k).values,
+                                       rtol=0.0, atol=1e-14)
+    for j, (tree, phis, thetas, _) in enumerate(cascade_trees(record)):
+        pis = top_down(tree, phis, thetas, 1.0,
+                       lambda w, phi, _: (w * math.cos(phi), w * math.sin(phi)))
         start = record.offsets[j]
         assert np.array_equal(weights[start:start + record.nus[j]], pis)
+        assert np.array_equal(pis, leaf_weights(tree, phis, 1).values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,15 +116,14 @@ def test_frames_match_loop_and_are_rotations(seed, size, t):
     record, _ = chunk(seed, size, t)
     _, rotations = leaf_frames(record)
     assert all(is_rotation(q) for q in rotations.rotations)
-    for j, entries in enumerate(cascade_entries(record)):
-        rots = [np.eye(3)]
-        for slot, _, phi, theta in entries:
-            q = rots[slot]
-            rots[slot] = q @ left_frame(phi, theta)
-            rots.append(q @ right_frame(phi, theta))
+    for j, (tree, phis, thetas, _) in enumerate(cascade_trees(record)):
+        rots = top_down(tree, phis, thetas, np.eye(3), lambda q, phi, theta: (
+            q @ left_frame(phi, theta), q @ right_frame(phi, theta)))
         start = record.offsets[j]
-        np.testing.assert_allclose(rotations.rotations[start:start + record.nus[j]],
-                                   rots, rtol=0.0, atol=1e-14)
+        ours = rotations.rotations[start:start + record.nus[j]]
+        np.testing.assert_allclose(ours, rots, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(ours, rotation_array(tree, phis, thetas).rotations,
+                                   rtol=0.0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,42 +132,61 @@ def test_replay_matches_pairwise_loop(seed, size, t):
     record, rng = chunk(seed, size, t)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
     roots = replay(record, velocities)
-    for j, entries in enumerate(cascade_entries(record)):
-        start = record.offsets[j]
-        values = list(velocities[start:start + record.nus[j]])
-        for slot, new, phi, theta in reversed(entries):
-            values[slot] = collide(values[slot], values[new], phi, theta)[0]
-        np.testing.assert_allclose(roots[j], values[0], rtol=0.0, atol=1e-12)
+    for j, (tree, phis, thetas, leaves) in enumerate(cascade_trees(record)):
+        values = [tuple(map(float, v)) for v in velocities[leaves]]
+        root = fold(tree, phis, thetas, values, scalar_collide)
+        np.testing.assert_allclose(roots[j], root, rtol=0.0, atol=1e-12)
 
 
-def step_replay(record, velocities):
-    """Reference backward pass: one `collide` per germination step, latest first."""
-    components = np.array(np.asarray(velocities, float).T)
-    for a, b in reversed(list(record.steps())):
-        parent, child = record.parent[a:b], record.child[a:b]
-        components[:, parent] = collide(components[:, parent], components[:, child],
-                                        record.phis[a:b], record.thetas[a:b])[0]
-    return components[:, record.offsets].T
+def recursive_replay(record, velocities):
+    """Reference backward pass: each cascade folded recursively, one
+    vectorised `collide` per node."""
+    return np.array([fold(tree, phis, thetas, velocities[leaves], vector_collide)
+                     for tree, phis, thetas, leaves in cascade_trees(record)])
 
 
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(1, 12), st.floats(0.0, 5.0))
-def test_replay_equals_step_order_replay(seed, size, t):
+def test_replay_equals_recursive_fold(seed, size, t):
     record, rng = chunk(seed, size, t)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
-    assert np.array_equal(replay(record, velocities), step_replay(record, velocities))
+    assert np.array_equal(replay(record, velocities), recursive_replay(record, velocities))
 
 
 @pytest.mark.parametrize("nus", [
-    [1, 1, 1],                       # t = 0: no entries
+    [1, 1, 1],                       # t = 0: no nodes
     [300, 120, 7, 2, 1, 1, 1],       # nu = 1 beside long cascades
     [LEAF_BUDGET + 500],             # one cascade above the leaf budget
 ])
-def test_replay_equals_step_order_replay_on_fixed_sizes(nus):
+def test_replay_equals_recursive_fold_on_fixed_sizes(nus):
     rng = rng_stream(11, len(nus))
     record = germination_record(nus, KERNEL, rng)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
-    assert np.array_equal(replay(record, velocities), step_replay(record, velocities))
+    assert np.array_equal(replay(record, velocities), recursive_replay(record, velocities))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, chunk_sizes, times)
+def test_leaf_ranges_tile_each_cascade(seed, size, t):
+    record, _ = chunk(seed, size, t)
+    assert len(record.phis) == record.n_leaves - size
+    for j, (tree, _, _, leaves) in enumerate(cascade_trees(record)):
+        start = record.offsets[j]
+        assert tree.leaf_count == record.nus[j]
+        assert leaves == list(range(start, start + record.nus[j]))
+
+
+@pytest.mark.parametrize("nu", [4, 5, 6])
+def test_record_shapes_follow_the_exact_law(nu):
+    draws = 30_000
+    record = germination_record(np.full(draws, nu), KERNEL, rng_stream(19, nu))
+    counts = Counter(tree for tree, _, _, _ in cascade_trees(record))
+    shapes = enumerate_trees(nu)
+    assert set(counts) <= set(shapes)
+    for shape in shapes:
+        p = float(tree_probability(shape))
+        z = (counts[shape] - draws * p) / math.sqrt(draws * p * (1.0 - p))
+        assert abs(z) <= 4.0, (shape, counts[shape], draws * p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,7 +209,7 @@ def test_vectorised_collide_conserves_each_pair(seed, pairs, scale):
 @given(seeds, chunk_sizes)
 def test_zero_time_returns_the_initial_draw(seed, size):
     record, rng = chunk(seed, size, 0.0)
-    assert record.n_leaves == size and len(record.parent) == 0
+    assert record.n_leaves == size and len(record.phis) == 0
     weights, rotations = leaf_frames(record)
     assert np.array_equal(weights, np.ones(size))
     assert np.array_equal(rotations.rotations, np.broadcast_to(np.eye(3), (size, 3, 3)))

@@ -96,8 +96,8 @@ def test_incremental_rotations_are_rotations(kernel):
 
 
 def test_incremental_matches_batch_construction(kernel):
-    # same symmetric statistics from the slot/append cascade and from the
-    # explicitly ordered recursive arrays, conditionally on nu = 3
+    # same symmetric statistics from the engine's level-by-level record and
+    # from the germination chain with recursive arrays, conditionally on nu = 3
     rng = rng_stream(8)
     draws = 20_000
     u = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
