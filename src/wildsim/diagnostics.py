@@ -222,7 +222,11 @@ def _reduce_sums(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dic
 
 def _z_score(diff: float, se: float) -> float:
     """diff / se, with differences below 1e-12 taken as roundoff (z = 0):
-    exactly determined statistics carry a roundoff-sized standard error."""
+    exactly determined statistics carry a roundoff-sized standard error.
+    A non-finite diff or se (an overflowed or undefined moment) gives
+    z = inf, so the check fails instead of passing vacuously."""
+    if not (math.isfinite(diff) and math.isfinite(se)):
+        return math.inf
     if abs(diff) < 1e-12:
         return 0.0
     return diff / se if se > 0.0 else math.inf

@@ -67,6 +67,12 @@ class InitialDatum:
         )
 
 
+def _require_finite(name: str, *moments) -> None:
+    """Reject a law whose moments, finite by construction, overflowed."""
+    if not all(np.all(np.isfinite(m)) for m in moments):
+        raise BadSpec(f"moments of initial datum {name!r} overflow double precision")
+
+
 # --- gaussian ----------------------------------------------------------------
 
 def _gaussian_sampler(rng, size, mean, chol):
@@ -85,20 +91,24 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
     if np.isscalar(cov) or cov.ndim == 0:
         cov = float(cov) * np.eye(3)
     chol = np.linalg.cholesky(cov)
-    tr, mm = float(np.trace(cov)), float(mean @ mean)
-    m2 = tr + mm
-    m4 = m2 * m2 + 2.0 * float(np.trace(cov @ cov)) + 4.0 * float(mean @ cov @ mean)
+    name = name or "gaussian"
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr, mm = float(np.trace(cov)), float(mean @ mean)
+        m2 = tr + mm
+        m4 = m2 * m2 + 2.0 * float(np.trace(cov @ cov)) + 4.0 * float(mean @ cov @ mean)
+        m3_vector = m2 * mean + 2.0 * cov @ mean
+    _require_finite(name, m2, m4, m3_vector)
     iso = np.allclose(cov, cov[0, 0] * np.eye(3)) and mm == 0.0
     m3 = (cov[0, 0] ** 1.5) * 8.0 * math.sqrt(2.0 / math.pi) if iso else None
     return InitialDatum(
-        name=name or "gaussian",
+        name=name,
         sampler=partial(_gaussian_sampler, mean=mean, chol=chol),
         mean=mean,
         covariance=cov,
         m2=m2,
         m3=m3,
         m4=m4,
-        m3_vector=m2 * mean + 2.0 * cov @ mean,
+        m3_vector=m3_vector,
         cf=partial(_gaussian_cf, mean=mean, cov=cov),
     )
 
@@ -131,7 +141,9 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
     covs = [np.asarray(c[2], float) * np.eye(3) if np.ndim(c[2]) == 0
             else np.asarray(c[2], float) for c in components]
     chols = [np.linalg.cholesky(c) for c in covs]
-    parts = [gaussian_datum(m, c) for m, c in zip(means, covs)]
+    # each component rejects its own overflow; averages of finite moments stay finite
+    parts = [gaussian_datum(m, c, name=f"{name} component {i}")
+             for i, (m, c) in enumerate(zip(means, covs))]
     mean = sum(w * p.mean for w, p in zip(weights, parts))
     second = sum(w * (p.covariance + np.outer(p.mean, p.mean))
                  for w, p in zip(weights, parts))
@@ -170,23 +182,29 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
     if np.any(masses < 0) or abs(masses.sum() - 1.0) > 1e-12:
         raise BadSpec("masses must be nonnegative and sum to 1")
     if normalize:
-        points = points - masses @ points
-        energy = float(masses @ np.einsum("ij,ij->i", points, points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = points - masses @ points
+            energy = float(masses @ np.einsum("ij,ij->i", points, points))
+        _require_finite(name, energy)
         if energy <= 0:
             raise BadSpec("cannot normalize a law concentrated at one point")
         points = points * math.sqrt(3.0 / energy)
-    mean = masses @ points
-    sq = np.einsum("ij,ij->i", points, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = masses @ points
+        sq = np.einsum("ij,ij->i", points, points)
+        m2, m3, m4 = float(masses @ sq), float(masses @ sq**1.5), float(masses @ sq**2)
+        m3_vector = (masses * sq) @ points
+        covariance = np.einsum("i,ij,ik->jk", masses, points, points) - np.outer(mean, mean)
+    _require_finite(name, m2, m4, m3_vector)
     return InitialDatum(
         name=name,
         sampler=partial(_discrete_sampler, points=points, masses=masses),
         mean=mean,
-        covariance=np.einsum("i,ij,ik->jk", masses, points, points)
-        - np.outer(mean, mean),
-        m2=float(masses @ sq),
-        m3=float(masses @ sq**1.5),
-        m4=float(masses @ sq**2),
-        m3_vector=(masses * sq) @ points,
+        covariance=covariance,
+        m2=m2,
+        m3=m3,
+        m4=m4,
+        m3_vector=m3_vector,
         cf=partial(_discrete_cf, points=points, masses=masses),
     )
 

@@ -7,8 +7,15 @@ int_0^1 b(x) dx = 1, and satisfying the exchange symmetry
 
 The collision angle phi in [0, pi] is distributed per the angle law
 beta(dphi) = (1/2) b(cos phi) sin phi dphi, sampled here through a
-tabulated inverse CDF.  The module also computes the spectral functionals
-that govern every closed-form decay rate used by the diagnostics:
+tabulated inverse CDF.  The inverse is the piecewise-linear interpolant of
+the table, looked up by the guide-table method of Chen and Asau (1974; see
+Devroye, Non-Uniform Random Variate Generation, sec. III.2.4): a guide over
+GUIDE_BUCKETS equal buckets of [0, 1) names the table interval of almost
+every draw in O(1) expected time, and each angle is exactly the value
+np.interp gives on the same table.
+
+The module also computes the spectral functionals that govern every
+closed-form decay rate used by the diagnostics:
 
     lambda_b = -2 int x^2 (1 - x^2) b(x) dx          (spectral gap, <= 0)
     l_s      =    int (1 - x^2)^(s/2) b(x) dx
@@ -43,6 +50,10 @@ QUAD_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 SYMMETRY_GRID = 1000
 BETA_TABLE_NODES = 16385  # 4 * 4096 + 1, comfortably above the 4096 minimum
+GUIDE_BUCKETS = 4 * (BETA_TABLE_NODES - 1)  # a power of two, so u * G is exact
+# below this many draws np.interp is faster: the guided lookup's dozen array
+# operations cost about 15 us per call, which one-cascade chunks would feel
+GUIDE_MIN_DRAWS = 512
 
 
 # --- preset kernels ---------------------------------------------------------
@@ -145,6 +156,21 @@ class CollisionKernel:
     table_knots: np.ndarray | None = field(repr=False, default=None)
     phi_grid: np.ndarray = field(repr=False, default=None)
     beta_cdf_values: np.ndarray = field(repr=False, default=None)
+    # derived from the table, so no constructor or replace() leaves them stale:
+    # guide[k] is the last knot j with cdf[j] <= k / GUIDE_BUCKETS (k = 0 .. G)
+    guide: np.ndarray = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cdf, phi = self.beta_cdf_values, self.phi_grid
+        if cdf is None or phi is None:
+            return
+        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        guide = np.searchsorted(cdf, edges, side="right") - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = np.diff(phi) / np.diff(cdf)  # inf on flat runs, never selected
+        object.__setattr__(self, "guide", guide.astype(np.int32))
+        object.__setattr__(self, "slopes", slopes)
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -154,7 +180,30 @@ class CollisionKernel:
         return np.interp(phi, self.phi_grid, self.beta_cdf_values)
 
     def inverse_beta_cdf(self, u):
-        return np.interp(u, self.beta_cdf_values, self.phi_grid)
+        """Angles phi with beta_cdf(phi) = u, by guide-table lookup; always
+        exactly np.interp(u, beta_cdf_values, phi_grid).
+
+        Draw u in bucket k = floor(u G) lies in table interval guide[k] or
+        the next one, unless the bucket holds more than one knot (a few
+        tenths of a percent of draws); those draws go through np.interp, as
+        does any input that is not a 1-d float array of at least
+        GUIDE_MIN_DRAWS draws inside [0, 1).
+        """
+        cdf, phi = self.beta_cdf_values, self.phi_grid
+        x = np.asarray(u)
+        if (x.ndim != 1 or x.dtype != np.float64 or x.size < GUIDE_MIN_DRAWS
+                or not (x.min() >= 0.0 and x.max() < 1.0)):
+            return np.interp(u, cdf, phi)
+        bucket = (x * GUIDE_BUCKETS).astype(np.intp)
+        j = self.guide[bucket]
+        crowded = np.flatnonzero(self.guide[1:][bucket] - j > 1)
+        j = j.astype(np.intp)
+        j += cdf[1:][j] <= x
+        with np.errstate(invalid="ignore"):  # inf * 0 on a crowded bucket's flat run
+            out = self.slopes[j] * (x - cdf[j]) + phi[j]
+        if crowded.size:
+            out[crowded] = np.interp(x[crowded], cdf, phi)
+        return out
 
 
 def _resolve_raw(spec):

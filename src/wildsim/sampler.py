@@ -124,7 +124,8 @@ class GerminationRecord:
     Slots index one buffer of leaves then nodes: slot i < n_leaves is leaf i,
     slot n_leaves + k is node k.  Node k's subtrees sit at slots left[k] and
     right[k], always a leaf or a node of the next level, and roots[j] is the
-    slot of cascade j's root (its only leaf when nus[j] = 1).
+    slot of cascade j's root (its only leaf when nus[j] = 1).  left and right
+    are strided views of one (nodes, 2) array, each node's pair side by side.
     """
 
     nus: np.ndarray
@@ -162,7 +163,10 @@ def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -
     phis = kernel.inverse_beta_cdf(rng.random(m))
     thetas = rng.uniform(0.0, TWO_PI, m)
     cuts = rng.random(m)
-    left, right = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    # each node's (left, right) children side by side: a child's leaf start,
+    # replaced by its node slot when it splits; child_sizes has their leaf counts
+    slots = np.empty((m, 2), dtype=np.int64)
+    child_sizes = np.empty((m, 2), dtype=np.int64)
     split = nus > 1
     roots = offsets.copy()
     roots[split] = n + np.arange(np.count_nonzero(split))
@@ -171,17 +175,18 @@ def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -
     while len(size):
         a, b = bounds[-1], bounds[-1] + len(size)
         cut = 1 + (cuts[a:b] * (size - 1)).astype(np.int64)
-        child_start = np.stack([start, start + cut], axis=1).ravel()
-        child_size = np.stack([cut, size - cut], axis=1).ravel()
-        inner = child_size > 1
-        slots = child_start.copy()
-        slots[inner] = n + b + np.arange(np.count_nonzero(inner))
-        left[a:b], right[a:b] = slots[0::2], slots[1::2]
-        start, size = child_start[inner], child_size[inner]
+        slots[a:b, 0] = start
+        np.add(start, cut, out=slots[a:b, 1])
+        child_sizes[a:b, 0] = cut
+        np.subtract(size, cut, out=child_sizes[a:b, 1])
+        level, level_sizes = slots[a:b].ravel(), child_sizes[a:b].ravel()
+        inner = np.flatnonzero(level_sizes > 1)
+        start, size = level[inner], level_sizes[inner]
+        level[inner] = np.arange(n + b, n + b + len(inner))
         bounds.append(b)
     return GerminationRecord(
         nus=nus, offsets=offsets, bounds=np.array(bounds), phis=phis, thetas=thetas,
-        left=left, right=right, roots=roots,
+        left=slots[:, 0], right=slots[:, 1], roots=roots,
     )
 
 

@@ -71,7 +71,7 @@ def test_criterion_02_identity_suite(kernel):
     failures = [e for e in weight_entries if not e.passed]
     assert not failures, [(e.identity, e.params, e.z_score) for e in failures]
     assert report.passed
-    _finish(2, "weight identities", started, 120.0)
+    _finish(2, "weight identities", started, 15.0)
 
 
 def test_criterion_03_exact_small_laws():
@@ -121,7 +121,7 @@ def test_criterion_05_legendre_identities(kernel):
     report = legendre_moment_checks(kernel, tree_size=4, n_theta=100_000, seed=8805)
     failures = [e for e in report.entries if not e.passed]
     assert not failures, [(e.identity, e.params, e.z_score) for e in failures]
-    _finish(5, "conditional Legendre moments", started, 60.0)
+    _finish(5, "conditional Legendre moments", started, 15.0)
 
 
 def test_criterion_06_representation_crosscheck(kernel, sixpoint):
@@ -138,7 +138,7 @@ def test_criterion_06_representation_crosscheck(kernel, sixpoint):
             sixpoint, kernel, t, grid, 100_000, seed=8806, z_threshold=4.0
         )
         assert report.pass_fraction >= 0.95, (t, report.pass_fraction)
-    _finish(6, "representation cross-check", started, 300.0)
+    _finish(6, "representation cross-check", started, 60.0)
 
 
 def test_criterion_07_conservation(kernel, sixpoint):
@@ -158,7 +158,7 @@ def test_criterion_07_conservation(kernel, sixpoint):
         energy_in = sum(x * x for x in v) + sum(x * x for x in w)
         energy_out = sum(x * x for x in v_out) + sum(x * x for x in w_out)
         assert abs(energy_out - energy_in) < 1e-12 * max(1.0, energy_in)
-    _finish(7, "conservation", started, 60.0)
+    _finish(7, "conservation", started, 10.0)
 
 
 def test_criterion_08_rate_recovery(kernel, sixpoint):
@@ -179,7 +179,7 @@ def test_criterion_08_rate_recovery(kernel, sixpoint):
     assert m_err < 0.15, (m_fit.fitted_rate, m_err)
     print(f"  W rate {w_fit.fitted_rate:.4f} ({100 * w_err:.1f}%), "
           f"directional fourth-moment rate {m_fit.fitted_rate:.4f} ({100 * m_err:.1f}%)")
-    _finish(8, "rate recovery", started, 300.0)
+    _finish(8, "rate recovery", started, 90.0)
 
 
 def test_criterion_09_gaussian_fixed_point(kernel):
@@ -199,7 +199,7 @@ def test_criterion_09_gaussian_fixed_point(kernel):
     fit = cf_distance_curve(mu0, kernel, [0.5, 1.0, 2.0, 4.0], grid, 2000,
                             seed=8819)
     assert np.all(fit.values == 0.0)
-    _finish(9, "gaussian fixed point", started, 30.0)
+    _finish(9, "gaussian fixed point", started, 10.0)
 
 
 def test_criterion_10_newton_bound():
@@ -216,7 +216,7 @@ def test_criterion_10_newton_bound():
         assert report.hypothesis_met
         assert report.bound_holds.all()
         assert report.product_bound_checked and report.product_bound_holds
-    _finish(10, "symmetric-function bounds", started, 30.0)
+    _finish(10, "symmetric-function bounds", started, 20.0)
 
 
 def test_criterion_11_envelope(kernel):
@@ -225,4 +225,4 @@ def test_criterion_11_envelope(kernel):
                             t=2.0, n_samples=10_000, seed=8811)
     assert report.passed
     assert report.entries[0].mc_value == 0.0  # zero violations
-    _finish(11, "transform envelope", started, 60.0)
+    _finish(11, "transform envelope", started, 10.0)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,17 @@ def test_malformed_configuration_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_overflowing_mu0_is_config_error(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["conserve", "--t", "0.5", "--samples", "20",
+                     "--mu0", '{"preset": "gaussian", "mean": [1e150, 0, 0]}'])
+    assert code == EXIT_CONFIG
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 

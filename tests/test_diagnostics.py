@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wildsim.diagnostics import (
+    _z_score,
     cf_distance_curve,
     conservation_check,
     envelope_check,
@@ -17,7 +18,7 @@ from wildsim.diagnostics import (
     transform_grid_estimates,
 )
 from wildsim.errors import ConfigError, InsufficientSignal, PremiseFailed
-from wildsim.initial import gaussian_datum, sixpoint_datum
+from wildsim.initial import InitialDatum, gaussian_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
 
 
@@ -112,6 +113,23 @@ def test_conservation_shifted_mean(kernel):
     assert report.passed
     v1 = [e for e in report.entries if e.identity == "conserved_v1"][0]
     assert v1.reference_value == 1.0
+
+
+def test_z_gate_fails_when_a_standard_error_overflows(kernel):
+    for diff, se in [(1.0, math.inf), (-1.0, math.inf), (math.nan, 1.0),
+                     (math.inf, 1.0), (0.0, math.nan)]:
+        assert _z_score(diff, se) == math.inf  # fails two- and one-sided gates
+    # built past the constructors' overflow guard: |v|^2 ~ 1e300, so the
+    # energy's squared deviations overflow and its standard error is inf
+    shift = np.array([1e150, 0.0, 0.0])
+    huge = InitialDatum(name="huge", sampler=lambda rng, size: shift + rng.standard_normal((size, 3)),
+                        mean=shift, m2=float(shift @ shift) + 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = conservation_check(huge, kernel, [0.5], 20, seed=1)
+    energy = next(e for e in report.entries if e.identity == "conserved_energy")
+    assert not math.isfinite(energy.mc_se)
+    assert energy.z_score == math.inf and not energy.passed
+    assert not report.passed
 
 
 def test_w_decay_fit_small(kernel):

@@ -1,6 +1,7 @@
 """Initial-datum presets: samplers vs moment tables vs transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_sampler_datum_empirical_cf():
                            empirical_cf=False)
     with pytest.raises(NoAnalyticCf):
         silent.require_cf()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gaussian_datum(mean=(1e150, 0.0, 0.0)),
+    lambda: gaussian_datum(cov=1e160),
+    lambda: mixture_datum([(0.5, (1e100, 0.0, 0.0), np.eye(3)),
+                           (0.5, (0.0, 0.0, 0.0), np.eye(3))]),
+    lambda: discrete_datum([[1e100, 0, 0], [-1e100, 0, 0]], [0.5, 0.5]),
+    lambda: discrete_datum([[1e200, 0, 0], [0, 0, 0]], [0.5, 0.5], normalize=True),
+], ids=["gaussian-mean", "gaussian-cov", "mixture", "discrete", "discrete-normalized"])
+def test_overflowing_moment_table_is_bad_spec(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(BadSpec, match="overflow"):
+            build()
 
 
 def test_make_initial_datum_dispatch():

@@ -8,6 +8,7 @@ For b(x) = 12 x^3 (1-x^2): lambda_b = -2/5, l_4 = 3/10.
 For b(x) = (16/pi) x^2 sqrt(1-x^2): lambda_b = -3/8, l_4 = 5/16.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from wildsim.errors import (
     SymmetryViolation,
 )
 from wildsim.kernel import (
+    PRESETS,
     make_kernel,
     sample_phi,
     spectral_functionals,
@@ -187,3 +189,50 @@ def test_truncate_non_summable_kernel():
     for n, mass in zip(levels, masses):
         assert mass == pytest.approx(3.0 * n ** (1.0 / 3.0) - 2.0, abs=1e-8)
     assert all(m2 > m1 for m1, m2 in zip(masses, masses[1:]))
+
+
+def _gapped_table_kernel():
+    # zero density for x in (0.3, 0.6): the angle CDF has flat runs
+    xs = np.linspace(0.0, 1.0, 41)
+    bs = np.where((xs > 0.3) & (xs < 0.6), 0.0, 1.0)
+    return make_kernel({"table": np.column_stack([xs, bs]).tolist()},
+                       validate_symmetry=False)
+
+
+ORACLE_KERNELS = {
+    **{name: lambda name=name: make_kernel(name) for name in PRESETS},
+    "gapped table": _gapped_table_kernel,
+    "truncated": lambda: truncate(lambda x: x**-1.5, 8)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_guided_inverse_cdf_equals_interp(name):
+    kernel = ORACLE_KERNELS[name]()
+    cdf, phi = kernel.beta_cdf_values, kernel.phi_grid
+    if name == "gapped table":
+        assert np.count_nonzero(np.diff(cdf) == 0.0) > 100
+
+    def same(u):
+        got = kernel.inverse_beta_cdf(u)
+        want = np.interp(u, cdf, phi)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    rng = np.random.default_rng(20261018)
+    same(rng.random(1_000_000))
+    same(cdf[cdf < 1.0])                     # every knot on the guided path
+    same(cdf)                                # 1.0 included
+    edges = np.concatenate([rng.random(1000), [0.0, np.nextafter(1.0, 0.0)]])
+    same(edges)
+    for odd in (1.0, np.nan, -0.25, 1.25):   # one value outside [0, 1)
+        same(np.append(edges, odd))
+    same(0.3)                                # a Python scalar
+    same(rng.random((400, 25)))              # a 2-d array
+    same(rng.random(7))                      # fewer than GUIDE_MIN_DRAWS
+
+    # a replaced table gets its own guide
+    squeezed = dataclasses.replace(kernel, beta_cdf_values=cdf**2, phi_grid=phi)
+    assert not np.array_equal(squeezed.guide, kernel.guide)
+    u = rng.random(100_000)
+    assert np.array_equal(squeezed.inverse_beta_cdf(u), np.interp(u, cdf**2, phi))
