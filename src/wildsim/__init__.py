@@ -7,7 +7,7 @@ from .tree import McKeanTree, enumerate_trees, sample_tree, tree_probability
 from .weights import WeightArray, expected_sum_closed_form, leaf_weights, psi_envelope, symmetric_function_bound, w_statistic
 from .geometry import RotationArray, chart_basis, collision_frames, frame_for, leaf_directions, rotation_array
 from .initial import InitialDatum, make_initial_datum
-from .sampler import CfEstimate, TreeSample, cf_estimate, conditional_cf, draw_tree_sample, rng_stream, sample_nu, wild_velocity
+from .sampler import TreeSample, draw_tree_sample, rng_stream, sample_nu, wild_velocity
 from .diagnostics import (
     DecayFit,
     IdentityReport,
@@ -32,8 +32,7 @@ __all__ = [
     "RotationArray", "chart_basis", "collision_frames", "frame_for",
     "leaf_directions", "rotation_array",
     "InitialDatum", "make_initial_datum",
-    "CfEstimate", "TreeSample", "cf_estimate", "conditional_cf",
-    "draw_tree_sample", "rng_stream", "sample_nu", "wild_velocity",
+    "TreeSample", "draw_tree_sample", "rng_stream", "sample_nu", "wild_velocity",
     "DecayFit", "IdentityReport", "cf_distance_curve", "conservation_check",
     "envelope_check", "legendre_moment_checks", "moment_decay_fit",
     "representation_crosscheck", "run_identity_suite",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .errors import ConfigError, InsufficientSignal, PremiseFailed, WildsimError
-from .geometry import frame_for, leaf_third_columns_batch
+from .geometry import frame_for, rotation_array
 from .initial import InitialDatum
 from .kernel import CollisionKernel, spectral_functionals
 from .sampler import (
@@ -602,7 +602,7 @@ def legendre_moment_checks(
                 dots = np.array([[u_dot_xi]])
             else:
                 thetas = rng.uniform(0.0, 2.0 * math.pi, (n_theta, n - 1))
-                cols = leaf_third_columns_batch(tree, phis, thetas)  # (n, N, 3)
+                cols = rotation_array(tree, phis, thetas.T).third_columns()  # (n, N, 3)
                 dots = np.einsum("jbk,ik,i->jb", cols, basis, xi)
             for k in (1, 2, 3):
                 reference_scale = float(legendre_value(k, u_dot_xi))

@@ -93,15 +93,17 @@ def is_rotation(q: np.ndarray, tol: float = ROTATION_TOL) -> bool:
 
 @dataclass(frozen=True)
 class RotationArray:
-    """One rotation per leaf, in left-to-right leaf order."""
+    """One rotation per leaf, in left-to-right leaf order: shape (n, 3, 3),
+    or (n, N, 3, 3) for a batch of N azimuth draws on one tree."""
 
-    rotations: np.ndarray                 # (n, 3, 3)
+    rotations: np.ndarray
 
     def __len__(self):
         return len(self.rotations)
 
     def third_columns(self) -> np.ndarray:
-        return self.rotations[:, :, 2]
+        """Each rotation's third column (its image of e3): (n, 3) or (n, N, 3)."""
+        return self.rotations[..., 2]
 
 
 def _check_arity(tree, phis, thetas):
@@ -117,7 +119,9 @@ def rotation_array(tree: McKeanTree, phis, thetas) -> RotationArray:
     """Compose the per-leaf rotations recursively from the root split down.
 
     Angle ordering matches leaf_weights: the last pair belongs to the root
-    split, the first n_l - 1 pairs to the left subtree.
+    split, the first n_l - 1 pairs to the left subtree.  thetas may carry a
+    trailing batch axis, shape (n - 1, N): N azimuth draws for the same
+    tree and polar angles give rotations of shape (n, N, 3, 3) (for n >= 2).
     """
     phis = np.asarray(phis, float)
     thetas = np.asarray(thetas, float)
@@ -161,35 +165,6 @@ def path_product_rotation(tree: McKeanTree, phis, thetas, leaf_index: int) -> np
         frame = left_frame if side == "l" else right_frame
         out = out @ frame(phis[slot], thetas[slot])
     return out
-
-
-def leaf_third_columns_batch(tree: McKeanTree, phis, thetas: np.ndarray) -> np.ndarray:
-    """Third columns of every leaf rotation across a batch of theta draws.
-
-    phis has length n-1 (fixed); thetas has shape (batch, n-1).  Returns
-    (n, batch, 3).  Only the e3 images are propagated, so each split costs
-    one matrix-vector product per leaf.
-    """
-    phis = np.asarray(phis, float)
-    thetas = np.asarray(thetas, float)
-    if thetas.ndim != 2 or thetas.shape[1] != tree.leaf_count - 1 or (
-        len(phis) != tree.leaf_count - 1
-    ):
-        raise ArityMismatch("phis/thetas do not match the tree size")
-
-    def build(node, p, t):
-        if node.is_leaf:
-            return [np.tile(E3, (thetas.shape[0], 1))]
-        n_l = node.left.leaf_count
-        ml = left_frame(p[-1], t[:, -1])
-        mr = right_frame(p[-1], t[:, -1])
-        left = build(node.left, p[: n_l - 1], t[:, : n_l - 1])
-        right = build(node.right, p[n_l - 1 : -1], t[:, n_l - 1 : -1])
-        return [np.einsum("bij,bj->bi", ml, c) for c in left] + [
-            np.einsum("bij,bj->bi", mr, c) for c in right
-        ]
-
-    return np.array(build(tree, phis, thetas))
 
 
 def leaf_directions(basis: np.ndarray, rotations: RotationArray) -> np.ndarray:

@@ -297,17 +297,22 @@ def sampler_datum(sampler, name="custom", empirical_cf=True,
     frozen = np.asarray(
         sampler(np.random.default_rng(aux_seed), EMPIRICAL_CF_SAMPLE), float
     ).reshape(-1, 3)
-    mean = frozen.mean(axis=0)
-    sq = np.einsum("ij,ij->i", frozen, frozen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = frozen.mean(axis=0)
+        sq = np.einsum("ij,ij->i", frozen, frozen)
+        m2, m3, m4 = float(sq.mean()), float((sq**1.5).mean()), float((sq**2).mean())
+        m3_vector = (sq[:, None] * frozen).mean(axis=0)
+        covariance = np.cov(frozen.T, bias=True)
+    _require_finite(name, m2, m4, m3_vector)
     return InitialDatum(
         name=name,
         sampler=sampler,
         mean=mean,
-        covariance=np.cov(frozen.T, bias=True),
-        m2=float(sq.mean()),
-        m3=float((sq**1.5).mean()),
-        m4=float((sq**2).mean()),
-        m3_vector=(sq[:, None] * frozen).mean(axis=0),
+        covariance=covariance,
+        m2=m2,
+        m3=m3,
+        m4=m4,
+        m3_vector=m3_vector,
         cf=partial(_empirical_cf, frozen=frozen) if empirical_cf else None,
         cf_is_exact=False,
     )

@@ -223,9 +223,6 @@ def _resolve_raw(spec):
                 raise BadSpec("kernel table must be a list of [x, b(x)] pairs")
             order = np.argsort(table[:, 0])
             xs, bs = table[order, 0], table[order, 1]
-            exps = spec.get("endpoint_exponents")
-            if exps is not None and len(exps) != 2:
-                raise BadSpec("endpoint_exponents must be [a0, a1]")
             return partial(_tabulated, xs=xs, bs=bs), None, xs
         if "function" in spec:
             return spec["function"], None, None

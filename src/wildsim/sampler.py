@@ -30,13 +30,14 @@ like log nu while nu grows like e^t.
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
 pairs and merged chunk by chunk with the pairwise update of Chan, Golub and
-LeVeque.  The public single-draw functions are one-cascade chunks of the
-same engine.
+LeVeque.  The single-draw views (`draw_tree_sample`, `wild_velocity`)
+are one-cascade chunks of the same engine.
 
-The characteristic-function estimator averages exp(i rho S) with
-S = sum_j w_j psi_j . V_j, or its conditional expectation given the tree,
-angles and rotations (the default when the initial transform is available,
-since conditioning never increases variance).
+The transform estimator (`transform_sums`, over a whole grid of
+frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
+conditional expectation given the tree, angles and rotations,
+prod_j cf(rho w_j psi_j) (the default when the initial transform is
+available, since conditioning never increases variance).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import ConfigError, TimeTooLarge
-from .geometry import RotationArray, frame_for, leaf_directions, left_frame, right_frame
+from .geometry import RotationArray, frame_for, left_frame, right_frame
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel
 from .weights import WeightArray, legendre_value
@@ -364,13 +365,6 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     return {"count": float(len(nus)), "re": real, "im": imag}
 
 
-def _over_chunks(t, rng, size, n_max, reduce) -> dict:
-    """Merged summaries of reduce(sizes, rng) over the chunks of size cascades,
-    every draw taken from rng."""
-    nus, _ = sorted_sizes(t, rng, size, n_max)
-    return merge_sums(reduce(nus[chunk], rng) for chunk in chunk_slices(nus))
-
-
 # --- single-draw views and batch front ends --------------------------------------
 
 @dataclass(frozen=True)
@@ -383,10 +377,6 @@ class TreeSample:
     phis: np.ndarray
     thetas: np.ndarray
     t: float
-
-    def leaf_directions(self, u) -> np.ndarray:
-        """Unit leaf directions for the probe direction u."""
-        return leaf_directions(frame_for(u), self.rotations)
 
 
 def draw_tree_sample(
@@ -409,68 +399,6 @@ def draw_tree_sample(
         phis=record.phis,
         thetas=record.thetas,
         t=t,
-    )
-
-
-def conditional_cf(sample: TreeSample, mu0: InitialDatum, rho: float, u) -> complex:
-    """Transform of the conditional law given the full cascade data:
-    the product of initial transforms at rho * w_j * psi_j(u)."""
-    cf = mu0.require_cf()
-    psi = sample.leaf_directions(u)
-    args = rho * sample.pi.values[:, None] * psi
-    return complex(np.prod(cf(args)))
-
-
-def conditional_second_moment(sample: TreeSample, mu0: InitialDatum, u) -> float:
-    """sum_j w_j^2 E[(psi_j . V)^2], the h = 2 conditional moment bound."""
-    psi = sample.leaf_directions(u)
-    quad = np.einsum("ji,ik,jk->j", psi, mu0.covariance, psi) + (psi @ mu0.mean) ** 2
-    return float(np.sum(sample.pi.values**2 * quad))
-
-
-@dataclass(frozen=True)
-class CfEstimate:
-    """Monte Carlo estimate of the solution's transform at one frequency."""
-
-    value: complex
-    std_error: float
-    se_real: float
-    se_imag: float
-    n_samples: int
-    xi: np.ndarray
-    t: float
-    estimator: str
-
-
-def cf_estimate(
-    xi,
-    t: float,
-    n_samples: int,
-    mu0: InitialDatum,
-    kernel: CollisionKernel,
-    rng: np.random.Generator,
-    estimator: str = "raoblackwell",
-    n_max: int = DEFAULT_NU_CAP,
-) -> CfEstimate:
-    """Estimate the transform of the solution at frequency xi and time t,
-    as a one-row grid of `transform_sums`.
-
-    'raoblackwell' averages the conditional transform (needs mu0.cf);
-    'raw' averages exp(i rho S) over velocity draws attached to the leaves.
-    """
-    xi = np.asarray(xi, float)
-    sums = _over_chunks(t, rng, n_samples, n_max, lambda nus, r: transform_sums(
-        nus, r, mu0=mu0, kernel=kernel, xi_grid=[xi], estimator=estimator))
-    (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
-    return CfEstimate(
-        value=complex(re[0], im[0]),
-        std_error=math.hypot(se_re[0], se_im[0]),
-        se_real=float(se_re[0]),
-        se_imag=float(se_im[0]),
-        n_samples=n_samples,
-        xi=xi,
-        t=t,
-        estimator=estimator,
     )
 
 
@@ -514,5 +442,8 @@ def weight_statistic_sums(
 ) -> dict[str, np.ndarray]:
     """`weight_sums` over n_samples cascades at time t: a dict of
     (mean, M2) pairs per statistic, plus the count."""
-    return _over_chunks(t, rng, n_samples, n_max, lambda nus, r: weight_sums(
-        nus, r, kernel=kernel, s_powers=s_powers, a_star=a_star))
+    nus, _ = sorted_sizes(t, rng, n_samples, n_max)
+    return merge_sums(
+        weight_sums(nus[chunk], rng, kernel=kernel, s_powers=s_powers, a_star=a_star)
+        for chunk in chunk_slices(nus)
+    )

@@ -22,6 +22,7 @@ from wildsim.diagnostics import (
 )
 from wildsim.geometry import (
     collision_frames,
+    frame_for,
     is_rotation,
     path_product_rotation,
     rotation_array,
@@ -29,7 +30,7 @@ from wildsim.geometry import (
 )
 from wildsim.initial import gaussian_datum, sixpoint_datum
 from wildsim.kernel import make_kernel, sample_phi, spectral_functionals
-from wildsim.sampler import collide, draw_tree_sample, rng_stream
+from wildsim.sampler import collide, germination_record, leaf_frames, rng_stream, sorted_sizes
 from wildsim.tree import chain_distribution, enumerate_trees, sample_tree, tree_probability
 from wildsim.weights import symmetric_function_bound
 
@@ -187,14 +188,17 @@ def test_criterion_09_gaussian_fixed_point(kernel):
     mu0 = gaussian_datum()
     rng = rng_stream(8809)
     cf = mu0.cf
-    for _ in range(2000):
-        sample = draw_tree_sample(1.5, kernel, rng)
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        psi = sample.leaf_directions(u)
-        for rho in (0.4, 1.0, 2.3):
-            value = complex(np.prod(cf(rho * sample.pi.values[:, None] * psi)))
-            assert abs(value - math.exp(-rho * rho / 2.0)) < 1e-12
+    nus, _ = sorted_sizes(1.5, rng, 2000)
+    record = germination_record(nus, kernel, rng)
+    weights, rotations = leaf_frames(record)
+    directions = rng.standard_normal((len(nus), 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    bases = np.stack([frame_for(u) for u in directions])
+    psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
+                    rotations.third_columns())
+    for rho in (0.4, 1.0, 2.3):
+        values = record.per_cascade(cf(rho * weights[:, None] * psi), np.multiply)
+        assert np.all(np.abs(values - math.exp(-rho * rho / 2.0)) < 1e-12)
     grid = np.array([[0.5, 0, 0], [0, 1.0, 0], [0.4, 0.4, 0.4], [0, -0.9, 1.1]])
     fit = cf_distance_curve(mu0, kernel, [0.5, 1.0, 2.0, 4.0], grid, 2000,
                             seed=8819)

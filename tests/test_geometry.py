@@ -16,7 +16,6 @@ from wildsim.geometry import (
     frame_for,
     is_rotation,
     leaf_directions,
-    leaf_third_columns_batch,
     path_product_rotation,
     rotation_array,
     rotation_z,
@@ -102,7 +101,7 @@ def test_batch_third_columns_match_single():
     tree = sample_tree(4, rng)
     phis = rng.uniform(0, math.pi, 3)
     thetas = rng.uniform(0, 2 * math.pi, (5, 3))
-    cols = leaf_third_columns_batch(tree, phis, thetas)
+    cols = rotation_array(tree, phis, thetas.T).third_columns()
     for b in range(5):
         rots = rotation_array(tree, phis, thetas[b])
         np.testing.assert_allclose(cols[:, b, :], rots.third_columns(), atol=1e-13)

@@ -145,7 +145,9 @@ def test_sampler_datum_empirical_cf():
                            (0.5, (0.0, 0.0, 0.0), np.eye(3))]),
     lambda: discrete_datum([[1e100, 0, 0], [-1e100, 0, 0]], [0.5, 0.5]),
     lambda: discrete_datum([[1e200, 0, 0], [0, 0, 0]], [0.5, 0.5], normalize=True),
-], ids=["gaussian-mean", "gaussian-cov", "mixture", "discrete", "discrete-normalized"])
+    lambda: sampler_datum(lambda rng, size: 1e150 + rng.standard_normal((size, 3))),
+], ids=["gaussian-mean", "gaussian-cov", "mixture", "discrete", "discrete-normalized",
+        "sampler"])
 def test_overflowing_moment_table_is_bad_spec(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no RuntimeWarning on the way

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from wildsim.diagnostics import transform_grid_estimates
 from wildsim.errors import NoAnalyticCf, TimeTooLarge
 from wildsim.geometry import frame_for, is_rotation
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
-    cf_estimate,
     chunk_slices,
     collide,
-    conditional_cf,
-    conditional_second_moment,
     draw_tree_sample,
     germination_record,
     leaf_frames,
@@ -22,6 +20,7 @@ from wildsim.sampler import (
     sample_nu,
     sample_nu_batch,
     sorted_sizes,
+    transform_sums,
     weight_statistic_sums,
     wild_velocity,
     wild_velocity_batch,
@@ -104,18 +103,12 @@ def test_incremental_matches_batch_construction(kernel):
     basis = frame_for(u)
 
     def stats_incremental():
-        out = np.empty((draws, 4))
-        for i in range(draws):
-            s = draw_tree_sample(1.0, kernel, rng, nu=3)
-            psi = s.rotations.third_columns() @ basis.T
-            dots = psi @ u
-            out[i] = (
-                np.sum(np.abs(s.pi.values) ** 3),
-                np.sum(s.pi.values**4),
-                np.sum(dots),
-                np.sum(dots**2),
-            )
-        return out
+        record = germination_record(np.full(draws, 3), kernel, rng)
+        weights, rotations = leaf_frames(record)
+        dots = rotations.third_columns() @ basis.T @ u
+        return record.per_cascade(
+            np.stack([np.abs(weights) ** 3, weights**4, dots, dots**2], axis=1)
+        )
 
     def stats_batch():
         out = np.empty((draws, 4))
@@ -144,43 +137,56 @@ def test_incremental_matches_batch_construction(kernel):
         assert abs(diff) < 4 * se
 
 
-def test_conditional_cf_single_leaf(kernel):
+def conditional_transforms(record, mu0, rho, u):
+    """Per-cascade conditional transform prod_j cf(rho w_j psi_j(u)) of a record."""
+    weights, rotations = leaf_frames(record)
+    psi = rotations.third_columns() @ frame_for(u).T
+    return record.per_cascade(mu0.cf(rho * weights[:, None] * psi), np.multiply)
+
+
+def test_conditional_transform_single_leaf(kernel):
     mu0 = sixpoint_datum()
-    sample = draw_tree_sample(0.0, kernel, rng_stream(9))
+    record = germination_record([1], kernel, rng_stream(9))
     u = np.array([0.0, 0.6, 0.8])
     rho = 1.7
-    assert conditional_cf(sample, mu0, rho, u) == pytest.approx(
+    assert complex(conditional_transforms(record, mu0, rho, u)[0]) == pytest.approx(
         complex(mu0.cf(rho * u)), abs=1e-12
     )
 
 
-def test_conditional_cf_gaussian_fixed_point(kernel):
+def test_conditional_transform_gaussian_fixed_point(kernel):
     mu0 = gaussian_datum()
     rng = rng_stream(10)
     u = np.array([0.48, -0.6, 0.64]) / math.sqrt(0.48**2 + 0.36 + 0.64**2)
     for t in (0.5, 2.0):
+        nus, _ = sorted_sizes(t, rng, 100)
+        record = germination_record(nus, kernel, rng)
         for rho in (0.3, 1.0, 2.5):
-            sample = draw_tree_sample(t, kernel, rng)
-            value = conditional_cf(sample, mu0, rho, u)
-            assert value == pytest.approx(math.exp(-rho * rho / 2.0), abs=1e-12)
+            values = conditional_transforms(record, mu0, rho, u)
+            assert np.all(np.abs(values - math.exp(-rho * rho / 2.0)) <= 1e-12)
 
 
-def test_conditional_cf_requires_transform(kernel):
+def test_conditional_transform_requires_transform(kernel):
     silent = sampler_datum(
         lambda rng, size: rng.standard_normal((size, 3)), empirical_cf=False
     )
-    sample = draw_tree_sample(1.0, make_kernel("xabs"), rng_stream(11))
+    nus, _ = sorted_sizes(1.0, rng_stream(11), 50)
     with pytest.raises(NoAnalyticCf):
-        conditional_cf(sample, silent, 1.0, np.array([0.0, 0.0, 1.0]))
+        transform_sums(nus, rng_stream(11, 0), mu0=silent, kernel=make_kernel("xabs"),
+                       xi_grid=[[0.0, 0.0, 1.0]])
 
 
-def test_conditional_second_moment_bounded(kernel):
+def test_second_moment_bound_given_cascade(kernel):
+    # sum_j w_j^2 E[(psi_j . V)^2] <= E|V|^2, the h = 2 conditional moment bound
     mu0 = sixpoint_datum()
     rng = rng_stream(12)
     u = np.array([0.6, 0.0, 0.8])
-    for _ in range(500):
-        sample = draw_tree_sample(1.5, kernel, rng)
-        assert conditional_second_moment(sample, mu0, u) <= mu0.m2 + 1e-12
+    nus, _ = sorted_sizes(1.5, rng, 500)
+    record = germination_record(nus, kernel, rng)
+    weights, rotations = leaf_frames(record)
+    psi = rotations.third_columns() @ frame_for(u).T
+    quad = np.einsum("ji,ik,jk->j", psi, mu0.covariance, psi) + (psi @ mu0.mean) ** 2
+    assert np.all(record.per_cascade(weights**2 * quad) <= mu0.m2 + 1e-12)
 
 
 def test_collision_conservation():
@@ -247,38 +253,38 @@ def test_wild_velocity_shifted_mean(kernel):
     np.testing.assert_array_less(np.abs(draws.mean(axis=0) - [1.0, 0.0, 0.0]), 4 * se)
 
 
-def test_cf_estimate_zero_frequency(kernel):
-    est = cf_estimate(np.zeros(3), 1.0, 10, sixpoint_datum(), kernel, rng_stream(18))
-    assert est.value == 1.0 + 0.0j and est.std_error == 0.0
+def grid_estimate(row):
+    """(value, standard error) of one `transform_grid_estimates` row."""
+    return complex(row["re"], row["im"]), math.hypot(row["se_re"], row["se_im"])
 
 
-def test_cf_estimate_zero_time_matches_initial(kernel):
+def test_transform_grid_zero_time_matches_initial(kernel):
     mu0 = sixpoint_datum()
     xi = np.array([0.7, -0.3, 0.5])
-    est = cf_estimate(xi, 0.0, 400, mu0, kernel, rng_stream(19))
-    assert est.value == pytest.approx(complex(mu0.cf(xi)), abs=1e-12)
-    assert est.std_error < 1e-14
+    value, std_error = grid_estimate(
+        transform_grid_estimates(mu0, kernel, [0.0], [xi], 400, seed=19)[0])
+    assert value == pytest.approx(complex(mu0.cf(xi)), abs=1e-12)
+    assert std_error < 1e-14
 
 
-def test_cf_estimate_gaussian_zero_variance(kernel):
-    est = cf_estimate(
-        np.array([0.5, 0.5, 1.0]), 2.0, 300, gaussian_datum(), kernel, rng_stream(20)
-    )
+def test_transform_grid_gaussian_zero_variance(kernel):
+    value, std_error = grid_estimate(transform_grid_estimates(
+        gaussian_datum(), kernel, [2.0], [[0.5, 0.5, 1.0]], 300, seed=20)[0])
     rho2 = 0.25 + 0.25 + 1.0
-    assert est.value == pytest.approx(math.exp(-rho2 / 2.0), abs=1e-12)
-    assert est.std_error < 1e-13
+    assert value == pytest.approx(math.exp(-rho2 / 2.0), abs=1e-12)
+    assert std_error < 1e-13
 
 
 def test_cf_estimators_agree(kernel):
     mu0 = sixpoint_datum()
     xi = np.array([0.8, 0.36, 0.48])
-    rb = cf_estimate(xi, 1.0, 20_000, mu0, kernel, rng_stream(21))
-    raw = cf_estimate(xi, 1.0, 20_000, mu0, kernel, rng_stream(22), estimator="raw")
-    diff = rb.value - raw.value
-    assert abs(diff.real) < 4 * math.hypot(rb.se_real, raw.se_real)
-    assert abs(diff.imag) < 4 * math.hypot(rb.se_imag, raw.se_imag) + 1e-12
+    (rb,) = transform_grid_estimates(mu0, kernel, [1.0], [xi], 20_000, seed=21)
+    (raw,) = transform_grid_estimates(mu0, kernel, [1.0], [xi], 20_000, seed=22,
+                                      estimator="raw")
+    assert abs(rb["re"] - raw["re"]) < 4 * math.hypot(rb["se_re"], raw["se_re"])
+    assert abs(rb["im"] - raw["im"]) < 4 * math.hypot(rb["se_im"], raw["se_im"]) + 1e-12
     # conditioning cannot increase the variance
-    assert rb.std_error <= raw.std_error * 1.1
+    assert grid_estimate(rb)[1] <= grid_estimate(raw)[1] * 1.1
 
 
 def test_weight_statistic_sums_match_closed_forms(kernel):
@@ -307,13 +313,12 @@ def test_weight_statistic_sums_match_closed_forms(kernel):
     assert tail_mean <= math.exp(fn.lambda_b * t) / 0.25 + 4 * tail_se
 
 
-def test_cf_estimate_modulus_invariant(kernel):
+def test_transform_grid_modulus_invariant(kernel):
     mu0 = sixpoint_datum()
-    rng = rng_stream(95)
-    for _ in range(12):
-        xi = rng.normal(scale=1.5, size=3)
-        est = cf_estimate(xi, 1.0, 800, mu0, kernel, rng)
-        assert abs(est.value) <= 1.0 + 3.0 * est.std_error + 1e-12
+    grid = rng_stream(95).normal(scale=1.5, size=(12, 3))
+    for row in transform_grid_estimates(mu0, kernel, [1.0], grid, 800, seed=95):
+        value, std_error = grid_estimate(row)
+        assert abs(value) <= 1.0 + 3.0 * std_error + 1e-12
 
 
 def test_chart_invariance_of_conditional_mean(kernel):
@@ -331,15 +336,15 @@ def test_chart_invariance_of_conditional_mean(kernel):
     cf = mu0.cf
     rho = 1.3
     rng = rng_stream(96)
-    diffs = np.empty(20_000)
-    for i in range(diffs.size):
-        sample = draw_tree_sample(1.0, kernel, rng)
-        cols = sample.rotations.third_columns()
-        values = []
-        for basis in (b_first, b_second):
-            psi = cols @ basis.T
-            values.append(np.prod(cf(rho * sample.pi.values[:, None] * psi)))
-        diffs[i] = (values[0] - values[1]).real
+    nus, _ = sorted_sizes(1.0, rng, 20_000)
+    record = germination_record(nus, kernel, rng)
+    weights, rotations = leaf_frames(record)
+    cols = rotations.third_columns()
+    values = []
+    for basis in (b_first, b_second):
+        psi = cols @ basis.T
+        values.append(record.per_cascade(cf(rho * weights[:, None] * psi), np.multiply))
+    diffs = (values[0] - values[1]).real
     se = diffs.std(ddof=1) / math.sqrt(diffs.size)
     assert abs(diffs.mean()) < 4 * se + 1e-12
 
