@@ -75,6 +75,13 @@ class BadSpec(WildsimError, ValueError):
     """Unrecognized initial-datum or kernel specification."""
 
 
+def reject_unknown_keys(spec: dict, known, what: str) -> None:
+    """Raise BadSpec naming every key of a spec dictionary outside known."""
+    unknown = sorted(map(str, spec.keys() - set(known)))
+    if unknown:
+        raise BadSpec(f"unknown {what} spec key(s): {', '.join(unknown)}")
+
+
 class MomentUnavailable(WildsimError, ValueError):
     """A required moment of the initial datum is infinite or unknown."""
 

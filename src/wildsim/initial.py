@@ -10,6 +10,14 @@ characteristic function built from a frozen auxiliary sample.
 Moment conventions: m_h = E|V|^h and the cubic vector is E[|V|^2 V].
 Unavailable moments are stored as None (unknown) or inf (divergent),
 never fabricated.
+
+A law symmetric under v -> -v has a real transform, and gets one: the test
+is made when the law is built, by exact float equality on its atoms (every
+atom p has a partner -p of equal mass) or its mean (a centred Gaussian),
+never by name or tolerance.  The discrete transform is then
+sum_half 2 m cos(xi . p) (plus the mass of an atom at the origin) over half
+the atoms; every other law keeps its complex transform.  Dictionary specs
+must hold only the keys their preset reads.
 """
 
 from __future__ import annotations
@@ -22,10 +30,18 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import BadSpec, MomentUnavailable, NoAnalyticCf
+from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
 
 EMPIRICAL_CF_SAMPLE = 100_000
 _HEAVYTAIL_SERIES_LIMIT = 25.0
+# the keys each dictionary preset reads besides "preset"; any other is an error
+_SPEC_KEYS = {
+    "gaussian": ("mean", "cov"),
+    "mixture": ("components",),
+    "sixpoint": (),
+    "discrete": ("points", "masses", "normalize"),
+    "heavytail": ("q", "normalize"),
+}
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,11 @@ def _gaussian_cf(xi, mean, cov):
     return np.exp(1j * (xi @ mean) - 0.5 * quad)
 
 
+def _centred_gaussian_cf(xi, cov):
+    xi = np.asarray(xi, float)
+    return np.exp(-0.5 * np.einsum("...i,ij,...j->...", xi, cov, xi))
+
+
 def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
     mean = np.asarray(mean, float)
     cov = np.eye(3) if cov is None else np.asarray(cov, float)
@@ -109,7 +130,8 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
         m3=m3,
         m4=m4,
         m3_vector=m3_vector,
-        cf=partial(_gaussian_cf, mean=mean, cov=cov),
+        cf=(partial(_gaussian_cf, mean=mean, cov=cov) if np.any(mean)
+            else partial(_centred_gaussian_cf, cov=cov)),
     )
 
 
@@ -174,6 +196,26 @@ def _discrete_cf(xi, points, masses):
     return np.exp(1j * phases) @ masses
 
 
+def _symmetric_discrete_cf(xi, half, pair_masses, origin_mass):
+    xi = np.asarray(xi, float)
+    return np.cos(xi @ half.T) @ pair_masses + origin_mass
+
+
+def _symmetric_half(points, masses):
+    """Mask of the atoms whose first nonzero coordinate is positive, when
+    the law is exactly symmetric under v -> -v (every atom p has a partner
+    -p of equal mass; an atom at the origin is its own mirror), else None.
+    The test is exact float equality, never a tolerance."""
+    atoms = np.column_stack([points, masses])
+    mirror = np.column_stack([-points, masses])
+    if not np.array_equal(atoms[np.lexsort(atoms.T[::-1])],
+                          mirror[np.lexsort(mirror.T[::-1])]):
+        return None
+    nonzero = points != 0.0
+    lead = points[np.arange(len(points)), np.argmax(nonzero, axis=1)]
+    return lead > 0.0
+
+
 def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialDatum:
     points = np.asarray(points, float).reshape(-1, 3)
     masses = np.asarray(masses, float)
@@ -183,12 +225,16 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         raise BadSpec("masses must be nonnegative and sum to 1")
     if normalize:
         with np.errstate(over="ignore", invalid="ignore"):
-            points = points - masses @ points
+            # a symmetric law is centred already; subtracting its computed
+            # mean (roundoff, not zero) would break the exact symmetry
+            if _symmetric_half(points, masses) is None:
+                points = points - masses @ points
             energy = float(masses @ np.einsum("ij,ij->i", points, points))
         _require_finite(name, energy)
         if energy <= 0:
             raise BadSpec("cannot normalize a law concentrated at one point")
         points = points * math.sqrt(3.0 / energy)
+    half = _symmetric_half(points, masses)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = masses @ points
         sq = np.einsum("ij,ij->i", points, points)
@@ -196,6 +242,12 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         m3_vector = (masses * sq) @ points
         covariance = np.einsum("i,ij,ik->jk", masses, points, points) - np.outer(mean, mean)
     _require_finite(name, m2, m4, m3_vector)
+    if half is None:
+        cf = partial(_discrete_cf, points=points, masses=masses)
+    else:
+        origin = ~np.any(points, axis=1)
+        cf = partial(_symmetric_discrete_cf, half=points[half], pair_masses=2.0 * masses[half],
+                     origin_mass=float(masses[origin].sum()))
     return InitialDatum(
         name=name,
         sampler=partial(_discrete_sampler, points=points, masses=masses),
@@ -205,7 +257,7 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         m3=m3,
         m4=m4,
         m3_vector=m3_vector,
-        cf=partial(_discrete_cf, points=points, masses=masses),
+        cf=cf,
     )
 
 
@@ -332,9 +384,15 @@ def make_initial_datum(spec) -> InitialDatum:
         raise BadSpec(f"unknown initial-datum preset {spec!r}")
     if isinstance(spec, dict):
         kind = spec.get("preset")
+        if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+            raise BadSpec(f"unknown initial-datum preset {kind!r}")
+        reject_unknown_keys(spec, ("preset", *_SPEC_KEYS[kind]), f"{kind} initial-datum")
         if kind == "gaussian":
             return gaussian_datum(spec.get("mean", (0, 0, 0)), spec.get("cov"))
         if kind == "mixture":
+            for c in spec["components"]:
+                if isinstance(c, dict):
+                    reject_unknown_keys(c, ("weight", "mean", "cov"), "mixture component")
             return mixture_datum(
                 [(c["weight"], c["mean"], c["cov"]) for c in spec["components"]]
             )
@@ -344,7 +402,5 @@ def make_initial_datum(spec) -> InitialDatum:
             return discrete_datum(
                 spec["points"], spec["masses"], normalize=spec.get("normalize", False)
             )
-        if kind == "heavytail":
-            return heavytail_datum(float(spec["q"]), spec.get("normalize", False))
-        raise BadSpec(f"unknown initial-datum preset {kind!r}")
+        return heavytail_datum(float(spec["q"]), spec.get("normalize", False))
     raise BadSpec(f"cannot interpret initial-datum spec of type {type(spec).__name__}")

@@ -44,6 +44,7 @@ from .errors import (
     QuadratureFailure,
     SymmetryViolation,
     BadSpec,
+    reject_unknown_keys,
 )
 
 QUAD_TOL = 1e-10
@@ -215,18 +216,20 @@ def _resolve_raw(spec):
     if callable(spec):
         return spec, None, None
     if isinstance(spec, dict):
-        if "preset" in spec:
+        branch = next((key for key in ("preset", "table", "function") if key in spec), None)
+        if branch is None:
+            raise BadSpec("kernel spec dict needs 'preset', 'table' or 'function'")
+        reject_unknown_keys(spec, (branch,), "kernel")
+        if branch == "preset":
             return _resolve_raw(spec["preset"])
-        if "table" in spec:
+        if branch == "table":
             table = np.asarray(spec["table"], dtype=float)
             if table.ndim != 2 or table.shape[1] != 2:
                 raise BadSpec("kernel table must be a list of [x, b(x)] pairs")
             order = np.argsort(table[:, 0])
             xs, bs = table[order, 0], table[order, 1]
             return partial(_tabulated, xs=xs, bs=bs), None, xs
-        if "function" in spec:
-            return spec["function"], None, None
-        raise BadSpec("kernel spec dict needs 'preset', 'table' or 'function'")
+        return spec["function"], None, None
     raise BadSpec(f"cannot interpret kernel spec of type {type(spec).__name__}")
 
 

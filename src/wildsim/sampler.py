@@ -30,14 +30,17 @@ like log nu while nu grows like e^t.
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
 pairs and merged chunk by chunk with the pairwise update of Chan, Golub and
-LeVeque.  The single-draw views (`draw_tree_sample`, `wild_velocity`)
-are one-cascade chunks of the same engine.
+LeVeque.  Each reduction grows only what it reads: W = sum_j w_j^4 alone
+needs the order-1 weights, so it grows scalar (cos phi, sin phi) factors
+rather than orders 1 to 3.  The single-draw views (`draw_tree_sample`,
+`wild_velocity`) are one-cascade chunks of the same engine.
 
 The transform estimator (`transform_sums`, over a whole grid of
 frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
 conditional expectation given the tree, angles and rotations,
 prod_j cf(rho w_j psi_j) (the default when the initial transform is
-available, since conditioning never increases variance).
+available, since conditioning never increases variance).  For a symmetric
+initial law cf is real, so the product is taken over floats.
 """
 
 from __future__ import annotations
@@ -311,9 +314,14 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
                 a_star: float | None = None) -> dict:
     """Chunk summary of sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
     W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
-    w, zeta, eta the order-1, -2 and -3 leaf weights."""
+    w, zeta, eta the order-1, -2 and -3 leaf weights.  With no s_powers and
+    no a_star the summary holds W alone, grown at order 1 only."""
     record = germination_record(nus, kernel, rng)
     cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
+    if not s_powers and a_star is None:
+        w = grow(record, cos_p, sin_p, 1.0)
+        sq = w * w
+        return summarize({"W": record.per_cascade(sq * sq)}, len(nus))
     orders = (1, 2, 3)
     left = np.stack([legendre_value(k, cos_p) for k in orders], axis=-1)
     right = np.stack([legendre_value(k, sin_p) for k in orders], axis=-1)

@@ -156,6 +156,11 @@ def test_crosscheck_command(tmp_path):
     ["conserve", "--samples", "10", "--mu0", '{"preset": "gaussian", "mean": [1, 2]}'],
     ["conserve", "--samples", "10",
      "--mu0", '{"preset": "gaussian", "cov": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}'],
+    # a key the chosen branch does not read (here misspelled) is rejected
+    ["conserve", "--t", "0.5", "--samples", "200", "--seed", "1", "--mu0",
+     '{"preset":"discrete","points":[[1,0,0],[-1,0,0]],"masses":[0.5,0.5],"normalise":true}'],
+    ["conserve", "--samples", "10", "--kernel", '{"preset": "xabs", "table": [[0.1, 1], [0.9, 1]]}'],
+    ["conserve", "--samples", "10", "--kernel", '{"preset": "cubic", "normalize": true}'],
 ])
 def test_malformed_configuration_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG

@@ -90,6 +90,68 @@ def test_discrete_normalization():
     assert d.m2 == pytest.approx(3.0)
 
 
+FREQUENCIES = np.random.default_rng(11).normal(scale=3.0, size=(10_000, 3))
+SYMMETRIC_POINTS = [[0.1, 0.3, -0.2], [-0.1, -0.3, 0.2], [0.7, 0.11, 0.0],
+                    [-0.7, -0.11, 0.0], [0.0, 0.0, 0.0]]
+SYMMETRIC_MASSES = [0.15, 0.15, 0.3, 0.3, 0.1]
+PAIRED_POINTS = [[1.0, -2.0, 0.5], [0.3, 0.0, 0.0], [-1.0, 2.0, -0.5], [-0.3, 0.0, 0.0]]
+PAIRED_MASSES = [0.1, 0.4, 0.1, 0.4]
+
+
+def _complex_discrete_transform(xi, points, masses):
+    return np.exp(1j * (xi @ np.asarray(points, float).T)) @ np.asarray(masses, float)
+
+
+def _complex_gaussian_transform(xi, mean, cov):
+    quad = np.einsum("...i,ij,...j->...", xi, cov, xi)
+    return np.exp(1j * (xi @ mean) - 0.5 * quad)
+
+
+ANISOTROPIC_COV = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.2]])
+
+
+@pytest.mark.parametrize("datum, reference", [
+    # the six atoms as normalised (a draw shows them all), not sqrt(3) e_k exactly
+    (sixpoint_datum, lambda xi: _complex_discrete_transform(
+        xi, np.unique(sixpoint_datum().sample(np.random.default_rng(0), 1000), axis=0),
+        np.full(6, 1.0 / 6.0))),
+    (lambda: discrete_datum(PAIRED_POINTS, PAIRED_MASSES),
+     lambda xi: _complex_discrete_transform(xi, PAIRED_POINTS, PAIRED_MASSES)),
+    (lambda: discrete_datum(SYMMETRIC_POINTS, SYMMETRIC_MASSES),
+     lambda xi: _complex_discrete_transform(xi, SYMMETRIC_POINTS, SYMMETRIC_MASSES)),
+    (lambda: gaussian_datum(cov=ANISOTROPIC_COV),
+     lambda xi: _complex_gaussian_transform(xi, np.zeros(3), ANISOTROPIC_COV)),
+], ids=["sixpoint", "unequal-pairs", "origin-atom", "centred-gaussian"])
+def test_symmetric_law_has_real_transform(datum, reference):
+    values = datum().cf(FREQUENCIES)
+    assert values.dtype == np.float64
+    assert np.max(np.abs(values - reference(FREQUENCIES))) < 1e-15
+
+
+def test_symmetric_law_stays_symmetric_when_normalized():
+    # the computed mean of these points is roundoff, not zero; subtracting
+    # it would break the exact pairing
+    assert np.any(np.asarray(SYMMETRIC_MASSES) @ np.asarray(SYMMETRIC_POINTS) != 0.0)
+    d = discrete_datum(SYMMETRIC_POINTS, SYMMETRIC_MASSES, normalize=True)
+    assert d.is_normalized()
+    assert d.cf(FREQUENCIES).dtype == np.float64
+
+
+@pytest.mark.parametrize("datum, imaginary", [
+    (lambda: discrete_datum([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+                            [0.3, 0.3, 0.4]),
+     lambda xi: 0.4 * np.sin(2.0 * xi[:, 1])),
+    (lambda: discrete_datum([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [0.3, 0.7]),
+     lambda xi: -0.4 * np.sin(xi[:, 0])),
+    (lambda: gaussian_datum(mean=(0.5, 0.0, 0.0)),
+     lambda xi: np.exp(-0.5 * np.einsum("ij,ij->i", xi, xi)) * np.sin(0.5 * xi[:, 0])),
+], ids=["unmatched-atom", "unequal-pair", "gaussian-mean"])
+def test_asymmetric_law_keeps_complex_transform(datum, imaginary):
+    values = datum().cf(FREQUENCIES)
+    assert np.iscomplexobj(values)
+    assert np.max(np.abs(values.imag - imaginary(FREQUENCIES))) < 1e-15
+
+
 def test_heavytail_moments_and_tail():
     h = heavytail_datum(3.5)
     assert h.m2 == pytest.approx(7.0 / 3.0)
@@ -170,3 +232,17 @@ def test_make_initial_datum_dispatch():
         make_initial_datum({"preset": "heavytail", "q": 5.0})
     with pytest.raises(BadSpec):
         make_initial_datum(42)
+
+
+@pytest.mark.parametrize("spec", [
+    {"preset": "discrete", "points": [[1, 0, 0], [-1, 0, 0]], "masses": [0.5, 0.5],
+     "normalise": True},
+    {"preset": "gaussian", "covariance": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"preset": "sixpoint", "normalize": True},
+    {"preset": "heavytail", "q": 3.5, "mean": [0, 0, 0]},
+    {"preset": "mixture", "components": [{"weight": 1, "mean": [0, 0, 0], "cov": 1,
+                                          "name": "x"}]},
+])
+def test_unknown_spec_key_is_bad_spec(spec):
+    with pytest.raises(BadSpec, match="unknown .* key"):
+        make_initial_datum(spec)

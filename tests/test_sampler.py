@@ -22,6 +22,7 @@ from wildsim.sampler import (
     sorted_sizes,
     transform_sums,
     weight_statistic_sums,
+    weight_sums,
     wild_velocity,
     wild_velocity_batch,
 )
@@ -311,6 +312,16 @@ def test_weight_statistic_sums_match_closed_forms(kernel):
     tail_mean = sums["W_tail"][0]
     tail_se = math.sqrt(tail_mean * (1 - tail_mean) / count)
     assert tail_mean <= math.exp(fn.lambda_b * t) / 0.25 + 4 * tail_se
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0])
+def test_weight_sums_w_alone_matches_full_path(kernel, t):
+    nus, _ = sorted_sizes(t, rng_stream(41), 1000)
+    alone = weight_sums(nus, rng_stream(42), kernel=kernel, s_powers=())
+    full = weight_sums(nus, rng_stream(42), kernel=kernel)
+    assert alone.keys() == {"count", "W"}
+    assert alone["count"] == full["count"]
+    assert np.array_equal(alone["W"], full["W"])
 
 
 def test_transform_grid_modulus_invariant(kernel):
