@@ -13,6 +13,9 @@ import argparse
 import csv
 import hashlib
 import json
+# argparse's gettext imports locale lazily on the first parser; every command
+# builds one, so pay for it on import
+import locale  # noqa: F401
 import math
 import os
 import sys

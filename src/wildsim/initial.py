@@ -13,11 +13,13 @@ never fabricated.
 
 A law symmetric under v -> -v has a real transform, and gets one: the test
 is made when the law is built, by exact float equality on its atoms (every
-atom p has a partner -p of equal mass) or its mean (a centred Gaussian),
-never by name or tolerance.  The discrete transform is then
+atom p has a partner -p of equal mass) or its means (a centred Gaussian, or
+a mixture of them), never by name or tolerance; the radial heavy-tail law
+is symmetric by construction.  The discrete transform is then
 sum_half 2 m cos(xi . p) (plus the mass of an atom at the origin) over half
-the atoms; every other law keeps its complex transform.  Dictionary specs
-must hold only the keys their preset reads.
+the atoms, and the odd moments (mean, cubic vector) are exactly zero; every
+other law keeps its complex transform.  Dictionary specs must hold only the
+keys their preset reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
 
@@ -147,10 +148,10 @@ def _mixture_sampler(rng, size, weights, means, chols):
     return out
 
 
-def _mixture_cf(xi, weights, means, covs):
-    total = 0.0 + 0.0j
-    for w, m, c in zip(weights, means, covs):
-        total = total + w * _gaussian_cf(xi, m, c)
+def _mixture_cf(xi, weights, cfs):
+    total = 0.0  # stays real when every component transform is real
+    for w, cf in zip(weights, cfs):
+        total = total + w * cf(xi)
     return total
 
 
@@ -178,7 +179,7 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
         m3=None,
         m4=float(sum(w * p.m4 for w, p in zip(weights, parts))),
         m3_vector=sum(w * p.m3_vector for w, p in zip(weights, parts)),
-        cf=partial(_mixture_cf, weights=weights, means=means, covs=covs),
+        cf=partial(_mixture_cf, weights=weights, cfs=[p.cf for p in parts]),
     )
 
 
@@ -236,11 +237,15 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         points = points * math.sqrt(3.0 / energy)
     half = _symmetric_half(points, masses)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = masses @ points
         sq = np.einsum("ij,ij->i", points, points)
         m2, m3, m4 = float(masses @ sq), float(masses @ sq**1.5), float(masses @ sq**2)
-        m3_vector = (masses * sq) @ points
-        covariance = np.einsum("i,ij,ik->jk", masses, points, points) - np.outer(mean, mean)
+        covariance = np.einsum("i,ij,ik->jk", masses, points, points)
+        if half is None:
+            mean = masses @ points
+            m3_vector = (masses * sq) @ points
+            covariance -= np.outer(mean, mean)
+        else:  # the odd moments of a symmetric law vanish exactly
+            mean, m3_vector = np.zeros(3), np.zeros(3)
     _require_finite(name, m2, m4, m3_vector)
     if half is None:
         cf = partial(_discrete_cf, points=points, masses=masses)
@@ -284,7 +289,7 @@ def _heavytail_cf_scalar(x, q):
         total = (
             1.0
             - q / (6.0 * (q - 2.0)) * x * x
-            - special.gamma(1.0 - q) * math.cos(q * math.pi / 2.0) / (1.0 + q) * x**q
+            - math.gamma(1.0 - q) * math.cos(q * math.pi / 2.0) / (1.0 + q) * x**q
         )
         term_sign, m = 1.0, 2
         while True:
@@ -296,7 +301,10 @@ def _heavytail_cf_scalar(x, q):
                 break
             term_sign, m = -term_sign, m + 1
         return total
-    # oscillatory tail: (q/x) int_1^inf sin(x r) r^(-2-q) dr
+    # oscillatory tail: (q/x) int_1^inf sin(x r) r^(-2-q) dr, by QUADPACK's
+    # Fourier-integral rule; imported here so only this branch loads scipy
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda r: r ** (-2.0 - q), 1.0, np.inf, weight="sin", wvar=x, limlst=200
     )
@@ -307,7 +315,7 @@ def _heavytail_cf(xi, q, scale):
     xi = np.asarray(xi, float)
     radii = scale * np.linalg.norm(xi, axis=-1)
     flat = np.array([_heavytail_cf_scalar(float(x), q) for x in np.ravel(radii)])
-    return (flat.reshape(radii.shape) if radii.ndim else float(flat[0])) + 0.0j
+    return flat.reshape(radii.shape) if radii.ndim else float(flat[0])
 
 
 def heavytail_datum(q: float, normalize: bool = False) -> InitialDatum:

@@ -25,18 +25,26 @@ closed-form decay rate used by the diagnostics:
 f_b and g_b combine both branch factors of one split, so the quadratic and
 cubic weight sums contract by exactly exp(-(1 - f_b) t) and
 exp(-(1 - g_b) t); for symmetric kernels the two terms are equal.
+
+The quadrature is numpy only.  An analytic kernel is integrated by a
+globally adaptive 7/15-point Gauss-Kronrod rule (QUADPACK's qk15 pair,
+Piessens et al. 1983) in the collision angle: x = sin(theta) on
+(0, pi/2), where the factor sqrt(1 - x^2) of l_1, l_3 and of kernels such
+as sqrtmix becomes cos(theta), smooth at the endpoint.  A tabulated kernel
+takes a fixed Gauss-Legendre rule per table segment.  The angle-law CDF is
+the cumulative Simpson rule, computed exactly as scipy.integrate's
+cumulative_simpson computes it.  scipy is needed only by the heavy-tail
+initial transform (wildsim.initial) and by the tests.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     NegativeKernel,
@@ -48,6 +56,7 @@ from .errors import (
 )
 
 QUAD_TOL = 1e-10
+QUAD_MAX_INTERVALS = 200  # the adaptive rule's cap, as QUADPACK's limit=200 was
 SYMMETRY_TOL = 1e-8
 SYMMETRY_GRID = 1000
 BETA_TABLE_NODES = 16385  # 4 * 4096 + 1, comfortably above the 4096 minimum
@@ -105,23 +114,15 @@ def integrate_01(fn, tol=QUAD_TOL, points=None, knots=None) -> float:
 
     With `knots` (sorted breakpoints of a piecewise-smooth integrand, as for
     tabulated kernels) a fixed Gauss-Legendre rule is applied per segment,
-    which is exact for linear-times-polynomial pieces.  Otherwise adaptive
-    Gauss-Kronrod refinement is used, with optional kink hints in `points`.
+    which is exact for linear-times-polynomial pieces.  Otherwise the
+    adaptive Gauss-Kronrod rule runs in the collision angle, x = sin(theta),
+    with optional kink hints in `points`.
     """
     if knots is not None:
         return _segmented_gauss(fn, knots, extra=points)
-    kwargs = {"epsabs": tol * 1e-2, "epsrel": tol * 1e-2, "limit": 200}
-    if points:
-        interior = sorted(p for p in points if 0.0 < p < 1.0)
-        if len(interior) > 40:  # QUADPACK cannot take arbitrarily many
-            interior = interior[:: len(interior) // 40 + 1]
-        kwargs["points"] = interior
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(fn, 0.0, 1.0, **kwargs)
-        except Exception as exc:  # QUADPACK signals hard divergence by raising
-            raise QuadratureFailure(f"quadrature failed: {exc}") from exc
+    interior = sorted(set(float(p) for p in points or () if 0.0 < p < 1.0))
+    edges = np.arcsin(np.array([0.0, *interior, 1.0]))
+    value, err = _adaptive_gauss_kronrod(fn, edges, 1e-2 * tol)
     if not math.isfinite(value):
         raise QuadratureFailure("integral over (0,1) is not finite")
     if err > tol:
@@ -129,6 +130,80 @@ def integrate_01(fn, tol=QUAD_TOL, points=None, knots=None) -> float:
             f"quadrature error {err:.3e} exceeds tolerance {tol:.1e}"
         )
     return value
+
+
+# The 7-point Gauss / 15-point Kronrod pair of QUADPACK's qk15 (Piessens et
+# al. 1983): the nonnegative Kronrod nodes on [-1, 1], largest first, their
+# weights, and the Gauss weights of every second node (1, 3, 5, 7).
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GAUSS7_W = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+
+
+def _gauss_kronrod_rule():
+    """Nodes on [-1, 1] and a (15, 2) weight matrix: column 0 gives the
+    Kronrod value, column 1 the Kronrod - Gauss difference (the error)."""
+    nodes = np.concatenate([-_KRONROD_X, _KRONROD_X[-2::-1]])
+    kronrod = np.concatenate([_KRONROD_W, _KRONROD_W[-2::-1]])
+    gauss = np.zeros(15)
+    gauss[1::2] = np.concatenate([_GAUSS7_W, _GAUSS7_W[-2::-1]])
+    return nodes, np.column_stack([kronrod, kronrod - gauss])
+
+
+_GK_NODES, _GK_RULES = _gauss_kronrod_rule()
+
+
+def _adaptive_gauss_kronrod(fn, edges, target):
+    """Integral of fn(x) dx over (0, 1) as fn(sin theta) cos theta dtheta
+    between the angle breakpoints `edges`; returns (value, error estimate).
+
+    Globally adaptive: each pass bisects the fewest largest-error intervals
+    whose errors carry the excess over the target (relative for values above
+    1), and evaluates all the new halves in one call of fn.  Refinement stops
+    short of QUAD_MAX_INTERVALS; a non-finite integrand value fails at once.
+    The substitution makes sqrt(1 - x^2) = cos(theta) smooth at x = 1.
+    """
+    # four equal parts per breakpoint interval: smooth integrands then
+    # converge in one pass
+    grid = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4
+    lo, hi = grid.ravel(), np.append(grid.ravel()[1:], edges[-1])
+    value = error = np.empty(0)
+    new_lo, new_hi = lo, hi
+    while True:
+        half = 0.5 * (new_hi - new_lo)
+        theta = (new_lo + half)[:, None] + half[:, None] * _GK_NODES
+        x = np.sin(theta)
+        f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape) * np.cos(theta)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureFailure("integrand is not finite on (0, 1)")
+        rules = (f @ _GK_RULES) * half[:, None]
+        value = np.concatenate([value, rules[:, 0]])
+        error = np.concatenate([error, np.abs(rules[:, 1])])
+        total, excess = float(np.sum(value)), float(np.sum(error))
+        excess -= target * max(1.0, abs(total))
+        if excess <= 0.0:
+            break
+        order = np.argsort(error)[::-1]
+        count = int(np.searchsorted(np.cumsum(error[order]), excess)) + 1
+        if len(value) + count > QUAD_MAX_INTERVALS:
+            break
+        split, keep = order[:count], order[count:]
+        middle = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], middle])
+        new_hi = np.concatenate([middle, hi[split]])
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value, error = value[keep], error[keep]
+    return total, float(np.sum(error))
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -242,12 +317,43 @@ def _symmetry_residual(fn, n_grid=SYMMETRY_GRID) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _simpson_first_halves(y, dx):
+    """Simpson integral over the first interval of each node triple, for
+    unequal widths (Cartwright 2017, eq. 8); on reversed inputs, over the
+    second.  Written operation for operation as scipy.integrate's
+    cumulative_simpson does it, so tables match it bit for bit."""
+    x21, x32 = dx[:-1], dx[1:]
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative Simpson integral of samples y(x) from x[0], starting at 0:
+    even intervals take the forward three-node rule, odd ones (and the
+    last) the backward one."""
+    dx = np.diff(x)
+    forward = _simpson_first_halves(y, dx)
+    backward = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces)])
+
+
 def _build_beta_table(evaluator):
     """Tabulate the angle-law CDF on [0, pi] by cumulative Simpson."""
     phi = np.linspace(0.0, math.pi, BETA_TABLE_NODES)
     density = 0.5 * np.asarray(evaluator(np.abs(np.cos(phi))), dtype=float) * np.sin(phi)
     density = np.clip(density, 0.0, None)
-    cdf = integrate.cumulative_simpson(density, x=phi, initial=0.0)
+    cdf = _cumulative_simpson(density, phi)
     total = cdf[-1]
     if not (0.999 < total < 1.001):
         raise QuadratureFailure(

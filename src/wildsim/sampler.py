@@ -50,6 +50,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
+# numpy loads numpy.random lazily; every run draws, so pay for it on import
+import numpy.random  # noqa: F401
 
 from .errors import ConfigError, TimeTooLarge
 from .geometry import RotationArray, frame_for, left_frame, right_frame

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wildsim
 from wildsim import diagnostics
 from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from wildsim.sampler import LEAF_BUDGET, weight_sums
@@ -283,3 +288,51 @@ def test_chunk_failure_names_its_stream(workers, monkeypatch, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
     assert err == ("error: chunk 1 failed (seed 8, stream key (1, 0, 1)): "
                    "RuntimeError('injected failure')\n")
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import wildsim.cli
+from wildsim.initial import make_initial_datum
+from wildsim.kernel import PRESETS, make_kernel
+
+for name in PRESETS:
+    make_kernel(name)
+for spec in ["gaussian", "sixpoint",
+             {"preset": "gaussian", "mean": [0.5, 0, 0], "cov": 2.0},
+             {"preset": "mixture", "components": [
+                 {"weight": 0.5, "mean": [1, 0, 0], "cov": 1.0},
+                 {"weight": 0.5, "mean": [-1, 0, 0], "cov": 1.0}]},
+             {"preset": "discrete", "points": [[1, 0, 0], [0, 2, 0]],
+              "masses": [0.5, 0.5], "normalize": True}]:
+    make_initial_datum(spec).cf(np.ones((4, 3)))
+commands = [
+    ["identities", "--t", "0.5,1"],
+    ["crosscheck", "--t", "0.5", "--xi-grid", "[[1,0,0]]"],
+    ["decay", "--moment", "W", "--t", "0.5,1,1.5,2"],
+    ["conserve", "--t", "0.5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [wildsim.cli.main([*argv, "--samples", "300", "--seed", "5"])
+             for argv in commands]
+assert all(code in (0, 3) for code in codes), codes
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded
+heavy = make_initial_datum({"preset": "heavytail", "q": 3.5})
+value = heavy.cf(np.array([30.0, 0.0, 0.0]))  # past the series: the oscillatory tail
+assert "scipy.integrate" in sys.modules and abs(value) < 1.0
+print("ok")
+"""
+
+
+def test_cli_runs_without_loading_scipy():
+    # scipy is needed only for the heavy-tail transform's oscillatory tail,
+    # which imports it on first use; a fresh interpreter shows what loads it
+    src = str(Path(wildsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

@@ -246,3 +246,41 @@ def test_make_initial_datum_dispatch():
 def test_unknown_spec_key_is_bad_spec(spec):
     with pytest.raises(BadSpec, match="unknown .* key"):
         make_initial_datum(spec)
+
+
+def test_symmetric_law_has_exactly_zero_odd_moments():
+    s = sixpoint_datum()
+    assert np.all(s.mean == 0.0)
+    assert np.all(s.m3_vector == 0.0)
+    assert np.all(s.covariance[~np.eye(3, dtype=bool)] == 0.0)
+    d = discrete_datum(SYMMETRIC_POINTS, SYMMETRIC_MASSES)
+    assert np.all(d.mean == 0.0) and np.all(d.m3_vector == 0.0)
+    np.testing.assert_allclose(
+        d.covariance, np.einsum("i,ij,ik->jk", SYMMETRIC_MASSES, SYMMETRIC_POINTS,
+                                SYMMETRIC_POINTS), rtol=0, atol=1e-16)
+
+
+CENTRED_COMPONENTS = [(0.3, (0.0, 0.0, 0.0), ANISOTROPIC_COV), (0.7, (0.0, 0.0, 0.0), 2.0)]
+
+
+def test_centred_gaussian_mixture_has_real_transform():
+    values = mixture_datum(CENTRED_COMPONENTS).cf(FREQUENCIES)
+    assert values.dtype == np.float64
+    reference = sum(w * _complex_gaussian_transform(FREQUENCIES, np.asarray(m, float),
+                                                    c * np.eye(3) if np.ndim(c) == 0 else c)
+                    for w, m, c in CENTRED_COMPONENTS)
+    assert np.max(np.abs(values - reference)) < 1e-15
+    shifted = [CENTRED_COMPONENTS[0], (0.7, (0.0, 1e-3, 0.0), 2.0)]
+    assert np.iscomplexobj(mixture_datum(shifted).cf(FREQUENCIES))
+
+
+def test_heavytail_transform_is_real():
+    h = heavytail_datum(3.5)
+    # inside the series range and past it (the oscillatory tail)
+    xi = np.array([[0.5, 0.0, 0.0], [0.0, 3.0, 4.0], [30.0, 0.0, 0.0], [0.0, 0.0, -30.0]])
+    values = h.cf(xi)
+    assert values.dtype == np.float64
+    assert values[1] == h.cf(np.array([5.0, 0.0, 0.0]))
+    assert values[2] == values[3]
+    assert type(h.cf(np.array([0.5, 0.0, 0.0]))) is float
+    assert h.cf(np.zeros(3)) == 1.0

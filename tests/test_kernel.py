@@ -10,6 +10,7 @@ For b(x) = (16/pi) x^2 sqrt(1-x^2): lambda_b = -3/8, l_4 = 5/16.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from wildsim.errors import (
     BadSpec,
     NegativeKernel,
     NotNormalizable,
+    QuadratureFailure,
     SymmetryViolation,
 )
 from wildsim.kernel import (
+    BETA_TABLE_NODES,
     PRESETS,
+    QUAD_MAX_INTERVALS,
+    _GK_NODES,
+    _GK_RULES,
+    _build_beta_table,
+    integrate_01,
     make_kernel,
     sample_phi,
     spectral_functionals,
@@ -236,3 +244,69 @@ def test_guided_inverse_cdf_equals_interp(name):
     assert not np.array_equal(squeezed.guide, kernel.guide)
     u = rng.random(100_000)
     assert np.array_equal(squeezed.inverse_beta_cdf(u), np.interp(u, cdf**2, phi))
+
+
+def _scipy_beta_table(evaluator):
+    """The angle table as scipy's cumulative_simpson builds it."""
+    from scipy import integrate
+
+    phi = np.linspace(0.0, math.pi, BETA_TABLE_NODES)
+    density = 0.5 * np.asarray(evaluator(np.abs(np.cos(phi))), dtype=float) * np.sin(phi)
+    cdf = integrate.cumulative_simpson(np.clip(density, 0.0, None), x=phi, initial=0.0)
+    cdf = np.maximum.accumulate(cdf / cdf[-1])
+    cdf[0], cdf[-1] = 0.0, 1.0
+    return phi, cdf
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_beta_table_equals_scipy_cumulative_simpson(name):
+    evaluator = ORACLE_KERNELS[name]().evaluator
+    phi, cdf = _build_beta_table(evaluator)
+    want_phi, want_cdf = _scipy_beta_table(evaluator)
+    assert np.array_equal(phi, want_phi)
+    assert np.array_equal(cdf, want_cdf)
+
+
+def test_gauss_kronrod_pair_is_exact_for_polynomials():
+    # 15 Kronrod nodes integrate degree 22 exactly, the 7 Gauss nodes 13
+    kronrod, gauss = _GK_RULES[:, 0], _GK_RULES[:, 0] - _GK_RULES[:, 1]
+    nodes, _ = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(_GK_NODES[1::2], nodes, rtol=0, atol=1e-15)
+    assert np.all(gauss[::2] == 0.0)
+    for k in range(23):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert kronrod @ _GK_NODES**k == pytest.approx(exact, abs=1e-15)
+        if k <= 13:
+            assert gauss @ _GK_NODES**k == pytest.approx(exact, abs=1e-15)
+
+
+def test_blend_closed_forms_and_quadrature_oracles():
+    fn = spectral_functionals(make_kernel("blend"))
+    assert fn.lambda_b == pytest.approx(-12.0 / 35.0, abs=1e-10)
+    assert fn.l_s_table[4] == pytest.approx(23.0 / 70.0, abs=1e-10)
+    for preset in ("cubic", "sqrtmix"):
+        kernel = make_kernel(preset)
+        fn = spectral_functionals(kernel, s_list=(1, 3))
+        for s in (1, 3):
+            oracle = gauss_legendre_01(lambda x: (1 - x**2) ** (s / 2) * kernel(x))
+            assert fn.l_s_table[s] == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("integrand", [
+    lambda x: np.where(x > 0.3, np.nan, x),       # not a number on part of (0, 1)
+    lambda x: np.sin(1.0 / x) / x,                # oscillates without end at 0
+    lambda x: x**-1.5,                            # diverges at 0
+], ids=["nan", "oscillating", "divergent"])
+def test_quadrature_failure_is_typed_and_prompt(integrand):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return integrand(x)
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure):
+        integrate_01(counted)
+    assert time.perf_counter() - start < 2.0
+    assert len(calls) <= QUAD_MAX_INTERVALS
+    assert sum(calls) <= 15 * 2 * QUAD_MAX_INTERVALS
