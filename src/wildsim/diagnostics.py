@@ -10,9 +10,16 @@ rng_stream(seed, suite, t_index); they are sorted in descending order and
 cut into chunks of at most LEAF_BUDGET leaves.  Chunk c draws its
 germination record, the trees of all its cascades grown top-down one level
 at a time, and then any leaf velocities or probe directions, from
-rng_stream(seed, suite, t_index, c).  Each chunk reduces to (mean, M2)
-pairs, and the chunks merge in chunk order, so a run depends on the seed
-alone: any worker count gives bit-identical reports.
+rng_stream(seed, suite, t_index, c).  Each chunk task returns per-cascade
+statistics, which `_chunk_entry` reduces in the worker to (count, mean, M2)
+per stratum of the cascade size (`sampler.size_strata`: 16 equal-probability
+bins of the exact size law at t).  The chunks merge in chunk order, stratum
+by stratum, so a run depends on the seed alone: any worker count gives
+bit-identical reports.  Every suite reads the merged summary through
+`sampler.mean_se`, the post-stratified mean sum_h p_h xbar_h and its
+standard error sqrt(sum_h p_h^2 s_h^2 / n_h), after pooling each stratum
+with fewer than 2 draws into the strata of larger sizes after it.  At t = 0
+there is one stratum of probability 1, the plain mean.
 """
 
 from __future__ import annotations
@@ -33,11 +40,14 @@ from .sampler import (
     DEFAULT_NU_CAP,
     cascade_velocities,
     chunk_slices,
+    draw_total,
     germination_record,
     leaf_frames,
     mean_se,
     merge_sums,
+    reduction_scheme,
     rng_stream,
+    size_strata,
     sorted_sizes,
     summarize,
     transform_sums,
@@ -47,6 +57,7 @@ from .tree import enumerate_trees
 from .weights import leaf_weights, legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
+ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
 
 
 # --- report containers --------------------------------------------------------
@@ -61,13 +72,15 @@ class IdentityEntry:
     reference_provenance: str
     z_score: float
     passed: bool
+    two_sided: bool = True  # z should follow N(0, 1) when the identity holds
 
 
 def _run_id(suite: str, config: dict, kernel: CollisionKernel,
             mu0: InitialDatum | None = None) -> str:
     """Digest of what a run's numbers depend on: the suite, its configuration,
     the kernel's tabulated angle law, the initial datum when the suite uses
-    one (its name, moment table and first draws from a fixed stream) and the
+    one (its name, moment table and first draws from a fixed stream), the
+    constants of the reduction (stratum count and pooling rule) and the
     package version."""
     from . import __version__  # the package imports this module before setting it
 
@@ -79,7 +92,7 @@ def _run_id(suite: str, config: dict, kernel: CollisionKernel,
     payload = json.dumps({
         "suite": suite, "config": config, "version": __version__,
         "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
-        "mu0": datum,
+        "mu0": datum, "reduction": reduction_scheme(),
     }, sort_keys=True, default=str)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
@@ -113,6 +126,7 @@ class IdentityReport:
             "kernel": self.kernel_functionals,
             "passed": self.passed,
             "pass_fraction": self.pass_fraction,
+            "z_calibration": z_calibration(self.entries),
             "entries": [asdict(e) for e in self.entries],
         }
 
@@ -127,6 +141,22 @@ class IdentityReport:
                 "z_score": e.z_score,
                 "passed": int(e.passed),
             }
+
+
+def z_calibration(entries) -> dict:
+    """How well a report's z-scores follow N(0, 1): over the two-sided
+    entries with a finite z that the roundoff rule did not zero, their
+    count, mean, sample sd and Kolmogorov distance to N(0, 1) (None where
+    undefined)."""
+    z = sorted(e.z_score for e in entries
+               if e.two_sided and math.isfinite(e.z_score)
+               and abs(e.mc_value - e.reference_value) >= ROUNDOFF_DIFF)
+    n = len(z)
+    mean = math.fsum(z) / n if n else None
+    sd = math.sqrt(math.fsum((x - mean) ** 2 for x in z) / (n - 1)) if n > 1 else None
+    cdf = [0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in z]
+    distance = max((max((i + 1) / n - c, c - i / n) for i, c in enumerate(cdf)), default=None)
+    return {"n": n, "mean": mean, "sd": sd, "ks_distance": distance}
 
 
 @dataclass
@@ -194,11 +224,12 @@ def fit_exponential_decay(times, values, std_errors, reference_rate=float("nan")
 # --- chunked reduction -----------------------------------------------------------
 
 def _chunk_entry(args):
-    """Run one chunk task; a failure that is not already a WildsimError
+    """Run one chunk task and reduce its per-cascade statistics to a
+    per-stratum summary; a failure that is not already a WildsimError
     becomes one naming the chunk's seed and stream key."""
-    task, nus, seed, key, kwargs = args
+    task, nus, strata, seed, key, kwargs = args
     try:
-        return task(nus, rng_stream(seed, *key), **kwargs)
+        return summarize(task(nus, rng_stream(seed, *key), **kwargs), nus, strata)
     except WildsimError:
         raise
     except Exception as exc:
@@ -208,10 +239,12 @@ def _chunk_entry(args):
 
 def _reduce_sums(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
     """Draw n_samples cascade sizes at time t from stream `key`, run
-    task(nus, rng, **kwargs) on each chunk with stream key + (chunk,), and
-    merge the chunk summaries in chunk order."""
+    task(nus, rng, **kwargs) on each chunk with stream key + (chunk,),
+    summarize each chunk on the size strata at t, and merge the summaries
+    in chunk order."""
     nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
-    jobs = [(task, nus[chunk], seed, key + (c,), kwargs)
+    strata = size_strata(t)
+    jobs = [(task, nus[chunk], strata, seed, key + (c,), kwargs)
             for c, chunk in enumerate(chunk_slices(nus))]
     workers = min(max(1, int(workers)), len(jobs))
     if workers == 1:
@@ -227,7 +260,7 @@ def _z_score(diff: float, se: float) -> float:
     z = inf, so the check fails instead of passing vacuously."""
     if not (math.isfinite(diff) and math.isfinite(se)):
         return math.inf
-    if abs(diff) < 1e-12:
+    if abs(diff) < ROUNDOFF_DIFF:
         return 0.0
     return diff / se if se > 0.0 else math.inf
 
@@ -237,15 +270,14 @@ def _z_score(diff: float, se: float) -> float:
 def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
     v = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
     axis = np.array([1.0, 0.0, 0.0]) if direction is None else np.asarray(direction)
-    return summarize({"v1": v[:, 0], "v2": v[:, 1], "v3": v[:, 2],
-                      "energy": np.einsum("ij,ij->i", v, v),
-                      "v1_fourth": (v @ axis) ** 4}, len(nus))
+    return {"v1": v[:, 0], "v2": v[:, 1], "v3": v[:, 2],
+            "energy": np.einsum("ij,ij->i", v, v), "v1_fourth": (v @ axis) ** 4}
 
 
 def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
     """Empirical transform of wild-cascade velocity draws on the grid."""
     phases = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ np.asarray(xi_grid).T
-    return summarize({"re": np.cos(phases), "im": np.sin(phases)}, len(nus))
+    return {"re": np.cos(phases), "im": np.sin(phases)}
 
 
 def _envelope_task(nus, rng, mu0, kernel, lam, q, n_rho):
@@ -269,7 +301,7 @@ def _envelope_task(nus, rng, mu0, kernel, lam, q, n_rho):
         envelope = np.exp(q * record.per_cascade(
             np.log(lam2 / (lam2 + rho**2 * weights**2))))
         violations += transform > envelope * (1.0 + 1e-10) + 1e-12
-    return summarize({"violations": violations}, len(nus))
+    return {"violations": violations}
 
 
 # --- suites ---------------------------------------------------------------------
@@ -318,7 +350,7 @@ def run_identity_suite(
             identity="P[W>=a*]<=E[W]/a*", params={"t": t, "a_star": a_star},
             mc_value=tail_mean, mc_se=tail_se, reference_value=bound,
             reference_provenance="Markov inequality (one-sided)",
-            z_score=z, passed=z <= z_threshold,
+            z_score=z, passed=z <= z_threshold, two_sided=False,
         ))
     return report
 
@@ -565,7 +597,7 @@ def representation_crosscheck(
                 math.hypot(se_im_t[i], se_im_w[i]))),
             reference_value=0.0,
             reference_provenance="independent wild-cascade empirical transform",
-            z_score=z, passed=bool(z <= z_threshold),
+            z_score=z, passed=bool(z <= z_threshold), two_sided=False,
         ))
     return report
 
@@ -665,13 +697,13 @@ def envelope_check(
               "n_samples": n_samples, "seed": seed, "n_rho": n_rho}
     report = IdentityReport("envelope", config,
                             run_id=_run_id("envelope", config, kernel, mu0))
-    violations = float(round(sums["violations"][0] * sums["count"]))
+    violations = float(round(draw_total(sums, "violations")))
     report.entries.append(IdentityEntry(
         identity="transform_under_envelope",
         params={"checked_points": n_samples * n_rho},
         mc_value=violations, mc_se=0.0, reference_value=0.0,
         reference_provenance="pointwise envelope inequality",
         z_score=0.0 if violations == 0 else math.inf,
-        passed=violations == 0.0,
+        passed=violations == 0.0, two_sided=False,
     ))
     return report

@@ -28,9 +28,18 @@ Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
-and np.multiply.reduceat over the offsets), kept per chunk as (mean, M2)
-pairs and merged chunk by chunk with the pairwise update of Chan, Golub and
-LeVeque.  Each reduction grows only what it reads: W = sum_j w_j^4 alone
+and np.multiply.reduceat over the offsets).  Their means are post-stratified
+on the cascade size, whose law is known exactly: `size_strata` cuts it into
+SIZE_STRATA = 16 equal-probability bins at whole sizes, with exact
+probabilities p_h.  Sizes descend within a chunk, so each stratum is a
+contiguous slice; a chunk keeps (count, mean, M2) per stratum, and chunks
+merge stratum by stratum with the pairwise update of Chan, Golub and
+LeVeque.  After the merge, a stratum with fewer than MIN_STRATUM_DRAWS = 2
+draws is pooled with the strata of larger sizes after it (a short last
+group joins the one before), and the estimate is sum_h p_h xbar_h with
+standard error sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most
+of it for the weight statistics, drops out; the draws are the same as for
+a plain mean.  Each reduction grows only what it reads: W = sum_j w_j^4 alone
 needs the order-1 weights, so it grows scalar (cos phi, sin phi) factors
 rather than orders 1 to 3.  The single-draw views (`draw_tree_sample`,
 `wild_velocity`) are one-cascade chunks of the same engine.
@@ -62,6 +71,7 @@ from .weights import WeightArray, legendre_value
 DEFAULT_NU_CAP = 1_000_000
 LEAF_BUDGET = 1 << 14   # leaves per chunk; a larger cascade is a chunk of its own
 TWO_PI = 2.0 * math.pi
+SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -276,54 +286,168 @@ def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) 
 
 # --- reductions -------------------------------------------------------------------
 
+SIZE_STRATA = 16       # equal-probability bins of the size law at t; atoms stay whole
+MIN_STRATUM_DRAWS = 2  # after the merge, a stratum with fewer draws is pooled with the
+                       # strata of larger sizes after it (a short last group joins the
+                       # group before it)
+
+
+def reduction_scheme() -> dict:
+    """The constants of the post-stratified reduction, for run identifiers."""
+    return {"scheme": "post-stratified on nu", "strata": SIZE_STRATA,
+            "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes"}
+
+
+@dataclass(frozen=True)
+class SizeStrata:
+    """Post-strata of the cascade size at time t.  Stratum h holds the sizes
+    lower[h] < nu <= lower[h + 1] (the last one every size above lower[-1])
+    and has the exact probability probs[h] = S(lower[h]) - S(lower[h + 1]),
+    with S(n) = P[nu > n] = (1 - e^-t)^n, S(0) = 1 and S(inf) = 0, so the
+    probabilities telescope to 1."""
+
+    lower: np.ndarray
+    probs: np.ndarray
+
+    def cuts(self, nus) -> np.ndarray:
+        """For descending sizes, cuts[h] counts the sizes above lower[h]
+        (cuts[-1] = 0), so stratum h is the slice cuts[h + 1] .. cuts[h] - 1."""
+        return np.append(np.searchsorted(-np.asarray(nus), -self.lower), 0)
+
+
+def size_strata(t: float) -> SizeStrata:
+    """SIZE_STRATA equal-probability bins of the size law at time t, cut at
+    whole sizes: bin k ends at the least n with P[nu <= n] >= k / SIZE_STRATA,
+    and bins that share an end merge (at t = 0.5, nu = 1 alone holds 61% of
+    the mass).  At t = 0 there is one stratum of probability 1."""
+    if t == 0.0:
+        return SizeStrata(lower=np.zeros(1, dtype=np.int64), probs=np.ones(1))
+    log_q = math.log(-math.expm1(-t))  # log S(1)
+    quantiles = np.arange(1, SIZE_STRATA) / SIZE_STRATA
+    ends = np.ceil(np.log1p(-quantiles) / log_q).astype(np.int64)
+    lower = np.unique(np.concatenate(([0], ends)))
+    survival = np.append(np.exp(lower * log_q), 0.0)
+    return SizeStrata(lower=lower, probs=survival[:-1] - survival[1:])
+
+
 def moments(values) -> np.ndarray:
-    """(mean, M2) along axis 0, M2 the sum of squared deviations."""
+    """(mean, M2) along axis 0, M2 the sum of squared deviations.  M2 is inf
+    where the square of the mean overflows: the variance of such a statistic
+    is not representable, whatever spread its rounded values show."""
     values = np.asarray(values, float)
     mean = values.mean(axis=0)
-    return np.stack([mean, np.sum((values - mean) ** 2, axis=0)])
+    m2 = np.sum((values - mean) ** 2, axis=0)
+    return np.stack([mean, np.where(np.abs(mean) < SQRT_FLOAT_MAX, m2, np.inf)])
 
 
-def summarize(stats: dict, count: int) -> dict:
-    """Chunk summary: (mean, M2) of every per-cascade statistic, and the count."""
-    return {"count": float(count), **{key: moments(x) for key, x in stats.items()}}
+def _stratum_moments(values, cuts) -> np.ndarray:
+    """(mean, M2) of every column of values (cascades, columns) over each
+    stratum's rows, shape (2, columns, strata); an empty stratum holds zeros."""
+    count = cuts[:-1] - cuts[1:]
+    out = np.zeros((2, np.shape(values)[1], len(count)))
+    for h in np.flatnonzero(count):
+        out[..., h] = moments(values[cuts[h + 1]:cuts[h]])
+    return out
+
+
+def summarize(stats: dict, nus, strata: SizeStrata) -> dict:
+    """Chunk summary of per-cascade statistics for descending sizes nus:
+    per stratum (last axis) the count and the (mean, M2) of every statistic,
+    with the strata probabilities under 'prob'.  The one-dimensional
+    statistics are reduced together, as the columns of one column-major
+    block, so each column sums in the same order as a one-dimensional array."""
+    cuts = strata.cuts(nus)
+    summary = {"count": (cuts[:-1] - cuts[1:]).astype(float), "prob": strata.probs}
+    scalars = [key for key, values in stats.items() if np.ndim(values) == 1]
+    if scalars:
+        block = np.stack([stats[key] for key in scalars]).T
+        summary.update(zip(scalars, _stratum_moments(block, cuts).swapaxes(0, 1)))
+    for key, values in stats.items():
+        if np.ndim(values) > 1:
+            summary[key] = _stratum_moments(values, cuts)
+    return summary
+
+
+def _chan_update(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
+    """(count, mean, M2) of the union of two nonempty sets (Chan, Golub and
+    LeVeque)."""
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 def merge_sums(parts) -> dict:
-    """Merge chunk summaries in order (Chan, Golub and LeVeque's update)."""
+    """Merge chunk summaries in order, stratum by stratum; a stratum that is
+    empty in a part is left as it is."""
     parts = iter(parts)
-    total = dict(next(parts))
+    total = {key: np.array(value) for key, value in next(parts).items()}
     for part in parts:
-        n_a, n_b = total["count"], part["count"]
-        n = n_a + n_b
-        for key in part.keys() - {"count"}:
-            (mean_a, m2_a), (mean_b, m2_b) = total[key], part[key]
-            delta = mean_b - mean_a
-            total[key] = np.stack([mean_a + delta * (n_b / n),
-                                   m2_a + m2_b + delta * delta * (n_a * n_b / n)])
-        total["count"] = n
+        h = np.flatnonzero(part["count"])
+        n_b = part["count"][h]
+        for key in part.keys() - {"count", "prob"}:
+            (mean_a, m2_a), (mean_b, m2_b) = total[key][..., h], part[key][..., h]
+            _, mean, m2 = _chan_update(total["count"][h], mean_a, m2_a, n_b, mean_b, m2_b)
+            total[key][..., h] = np.stack([mean, m2])
+        total["count"][h] += n_b
     return total
 
 
+def _pooled(count, prob, mean, m2):
+    """Pool strata holding fewer than MIN_STRATUM_DRAWS draws: walking up
+    the sizes, a group closes once it holds that many draws, and a short
+    last group joins the one before it."""
+    ends, held = [0], 0.0
+    for h, n in enumerate(count):
+        held += n
+        if held >= MIN_STRATUM_DRAWS:
+            ends.append(h + 1)
+            held = 0.0
+    if ends[-1] < len(count):
+        if len(ends) > 1:
+            ends[-1] = len(count)
+        else:
+            ends.append(len(count))
+    if len(ends) == len(count) + 1:
+        return count, prob, mean, m2
+    groups = []
+    for a, b in pairwise(ends):
+        n, mu, s = count[a], mean[..., a], m2[..., a]
+        for h in range(a + 1, b):
+            if count[h] > 0:
+                n, mu, s = _chan_update(n, mu, s, count[h], mean[..., h], m2[..., h])
+        groups.append((n, prob[a:b].sum(), mu, s))
+    count, prob, mean, m2 = zip(*groups)
+    return np.array(count), np.array(prob), np.stack(mean, -1), np.stack(m2, -1)
+
+
 def mean_se(sums: dict, key: str):
-    """Mean and its standard error for one statistic of a summary."""
-    n = sums["count"]
-    mean, m2 = sums[key]
-    se = np.sqrt(m2 / (n * (n - 1.0))) if n > 1 else np.zeros_like(m2)
-    return mean, se
+    """Post-stratified mean sum_h p_h xbar_h of one statistic and its
+    standard error sqrt(sum_h p_h^2 s_h^2 / n_h), over the strata left
+    after pooling those with fewer than MIN_STRATUM_DRAWS draws."""
+    count, prob, mean, m2 = _pooled(sums["count"], sums["prob"], *sums[key])
+    estimate = (prob * mean).sum(axis=-1)
+    if count.min() < 2:  # a single stratum of one draw: no variance estimate
+        return estimate, np.zeros_like(estimate)
+    return estimate, np.sqrt((prob**2 * (m2 / (count * (count - 1.0)))).sum(axis=-1))
+
+
+def draw_total(sums: dict, key: str):
+    """Sum of one statistic over every draw, sum_h n_h xbar_h."""
+    return (sums["count"] * sums[key][0]).sum(axis=-1)
 
 
 def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
                 a_star: float | None = None) -> dict:
-    """Chunk summary of sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
+    """Per-cascade sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
     W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
     w, zeta, eta the order-1, -2 and -3 leaf weights.  With no s_powers and
-    no a_star the summary holds W alone, grown at order 1 only."""
+    no a_star the result holds W alone, grown at order 1 only."""
     record = germination_record(nus, kernel, rng)
     cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
     if not s_powers and a_star is None:
         w = grow(record, cos_p, sin_p, 1.0)
         sq = w * w
-        return summarize({"W": record.per_cascade(sq * sq)}, len(nus))
+        return {"W": record.per_cascade(sq * sq)}
     orders = (1, 2, 3)
     left = np.stack([legendre_value(k, cos_p) for k in orders], axis=-1)
     right = np.stack([legendre_value(k, sin_p) for k in orders], axis=-1)
@@ -335,17 +459,21 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
     stats["W"] = record.per_cascade(sq * sq)
     if a_star is not None:
         stats["W_tail"] = (stats["W"] >= a_star).astype(float)
-    return summarize(stats, len(nus))
+    return stats
 
 
 def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid,
                    estimator: str = "raoblackwell") -> dict:
-    """Chunk summary of the transform estimator at every grid frequency, as
-    real parts 're' and imaginary parts 'im' (exactly 1 at xi = 0).
+    """Per-cascade transform estimator at every grid frequency, as real
+    parts 're' and imaginary parts 'im' of shape (cascades, frequencies)
+    (exactly 1 at xi = 0).
 
     'raoblackwell' takes the conditional transform prod_j cf(rho w_j psi_j);
     'raw' takes exp(i rho S) with velocities drawn at the leaves.
-    Frequencies are evaluated one at a time, so memory stays O(leaves).
+    Frequencies are evaluated one at a time, so memory stays
+    O(leaves + cascades x frequencies).  The columns are stored
+    contiguously, so each frequency's moments sum in the same order as a
+    one-dimensional array's.
     """
     if estimator not in ("raoblackwell", "raw"):
         raise ConfigError(f"unknown estimator {estimator!r}")
@@ -357,8 +485,8 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     else:
         velocities = mu0.sampler(rng, record.n_leaves)
     xi_grid = np.asarray(xi_grid, float)
-    real = np.empty((2, len(xi_grid)))
-    imag = np.empty((2, len(xi_grid)))
+    real = np.empty((len(nus), len(xi_grid)), order="F")
+    imag = np.empty((len(nus), len(xi_grid)), order="F")
     for i, xi in enumerate(xi_grid):
         rho = float(np.linalg.norm(xi))
         if rho == 0.0:
@@ -370,9 +498,9 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
             else:
                 s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
                 values = np.exp(1j * rho * s)
-        real[:, i] = moments(values.real)
-        imag[:, i] = moments(values.imag)
-    return {"count": float(len(nus)), "re": real, "im": imag}
+        real[:, i] = values.real
+        imag[:, i] = values.imag
+    return {"re": real, "im": imag}
 
 
 # --- single-draw views and batch front ends --------------------------------------
@@ -450,10 +578,12 @@ def weight_statistic_sums(
     a_star: float | None = None,
     n_max: int = DEFAULT_NU_CAP,
 ) -> dict[str, np.ndarray]:
-    """`weight_sums` over n_samples cascades at time t: a dict of
-    (mean, M2) pairs per statistic, plus the count."""
+    """`weight_sums` over n_samples cascades at time t, reduced to a
+    post-stratified summary (read it with `mean_se`)."""
     nus, _ = sorted_sizes(t, rng, n_samples, n_max)
+    strata = size_strata(t)
     return merge_sums(
-        weight_sums(nus[chunk], rng, kernel=kernel, s_powers=s_powers, a_star=a_star)
+        summarize(weight_sums(nus[chunk], rng, kernel=kernel, s_powers=s_powers,
+                              a_star=a_star), nus[chunk], strata)
         for chunk in chunk_slices(nus)
     )

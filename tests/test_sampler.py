@@ -16,10 +16,13 @@ from wildsim.sampler import (
     draw_tree_sample,
     germination_record,
     leaf_frames,
+    mean_se,
     rng_stream,
     sample_nu,
     sample_nu_batch,
+    size_strata,
     sorted_sizes,
+    summarize,
     transform_sums,
     weight_statistic_sums,
     weight_sums,
@@ -296,11 +299,10 @@ def test_weight_statistic_sums_match_closed_forms(kernel):
     rng = rng_stream(23)
     t = 1.0
     sums = weight_statistic_sums(t, kernel, rng, 30_000, a_star=0.25)
-    count = float(sums["count"])
+    assert sums["count"].sum() == 30_000
 
     def check(key, reference):
-        mean, m2 = sums[key]
-        se = math.sqrt(m2 / count / (count - 1))
+        mean, se = mean_se(sums, key)
         assert abs(mean - reference) < 4 * se + 1e-12, key
 
     for s in (1, 2, 3, 4):
@@ -309,8 +311,7 @@ def test_weight_statistic_sums_match_closed_forms(kernel):
     check("eta", math.exp(-(1.0 - fn.g_b) * t))
     check("W", math.exp(fn.lambda_b * t))
     # tail bound: P[W >= a*] <= E[W]/a*
-    tail_mean = sums["W_tail"][0]
-    tail_se = math.sqrt(tail_mean * (1 - tail_mean) / count)
+    tail_mean, tail_se = mean_se(sums, "W_tail")
     assert tail_mean <= math.exp(fn.lambda_b * t) / 0.25 + 4 * tail_se
 
 
@@ -319,8 +320,10 @@ def test_weight_sums_w_alone_matches_full_path(kernel, t):
     nus, _ = sorted_sizes(t, rng_stream(41), 1000)
     alone = weight_sums(nus, rng_stream(42), kernel=kernel, s_powers=())
     full = weight_sums(nus, rng_stream(42), kernel=kernel)
-    assert alone.keys() == {"count", "W"}
-    assert alone["count"] == full["count"]
+    assert np.array_equal(alone["W"], full["W"])
+    alone, full = (summarize(stats, nus, size_strata(t)) for stats in (alone, full))
+    assert alone.keys() == {"count", "prob", "W"}
+    assert np.array_equal(alone["count"], full["count"])
     assert np.array_equal(alone["W"], full["W"])
 
 
