@@ -194,6 +194,7 @@ def _report_outcome(config, *reports) -> int:
                                           .encode()).hexdigest()[:12],
                    "passed": all(r.passed for r in reports),
                    "pass_fraction": sum(e.passed for e in entries) / len(entries),
+                   "z_calibration": diagnostics.z_calibration(entries),
                    "entries": [asdict(e) for e in entries],
                    "parts": parts}
     payload["config"] = _echo_config(config)

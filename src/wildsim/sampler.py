@@ -368,27 +368,27 @@ def summarize(stats: dict, nus, strata: SizeStrata) -> dict:
     return summary
 
 
-def _chan_update(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
-    """(count, mean, M2) of the union of two nonempty sets (Chan, Golub and
-    LeVeque)."""
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
-
-
 def merge_sums(parts) -> dict:
-    """Merge chunk summaries in order, stratum by stratum; a stratum that is
-    empty in a part is left as it is."""
+    """Merge chunk summaries in order, stratum by stratum, with the pairwise
+    update of Chan, Golub and LeVeque.  A chunk's sizes lie below those of
+    the chunks before it, so the strata it fills form one range, and a
+    stratum inside that range that it leaves empty is still empty."""
     parts = iter(parts)
     total = {key: np.array(value) for key, value in next(parts).items()}
     for part in parts:
-        h = np.flatnonzero(part["count"])
-        n_b = part["count"][h]
+        filled = np.flatnonzero(part["count"])
+        span = slice(filled[0], filled[-1] + 1)
+        n_a, n_b = total["count"][span], part["count"][span]
+        n = n_a + n_b
+        frac = np.divide(n_b, n, out=np.zeros_like(n), where=n > 0)
+        cross = np.divide(n_a * n_b, n, out=np.zeros_like(n), where=n > 0)
         for key in part.keys() - {"count", "prob"}:
-            (mean_a, m2_a), (mean_b, m2_b) = total[key][..., h], part[key][..., h]
-            _, mean, m2 = _chan_update(total["count"][h], mean_a, m2_a, n_b, mean_b, m2_b)
-            total[key][..., h] = np.stack([mean, m2])
-        total["count"][h] += n_b
+            (mean_a, m2_a), (mean_b, m2_b) = total[key][..., span], part[key][..., span]
+            delta = mean_b - mean_a
+            mean_a += delta * frac
+            m2_a += m2_b
+            m2_a += delta * delta * cross
+        n_a += n_b
     return total
 
 
@@ -397,7 +397,7 @@ def _pooled(count, prob, mean, m2):
     the sizes, a group closes once it holds that many draws, and a short
     last group joins the one before it."""
     ends, held = [0], 0.0
-    for h, n in enumerate(count):
+    for h, n in enumerate(count.tolist()):
         held += n
         if held >= MIN_STRATUM_DRAWS:
             ends.append(h + 1)
@@ -414,7 +414,10 @@ def _pooled(count, prob, mean, m2):
         n, mu, s = count[a], mean[..., a], m2[..., a]
         for h in range(a + 1, b):
             if count[h] > 0:
-                n, mu, s = _chan_update(n, mu, s, count[h], mean[..., h], m2[..., h])
+                delta = mean[..., h] - mu
+                mu = mu + delta * (count[h] / (n + count[h]))
+                s = s + m2[..., h] + delta * delta * (n * count[h] / (n + count[h]))
+                n = n + count[h]
         groups.append((n, prob[a:b].sum(), mu, s))
     count, prob, mean, m2 = zip(*groups)
     return np.array(count), np.array(prob), np.stack(mean, -1), np.stack(m2, -1)
