@@ -324,8 +324,8 @@ def size_strata(t: float) -> SizeStrata:
         return SizeStrata(lower=np.zeros(1, dtype=np.int64), probs=np.ones(1))
     log_q = math.log(-math.expm1(-t))  # log S(1)
     quantiles = np.arange(1, SIZE_STRATA) / SIZE_STRATA
-    ends = np.ceil(np.log1p(-quantiles) / log_q).astype(np.int64)
-    lower = np.unique(np.concatenate(([0], ends)))
+    ends = np.ceil(np.log1p(-quantiles) / log_q).tolist()
+    lower = np.array(sorted({0, *map(int, ends)}))  # np.unique would import numpy.ma
     survival = np.append(np.exp(lower * log_q), 0.0)
     return SizeStrata(lower=lower, probs=survival[:-1] - survival[1:])
 
