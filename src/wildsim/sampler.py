@@ -330,23 +330,17 @@ def size_strata(t: float) -> SizeStrata:
     return SizeStrata(lower=lower, probs=survival[:-1] - survival[1:])
 
 
-def moments(values) -> np.ndarray:
-    """(mean, M2) along axis 0, M2 the sum of squared deviations.  M2 is inf
-    where the square of the mean overflows: the variance of such a statistic
-    is not representable, whatever spread its rounded values show."""
-    values = np.asarray(values, float)
-    mean = values.mean(axis=0)
-    m2 = np.sum((values - mean) ** 2, axis=0)
-    return np.stack([mean, np.where(np.abs(mean) < SQRT_FLOAT_MAX, m2, np.inf)])
-
-
 def _stratum_moments(values, cuts) -> np.ndarray:
     """(mean, M2) of every column of values (cascades, columns) over each
-    stratum's rows, shape (2, columns, strata); an empty stratum holds zeros."""
+    stratum's rows, shape (2, columns, strata), M2 the sum of squared
+    deviations; an empty stratum holds zeros."""
     count = cuts[:-1] - cuts[1:]
     out = np.zeros((2, np.shape(values)[1], len(count)))
     for h in np.flatnonzero(count):
-        out[..., h] = moments(values[cuts[h + 1]:cuts[h]])
+        rows = values[cuts[h + 1]:cuts[h]]
+        mean = np.add.reduce(rows, axis=0) / count[h]
+        out[0, :, h] = mean
+        out[1, :, h] = np.add.reduce((rows - mean) ** 2, axis=0)
     return out
 
 
@@ -379,9 +373,8 @@ def merge_sums(parts) -> dict:
         filled = np.flatnonzero(part["count"])
         span = slice(filled[0], filled[-1] + 1)
         n_a, n_b = total["count"][span], part["count"][span]
-        n = n_a + n_b
-        frac = np.divide(n_b, n, out=np.zeros_like(n), where=n > 0)
-        cross = np.divide(n_a * n_b, n, out=np.zeros_like(n), where=n > 0)
+        n = np.maximum(n_a + n_b, 1.0)  # a stratum empty in both stays (0, 0, 0)
+        frac, cross = n_b / n, n_a * n_b / n
         for key in part.keys() - {"count", "prob"}:
             (mean_a, m2_a), (mean_b, m2_b) = total[key][..., span], part[key][..., span]
             delta = mean_b - mean_a
@@ -426,12 +419,16 @@ def _pooled(count, prob, mean, m2):
 def mean_se(sums: dict, key: str):
     """Post-stratified mean sum_h p_h xbar_h of one statistic and its
     standard error sqrt(sum_h p_h^2 s_h^2 / n_h), over the strata left
-    after pooling those with fewer than MIN_STRATUM_DRAWS draws."""
+    after pooling those with fewer than MIN_STRATUM_DRAWS draws.  The
+    standard error is inf where the square of the estimate overflows."""
     count, prob, mean, m2 = _pooled(sums["count"], sums["prob"], *sums[key])
     estimate = (prob * mean).sum(axis=-1)
     if count.min() < 2:  # a single stratum of one draw: no variance estimate
         return estimate, np.zeros_like(estimate)
-    return estimate, np.sqrt((prob**2 * (m2 / (count * (count - 1.0)))).sum(axis=-1))
+    se = np.sqrt((prob**2 * (m2 / (count * (count - 1.0)))).sum(axis=-1))
+    # the variance of a statistic whose square overflows is not representable,
+    # whatever spread its rounded values show
+    return estimate, np.where(np.abs(estimate) < SQRT_FLOAT_MAX, se, np.inf)
 
 
 def draw_total(sums: dict, key: str):
