@@ -146,13 +146,27 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if merged["workers"] is None:
         merged["workers"] = os.environ.get("WILDSIM_WORKERS", "1")
     merged["t"] = _parse_t(merged["t"])
-    for key, minimum in (("samples", 1), ("seed", 0), ("workers", 1)):
+    for key, minimum in (("samples", 1), ("seed", 0), ("workers", 1), ("nmax", 1),
+                         ("tree_size", None)):
+        if isinstance(merged[key], float) and not merged[key].is_integer():
+            raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
         try:
             merged[key] = int(merged[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key} must be an integer: {exc}") from exc
-        if merged[key] < minimum:
+        if minimum is not None and merged[key] < minimum:
             raise ConfigError(f"{key} must be at least {minimum}, got {merged[key]}")
+    for key in ("z_threshold", "a_star", "lam", "q", "rate_tol", "max_rate"):
+        if merged[key] is None:
+            continue
+        try:
+            merged[key] = float(merged[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} must be a number: {exc}") from exc
+        if not math.isfinite(merged[key]):
+            raise ConfigError(f"{key} must be finite, got {merged[key]}")
+        if key in ("z_threshold", "rate_tol") and merged[key] <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {merged[key]:g}")
     return merged
 
 
@@ -213,18 +227,16 @@ def _report_outcome(config, *reports) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _fit_outcome(fit, config, suite, extra_checks=()) -> int:
+def _fit_outcome(fit, config, suite) -> int:
     payload = {"suite": suite, "run_id": fit.run_id, "config": _echo_config(config),
                "fit": fit.as_dict()}
     checks = {}
     if config.get("rate_tol") is not None and math.isfinite(fit.fitted_rate):
         rel = abs(fit.fitted_rate - fit.reference_rate) / abs(fit.reference_rate)
-        checks["rate_within_tolerance"] = rel <= float(config["rate_tol"])
+        checks["rate_within_tolerance"] = rel <= config["rate_tol"]
         payload["relative_rate_error"] = rel
     if config.get("max_rate") is not None:
-        checks["rate_below_max"] = fit.fitted_rate <= float(config["max_rate"])
-    for name, value in extra_checks:
-        checks[name] = value
+        checks["rate_below_max"] = fit.fitted_rate <= config["max_rate"]
     payload["checks"] = checks
     payload["passed"] = all(checks.values()) if checks else True
     rows = [
@@ -242,8 +254,8 @@ def _cmd_identities(config):
     kernel = _spec(config, "kernel", make_kernel)
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
-        a_star=float(config["a_star"]), workers=config["workers"],
-        z_threshold=float(config["z_threshold"]), n_max=int(config["nmax"]),
+        a_star=config["a_star"], workers=config["workers"],
+        z_threshold=config["z_threshold"], n_max=config["nmax"],
     )
     return _report_outcome(config, report)
 
@@ -253,8 +265,8 @@ def _cmd_conserve(config):
     mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.conservation_check(
         mu0, kernel, config["t"], config["samples"], config["seed"],
-        workers=config["workers"], z_threshold=float(config["z_threshold"]),
-        n_max=int(config["nmax"]),
+        workers=config["workers"], z_threshold=config["z_threshold"],
+        n_max=config["nmax"],
     )
     return _report_outcome(config, report)
 
@@ -268,7 +280,7 @@ def _cmd_decay(config):
     fit = diagnostics.moment_decay_fit(
         mu0, kernel, config["t"], moment_spec=moment,
         n_samples=config["samples"], seed=config["seed"],
-        workers=config["workers"], n_max=int(config["nmax"]),
+        workers=config["workers"], n_max=config["nmax"],
     )
     return _fit_outcome(fit, config, "decay")
 
@@ -280,18 +292,18 @@ def _cmd_cfcurve(config):
     rows = diagnostics.transform_grid_estimates(
         mu0, kernel, config["t"], grid, config["samples"], config["seed"],
         estimator=config["estimator"], workers=config["workers"],
-        n_max=int(config["nmax"]),
+        n_max=config["nmax"],
     )
     fit = diagnostics.cf_distance_curve(
         mu0, kernel, config["t"], grid, config["samples"], config["seed"],
         estimator=config["estimator"], workers=config["workers"],
-        n_max=int(config["nmax"]), grid_rows=rows,
+        n_max=config["nmax"], grid_rows=rows,
     )
     payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": _echo_config(config),
                "fit": fit.as_dict(),
                "estimates": rows, "passed": True}
     if config.get("max_rate") is not None and math.isfinite(fit.fitted_rate):
-        payload["passed"] = fit.fitted_rate <= float(config["max_rate"])
+        payload["passed"] = fit.fitted_rate <= config["max_rate"]
     _write_outputs(payload, rows,
                    ["t", "xi_x", "xi_y", "xi_z", "re", "im", "se_re", "se_im", "n"],
                    config)
@@ -306,8 +318,8 @@ def _cmd_crosscheck(config):
     grid = _parse_xi_grid(config["xi_grid"])
     reports = [diagnostics.representation_crosscheck(
         mu0, kernel, t, grid, config["samples"], config["seed"],
-        workers=config["workers"], z_threshold=float(config["z_threshold"]),
-        n_max=int(config["nmax"]),
+        workers=config["workers"], z_threshold=config["z_threshold"],
+        n_max=config["nmax"],
     ) for t in config["t"]]
     return _report_outcome(config, *reports)
 
@@ -315,8 +327,8 @@ def _cmd_crosscheck(config):
 def _cmd_legendre(config):
     kernel = _spec(config, "kernel", make_kernel)
     report = diagnostics.legendre_moment_checks(
-        kernel, tree_size=int(config["tree_size"]), n_theta=config["samples"],
-        seed=config["seed"], z_threshold=float(config["z_threshold"]),
+        kernel, tree_size=config["tree_size"], n_theta=config["samples"],
+        seed=config["seed"], z_threshold=config["z_threshold"],
     )
     return _report_outcome(config, report)
 
@@ -325,9 +337,9 @@ def _cmd_envelope(config):
     kernel = _spec(config, "kernel", make_kernel)
     mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.envelope_check(
-        mu0, float(config["lam"]), float(config["q"]), kernel,
+        mu0, config["lam"], config["q"], kernel,
         t=config["t"][0], n_samples=config["samples"], seed=config["seed"],
-        workers=config["workers"], n_max=int(config["nmax"]),
+        workers=config["workers"], n_max=config["nmax"],
     )
     return _report_outcome(config, report)
 
@@ -338,7 +350,7 @@ def _cmd_simulate(config):
     t = config["t"][0]
     rng = rng_stream(config["seed"], 0)
     draws = wild_velocity_batch(t, mu0, kernel, rng, config["samples"],
-                                n_max=int(config["nmax"]))
+                                n_max=config["nmax"])
     rows = [{"v_x": repr(float(v[0])), "v_y": repr(float(v[1])), "v_z": repr(float(v[2]))}
             for v in draws]
     payload = {"suite": "simulate", "config": _echo_config(config),

@@ -4,22 +4,13 @@ Every suite returns an IdentityReport (per-check z-scores against closed
 forms, quadrature values or independent estimators) or a DecayFit (weighted
 log-linear fit of an exponentially decaying curve).
 
-Monte Carlo work runs on the cascade engine of `wildsim.sampler`.  For one
-(suite, time) pair, all cascade sizes come from the stream
-rng_stream(seed, suite, t_index); they are sorted in descending order and
-cut into chunks of at most LEAF_BUDGET leaves.  Chunk c draws its
-germination record, the trees of all its cascades grown top-down one level
-at a time, and then any leaf velocities or probe directions, from
-rng_stream(seed, suite, t_index, c).  Each chunk task returns per-cascade
-statistics, which `_chunk_entry` reduces in the worker to (count, mean, M2)
-per stratum of the cascade size (`sampler.size_strata`: 16 equal-probability
-bins of the exact size law at t).  The chunks merge in chunk order, stratum
-by stratum, so a run depends on the seed alone: any worker count gives
-bit-identical reports.  Every suite reads the merged summary through
-`sampler.mean_se`, the post-stratified mean sum_h p_h xbar_h and its
-standard error sqrt(sum_h p_h^2 s_h^2 / n_h), after pooling each stratum
-with fewer than 2 draws into the strata of larger sizes after it.  At t = 0
-there is one stratum of probability 1, the plain mean.
+Monte Carlo work runs on the cascade engine of `wildsim.sampler`: each
+suite hands a module-level chunk task to `sampler.reduce_cascades` with the
+stream key (suite, time index) and reads the post-stratified summary through
+`sampler.mean_se`.  The reduction notes in the `wildsim.sampler` docstring
+say how sizes, strata, chunks and streams are laid out, and why any worker
+count gives bit-identical reports.  Every check entry is built by `_check`,
+one z-gate for all suites.
 """
 
 from __future__ import annotations
@@ -27,37 +18,35 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSignal, PremiseFailed, WildsimError
+from .errors import ConfigError, InsufficientSignal, PremiseFailed
 from .geometry import frame_for, rotation_array
 from .initial import InitialDatum
 from .kernel import CollisionKernel, spectral_functionals
 from .sampler import (
     DEFAULT_NU_CAP,
     cascade_velocities,
-    chunk_slices,
     draw_total,
     germination_record,
     leaf_frames,
     mean_se,
-    merge_sums,
+    reduce_cascades,
     reduction_scheme,
     rng_stream,
-    size_strata,
-    sorted_sizes,
-    summarize,
     transform_sums,
     weight_sums,
 )
-from .tree import enumerate_trees
+from .tree import ENUMERATION_LIMIT, enumerate_trees
 from .weights import leaf_weights, legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
 ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
+S_POWERS = (1, 2, 3, 4)  # the powers s of the sum_j |w_j|^s identities
+ENVELOPE_RADII = 33      # radii per cascade on [0, R] in the envelope check
+PREMISE_RHO_MAX = 30.0   # the tail premise is checked on [0, PREMISE_RHO_MAX]
 
 
 # --- report containers --------------------------------------------------------
@@ -147,7 +136,14 @@ def z_calibration(entries) -> dict:
     """How well a report's z-scores follow N(0, 1): over the two-sided
     entries with a finite z that the roundoff rule did not zero, their
     count, mean, sample sd and Kolmogorov distance to N(0, 1) (None where
-    undefined)."""
+    undefined).
+
+    This describes one report, not the code: the entries of one time read
+    the same cascades, so their z-scores move together, and one report's sd
+    can sit far from 1 on correct code (1.44 over the 24 entries of
+    `identities --kernel xabs --t 0.5,1,2,3 --samples 10000 --seed 31337`).
+    Only a sweep over seeds, as in tests/test_reduction.py, tests
+    calibration."""
     z = sorted(e.z_score for e in entries
                if e.two_sided and math.isfinite(e.z_score)
                and abs(e.mc_value - e.reference_value) >= ROUNDOFF_DIFF)
@@ -221,37 +217,7 @@ def fit_exponential_decay(times, values, std_errors, reference_rate=float("nan")
     )
 
 
-# --- chunked reduction -----------------------------------------------------------
-
-def _chunk_entry(args):
-    """Run one chunk task and reduce its per-cascade statistics to a
-    per-stratum summary; a failure that is not already a WildsimError
-    becomes one naming the chunk's seed and stream key."""
-    task, nus, strata, seed, key, kwargs = args
-    try:
-        return summarize(task(nus, rng_stream(seed, *key), **kwargs), nus, strata)
-    except WildsimError:
-        raise
-    except Exception as exc:
-        raise WildsimError(f"chunk {key[-1]} failed (seed {seed}, stream key "
-                           f"{key}): {exc!r}") from exc
-
-
-def _reduce_sums(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
-    """Draw n_samples cascade sizes at time t from stream `key`, run
-    task(nus, rng, **kwargs) on each chunk with stream key + (chunk,),
-    summarize each chunk on the size strata at t, and merge the summaries
-    in chunk order."""
-    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
-    strata = size_strata(t)
-    jobs = [(task, nus[chunk], strata, seed, key + (c,), kwargs)
-            for c, chunk in enumerate(chunk_slices(nus))]
-    workers = min(max(1, int(workers)), len(jobs))
-    if workers == 1:
-        return merge_sums(map(_chunk_entry, jobs))
-    with multiprocessing.Pool(workers) as pool:
-        return merge_sums(pool.map(_chunk_entry, jobs))
-
+# --- z-gates ----------------------------------------------------------------------
 
 def _z_score(diff: float, se: float) -> float:
     """diff / se, with differences below 1e-12 taken as roundoff (z = 0):
@@ -263,6 +229,19 @@ def _z_score(diff: float, se: float) -> float:
     if abs(diff) < ROUNDOFF_DIFF:
         return 0.0
     return diff / se if se > 0.0 else math.inf
+
+
+def _check(identity, params, value, se, reference, provenance, z_threshold,
+           two_sided=True, z=None) -> IdentityEntry:
+    """One check entry.  z is `_z_score(value - reference, se)` unless
+    given; the check passes when |z| <= z_threshold (two-sided) or
+    z <= z_threshold (one-sided)."""
+    if z is None:
+        z = _z_score(value - reference, se)
+    passed = abs(z) <= z_threshold if two_sided else z <= z_threshold
+    return IdentityEntry(identity=identity, params=params, mc_value=value, mc_se=se,
+                         reference_value=reference, reference_provenance=provenance,
+                         z_score=z, passed=bool(passed), two_sided=two_sided)
 
 
 # --- chunk tasks (module level so they pickle) ------------------------------------
@@ -280,7 +259,7 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
     return {"re": np.cos(phases), "im": np.sin(phases)}
 
 
-def _envelope_task(nus, rng, mu0, kernel, lam, q, n_rho):
+def _envelope_task(nus, rng, mu0, kernel, lam, q):
     """Per-cascade count of radii in [0, R] where the conditional transform
     along a uniform random direction exceeds the envelope."""
     cf = mu0.require_cf()
@@ -294,7 +273,7 @@ def _envelope_task(nus, rng, mu0, kernel, lam, q, n_rho):
     psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
                     rotations.third_columns())
     violations = np.zeros(len(nus))
-    for fraction in np.linspace(0.0, 1.0, n_rho):
+    for fraction in np.linspace(0.0, 1.0, ENVELOPE_RADII):
         rho = np.repeat(fraction * radius, record.nus)
         transform = np.abs(record.per_cascade(
             cf(rho[:, None] * weights[:, None] * psi), np.multiply))
@@ -311,47 +290,40 @@ def run_identity_suite(
     t_list,
     n_samples: int,
     seed: int,
-    s_list=(1, 2, 3, 4),
     a_star: float = 0.25,
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
     n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
     """Monte Carlo means of the weight statistics against their closed forms."""
-    fn = spectral_functionals(kernel, s_list)
+    if not a_star > 0.0:
+        raise ConfigError(f"the tail threshold a_star must be positive, got {a_star!r}")
+    fn = spectral_functionals(kernel, S_POWERS)
     config = {"t_list": list(t_list), "n_samples": n_samples, "seed": seed,
-              "s_list": list(s_list), "a_star": a_star, "workers": workers,
+              "s_list": list(S_POWERS), "a_star": a_star, "workers": workers,
               "z_threshold": z_threshold}
     report = IdentityReport("identities", config, kernel_functionals=fn.as_dict(),
                             run_id=_run_id("identities", config, kernel))
     for it, t in enumerate(t_list):
-        sums = _reduce_sums(
+        sums = reduce_cascades(
             weight_sums, seed, (1, it), workers, t, n_samples, n_max,
-            kernel=kernel, s_powers=tuple(s_list), a_star=a_star,
+            kernel=kernel, s_powers=S_POWERS, a_star=a_star,
         )
         targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
-                    math.exp(-(1.0 - 2.0 * fn.l_s_table[s]) * t)) for s in s_list]
+                    math.exp(-(1.0 - 2.0 * fn.l_s_table[s]) * t)) for s in S_POWERS]
         targets.append(("zeta", "sum w^2|zeta|", math.exp(-(1.0 - fn.f_b) * t)))
         targets.append(("eta", "sum|w^3 eta|", math.exp(-(1.0 - fn.g_b) * t)))
         targets.append(("W", "sum w^4", math.exp(fn.lambda_b * t)))
         for key, label, reference in targets:
             mean, se = map(float, mean_se(sums, key))
-            z = _z_score(mean - reference, se)
-            report.entries.append(IdentityEntry(
-                identity=label, params={"t": t, "n_samples": n_samples},
-                mc_value=mean, mc_se=se, reference_value=reference,
-                reference_provenance="closed form from kernel quadrature",
-                z_score=z, passed=abs(z) <= z_threshold,
-            ))
+            report.entries.append(_check(
+                label, {"t": t, "n_samples": n_samples}, mean, se, reference,
+                "closed form from kernel quadrature", z_threshold))
         tail_mean, tail_se = map(float, mean_se(sums, "W_tail"))
         bound = min(1.0, math.exp(fn.lambda_b * t) / a_star)
-        z = _z_score(tail_mean - bound, tail_se)
-        report.entries.append(IdentityEntry(
-            identity="P[W>=a*]<=E[W]/a*", params={"t": t, "a_star": a_star},
-            mc_value=tail_mean, mc_se=tail_se, reference_value=bound,
-            reference_provenance="Markov inequality (one-sided)",
-            z_score=z, passed=z <= z_threshold, two_sided=False,
-        ))
+        report.entries.append(_check(
+            "P[W>=a*]<=E[W]/a*", {"t": t, "a_star": a_star}, tail_mean, tail_se, bound,
+            "Markov inequality (one-sided)", z_threshold, two_sided=False))
     return report
 
 
@@ -373,7 +345,7 @@ def conservation_check(
     report = IdentityReport("conservation", config,
                             run_id=_run_id("conservation", config, kernel, mu0))
     for it, t in enumerate(t_list):
-        sums = _reduce_sums(
+        sums = reduce_cascades(
             _velocity_moments_task, seed, (2, it), workers, t, n_samples, n_max,
             mu0=mu0, kernel=kernel,
         )
@@ -381,13 +353,9 @@ def conservation_check(
                       ("v3", mu0.mean[2]), ("energy", mu0.m2)]
         for key, reference in references:
             mean, se = map(float, mean_se(sums, key))
-            z = _z_score(mean - float(reference), se)
-            report.entries.append(IdentityEntry(
-                identity=f"conserved_{key}", params={"t": t},
-                mc_value=mean, mc_se=se, reference_value=float(reference),
-                reference_provenance="initial-datum moment table",
-                z_score=z, passed=abs(z) <= z_threshold,
-            ))
+            report.entries.append(_check(
+                f"conserved_{key}", {"t": t}, mean, se, float(reference),
+                "initial-datum moment table", z_threshold))
     return report
 
 
@@ -429,7 +397,7 @@ def moment_decay_fit(
     ses = np.empty(len(times))
     if moment_spec in ("W", "w"):
         for it, t in enumerate(times):
-            sums = _reduce_sums(
+            sums = reduce_cascades(
                 weight_sums, seed, (3, it), workers, float(t), n_samples, n_max,
                 kernel=kernel, s_powers=(),
             )
@@ -445,7 +413,7 @@ def moment_decay_fit(
             direction = np.asarray(direction, float)
             direction = direction / np.linalg.norm(direction)
         for it, t in enumerate(times):
-            sums = _reduce_sums(
+            sums = reduce_cascades(
                 _velocity_moments_task, seed, (3, it), workers, float(t), n_samples,
                 n_max, mu0=mu0, kernel=kernel, direction=direction,
             )
@@ -479,7 +447,7 @@ def transform_grid_estimates(
     xi_grid = np.asarray(xi_grid, float)
     rows = []
     for it, t in enumerate(t_list):
-        sums = _reduce_sums(
+        sums = reduce_cascades(
             transform_sums, seed, (4, it), workers, float(t), n_samples, n_max,
             mu0=mu0, kernel=kernel, xi_grid=xi_grid, estimator=estimator,
         )
@@ -575,11 +543,11 @@ def representation_crosscheck(
     report = IdentityReport("representation_crosscheck", config,
                             pass_fraction_required=0.95,
                             run_id=_run_id("representation_crosscheck", config, kernel, mu0))
-    tree_sums = _reduce_sums(
+    tree_sums = reduce_cascades(
         transform_sums, seed, (5, 0), workers, t, n_samples, n_max,
         mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
-    wild_sums = _reduce_sums(
+    wild_sums = reduce_cascades(
         _wild_cf_task, seed, (5, 1), workers, t, n_samples, n_max,
         mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
@@ -587,18 +555,13 @@ def representation_crosscheck(
     est_wild, se_re_w, se_im_w = _grid_estimates(wild_sums)
     for i, xi in enumerate(xi_grid):
         diff = est_tree[i] - est_wild[i]
-        z_re = _z_score(diff.real, math.hypot(se_re_t[i], se_re_w[i]))
-        z_im = _z_score(diff.imag, math.hypot(se_im_t[i], se_im_w[i]))
-        z = max(abs(z_re), abs(z_im))
-        report.entries.append(IdentityEntry(
-            identity="transform_match", params={"xi": list(map(float, xi)), "t": t},
-            mc_value=abs(diff), mc_se=float(math.hypot(
-                math.hypot(se_re_t[i], se_re_w[i]),
-                math.hypot(se_im_t[i], se_im_w[i]))),
-            reference_value=0.0,
-            reference_provenance="independent wild-cascade empirical transform",
-            z_score=z, passed=bool(z <= z_threshold), two_sided=False,
-        ))
+        se_re = math.hypot(se_re_t[i], se_re_w[i])
+        se_im = math.hypot(se_im_t[i], se_im_w[i])
+        z = max(abs(_z_score(diff.real, se_re)), abs(_z_score(diff.imag, se_im)))
+        report.entries.append(_check(
+            "transform_match", {"xi": list(map(float, xi)), "t": t}, abs(diff),
+            math.hypot(se_re, se_im), 0.0, "independent wild-cascade empirical transform",
+            z_threshold, two_sided=False, z=z))
     return report
 
 
@@ -616,6 +579,10 @@ def legendre_moment_checks(
     P_k(psi_j . xi) must equal P_k(u . xi) times the order-k leaf weight,
     for k = 1, 2, 3 and every leaf j.
     """
+    if not 1 <= tree_size <= ENUMERATION_LIMIT:
+        raise ConfigError(f"tree size must be 1 .. {ENUMERATION_LIMIT}, got {tree_size}")
+    if n_theta < 2:
+        raise ConfigError(f"need at least 2 azimuth draws per tree, got {n_theta}")
     rng = rng_stream(seed, 6)
     u = np.array([0.3, -0.2, 0.93])
     u /= np.linalg.norm(u)
@@ -645,15 +612,10 @@ def legendre_moment_checks(
                         0.0 if n == 1
                         else float(samples[j].std(ddof=1) / math.sqrt(samples.shape[1]))
                     )
-                    reference = reference_scale * float(factors[k][j])
-                    z = _z_score(mean - reference, se)
-                    report.entries.append(IdentityEntry(
-                        identity=f"legendre_k{k}",
-                        params={"tree": tree.encode(), "leaf": j + 1},
-                        mc_value=mean, mc_se=se, reference_value=reference,
-                        reference_provenance="order-k leaf weight product",
-                        z_score=z, passed=abs(z) <= z_threshold,
-                    ))
+                    report.entries.append(_check(
+                        f"legendre_k{k}", {"tree": tree.encode(), "leaf": j + 1},
+                        mean, se, reference_scale * float(factors[k][j]),
+                        "order-k leaf weight product", z_threshold))
     return report
 
 
@@ -665,8 +627,6 @@ def envelope_check(
     t: float,
     n_samples: int,
     seed: int,
-    n_rho: int = 33,
-    premise_rho_max: float = 30.0,
     workers: int = 1,
     n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
@@ -674,10 +634,13 @@ def envelope_check(
 
     First verifies the tail premise |mu0_cf(xi)| <= (lam^2/(lam^2+|xi|^2))^q
     on a radial grid; then counts envelope violations over cascade draws,
-    with R = (1/2) (1 / (m4 W))^(1/4) per sample.
+    at ENVELOPE_RADII radii on [0, R] with R = (1/2) (1 / (m4 W))^(1/4) per
+    sample.
     """
+    if not (lam > 0.0 and q > 0.0):
+        raise ConfigError(f"the envelope needs lam > 0 and q > 0, got ({lam!r}, {q!r})")
     cf = mu0.require_cf()
-    rhos = np.linspace(0.0, premise_rho_max, 601)
+    rhos = np.linspace(0.0, PREMISE_RHO_MAX, 601)
     directions = np.vstack([np.eye(3), [[0.6, 0.64, 0.48]]])
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     bound = (lam * lam / (lam * lam + rhos**2)) ** q
@@ -689,21 +652,17 @@ def envelope_check(
                 f"initial transform exceeds the tail bound by {worst:.3e} "
                 f"for (lam, q) = ({lam:g}, {q:g})"
             )
-    sums = _reduce_sums(
+    sums = reduce_cascades(
         _envelope_task, seed, (7, 0), workers, t, n_samples, n_max,
-        mu0=mu0, kernel=kernel, lam=lam, q=q, n_rho=n_rho,
+        mu0=mu0, kernel=kernel, lam=lam, q=q,
     )
     config = {"mu0": mu0.name, "lam": lam, "q": q, "t": t,
-              "n_samples": n_samples, "seed": seed, "n_rho": n_rho}
+              "n_samples": n_samples, "seed": seed, "n_rho": ENVELOPE_RADII}
     report = IdentityReport("envelope", config,
                             run_id=_run_id("envelope", config, kernel, mu0))
     violations = float(round(draw_total(sums, "violations")))
-    report.entries.append(IdentityEntry(
-        identity="transform_under_envelope",
-        params={"checked_points": n_samples * n_rho},
-        mc_value=violations, mc_se=0.0, reference_value=0.0,
-        reference_provenance="pointwise envelope inequality",
-        z_score=0.0 if violations == 0 else math.inf,
-        passed=violations == 0.0, two_sided=False,
-    ))
+    report.entries.append(_check(
+        "transform_under_envelope", {"checked_points": n_samples * ENVELOPE_RADII},
+        violations, 0.0, 0.0, "pointwise envelope inequality", DEFAULT_Z_THRESHOLD,
+        two_sided=False, z=0.0 if violations == 0 else math.inf))
     return report

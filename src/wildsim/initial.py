@@ -34,6 +34,7 @@ import numpy as np
 from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
 
 EMPIRICAL_CF_SAMPLE = 100_000
+AUX_SEED = 20211205  # seed of the frozen auxiliary sample of `sampler_datum`
 _HEAVYTAIL_SERIES_LIMIT = 25.0
 # the keys each dictionary preset reads besides "preset"; any other is an error
 _SPEC_KEYS = {
@@ -350,12 +351,12 @@ def _empirical_cf(xi, frozen):
     return out.reshape(xi.shape[:-1]) if xi.ndim > 1 else out[0]
 
 
-def sampler_datum(sampler, name="custom", empirical_cf=True,
-                  aux_seed=20211205) -> InitialDatum:
+def sampler_datum(sampler, name="custom", empirical_cf=True) -> InitialDatum:
     """Wrap a velocity sampler; transform and moments come from a frozen
-    auxiliary sample, so the transform is flagged approximate."""
+    auxiliary sample, drawn from the fixed seed AUX_SEED, so the transform is
+    flagged approximate."""
     frozen = np.asarray(
-        sampler(np.random.default_rng(aux_seed), EMPIRICAL_CF_SAMPLE), float
+        sampler(np.random.default_rng(AUX_SEED), EMPIRICAL_CF_SAMPLE), float
     ).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = frozen.mean(axis=0)

@@ -28,21 +28,27 @@ Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
-and np.multiply.reduceat over the offsets).  Their means are post-stratified
-on the cascade size, whose law is known exactly: `size_strata` cuts it into
-SIZE_STRATA = 16 equal-probability bins at whole sizes, with exact
-probabilities p_h.  Sizes descend within a chunk, so each stratum is a
-contiguous slice; a chunk keeps (count, mean, M2) per stratum, and chunks
-merge stratum by stratum with the pairwise update of Chan, Golub and
-LeVeque.  After the merge, a stratum with fewer than MIN_STRATUM_DRAWS = 2
-draws is pooled with the strata of larger sizes after it (a short last
-group joins the one before), and the estimate is sum_h p_h xbar_h with
-standard error sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most
-of it for the weight statistics, drops out; the draws are the same as for
-a plain mean.  Each reduction grows only what it reads: W = sum_j w_j^4 alone
-needs the order-1 weights, so it grows scalar (cos phi, sin phi) factors
-rather than orders 1 to 3.  The single-draw views (`draw_tree_sample`,
-`wild_velocity`) are one-cascade chunks of the same engine.
+and np.multiply.reduceat over the offsets), and `reduce_cascades` is the one
+driver that turns them into estimates.  It draws every size of an estimate
+from rng_stream(seed, *key), sorts them in descending order and
+post-stratifies on them, since their law is known exactly: `size_strata`
+cuts it into SIZE_STRATA = 16 equal-probability bins at whole sizes, with
+exact probabilities p_h, and `SizeStrata.pooled` pools each bin holding
+fewer than MIN_STRATUM_DRAWS = 2 draws with the bins of larger sizes after
+it (a short last group joins the one before).  The sizes are then cut into
+chunks of at most LEAF_BUDGET leaves, chunk c drawing from
+rng_stream(seed, *key, c).  Each stratum is a contiguous slice of a chunk;
+a chunk keeps (count, mean, M2) per stratum, and chunks merge in chunk
+order with the pairwise update of Chan, Golub and LeVeque, so an estimate
+depends on the seed alone, whatever the worker count.  `mean_se` reads the
+estimate sum_h p_h xbar_h and its standard error
+sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most of it for the
+weight statistics, drops out; the draws are those of a plain mean (at
+t = 0 there is one stratum, and the estimate is the plain mean).  Each
+reduction grows only what it reads: W = sum_j w_j^4 alone needs the
+order-1 weights, so it grows scalar (cos phi, sin phi) factors rather than
+orders 1 to 3.  The single-draw views (`draw_tree_sample`, `wild_velocity`)
+are one-cascade chunks of the same engine.
 
 The transform estimator (`transform_sums`, over a whole grid of
 frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
@@ -55,6 +61,7 @@ initial law cf is real, so the product is taken over floats.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -62,7 +69,7 @@ import numpy as np
 # numpy loads numpy.random lazily; every run draws, so pay for it on import
 import numpy.random  # noqa: F401
 
-from .errors import ConfigError, TimeTooLarge
+from .errors import ConfigError, TimeTooLarge, WildsimError
 from .geometry import RotationArray, frame_for, left_frame, right_frame
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel
@@ -287,9 +294,8 @@ def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) 
 # --- reductions -------------------------------------------------------------------
 
 SIZE_STRATA = 16       # equal-probability bins of the size law at t; atoms stay whole
-MIN_STRATUM_DRAWS = 2  # after the merge, a stratum with fewer draws is pooled with the
-                       # strata of larger sizes after it (a short last group joins the
-                       # group before it)
+MIN_STRATUM_DRAWS = 2  # a stratum with fewer draws is pooled with the strata of larger
+                       # sizes after it (a short last group joins the group before it)
 
 
 def reduction_scheme() -> dict:
@@ -313,6 +319,24 @@ class SizeStrata:
         """For descending sizes, cuts[h] counts the sizes above lower[h]
         (cuts[-1] = 0), so stratum h is the slice cuts[h + 1] .. cuts[h] - 1."""
         return np.append(np.searchsorted(-np.asarray(nus), -self.lower), 0)
+
+    def pooled(self, nus) -> SizeStrata:
+        """These strata with the sparse ones pooled, for the descending sizes
+        nus of one whole estimate: walking up the sizes, a group closes once
+        it holds MIN_STRATUM_DRAWS draws, and a short last group joins the
+        one before it.  A group covers the sizes of its strata, with the sum
+        of their probabilities."""
+        cuts = self.cuts(nus)
+        ends, held = [], 0
+        for h, n in enumerate((cuts[:-1] - cuts[1:]).tolist()):
+            held += n
+            if held >= MIN_STRATUM_DRAWS:
+                ends.append(h + 1)
+                held = 0
+        starts = [0, *ends[:-1]] if ends else [0]
+        if len(starts) == len(self.probs):
+            return self
+        return SizeStrata(lower=self.lower[starts], probs=np.add.reduceat(self.probs, starts))
 
 
 def size_strata(t: float) -> SizeStrata:
@@ -385,43 +409,44 @@ def merge_sums(parts) -> dict:
     return total
 
 
-def _pooled(count, prob, mean, m2):
-    """Pool strata holding fewer than MIN_STRATUM_DRAWS draws: walking up
-    the sizes, a group closes once it holds that many draws, and a short
-    last group joins the one before it."""
-    ends, held = [0], 0.0
-    for h, n in enumerate(count.tolist()):
-        held += n
-        if held >= MIN_STRATUM_DRAWS:
-            ends.append(h + 1)
-            held = 0.0
-    if ends[-1] < len(count):
-        if len(ends) > 1:
-            ends[-1] = len(count)
-        else:
-            ends.append(len(count))
-    if len(ends) == len(count) + 1:
-        return count, prob, mean, m2
-    groups = []
-    for a, b in pairwise(ends):
-        n, mu, s = count[a], mean[..., a], m2[..., a]
-        for h in range(a + 1, b):
-            if count[h] > 0:
-                delta = mean[..., h] - mu
-                mu = mu + delta * (count[h] / (n + count[h]))
-                s = s + m2[..., h] + delta * delta * (n * count[h] / (n + count[h]))
-                n = n + count[h]
-        groups.append((n, prob[a:b].sum(), mu, s))
-    count, prob, mean, m2 = zip(*groups)
-    return np.array(count), np.array(prob), np.stack(mean, -1), np.stack(m2, -1)
+def _chunk_entry(args):
+    """Run one chunk task and reduce its per-cascade statistics to a
+    per-stratum summary; a failure that is not already a WildsimError
+    becomes one naming the chunk's seed and stream key."""
+    task, nus, strata, seed, key, kwargs = args
+    try:
+        return summarize(task(nus, rng_stream(seed, *key), **kwargs), nus, strata)
+    except WildsimError:
+        raise
+    except Exception as exc:
+        raise WildsimError(f"chunk {key[-1]} failed (seed {seed}, stream key "
+                           f"{key}): {exc!r}") from exc
+
+
+def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
+    """Draw n_samples cascade sizes at time t from stream `key` of seed,
+    pool the size strata at t over them, run task(nus, rng, **kwargs) on
+    each chunk with stream key + (chunk,), summarize each chunk on the
+    pooled strata, and merge the summaries in chunk order.  The task must
+    be a module-level function, so it pickles to `workers` processes."""
+    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
+    strata = size_strata(t).pooled(nus)
+    jobs = [(task, nus[chunk], strata, seed, key + (c,), kwargs)
+            for c, chunk in enumerate(chunk_slices(nus))]
+    workers = min(max(1, int(workers)), len(jobs))
+    if workers == 1:
+        return merge_sums(map(_chunk_entry, jobs))
+    with multiprocessing.Pool(workers) as pool:
+        return merge_sums(pool.map(_chunk_entry, jobs))
 
 
 def mean_se(sums: dict, key: str):
     """Post-stratified mean sum_h p_h xbar_h of one statistic and its
-    standard error sqrt(sum_h p_h^2 s_h^2 / n_h), over the strata left
-    after pooling those with fewer than MIN_STRATUM_DRAWS draws.  The
-    standard error is inf where the square of the estimate overflows."""
-    count, prob, mean, m2 = _pooled(sums["count"], sums["prob"], *sums[key])
+    standard error sqrt(sum_h p_h^2 s_h^2 / n_h), from a summary over
+    pooled strata (`reduce_cascades`).  The standard error is inf where the
+    square of the estimate overflows."""
+    count, prob = sums["count"], sums["prob"]
+    mean, m2 = sums[key]
     estimate = (prob * mean).sum(axis=-1)
     if count.min() < 2:  # a single stratum of one draw: no variance estimate
         return estimate, np.zeros_like(estimate)
@@ -572,18 +597,13 @@ def wild_velocity_batch(
 def weight_statistic_sums(
     t: float,
     kernel: CollisionKernel,
-    rng: np.random.Generator,
+    seed: int,
     n_samples: int,
     s_powers: tuple = (1, 2, 3, 4),
     a_star: float | None = None,
     n_max: int = DEFAULT_NU_CAP,
 ) -> dict[str, np.ndarray]:
-    """`weight_sums` over n_samples cascades at time t, reduced to a
-    post-stratified summary (read it with `mean_se`)."""
-    nus, _ = sorted_sizes(t, rng, n_samples, n_max)
-    strata = size_strata(t)
-    return merge_sums(
-        summarize(weight_sums(nus[chunk], rng, kernel=kernel, s_powers=s_powers,
-                              a_star=a_star), nus[chunk], strata)
-        for chunk in chunk_slices(nus)
-    )
+    """`weight_sums` over n_samples cascades at time t, reduced on the
+    streams of seed alone (read the summary with `mean_se`)."""
+    return reduce_cascades(weight_sums, seed, (), 1, t, n_samples, n_max,
+                           kernel=kernel, s_powers=s_powers, a_star=a_star)

@@ -166,8 +166,28 @@ def test_crosscheck_command(tmp_path):
      '{"preset":"discrete","points":[[1,0,0],[-1,0,0]],"masses":[0.5,0.5],"normalise":true}'],
     ["conserve", "--samples", "10", "--kernel", '{"preset": "xabs", "table": [[0.1, 1], [0.9, 1]]}'],
     ["conserve", "--samples", "10", "--kernel", '{"preset": "cubic", "normalize": true}'],
+    # settings outside their domain, each rejected where it is read
+    ["identities", "--samples", "10", "--a-star", "0"],
+    ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "0"],
+    ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "-1"],
+    ["envelope", "--samples", "10", "--mu0", "gaussian", "--lam", "-1"],
+    ["legendre", "--samples", "10", "--tree-size", "0"],
+    ["legendre", "--samples", "10", "--tree-size", "9"],
+    ["legendre", "--samples", "1", "--tree-size", "2"],
+    ["identities", "--samples", "10", "--z-threshold", "0"],
+    ["identities", "--samples", "10", "--z-threshold", "nan"],
+    ["decay", "--samples", "10", "--t", "1,2,3,4", "--rate-tol", "-0.1"],
+    # a config file (the last item) holding a value of the wrong kind
+    ["identities", "--samples", "10", {"nmax": "abc"}],
+    ["identities", "--samples", "10", {"z_threshold": "x"}],
+    ["envelope", "--samples", "10", {"lam": [1]}],
+    ["identities", "--t", "0.5", {"samples": 20.7}],
 ])
-def test_malformed_configuration_is_config_error(argv, capsys):
+def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--config", str(path)]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -100,6 +100,36 @@ def test_conservation_parallel_workers_reduce_identically(kernel, sixpoint):
     assert report_values(serial) == report_values(twice)
 
 
+def _fit_values(fit):
+    return fit.values.tolist(), fit.std_errors.tolist(), fit.fitted_rate
+
+
+# each runs several chunks: at t = 2.5 the 3000 cascades hold about 36k leaves
+CHUNKED_SUITES = {
+    "crosscheck": lambda kernel, mu0, workers: report_values(representation_crosscheck(
+        mu0, kernel, 2.5, small_grid(), 3000, seed=14, workers=workers)),
+    "transform_raoblackwell": lambda kernel, mu0, workers: transform_grid_estimates(
+        mu0, kernel, [0.5, 2.5], small_grid(), 3000, 15, workers=workers),
+    "transform_raw": lambda kernel, mu0, workers: transform_grid_estimates(
+        mu0, kernel, [0.5, 2.5], small_grid(), 3000, 15, estimator="raw", workers=workers),
+    "decay_W": lambda kernel, mu0, workers: _fit_values(moment_decay_fit(
+        None, kernel, [1, 2, 3, 4], moment_spec="W", n_samples=3000, seed=16,
+        workers=workers)),
+    "decay_v1^4": lambda kernel, mu0, workers: _fit_values(moment_decay_fit(
+        mu0, kernel, [0.5, 1, 2, 3], moment_spec="v1^4", n_samples=3000, seed=14,
+        workers=workers)),
+    "envelope": lambda kernel, mu0, workers: report_values(envelope_check(
+        gaussian_datum(), math.sqrt(0.5), 0.25, kernel, t=2.5, n_samples=3000, seed=17,
+        workers=workers)),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CHUNKED_SUITES))
+def test_chunked_suites_reduce_identically_at_two_workers(suite, kernel, sixpoint):
+    run = CHUNKED_SUITES[suite]
+    assert run(kernel, sixpoint, 1) == run(kernel, sixpoint, 2)
+
+
 def test_conservation_small(kernel, sixpoint):
     report = conservation_check(sixpoint, kernel, [0.5, 1.5], 5000, seed=11)
     assert report.passed, [e for e in report.entries if not e.passed]

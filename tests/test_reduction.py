@@ -26,6 +26,7 @@ from wildsim.sampler import (
     size_strata,
     sorted_sizes,
     summarize,
+    weight_sums,
 )
 
 
@@ -88,11 +89,15 @@ def test_sparse_strata_pool_toward_larger_sizes():
     counts = [0, 1, 5, 1, 0, 3, 1]
     nus = np.repeat(np.arange(7, 0, -1), counts[::-1])
     x = rng_stream(8).standard_normal(len(nus)) + nus
-    parts = [summarize({"x": x[a:b]}, nus[a:b], strata) for a, b in [(0, 3), (3, 11)]]
-    sums = merge_sums(parts)
-    assert sums["count"].tolist() == counts
+    assert summarize({"x": x}, nus, strata)["count"].tolist() == counts
     # walking up the sizes a group closes at 2 draws: strata {0, 1, 2} and
     # {3, 4, 5}; the lone draw of stratum 6 joins the group before it
+    pooled = strata.pooled(nus)
+    assert pooled.lower.tolist() == [0, 3]
+    # the group of the larger sizes spans both chunks
+    parts = [summarize({"x": x[a:b]}, nus[a:b], pooled) for a, b in [(0, 3), (3, 11)]]
+    sums = merge_sums(parts)
+    assert sums["count"].tolist() == [6, 5]
     groups = [(3 / 7, x[nus <= 3]), (4 / 7, x[nus >= 4])]
     estimate, se = mean_se(sums, "x")
     assert estimate == pytest.approx(sum(p * g.mean() for p, g in groups), rel=1e-12)
@@ -101,7 +106,7 @@ def test_sparse_strata_pool_toward_larger_sizes():
 
 
 def test_single_draw_and_zero_time_reduce_to_the_plain_mean():
-    one = summarize({"x": [2.5]}, [4], size_strata(3.0))
+    one = summarize({"x": [2.5]}, [4], size_strata(3.0).pooled([4]))
     estimate, se = mean_se(one, "x")
     assert estimate == pytest.approx(2.5, rel=1e-15) and se == 0.0
     x = rng_stream(3).standard_normal(1001)
@@ -109,6 +114,56 @@ def test_single_draw_and_zero_time_reduce_to_the_plain_mean():
     estimate, se = mean_se(plain, "x")
     assert estimate == x.mean()
     assert se == math.sqrt(np.sum((x - x.mean()) ** 2) / (1001 * 1000.0))
+
+
+def test_pooled_strata_edge_cases():
+    strata = size_strata(3.0)
+    one = strata.pooled([4])
+    assert one.lower.tolist() == [0]
+    assert abs(one.probs[0] - 1.0) <= 4 * np.finfo(float).eps
+    # strata with 2 or more draws each stay as they are
+    fine = SizeStrata(lower=np.arange(3), probs=np.array([0.5, 0.3, 0.2]))
+    assert fine.pooled([9, 8, 2, 2, 1, 1]) is fine
+    # a short last group joins the one before it, which closed at 2 draws
+    assert fine.pooled([9, 2, 1]).lower.tolist() == [0]
+    assert fine.pooled([9, 2, 2, 1, 1]).lower.tolist() == [0, 1]
+    assert fine.pooled([9, 2, 2, 1, 1]).probs.tolist() == [0.5, 0.5]
+    # pooling keeps the total probability
+    for t, size in [(1.0, 5), (3.0, 12), (6.0, 20), (9.0, 10)]:
+        nus, _ = sorted_sizes(t, rng_stream(13), size)
+        strata = size_strata(t)
+        pooled = strata.pooled(nus)
+        assert len(pooled.probs) < len(strata.probs)
+        assert np.all(np.diff(pooled.cuts(nus)) <= -2)  # every group holds 2 draws
+        assert abs(pooled.probs.sum() - 1.0) <= 4 * np.finfo(float).eps
+
+
+def test_pooled_groups_span_chunks(kernel):
+    """At t = 9 the 10 cascades fill 5 chunks and 4 pooled groups out of
+    16 strata; the suite matches a reduction built by hand at any worker
+    count."""
+    t, n, seed = 9.0, 10, 3
+    nus, _ = sorted_sizes(t, rng_stream(seed, 1, 0), n)
+    chunks = chunk_slices(nus)
+    pooled = size_strata(t).pooled(nus)
+    assert len(chunks) == 5 and len(size_strata(t).probs) == 16 and len(pooled.probs) == 4
+    group = np.searchsorted(pooled.lower, nus) - 1
+    # some group holds the last draw of one chunk and the first of the next
+    assert any(group[c.start - 1] == group[c.start] for c in chunks[1:])
+    parts = [weight_sums(nus[c], rng_stream(seed, 1, 0, i), kernel=kernel, a_star=0.25)
+             for i, c in enumerate(chunks)]
+    serial = run_identity_suite(kernel, [t], n, seed=seed, workers=1)
+    twice = run_identity_suite(kernel, [t], n, seed=seed, workers=2)
+    assert serial.entries == twice.entries
+    keys = ["abs_pow_1", "abs_pow_2", "abs_pow_3", "abs_pow_4", "zeta", "eta", "W", "W_tail"]
+    for key, entry in zip(keys, serial.entries, strict=True):
+        x = np.concatenate([part[key] for part in parts])
+        members = [x[group == g] for g in range(len(pooled.probs))]
+        expected = sum(p * m.mean() for p, m in zip(pooled.probs, members))
+        expected_se = math.sqrt(sum(p * p * m.var(ddof=1) / len(m)
+                                    for p, m in zip(pooled.probs, members)))
+        assert entry.mc_value == pytest.approx(expected, rel=1e-12), key
+        assert entry.mc_se == pytest.approx(expected_se, rel=1e-9, abs=1e-15), key
 
 
 def test_draw_total_recovers_an_integer_count_exactly():

@@ -296,9 +296,8 @@ def test_weight_statistic_sums_match_closed_forms(kernel):
     from wildsim.weights import expected_sum_closed_form
 
     fn = spectral_functionals(kernel)
-    rng = rng_stream(23)
     t = 1.0
-    sums = weight_statistic_sums(t, kernel, rng, 30_000, a_star=0.25)
+    sums = weight_statistic_sums(t, kernel, 23, 30_000, a_star=0.25)
     assert sums["count"].sum() == 30_000
 
     def check(key, reference):
