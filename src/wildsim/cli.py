@@ -1,10 +1,12 @@
 """Command-line front end: configuration, execution, report emission.
 
 Exit codes: 0 all checks passed, 1 runtime failure, 2 bad configuration,
-3 at least one check failed.  Flags override config-file values, which
-override defaults; the effective configuration is echoed into every
-report.  All randomness derives from --seed; WILDSIM_WORKERS sets the
-default worker count.
+3 at least one check failed.  Each setting is declared once, in SETTINGS,
+and each entry of COMMANDS names the settings its command reads: only those
+are its flags, only those may appear in its config file (any other key is a
+config error), and exactly those are echoed into its report.  Flags
+override config-file values, which override defaults.  All randomness
+derives from --seed; WILDSIM_WORKERS sets the default worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import locale  # noqa: F401
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,33 +29,71 @@ from . import diagnostics
 from .errors import BadSpec, ConfigError, WildsimError
 from .initial import make_initial_datum
 from .kernel import make_kernel
-from .sampler import rng_stream, wild_velocity_batch
+from .sampler import wild_velocity_batch
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_CHECK_FAILED = 3
 
-DEFAULTS = {
-    "kernel": "xabs",
-    "mu0": "sixpoint",
-    "t": [0.5, 1.0, 2.0],
-    "samples": 10_000,
-    "seed": 0,
-    "workers": None,   # resolved from WILDSIM_WORKERS, then 1
-    "nmax": 1_000_000,
-    "estimator": "raoblackwell",
-    "z_threshold": 4.0,
-    "a_star": 0.25,
-    "moment": "W",
-    "tree_size": 4,
-    "lam": math.sqrt(0.5),
-    "q": 0.25,
-    "xi_grid": None,
-    "rate_tol": None,
-    "max_rate": None,
-    "out": None,
-    "csv": None,
+
+@dataclass(frozen=True)
+class Setting:
+    """A --flag and config-file key.  `read` converts an int or float value
+    (argparse converts a flag's) and checks that it is finite and satisfies
+    BOUNDS[bound]; a list is a time list; a str (a name, JSON spec or path)
+    is taken as given, and so is None where it is the default."""
+
+    default: object
+    help: str
+    kind: type = str
+    choices: tuple[str, ...] | None = None
+    bound: str | None = None
+
+    def read(self, key, value):
+        if (value is None and self.default is None) or self.kind is str:
+            return value
+        if self.kind is list:
+            return _parse_t(value)
+        if self.kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        try:
+            value = self.kind(value)
+        except (TypeError, ValueError) as exc:
+            kind = "an integer" if self.kind is int else "a number"
+            raise ConfigError(f"{key} must be {kind}: {exc}") from exc
+        if self.kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if self.bound and not BOUNDS[self.bound](value):
+            raise ConfigError(f"{key} must be {self.bound}, got {value!r}")
+        return value
+
+
+BOUNDS = {"positive": lambda value: value > 0, "nonnegative": lambda value: value >= 0}
+
+SETTINGS = {
+    "kernel": Setting("xabs", "kernel preset name or JSON spec"),
+    "mu0": Setting("sixpoint", "initial datum preset name or JSON spec"),
+    "t": Setting([0.5, 1.0, 2.0], "comma-separated time list", list),
+    "samples": Setting(10_000, "Monte Carlo sample count", int, bound="positive"),
+    "seed": Setting(0, "master seed", int, bound="nonnegative"),
+    "workers": Setting(None, "worker processes (default WILDSIM_WORKERS, else 1)", int,
+                       bound="positive"),
+    "nmax": Setting(1_000_000, "cascade size cap", int, bound="positive"),
+    "estimator": Setting("raoblackwell", "transform estimator",
+                         choices=("raoblackwell", "raw")),
+    "xi_grid": Setting(None, "JSON list of 3-vectors or {rho, directions}"),
+    "z_threshold": Setting(4.0, "largest |z| a check passes with", float, bound="positive"),
+    "a_star": Setting(0.25, "tail threshold for the W bound", float),
+    "moment": Setting("W", "decay statistic", choices=("W", "v1^4")),
+    "tree_size": Setting(4, "leaf count of the Legendre checks' trees", int),
+    "lam": Setting(math.sqrt(0.5), "envelope scale", float),
+    "q": Setting(0.25, "envelope exponent", float),
+    "rate_tol": Setting(None, "relative tolerance on the fitted rate", float,
+                        bound="positive"),
+    "max_rate": Setting(None, "require fitted rate <= this value", float),
+    "out": Setting(None, "JSON report path"),
+    "csv": Setting(None, "CSV output path"),
 }
 
 
@@ -130,54 +170,31 @@ def _spec(config, key, build):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+    """The settings the command reads, each from its flag, else the config
+    file, else its default; a config-file key the command does not read is
+    an error."""
+    reads = COMMANDS[args.command][1]
+    found = {}
+    if args.config:
         try:
-            with open(path) as handle:
-                merged.update(json.load(handle))
+            with open(args.config) as handle:
+                found = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    if merged["workers"] is None:
-        merged["workers"] = os.environ.get("WILDSIM_WORKERS", "1")
-    merged["t"] = _parse_t(merged["t"])
-    for key, minimum in (("samples", 1), ("seed", 0), ("workers", 1), ("nmax", 1),
-                         ("tree_size", None)):
-        if isinstance(merged[key], float) and not merged[key].is_integer():
-            raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
-        try:
-            merged[key] = int(merged[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} must be an integer: {exc}") from exc
-        if minimum is not None and merged[key] < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {merged[key]}")
-    for key in ("z_threshold", "a_star", "lam", "q", "rate_tol", "max_rate"):
-        if merged[key] is None:
-            continue
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} must be a number: {exc}") from exc
-        if not math.isfinite(merged[key]):
-            raise ConfigError(f"{key} must be finite, got {merged[key]}")
-        if key in ("z_threshold", "rate_tol") and merged[key] <= 0.0:
-            raise ConfigError(f"{key} must be positive, got {merged[key]:g}")
-    return merged
-
-
-def _echo_config(config: dict) -> dict:
-    plain = {}
-    for key, value in config.items():
-        if isinstance(value, np.ndarray):
-            plain[key] = value.tolist()
-        else:
-            plain[key] = value
-    return plain
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(found, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unread = sorted(found.keys() - reads)
+        if unread:
+            raise ConfigError(f"{args.command} does not read {unread}")
+    config = {}
+    for key in reads:
+        value = getattr(args, key)
+        if value is None:
+            value = found.get(key, SETTINGS[key].default)
+        if key == "workers" and value is None:
+            value = os.environ.get("WILDSIM_WORKERS", "1")
+        config[key] = SETTINGS[key].read(key, value)
+    return config
 
 
 def _write_outputs(payload: dict, rows, header, config) -> None:
@@ -189,8 +206,7 @@ def _write_outputs(payload: dict, rows, header, config) -> None:
         with open(config["csv"], "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=header)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
 
 
 def _report_outcome(config, *reports) -> int:
@@ -211,7 +227,7 @@ def _report_outcome(config, *reports) -> int:
                    "z_calibration": diagnostics.z_calibration(entries),
                    "entries": [asdict(e) for e in entries],
                    "parts": parts}
-    payload["config"] = _echo_config(config)
+    payload["config"] = config
     rows = [row for r in reports for row in r.csv_rows()]
     header = ["identity", "params", "mc_value", "mc_se", "reference_value",
               "z_score", "passed"]
@@ -228,7 +244,7 @@ def _report_outcome(config, *reports) -> int:
 
 
 def _fit_outcome(fit, config, suite) -> int:
-    payload = {"suite": suite, "run_id": fit.run_id, "config": _echo_config(config),
+    payload = {"suite": suite, "run_id": fit.run_id, "config": config,
                "fit": fit.as_dict()}
     checks = {}
     if config.get("rate_tol") is not None and math.isfinite(fit.fitted_rate):
@@ -250,8 +266,7 @@ def _fit_outcome(fit, config, suite) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _cmd_identities(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_identities(config, kernel):
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
         a_star=config["a_star"], workers=config["workers"],
@@ -260,8 +275,7 @@ def _cmd_identities(config):
     return _report_outcome(config, report)
 
 
-def _cmd_conserve(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_conserve(config, kernel):
     mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.conservation_check(
         mu0, kernel, config["t"], config["samples"], config["seed"],
@@ -271,12 +285,9 @@ def _cmd_conserve(config):
     return _report_outcome(config, report)
 
 
-def _cmd_decay(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_decay(config, kernel):
     moment = config["moment"]
-    mu0 = None
-    if moment not in ("W", "w"):
-        mu0 = _spec(config, "mu0", make_initial_datum)
+    mu0 = None if moment in ("W", "w") else _spec(config, "mu0", make_initial_datum)
     fit = diagnostics.moment_decay_fit(
         mu0, kernel, config["t"], moment_spec=moment,
         n_samples=config["samples"], seed=config["seed"],
@@ -285,23 +296,16 @@ def _cmd_decay(config):
     return _fit_outcome(fit, config, "decay")
 
 
-def _cmd_cfcurve(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_cfcurve(config, kernel):
     mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
-    rows = diagnostics.transform_grid_estimates(
-        mu0, kernel, config["t"], grid, config["samples"], config["seed"],
-        estimator=config["estimator"], workers=config["workers"],
-        n_max=config["nmax"],
-    )
-    fit = diagnostics.cf_distance_curve(
-        mu0, kernel, config["t"], grid, config["samples"], config["seed"],
-        estimator=config["estimator"], workers=config["workers"],
-        n_max=config["nmax"], grid_rows=rows,
-    )
-    payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": _echo_config(config),
-               "fit": fit.as_dict(),
-               "estimates": rows, "passed": True}
+    args = (mu0, kernel, config["t"], grid, config["samples"], config["seed"])
+    options = {"estimator": config["estimator"], "workers": config["workers"],
+               "n_max": config["nmax"]}
+    rows = diagnostics.transform_grid_estimates(*args, **options)
+    fit = diagnostics.cf_distance_curve(*args, **options, grid_rows=rows)
+    payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": config,
+               "fit": fit.as_dict(), "estimates": rows, "passed": True}
     if config.get("max_rate") is not None and math.isfinite(fit.fitted_rate):
         payload["passed"] = fit.fitted_rate <= config["max_rate"]
     _write_outputs(payload, rows,
@@ -312,8 +316,7 @@ def _cmd_cfcurve(config):
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _cmd_crosscheck(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_crosscheck(config, kernel):
     mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
     reports = [diagnostics.representation_crosscheck(
@@ -324,8 +327,7 @@ def _cmd_crosscheck(config):
     return _report_outcome(config, *reports)
 
 
-def _cmd_legendre(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_legendre(config, kernel):
     report = diagnostics.legendre_moment_checks(
         kernel, tree_size=config["tree_size"], n_theta=config["samples"],
         seed=config["seed"], z_threshold=config["z_threshold"],
@@ -333,46 +335,59 @@ def _cmd_legendre(config):
     return _report_outcome(config, report)
 
 
-def _cmd_envelope(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _one_time(config) -> float:
+    if len(config["t"]) > 1:
+        raise ConfigError(f"this command runs at one time, got t = {config['t']}")
+    return config["t"][0]
+
+
+def _cmd_envelope(config, kernel):
+    t = _one_time(config)
     mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.envelope_check(
         mu0, config["lam"], config["q"], kernel,
-        t=config["t"][0], n_samples=config["samples"], seed=config["seed"],
+        t=t, n_samples=config["samples"], seed=config["seed"],
         workers=config["workers"], n_max=config["nmax"],
     )
     return _report_outcome(config, report)
 
 
-def _cmd_simulate(config):
-    kernel = _spec(config, "kernel", make_kernel)
+def _cmd_simulate(config, kernel):
+    t = _one_time(config)
     mu0 = _spec(config, "mu0", make_initial_datum)
-    t = config["t"][0]
-    rng = rng_stream(config["seed"], 0)
-    draws = wild_velocity_batch(t, mu0, kernel, rng, config["samples"],
-                                n_max=config["nmax"])
-    rows = [{"v_x": repr(float(v[0])), "v_y": repr(float(v[1])), "v_z": repr(float(v[2]))}
-            for v in draws]
-    payload = {"suite": "simulate", "config": _echo_config(config),
+    draws = wild_velocity_batch(t, mu0, kernel, config["seed"], config["samples"],
+                                n_max=config["nmax"], workers=config["workers"])
+    run_id = diagnostics._run_id("simulate", {"t": t, "n_samples": config["samples"],
+                                              "seed": config["seed"]}, kernel, mu0)
+    header = ["v_x", "v_y", "v_z"]
+    rows = [dict(zip(header, map(repr, v))) for v in draws.tolist()]
+    payload = {"suite": "simulate", "run_id": run_id, "config": config,
                "n_samples": len(draws), "passed": True}
-    _write_outputs(payload, rows, ["v_x", "v_y", "v_z"], config)
+    _write_outputs(payload, rows, header, config)
     if not config.get("csv"):
         for row in rows:
-            print(f"{row['v_x']},{row['v_y']},{row['v_z']}")
+            print(",".join(row.values()))
     else:
-        print(f"simulate: wrote {len(rows)} velocity rows to {config['csv']}")
+        print(f"simulate: wrote {len(rows)} velocity rows to {config['csv']} "
+              f"(run {run_id})")
     return EXIT_OK
 
 
-COMMANDS = {
-    "identities": _cmd_identities,
-    "conserve": _cmd_conserve,
-    "decay": _cmd_decay,
-    "cfcurve": _cmd_cfcurve,
-    "crosscheck": _cmd_crosscheck,
-    "legendre": _cmd_legendre,
-    "envelope": _cmd_envelope,
-    "simulate": _cmd_simulate,
+def _reads(extra: str) -> tuple[str, ...]:
+    """The settings of every command and extra, in the order of SETTINGS."""
+    names = {"kernel", "samples", "seed", "out", "csv", *extra.split()}
+    return tuple(key for key in SETTINGS if key in names)
+
+
+COMMANDS = {  # name: (function, the settings it reads)
+    "identities": (_cmd_identities, _reads("t workers nmax z_threshold a_star")),
+    "conserve": (_cmd_conserve, _reads("mu0 t workers nmax z_threshold")),
+    "decay": (_cmd_decay, _reads("mu0 moment t workers nmax rate_tol max_rate")),
+    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers nmax estimator xi_grid max_rate")),
+    "crosscheck": (_cmd_crosscheck, _reads("mu0 t workers nmax xi_grid z_threshold")),
+    "legendre": (_cmd_legendre, _reads("tree_size z_threshold")),
+    "envelope": (_cmd_envelope, _reads("mu0 t workers nmax lam q")),
+    "simulate": (_cmd_simulate, _reads("mu0 t workers nmax")),
 }
 
 
@@ -382,49 +397,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo verification suite for Maxwellian collision cascades",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
+    for name, (_, reads) in COMMANDS.items():
+        # no abbreviations: legendre's --t would be read as --tree-size
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", help="JSON config file (flags override it)")
-        cmd.add_argument("--kernel", help="kernel preset name or JSON spec")
-        cmd.add_argument("--mu0", help="initial datum preset name or JSON spec")
-        cmd.add_argument("--t", help="comma-separated time list")
-        cmd.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        cmd.add_argument("--seed", type=int, help="master seed")
-        cmd.add_argument("--workers", type=int, help="worker processes")
-        cmd.add_argument("--nmax", type=int, help="cascade size cap")
-        cmd.add_argument("--estimator", choices=["raoblackwell", "raw"])
-        cmd.add_argument("--xi-grid", dest="xi_grid",
-                         help="JSON list of 3-vectors or {rho, directions}")
-        cmd.add_argument("--z-threshold", dest="z_threshold", type=float)
-        cmd.add_argument("--a-star", dest="a_star", type=float,
-                         help="tail threshold for the W bound")
-        cmd.add_argument("--moment", choices=["W", "v1^4"],
-                         help="decay statistic")
-        cmd.add_argument("--tree-size", dest="tree_size", type=int)
-        cmd.add_argument("--lam", type=float, help="envelope scale")
-        cmd.add_argument("--q", type=float, help="envelope exponent")
-        cmd.add_argument("--rate-tol", dest="rate_tol", type=float,
-                         help="relative tolerance on the fitted rate")
-        cmd.add_argument("--max-rate", dest="max_rate", type=float,
-                         help="require fitted rate <= this value")
-        cmd.add_argument("--out", help="JSON report path")
-        cmd.add_argument("--csv", help="CSV output path")
+        for key in reads:
+            setting = SETTINGS[key]
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help,
+                             type=setting.kind if setting.kind in (int, float) else None,
+                             choices=setting.choices)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-        return COMMANDS[args.command](config)
+        kernel = _spec(config, "kernel", make_kernel)  # every command reads one
+        return COMMANDS[args.command][0](config, kernel)
     except (ConfigError, BadSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except WildsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, OSError) as exc:
+    except (WildsimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -28,9 +28,9 @@ Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
-and np.multiply.reduceat over the offsets), and `reduce_cascades` is the one
-driver that turns them into estimates.  It draws every size of an estimate
-from rng_stream(seed, *key), sorts them in descending order and
+and np.multiply.reduceat over the offsets), and `reduce_cascades` turns them
+into estimates.  It draws every size of an estimate from
+rng_stream(seed, *key), sorts them in descending order and
 post-stratifies on them, since their law is known exactly: `size_strata`
 cuts it into SIZE_STRATA = 16 equal-probability bins at whole sizes, with
 exact probabilities p_h, and `SizeStrata.pooled` pools each bin holding
@@ -40,7 +40,9 @@ chunks of at most LEAF_BUDGET leaves, chunk c drawing from
 rng_stream(seed, *key, c).  Each stratum is a contiguous slice of a chunk;
 a chunk keeps (count, mean, M2) per stratum, and chunks merge in chunk
 order with the pairwise update of Chan, Golub and LeVeque, so an estimate
-depends on the seed alone, whatever the worker count.  `mean_se` reads the
+depends on the seed alone, whatever the worker count.  `_run_chunks` is the
+one chunk driver: `reduce_cascades` summarizes what its chunks return, and
+`wild_velocity_batch` keeps their raw velocity draws.  `mean_se` reads the
 estimate sum_h p_h xbar_h and its standard error
 sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most of it for the
 weight statistics, drops out; the draws are those of a plain mean (at
@@ -410,12 +412,13 @@ def merge_sums(parts) -> dict:
 
 
 def _chunk_entry(args):
-    """Run one chunk task and reduce its per-cascade statistics to a
-    per-stratum summary; a failure that is not already a WildsimError
-    becomes one naming the chunk's seed and stream key."""
+    """Run one chunk task and, given strata, reduce its per-cascade
+    statistics to a per-stratum summary; a failure that is not already a
+    WildsimError becomes one naming the chunk's seed and stream key."""
     task, nus, strata, seed, key, kwargs = args
     try:
-        return summarize(task(nus, rng_stream(seed, *key), **kwargs), nus, strata)
+        out = task(nus, rng_stream(seed, *key), **kwargs)
+        return out if strata is None else summarize(out, nus, strata)
     except WildsimError:
         raise
     except Exception as exc:
@@ -423,21 +426,27 @@ def _chunk_entry(args):
                            f"{key}): {exc!r}") from exc
 
 
-def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
-    """Draw n_samples cascade sizes at time t from stream `key` of seed,
-    pool the size strata at t over them, run task(nus, rng, **kwargs) on
-    each chunk with stream key + (chunk,), summarize each chunk on the
-    pooled strata, and merge the summaries in chunk order.  The task must
-    be a module-level function, so it pickles to `workers` processes."""
-    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
-    strata = size_strata(t).pooled(nus)
+def _run_chunks(task, nus, strata, seed, key, workers, kwargs):
+    """task(nus[chunk], rng, **kwargs) over the chunks of descending sizes nus,
+    in chunk order, chunk c on stream key + (c,) of seed, summarized on strata
+    unless strata is None; a module-level task pickles to `workers` processes."""
     jobs = [(task, nus[chunk], strata, seed, key + (c,), kwargs)
             for c, chunk in enumerate(chunk_slices(nus))]
     workers = min(max(1, int(workers)), len(jobs))
     if workers == 1:
-        return merge_sums(map(_chunk_entry, jobs))
+        return map(_chunk_entry, jobs)
     with multiprocessing.Pool(workers) as pool:
-        return merge_sums(pool.map(_chunk_entry, jobs))
+        return pool.map(_chunk_entry, jobs)
+
+
+def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
+    """Draw n_samples cascade sizes at time t from stream `key` of seed,
+    pool the size strata at t over them, run task(nus, rng, **kwargs) on
+    each chunk with stream key + (chunk,), summarize each chunk on the
+    pooled strata, and merge the summaries in chunk order."""
+    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
+    strata = size_strata(t).pooled(nus)
+    return merge_sums(_run_chunks(task, nus, strata, seed, key, workers, kwargs))
 
 
 def mean_se(sums: dict, key: str):
@@ -577,20 +586,16 @@ def wild_velocity(
     return cascade_velocities([nu], rng, mu0=mu0, kernel=kernel)[0]
 
 
-def wild_velocity_batch(
-    t: float,
-    mu0: InitialDatum,
-    kernel: CollisionKernel,
-    rng: np.random.Generator,
-    size: int,
-    n_max: int = DEFAULT_NU_CAP,
-) -> np.ndarray:
+def wild_velocity_batch(t: float, mu0: InitialDatum, kernel: CollisionKernel, seed: int,
+                        size: int, n_max: int = DEFAULT_NU_CAP, workers: int = 1):
     """size independent draws from the solution at time t, shape (size, 3),
-    in the order their sizes were drawn."""
-    nus, order = sorted_sizes(t, rng, size, n_max)
-    out = np.empty((size, 3))
-    for chunk in chunk_slices(nus):
-        out[order[chunk]] = cascade_velocities(nus[chunk], rng, mu0=mu0, kernel=kernel)
+    in the order their sizes were drawn: the sizes from stream (0,) of seed,
+    chunk c from stream (0, c), so the draws do not depend on workers."""
+    nus, order = sorted_sizes(t, rng_stream(seed, 0), size, n_max)
+    draws = np.concatenate(list(_run_chunks(cascade_velocities, nus, None, seed, (0,),
+                                            workers, {"mu0": mu0, "kernel": kernel})))
+    out = np.empty_like(draws)
+    out[order] = draws  # back to draw order
     return out
 
 

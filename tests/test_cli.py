@@ -85,6 +85,15 @@ def test_simulate_deterministic(tmp_path):
         assert "(" not in line
 
 
+def test_simulate_does_not_depend_on_workers(tmp_path):
+    # t = 3 with 4000 draws (about 80,000 leaves) runs several chunks
+    args = ["simulate", "--t", "3", "--samples", "4000", "--seed", "2"]
+    paths = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    for workers, path in zip((1, 2), paths):
+        assert main([*args, "--workers", str(workers), "--csv", str(path)]) == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_decay_command_with_tolerance(tmp_path):
     out = tmp_path / "decay.json"
     code = main([
@@ -182,6 +191,10 @@ def test_crosscheck_command(tmp_path):
     ["identities", "--samples", "10", {"z_threshold": "x"}],
     ["envelope", "--samples", "10", {"lam": [1]}],
     ["identities", "--t", "0.5", {"samples": 20.7}],
+    ["identities", "--t", "0.5", {"samples": None}],
+    # a command that runs at one time given several
+    ["envelope", "--samples", "10", "--mu0", "gaussian", "--t", "0.5,9"],
+    ["simulate", "--samples", "10", "--t", "0.5,1"],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):
@@ -205,6 +218,31 @@ def test_overflowing_mu0_is_config_error(capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--mu0", "gaussian"],
+    ["conserve", "--a-star", "0.5"],
+    ["cfcurve", "--rate-tol", "0.1"],
+    ["crosscheck", "--estimator", "raw"],
+    ["legendre", "--workers", "2"],
+    ["legendre", "--t", "2"],  # not an abbreviation of --tree-size
+    ["envelope", "--z-threshold", "3"],
+    ["simulate", "--xi-grid", "[[1,0,0]]"],
+    # a config file (the last item) holding a key the command does not read
+    ["identities", {"mu0": "gaussian"}],
+])
+def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
+    if not isinstance(argv[-1], dict):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--samples", "10"])
+        assert exc.value.code == 2
+        return
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(argv[-1]))
+    assert main([*argv[:-1], "--samples", "10", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 SUITE_ARGS = {
     "identities": ["--t", "0.5"],
     "conserve": ["--t", "0.5"],
@@ -217,6 +255,18 @@ SUITE_ARGS = {
 }
 
 
+SUITE_SETTINGS = {
+    "identities": "t workers nmax z_threshold a_star",
+    "conserve": "mu0 t workers nmax z_threshold",
+    "decay": "mu0 moment t workers nmax rate_tol max_rate",
+    "cfcurve": "mu0 t workers nmax estimator xi_grid max_rate",
+    "crosscheck": "mu0 t workers nmax xi_grid z_threshold",
+    "legendre": "tree_size z_threshold",
+    "envelope": "mu0 t workers nmax lam q",
+    "simulate": "mu0 t workers nmax",
+}
+
+
 @pytest.mark.parametrize("command", sorted(SUITE_ARGS))
 def test_reports_write_json_booleans(command, tmp_path):
     out = tmp_path / "report.json"
@@ -226,6 +276,9 @@ def test_reports_write_json_booleans(command, tmp_path):
     flags = [payload["passed"], *payload.get("checks", {}).values(),
              *(entry["passed"] for entry in payload.get("entries", []))]
     assert all(type(flag) is bool for flag in flags)
+    # the echoed config holds exactly the settings the command reads
+    assert set(payload["config"]) == {"kernel", "samples", "seed", "out", "csv",
+                                      *SUITE_SETTINGS[command].split()}
 
 
 SPEC_KEYS = ["preset", "table", "function", "endpoint_exponents", "mean", "cov",

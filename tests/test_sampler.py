@@ -230,18 +230,16 @@ def test_collision_completion_invariance():
 
 def test_wild_velocity_zero_time(kernel):
     mu0 = sixpoint_datum()
-    rng = rng_stream(15)
-    draws = wild_velocity_batch(0.0, mu0, kernel, rng, 200)
+    draws = wild_velocity_batch(0.0, mu0, kernel, 15, 200)
     norms = np.linalg.norm(draws, axis=1)
     np.testing.assert_allclose(norms, math.sqrt(3.0), atol=1e-12)
 
 
 def test_wild_velocity_conserves_moments(kernel):
     mu0 = sixpoint_datum()
-    rng = rng_stream(16)
     n = 20_000
     for t in (0.5, 1.0):
-        draws = wild_velocity_batch(t, mu0, kernel, rng, n)
+        draws = wild_velocity_batch(t, mu0, kernel, 16, n)
         energy = np.einsum("ij,ij->i", draws, draws)
         se_mean = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0)) < 4 * se_mean)
@@ -251,8 +249,7 @@ def test_wild_velocity_conserves_moments(kernel):
 
 def test_wild_velocity_shifted_mean(kernel):
     mu0 = gaussian_datum(mean=(1.0, 0.0, 0.0))
-    rng = rng_stream(17)
-    draws = wild_velocity_batch(1.0, mu0, kernel, rng, 20_000)
+    draws = wild_velocity_batch(1.0, mu0, kernel, 17, 20_000)
     se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     np.testing.assert_array_less(np.abs(draws.mean(axis=0) - [1.0, 0.0, 0.0]), 4 * se)
 
@@ -364,8 +361,8 @@ def test_chart_invariance_of_conditional_mean(kernel):
 
 def test_determinism_same_stream(kernel):
     mu0 = sixpoint_datum()
-    a = wild_velocity_batch(1.0, mu0, kernel, rng_stream(77, 0), 64)
-    b = wild_velocity_batch(1.0, mu0, kernel, rng_stream(77, 0), 64)
+    a = wild_velocity_batch(1.0, mu0, kernel, 77, 64)
+    b = wild_velocity_batch(1.0, mu0, kernel, 77, 64)
     assert np.array_equal(a, b)
-    c = wild_velocity_batch(1.0, mu0, kernel, rng_stream(77, 1), 64)
+    c = wild_velocity_batch(1.0, mu0, kernel, 78, 64)
     assert not np.array_equal(a, c)
