@@ -4,7 +4,8 @@ Exit codes: 0 all checks passed, 1 runtime failure, 2 bad configuration,
 3 at least one check failed.  Each setting is declared once, in SETTINGS,
 and each entry of COMMANDS names the settings its command reads: only those
 are its flags, only those may appear in its config file (any other key is a
-config error), and exactly those are echoed into its report.  Flags
+config error), and exactly those are echoed into its report (save mu0
+under `decay --moment W`: its spec is checked, but W reads no datum).  Flags
 override config-file values, which override defaults.  All randomness
 derives from --seed; WILDSIM_WORKERS sets the default worker count.
 """
@@ -39,10 +40,11 @@ EXIT_CHECK_FAILED = 3
 
 @dataclass(frozen=True)
 class Setting:
-    """A --flag and config-file key.  `read` converts an int or float value
-    (argparse converts a flag's) and checks that it is finite and satisfies
-    BOUNDS[bound]; a list is a time list; a str (a name, JSON spec or path)
-    is taken as given, and so is None where it is the default."""
+    """A --flag and config-file key.  `read` checks a value against the
+    choices, converts an int or float value (argparse converts a flag's) and
+    checks that it is finite and satisfies BOUNDS[bound]; a list is a time
+    list; a str (a name, JSON spec or path) is taken as given, and so is None
+    where it is the default."""
 
     default: object
     help: str
@@ -51,6 +53,8 @@ class Setting:
     bound: str | None = None
 
     def read(self, key, value):
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{key} must be one of {list(self.choices)}, got {value!r}")
         if (value is None and self.default is None) or self.kind is str:
             return value
         if self.kind is list:
@@ -172,7 +176,8 @@ def _spec(config, key, build):
 def _merge_config(args: argparse.Namespace) -> dict:
     """The settings the command reads, each from its flag, else the config
     file, else its default; a config-file key the command does not read is
-    an error."""
+    an error, and so is a list of times given to a command in ONE_TIME,
+    which runs at the first default time unless given one."""
     reads = COMMANDS[args.command][1]
     found = {}
     if args.config:
@@ -194,6 +199,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key == "workers" and value is None:
             value = os.environ.get("WILDSIM_WORKERS", "1")
         config[key] = SETTINGS[key].read(key, value)
+    if args.command in ONE_TIME:
+        if len(config["t"]) > 1 and (args.t is not None or "t" in found):
+            raise ConfigError(f"{args.command} runs at one time, got t = {config['t']}")
+        config["t"] = config["t"][:1]
     return config
 
 
@@ -287,7 +296,9 @@ def _cmd_conserve(config, kernel):
 
 def _cmd_decay(config, kernel):
     moment = config["moment"]
-    mu0 = None if moment in ("W", "w") else _spec(config, "mu0", make_initial_datum)
+    mu0 = _spec(config, "mu0", make_initial_datum)  # a bad spec is an error either way
+    if moment == "W":  # the weight statistic reads no initial datum
+        config = {key: value for key, value in config.items() if key != "mu0"}
     fit = diagnostics.moment_decay_fit(
         mu0, kernel, config["t"], moment_spec=moment,
         n_samples=config["samples"], seed=config["seed"],
@@ -335,14 +346,8 @@ def _cmd_legendre(config, kernel):
     return _report_outcome(config, report)
 
 
-def _one_time(config) -> float:
-    if len(config["t"]) > 1:
-        raise ConfigError(f"this command runs at one time, got t = {config['t']}")
-    return config["t"][0]
-
-
 def _cmd_envelope(config, kernel):
-    t = _one_time(config)
+    t = config["t"][0]
     mu0 = _spec(config, "mu0", make_initial_datum)
     report = diagnostics.envelope_check(
         mu0, config["lam"], config["q"], kernel,
@@ -353,7 +358,7 @@ def _cmd_envelope(config, kernel):
 
 
 def _cmd_simulate(config, kernel):
-    t = _one_time(config)
+    t = config["t"][0]
     mu0 = _spec(config, "mu0", make_initial_datum)
     draws = wild_velocity_batch(t, mu0, kernel, config["seed"], config["samples"],
                                 n_max=config["nmax"], workers=config["workers"])
@@ -389,6 +394,7 @@ COMMANDS = {  # name: (function, the settings it reads)
     "envelope": (_cmd_envelope, _reads("mu0 t workers nmax lam q")),
     "simulate": (_cmd_simulate, _reads("mu0 t workers nmax")),
 }
+ONE_TIME = ("envelope", "simulate")  # the commands that run at one time
 
 
 def build_parser() -> argparse.ArgumentParser:

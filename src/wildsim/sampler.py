@@ -62,6 +62,7 @@ initial law cf is real, so the product is taken over floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -412,13 +413,11 @@ def merge_sums(parts) -> dict:
 
 
 def _chunk_entry(args):
-    """Run one chunk task and, given strata, reduce its per-cascade
-    statistics to a per-stratum summary; a failure that is not already a
-    WildsimError becomes one naming the chunk's seed and stream key."""
-    task, nus, strata, seed, key, kwargs = args
+    """Run one chunk task; a failure that is not already a WildsimError
+    becomes one naming the chunk's seed and stream key."""
+    task, nus, seed, key, kwargs = args
     try:
-        out = task(nus, rng_stream(seed, *key), **kwargs)
-        return out if strata is None else summarize(out, nus, strata)
+        return task(nus, rng_stream(seed, *key), **kwargs)
     except WildsimError:
         raise
     except Exception as exc:
@@ -426,17 +425,22 @@ def _chunk_entry(args):
                            f"{key}): {exc!r}") from exc
 
 
-def _run_chunks(task, nus, strata, seed, key, workers, kwargs):
+def _run_chunks(task, nus, seed, key, workers, kwargs):
     """task(nus[chunk], rng, **kwargs) over the chunks of descending sizes nus,
-    in chunk order, chunk c on stream key + (c,) of seed, summarized on strata
-    unless strata is None; a module-level task pickles to `workers` processes."""
-    jobs = [(task, nus[chunk], strata, seed, key + (c,), kwargs)
+    in chunk order, chunk c on stream key + (c,) of seed; a task built from
+    module-level functions pickles to `workers` processes."""
+    jobs = [(task, nus[chunk], seed, key + (c,), kwargs)
             for c, chunk in enumerate(chunk_slices(nus))]
     workers = min(max(1, int(workers)), len(jobs))
     if workers == 1:
         return map(_chunk_entry, jobs)
     with multiprocessing.Pool(workers) as pool:
         return pool.map(_chunk_entry, jobs)
+
+
+def _summarized(task, strata, nus, rng, **kwargs) -> dict:
+    """task's per-cascade statistics of one chunk, summarized on strata."""
+    return summarize(task(nus, rng, **kwargs), nus, strata)
 
 
 def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
@@ -446,7 +450,8 @@ def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> 
     pooled strata, and merge the summaries in chunk order."""
     nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
     strata = size_strata(t).pooled(nus)
-    return merge_sums(_run_chunks(task, nus, strata, seed, key, workers, kwargs))
+    return merge_sums(_run_chunks(functools.partial(_summarized, task, strata),
+                                  nus, seed, key, workers, kwargs))
 
 
 def mean_se(sums: dict, key: str):
@@ -551,36 +556,20 @@ class TreeSample:
     t: float
 
 
-def draw_tree_sample(
-    t: float,
-    kernel: CollisionKernel,
-    rng: np.random.Generator,
-    n_max: int = DEFAULT_NU_CAP,
-    nu: int | None = None,
-) -> TreeSample:
+def draw_tree_sample(t: float, kernel: CollisionKernel, rng: np.random.Generator,
+                     n_max: int = DEFAULT_NU_CAP, nu: int | None = None) -> TreeSample:
     """Draw a TreeSample, a one-cascade chunk of the engine (nu overrides
     the size draw, for conditional studies)."""
     if nu is None:
         nu = sample_nu(t, rng, n_max)
     record = germination_record([nu], kernel, rng)
     weights, rotations = leaf_frames(record)
-    return TreeSample(
-        nu=nu,
-        pi=WeightArray(values=weights, order=1),
-        rotations=rotations,
-        phis=record.phis,
-        thetas=record.thetas,
-        t=t,
-    )
+    return TreeSample(nu=nu, pi=WeightArray(values=weights, order=1), rotations=rotations,
+                      phis=record.phis, thetas=record.thetas, t=t)
 
 
-def wild_velocity(
-    t: float,
-    mu0: InitialDatum,
-    kernel: CollisionKernel,
-    rng: np.random.Generator,
-    n_max: int = DEFAULT_NU_CAP,
-) -> np.ndarray:
+def wild_velocity(t: float, mu0: InitialDatum, kernel: CollisionKernel,
+                  rng: np.random.Generator, n_max: int = DEFAULT_NU_CAP) -> np.ndarray:
     """One velocity draw from the solution at time t."""
     nu = sample_nu(t, rng, n_max)
     return cascade_velocities([nu], rng, mu0=mu0, kernel=kernel)[0]
@@ -592,22 +581,17 @@ def wild_velocity_batch(t: float, mu0: InitialDatum, kernel: CollisionKernel, se
     in the order their sizes were drawn: the sizes from stream (0,) of seed,
     chunk c from stream (0, c), so the draws do not depend on workers."""
     nus, order = sorted_sizes(t, rng_stream(seed, 0), size, n_max)
-    draws = np.concatenate(list(_run_chunks(cascade_velocities, nus, None, seed, (0,),
-                                            workers, {"mu0": mu0, "kernel": kernel})))
-    out = np.empty_like(draws)
-    out[order] = draws  # back to draw order
+    out = np.empty((size, 3))
+    chunks = _run_chunks(cascade_velocities, nus, seed, (0,), workers,
+                         {"mu0": mu0, "kernel": kernel})
+    for chunk, draws in zip(chunk_slices(nus), chunks):
+        out[order[chunk]] = draws  # back to draw order
     return out
 
 
-def weight_statistic_sums(
-    t: float,
-    kernel: CollisionKernel,
-    seed: int,
-    n_samples: int,
-    s_powers: tuple = (1, 2, 3, 4),
-    a_star: float | None = None,
-    n_max: int = DEFAULT_NU_CAP,
-) -> dict[str, np.ndarray]:
+def weight_statistic_sums(t: float, kernel: CollisionKernel, seed: int, n_samples: int,
+                          s_powers: tuple = (1, 2, 3, 4), a_star: float | None = None,
+                          n_max: int = DEFAULT_NU_CAP) -> dict[str, np.ndarray]:
     """`weight_sums` over n_samples cascades at time t, reduced on the
     streams of seed alone (read the summary with `mean_se`)."""
     return reduce_cascades(weight_sums, seed, (), 1, t, n_samples, n_max,

@@ -195,6 +195,12 @@ def test_crosscheck_command(tmp_path):
     # a command that runs at one time given several
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--t", "0.5,9"],
     ["simulate", "--samples", "10", "--t", "0.5,1"],
+    ["simulate", "--samples", "10", {"t": [0.5, 1]}],
+    # a choice outside its list in a config file, as it is as a flag
+    ["decay", "--samples", "10", "--t", "1,2,3,4", {"moment": "w"}],
+    # decay --moment W reads no datum, but a malformed one is still rejected
+    ["decay", "--samples", "10", "--t", "1,2,3,4", "--moment", "W",
+     "--mu0", '{"preset": "gaussian", "cov": "x"}'],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):
@@ -276,9 +282,19 @@ def test_reports_write_json_booleans(command, tmp_path):
     flags = [payload["passed"], *payload.get("checks", {}).values(),
              *(entry["passed"] for entry in payload.get("entries", []))]
     assert all(type(flag) is bool for flag in flags)
-    # the echoed config holds exactly the settings the command reads
-    assert set(payload["config"]) == {"kernel", "samples", "seed", "out", "csv",
-                                      *SUITE_SETTINGS[command].split()}
+    # the echoed config holds exactly the settings the command reads; the
+    # weight statistic of decay --moment W reads no initial datum
+    reads = {"kernel", "samples", "seed", "out", "csv", *SUITE_SETTINGS[command].split()}
+    assert set(payload["config"]) == reads - ({"mu0"} if command == "decay" else set())
+
+
+@pytest.mark.parametrize("command", ["envelope", "simulate"])
+def test_one_time_commands_run_at_the_first_default_time(command, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    mu0 = ["--mu0", "gaussian"] if command == "envelope" else []
+    assert main([command, "--samples", "10", "--seed", "1", "--out", str(out), *mu0]) in (
+        EXIT_OK, EXIT_CHECK_FAILED)
+    assert json.loads(out.read_text())["config"]["t"] == [0.5]
 
 
 SPEC_KEYS = ["preset", "table", "function", "endpoint_exponents", "mean", "cov",
