@@ -406,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, reads) in COMMANDS.items():
         # no abbreviations: legendre's --t would be read as --tree-size
         cmd = sub.add_parser(name, allow_abbrev=False)
+        cmd.set_defaults(command_parser=cmd)
         cmd.add_argument("--config", help="JSON config file (flags override it)")
         for key in reads:
             setting = SETTINGS[key]
@@ -416,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # shown with the command's own usage, which lists its flags
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         config = _merge_config(args)
         kernel = _spec(config, "kernel", make_kernel)  # every command reads one

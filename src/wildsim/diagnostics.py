@@ -35,6 +35,7 @@ from .sampler import (
     mean_se,
     reduce_cascades,
     reduction_scheme,
+    replay,
     rng_stream,
     transform_sums,
     weight_sums,
@@ -247,10 +248,16 @@ def _check(identity, params, value, se, reference, provenance, z_threshold,
 # --- chunk tasks (module level so they pickle) ------------------------------------
 
 def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
-    v = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
+    """Per-cascade velocity statistics, each averaged over the antithetic
+    pair of root velocities (root azimuth theta and theta + pi, see
+    `sampler.replay`): one unbiased row per cascade with less variance."""
+    record = germination_record(nus, kernel, rng)
+    pair = np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
     axis = np.array([1.0, 0.0, 0.0]) if direction is None else np.asarray(direction)
-    return {"v1": v[:, 0], "v2": v[:, 1], "v3": v[:, 2],
-            "energy": np.einsum("ij,ij->i", v, v), "v1_fourth": (v @ axis) ** 4}
+    mean = pair.mean(axis=0)
+    return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2],
+            "energy": np.einsum("pij,pij->i", pair, pair) / 2.0,
+            "v1_fourth": ((pair @ axis) ** 4).mean(axis=0)}
 
 
 def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):

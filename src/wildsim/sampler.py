@@ -20,12 +20,22 @@ live in one flat buffer, and two passes walk the levels:
   collision frames left(phi, theta) and right(phi, theta) give the leaf
   rotations.
 * backward (`replay`), deepest level first: i.i.d. initial velocities at
-  the leaves are folded through pairwise collisions (`collide`), one
-  vectorised call per level over every cascade of the chunk, so each merge
-  sees fully collapsed subtrees; the root keeps one draw from the solution.
+  the leaves are folded through pairwise collisions, one vectorised call
+  per level over every cascade of the chunk, so each merge sees fully
+  collapsed subtrees; the root keeps one draw from the solution.  A node
+  keeps only its first outgoing velocity v + delta (`deflection`, which
+  `collide` also uses), written in place.  On request the pass also
+  returns each cascade's root collision at azimuth theta + pi, an
+  antithetic partner of the same law for a few vector operations:
+  delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
+  `decay --moment v1^4` average their velocity statistics over the pair,
+  still one unbiased row per cascade; `simulate` and `crosscheck` keep the
+  plain draw.
 
 Both passes cost O(depth) Python-level steps per chunk; the depth grows
-like log nu while nu grows like e^t.
+like log nu while nu grows like e^t.  A record draws all node angles, then
+the cuts of the tree shapes, then the azimuths, which the weight
+reductions never read and skip.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), and `reduce_cascades` turns them
@@ -47,10 +57,11 @@ estimate sum_h p_h xbar_h and its standard error
 sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most of it for the
 weight statistics, drops out; the draws are those of a plain mean (at
 t = 0 there is one stratum, and the estimate is the plain mean).  Each
-reduction grows only what it reads: W = sum_j w_j^4 alone needs the
-order-1 weights, so it grows scalar (cos phi, sin phi) factors rather than
-orders 1 to 3.  The single-draw views (`draw_tree_sample`, `wild_velocity`)
-are one-cascade chunks of the same engine.
+reduction grows only what it reads: W = sum_j w_j^4 alone needs only the
+squared order-1 weights, so it grows scalar (cos^2 phi, 1 - cos^2 phi)
+factors rather than orders 1 to 3.  The single-draw views
+(`draw_tree_sample`, `wild_velocity`) are one-cascade chunks of the same
+engine.
 
 The transform estimator (`transform_sums`, over a whole grid of
 frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
@@ -82,6 +93,7 @@ DEFAULT_NU_CAP = 1_000_000
 LEAF_BUDGET = 1 << 14   # leaves per chunk; a larger cascade is a chunk of its own
 TWO_PI = 2.0 * math.pi
 SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+TINY = np.finfo(float).tiny
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -145,8 +157,9 @@ class GerminationRecord:
 
     Cascade j owns the leaves offsets[j] .. offsets[j] + nus[j] - 1, in
     left-to-right tree order.  Its nus[j] - 1 split nodes carry angles
-    (phis, thetas) and are numbered in level order over the whole chunk:
-    level k (roots at k = 0) holds the nodes bounds[k] .. bounds[k + 1] - 1.
+    (phis, thetas; thetas is None in a record drawn without azimuths) and
+    are numbered in level order over the whole chunk: level k (roots at
+    k = 0) holds the nodes bounds[k] .. bounds[k + 1] - 1.
     Slots index one buffer of leaves then nodes: slot i < n_leaves is leaf i,
     slot n_leaves + k is node k.  Node k's subtrees sit at slots left[k] and
     right[k], always a leaf or a node of the next level, and roots[j] is the
@@ -158,7 +171,7 @@ class GerminationRecord:
     offsets: np.ndarray
     bounds: np.ndarray
     phis: np.ndarray
-    thetas: np.ndarray
+    thetas: np.ndarray | None
     left: np.ndarray
     right: np.ndarray
     roots: np.ndarray
@@ -176,19 +189,22 @@ class GerminationRecord:
         return ufunc.reduceat(leaf_values, self.offsets, axis=0)
 
 
-def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator) -> GerminationRecord:
+def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator,
+                       azimuths: bool = True) -> GerminationRecord:
     """Draw the trees of cascades with the given sizes (descending), one
     level at a time: a node over s leaves sends a uniform 1 .. s - 1 of them
     to its left subtree and the rest to its right, which is the shape law
-    p_n(tree) = p(left) p(right) / (n - 1).  Angles, azimuths and the cut
-    variables of all nodes are drawn up front, in that order."""
+    p_n(tree) = p(left) p(right) / (n - 1).  The angles, the cut variables
+    and the azimuths of all nodes are drawn up front, in that order, so a
+    reduction that reads no azimuth skips their draw (azimuths=False leaves
+    thetas None) and still sees the same trees and angles."""
     nus = np.asarray(nus, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(nus[:-1])))
     n = int(offsets[-1] + nus[-1])
     m = n - len(nus)
     phis = kernel.inverse_beta_cdf(rng.random(m))
-    thetas = rng.uniform(0.0, TWO_PI, m)
     cuts = rng.random(m)
+    thetas = rng.uniform(0.0, TWO_PI, m) if azimuths else None
     # each node's (left, right) children side by side: a child's leaf start,
     # replaced by its node slot when it splits; child_sizes has their leaf counts
     slots = np.empty((m, 2), dtype=np.int64)
@@ -243,49 +259,99 @@ def leaf_frames(record: GerminationRecord) -> tuple[np.ndarray, RotationArray]:
     return weights, RotationArray(rotations=rotations)
 
 
-def collide(v, w, phi, theta):
-    """Post-collisional pair for incoming velocities v = (vx, vy, vz) and
-    w = (wx, wy, wz); components and angles may be scalars or equal-shape
-    arrays, and each output stacks its three components along axis 0.
+def deflection(v, w, phi, theta):
+    """The change of velocity v in a collision with w: the outgoing pair is
+    v' = v + delta, w' = w - delta.  Components and angles may be scalars or
+    equal-shape arrays; returns the three components of delta.
 
-    The deflection direction is built from the unit relative velocity and
-    the branchless orthonormal completion of Duff et al. (JCGT 2017); theta
-    is uniform, so the law of the outcome does not depend on the completion
-    choice.  Momentum and kinetic energy are conserved exactly up to
-    roundoff, and identical velocities pass through unchanged.
+    delta = ((w - v) . omega) omega, with omega at polar angle phi and
+    azimuth theta about the unit relative velocity u = d / |d|, d = w - v:
+    delta = cos^2(phi) d + |d| cos(phi) sin(phi) (cos(theta) e1 + sin(theta) e2),
+    with (e1, e2, u) the branchless orthonormal completion of Duff et al.
+    (JCGT 2017).  theta is uniform, so the law of the outcome does not depend
+    on the completion choice.  Turning theta by pi reflects delta through
+    its mean over theta: delta(theta + pi) = 2 cos^2(phi) d - delta(theta).
+    The sums accumulate in place, to keep temporaries few.
     """
     vx, vy, vz = v
     wx, wy, wz = w
     dx, dy, dz = wx - vx, wy - vy, wz - vz
-    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    scale = 1.0 / np.where(norm > 0.0, norm, 1.0)
-    ux, uy, uz = dx * scale, dy * scale, dz * scale
-    sign = np.copysign(1.0, uz)
-    a = -1.0 / (sign + uz)
-    b = ux * uy * a
-    sp, cp = np.sin(phi), np.cos(phi)
-    c1, c2 = sp * np.cos(theta), sp * np.sin(theta)
-    g = norm * cp  # (w - v) . omega
-    gx = g * (c1 * (1.0 + sign * ux * ux * a) + c2 * b + cp * ux)
-    gy = g * (c1 * sign * b + c2 * (sign + uy * uy * a) + cp * uy)
-    gz = g * (cp * uz - c1 * sign * ux - c2 * uy)
+    norm = dx * dx
+    norm += dy * dy
+    norm += dz * dz
+    norm = np.sqrt(norm)
+    sign = np.copysign(1.0, dz)
+    # e1, e2 written in d: with a = -sign / (|d| + |dz|) and
+    # q = sign k1 dx + k2 dy, the transverse part is
+    # (|d| k1 + a q dx, sign |d| k2 + a q dy, -q); where d = 0, q = 0
+    a = np.abs(dz)
+    a += norm
+    a = -sign / np.maximum(a, TINY)
+    cp = np.cos(phi)
+    h = cp * np.sin(phi)
+    k1 = np.cos(theta)
+    k1 *= h
+    k2 = np.sin(theta)
+    k2 *= h
+    cos_sq = cp * cp
+    q = sign * k1
+    q *= dx
+    q += k2 * dy
+    a *= q
+    gx = cos_sq * dx
+    gx += norm * k1
+    gx += dx * a
+    k2 *= sign
+    k2 *= norm
+    gy = cos_sq * dy
+    gy += k2
+    gy += dy * a
+    gz = cos_sq * dz
+    gz -= q
+    return gx, gy, gz
+
+
+def collide(v, w, phi, theta):
+    """Post-collisional pair for incoming velocities v = (vx, vy, vz) and
+    w = (wx, wy, wz), each output stacking its three components along
+    axis 0 (see `deflection`).  Momentum and kinetic energy are conserved
+    exactly up to roundoff, and identical velocities pass through unchanged.
+    """
+    gx, gy, gz = deflection(v, w, phi, theta)
+    vx, vy, vz = v
+    wx, wy, wz = w
     return np.array([vx + gx, vy + gy, vz + gz]), np.array([wx - gx, wy - gy, wz - gz])
 
 
-def replay(record: GerminationRecord, velocities) -> np.ndarray:
+def replay(record: GerminationRecord, velocities, mirror: bool = False):
     """Backward pass: fold leaf velocities, shape (leaves, 3), through the
-    record one tree level at a time, deepest level first, with one
-    `collide` call per level: a node's output is the first outgoing
-    velocity of collide(left input, right input, phi, theta).  Returns each
-    cascade's root velocity, shape (cascades, 3)."""
+    record one tree level at a time, deepest level first: a node's output
+    is the first outgoing velocity of collide(left input, right input, phi,
+    theta), written in place as left input + `deflection`, one vectorised
+    call per level.  Returns each cascade's root velocity, shape
+    (cascades, 3), bit-identical to a fold of `collide`.
+
+    With mirror, returns (roots, mirrored): mirrored is the root velocity
+    with the root collision's azimuth turned by pi, the same subtrees below
+    it, got by reflecting the root through its mean over the azimuth,
+    v + cos^2(phi) (w - v).  A cascade of one leaf has no root collision,
+    so its mirrored root is its leaf."""
     n = record.n_leaves
     buffer = np.empty((3, n + len(record.phis)))
     buffer[:, :n] = np.asarray(velocities, float).T
     for a, b in reversed(list(record.levels())):
-        buffer[:, n + a:n + b] = collide(buffer[:, record.left[a:b]],
-                                         buffer[:, record.right[a:b]],
-                                         record.phis[a:b], record.thetas[a:b])[0]
-    return buffer[:, record.roots].T
+        v, w = buffer[:, record.left[a:b]], buffer[:, record.right[a:b]]
+        delta = deflection(v, w, record.phis[a:b], record.thetas[a:b])
+        for out, v_i, delta_i in zip(buffer[:, n + a:n + b], v, delta):
+            np.add(v_i, delta_i, out=out)
+    roots = buffer[:, record.roots].T
+    if not mirror:
+        return roots
+    mirrored = roots.copy()
+    if len(record.phis):  # v, w and b are the root level's, the loop's last
+        mean = v + np.cos(record.phis[:b]) ** 2 * (w - v)
+        mirrored[record.roots >= n] = (2.0 * mean - buffer[:, n:n + b]).T
+    return roots, mirrored
 
 
 def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) -> np.ndarray:
@@ -302,9 +368,11 @@ MIN_STRATUM_DRAWS = 2  # a stratum with fewer draws is pooled with the strata of
 
 
 def reduction_scheme() -> dict:
-    """The constants of the post-stratified reduction, for run identifiers."""
+    """The constants of the post-stratified reduction and the velocity
+    estimator's pairing rule, for run identifiers."""
     return {"scheme": "post-stratified on nu", "strata": SIZE_STRATA,
-            "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes"}
+            "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes",
+            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi"}
 
 
 @dataclass(frozen=True)
@@ -479,23 +547,28 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
                 a_star: float | None = None) -> dict:
     """Per-cascade sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
     W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
-    w, zeta, eta the order-1, -2 and -3 leaf weights.  With no s_powers and
-    no a_star the result holds W alone, grown at order 1 only."""
-    record = germination_record(nus, kernel, rng)
-    cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
+    w, zeta, eta the order-1, -2 and -3 leaf weights.  No azimuth is drawn.
+    The order-1 weights are grown squared, w^2, with the factors cos^2 phi
+    and sin^2 phi = 1 - cos^2 phi, and |w| is its square root; with no
+    s_powers and no a_star the result holds W alone, grown from w^2 only,
+    at one trig call per node."""
+    record = germination_record(nus, kernel, rng, azimuths=False)
+    cos_p = np.cos(record.phis)
+    cos_sq = cos_p * cos_p
     if not s_powers and a_star is None:
-        w = grow(record, cos_p, sin_p, 1.0)
-        sq = w * w
-        return {"W": record.per_cascade(sq * sq)}
-    orders = (1, 2, 3)
-    left = np.stack([legendre_value(k, cos_p) for k in orders], axis=-1)
-    right = np.stack([legendre_value(k, sin_p) for k in orders], axis=-1)
-    w, zeta, eta = np.abs(grow(record, left, right, np.ones(3))).T
-    sq = w * w
+        w_sq = grow(record, cos_sq, 1.0 - cos_sq, 1.0)
+        return {"W": record.per_cascade(w_sq * w_sq)}
+    sin_p = np.sin(record.phis)
+    # columns w^2 (grown as W alone grows it), zeta and eta
+    left = np.stack([cos_sq, legendre_value(2, cos_p), legendre_value(3, cos_p)], axis=-1)
+    right = np.stack([1.0 - cos_sq, legendre_value(2, sin_p), legendre_value(3, sin_p)],
+                     axis=-1)
+    w_sq, zeta, eta = np.abs(grow(record, left, right, np.ones(3))).T
+    w = np.sqrt(w_sq)
     stats = {f"abs_pow_{s}": record.per_cascade(w**s) for s in s_powers}
-    stats["zeta"] = record.per_cascade(sq * zeta)
-    stats["eta"] = record.per_cascade(sq * w * eta)
-    stats["W"] = record.per_cascade(sq * sq)
+    stats["zeta"] = record.per_cascade(w_sq * zeta)
+    stats["eta"] = record.per_cascade(w_sq * w * eta)
+    stats["W"] = record.per_cascade(w_sq * w_sq)
     if a_star is not None:
         stats["W_tail"] = (stats["W"] >= a_star).astype(float)
     return stats

@@ -180,7 +180,7 @@ def test_criterion_08_rate_recovery(kernel, sixpoint):
     assert m_err < 0.15, (m_fit.fitted_rate, m_err)
     print(f"  W rate {w_fit.fitted_rate:.4f} ({100 * w_err:.1f}%), "
           f"directional fourth-moment rate {m_fit.fitted_rate:.4f} ({100 * m_err:.1f}%)")
-    _finish(8, "rate recovery", started, 45.0)
+    _finish(8, "rate recovery", started, 40.0)
 
 
 def test_criterion_09_gaussian_fixed_point(kernel):

@@ -241,6 +241,10 @@ def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--samples", "10"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the command's own usage, which lists the flags it does take
+        assert f"usage: wildsim {argv[0]} " in err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
         return
     path = tmp_path / "config.json"
     path.write_text(json.dumps(argv[-1]))

@@ -3,12 +3,14 @@ recursions over the same trees and the tree-based references."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildsim.diagnostics import _velocity_moments_task
 from wildsim.geometry import is_rotation, left_frame, right_frame, rotation_array
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
@@ -163,6 +165,46 @@ def test_replay_equals_recursive_fold_on_fixed_sizes(nus):
     record = germination_record(nus, KERNEL, rng)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
     assert np.array_equal(replay(record, velocities), recursive_replay(record, velocities))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 40), st.floats(1e-3, 1e3))
+def test_mirrored_root_is_the_collision_at_the_opposite_azimuth(seed, pairs, scale):
+    rng = rng_stream(seed)
+    record = germination_record([2] * pairs + [1, 1], KERNEL, rng)
+    velocities = scale * rng.standard_normal((record.n_leaves, 3))
+    velocities[1] = velocities[0]  # an identical pair passes through unchanged
+    roots, mirrored = replay(record, velocities, mirror=True)
+    assert np.array_equal(roots, replay(record, velocities))
+    v, w = velocities[0:2 * pairs:2].T, velocities[1:2 * pairs:2].T
+    opposite = collide(v, w, record.phis, record.thetas + math.pi)[0].T
+    np.testing.assert_allclose(mirrored[:pairs], opposite, rtol=0.0, atol=1e-12 * scale)
+    assert np.array_equal(mirrored[0], velocities[0])
+    assert np.array_equal(mirrored[pairs:], velocities[2 * pairs:])  # nu = 1: the leaf
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, chunk_sizes, times)
+def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
+    """The paired estimator against the plain one: each statistic is the
+    mean of a plain replay of the record and of a replay with pi added to
+    every root azimuth, on the same leaf velocities."""
+    nus, _ = sorted_sizes(t, rng_stream(seed), size)
+    probe = np.array([0.6, 0.0, 0.8])
+    stats = _velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, probe)
+    rng = rng_stream(seed, 1)
+    record = germination_record(nus, KERNEL, rng)
+    velocities = SIXPOINT.sampler(rng, record.n_leaves)
+    thetas = record.thetas.copy()
+    thetas[slice(*record.bounds[:2])] += math.pi  # the root level
+    pair = np.stack([replay(record, velocities),
+                     replay(replace(record, thetas=thetas), velocities)])
+    expected = {"v1": pair[..., 0], "v2": pair[..., 1], "v3": pair[..., 2],
+                "energy": np.sum(pair**2, axis=-1), "v1_fourth": (pair @ probe) ** 4}
+    assert stats.keys() == expected.keys()
+    for key, values in expected.items():
+        np.testing.assert_allclose(stats[key], values.mean(axis=0), rtol=1e-12, atol=1e-12,
+                                   err_msg=key)
 
 
 @settings(max_examples=40, deadline=None)

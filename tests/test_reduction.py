@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import wildsim.sampler as sampler
+import wildsim.diagnostics as diagnostics
 from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
     _run_id,
+    conservation_check,
     run_identity_suite,
 )
+from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
     SizeStrata,
@@ -190,6 +193,14 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert _run_id("identities", config, kernel) == base
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 3)
     assert _run_id("identities", config, kernel) != base
+    monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
+    assert _run_id("identities", config, kernel) == base
+    # the velocity estimator's pairing rule is named as well
+    scheme = sampler.reduction_scheme()
+    assert "theta + pi" in scheme["velocity_pairing"]
+    monkeypatch.setattr(diagnostics, "reduction_scheme",
+                        lambda: {**scheme, "velocity_pairing": "none"})
+    assert _run_id("identities", config, kernel) != base
 
 
 def _entry(z, diff=1.0, two_sided=True):
@@ -232,3 +243,20 @@ def test_identity_z_scores_are_calibrated_across_seeds(kernel, t, n_samples):
         z = np.array(scores[label])
         assert abs(z.mean()) <= 4.0 / math.sqrt(n), (label, z.mean())
         assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (label, z.std(ddof=1))
+
+
+@pytest.mark.parametrize("t, n_samples", [(1.0, 1_000), (3.0, 600)])
+def test_conservation_z_scores_are_calibrated_across_seeds(kernel, t, n_samples):
+    """The same sweep for `conserve`, whose velocity statistics average the
+    antithetic pair of root azimuths: over 400 seeds the z-scores of the
+    mean velocity and the energy have mean 0 and sd 1 within 4 sigma."""
+    mu0 = sixpoint_datum()
+    scores = {}
+    for seed in SWEEP_SEEDS:
+        for entry in conservation_check(mu0, kernel, [t], n_samples, seed=seed).entries:
+            scores.setdefault(entry.identity, []).append(entry.z_score)
+    n = len(SWEEP_SEEDS)
+    for key in ("v1", "v2", "v3", "energy"):
+        z = np.array(scores[f"conserved_{key}"])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n), (key, z.mean())
+        assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (key, z.std(ddof=1))
