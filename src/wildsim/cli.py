@@ -83,7 +83,6 @@ SETTINGS = {
     "seed": Setting(0, "master seed", int, bound="nonnegative"),
     "workers": Setting(None, "worker processes (default WILDSIM_WORKERS, else 1)", int,
                        bound="positive"),
-    "nmax": Setting(1_000_000, "cascade size cap", int, bound="positive"),
     "estimator": Setting("raoblackwell", "transform estimator",
                          choices=("raoblackwell", "raw")),
     "xi_grid": Setting(None, "JSON list of 3-vectors or {rho, directions}"),
@@ -206,14 +205,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _write_outputs(payload: dict, rows, header, config) -> None:
+def _write_outputs(payload: dict, rows: list[dict], config) -> None:
+    """Write the JSON report to --out and the rows to --csv, headed by the
+    keys of the first row."""
     if config.get("out"):
         with open(config["out"], "w") as handle:
             json.dump(payload, handle, indent=2, default=str)
             handle.write("\n")
-    if config.get("csv") and rows is not None:
+    if config.get("csv"):
         with open(config["csv"], "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=header)
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
 
@@ -237,10 +238,7 @@ def _report_outcome(config, *reports) -> int:
                    "entries": [asdict(e) for e in entries],
                    "parts": parts}
     payload["config"] = config
-    rows = [row for r in reports for row in r.csv_rows()]
-    header = ["identity", "params", "mc_value", "mc_se", "reference_value",
-              "z_score", "passed"]
-    _write_outputs(payload, rows, header, config)
+    _write_outputs(payload, [row for r in reports for row in r.csv_rows()], config)
     for report in reports:
         failed = [e for e in report.entries if not e.passed]
         print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
@@ -268,7 +266,7 @@ def _fit_outcome(fit, config, suite) -> int:
         {"t": t, "value": v, "std_error": se, "used": int(u)}
         for t, v, se, u in zip(fit.times, fit.values, fit.std_errors, fit.used)
     ]
-    _write_outputs(payload, rows, ["t", "value", "std_error", "used"], config)
+    _write_outputs(payload, rows, config)
     print(f"{suite}: fitted rate {fit.fitted_rate:.5f} "
           f"(reference {fit.reference_rate:.5f}), residual {fit.residual:.3g} "
           f"(run {fit.run_id})")
@@ -279,7 +277,7 @@ def _cmd_identities(config, kernel):
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
         a_star=config["a_star"], workers=config["workers"],
-        z_threshold=config["z_threshold"], n_max=config["nmax"],
+        z_threshold=config["z_threshold"],
     )
     return _report_outcome(config, report)
 
@@ -289,7 +287,6 @@ def _cmd_conserve(config, kernel):
     report = diagnostics.conservation_check(
         mu0, kernel, config["t"], config["samples"], config["seed"],
         workers=config["workers"], z_threshold=config["z_threshold"],
-        n_max=config["nmax"],
     )
     return _report_outcome(config, report)
 
@@ -302,7 +299,7 @@ def _cmd_decay(config, kernel):
     fit = diagnostics.moment_decay_fit(
         mu0, kernel, config["t"], moment_spec=moment,
         n_samples=config["samples"], seed=config["seed"],
-        workers=config["workers"], n_max=config["nmax"],
+        workers=config["workers"],
     )
     return _fit_outcome(fit, config, "decay")
 
@@ -311,17 +308,14 @@ def _cmd_cfcurve(config, kernel):
     mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
     args = (mu0, kernel, config["t"], grid, config["samples"], config["seed"])
-    options = {"estimator": config["estimator"], "workers": config["workers"],
-               "n_max": config["nmax"]}
+    options = {"estimator": config["estimator"], "workers": config["workers"]}
     rows = diagnostics.transform_grid_estimates(*args, **options)
     fit = diagnostics.cf_distance_curve(*args, **options, grid_rows=rows)
     payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": config,
                "fit": fit.as_dict(), "estimates": rows, "passed": True}
     if config.get("max_rate") is not None and math.isfinite(fit.fitted_rate):
         payload["passed"] = fit.fitted_rate <= config["max_rate"]
-    _write_outputs(payload, rows,
-                   ["t", "xi_x", "xi_y", "xi_z", "re", "im", "se_re", "se_im", "n"],
-                   config)
+    _write_outputs(payload, rows, config)
     print(f"cfcurve: fitted rate {fit.fitted_rate:.5f} "
           f"(reference {fit.reference_rate:.5f}) (run {fit.run_id})")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
@@ -333,7 +327,6 @@ def _cmd_crosscheck(config, kernel):
     reports = [diagnostics.representation_crosscheck(
         mu0, kernel, t, grid, config["samples"], config["seed"],
         workers=config["workers"], z_threshold=config["z_threshold"],
-        n_max=config["nmax"],
     ) for t in config["t"]]
     return _report_outcome(config, *reports)
 
@@ -352,7 +345,7 @@ def _cmd_envelope(config, kernel):
     report = diagnostics.envelope_check(
         mu0, config["lam"], config["q"], kernel,
         t=t, n_samples=config["samples"], seed=config["seed"],
-        workers=config["workers"], n_max=config["nmax"],
+        workers=config["workers"],
     )
     return _report_outcome(config, report)
 
@@ -361,14 +354,13 @@ def _cmd_simulate(config, kernel):
     t = config["t"][0]
     mu0 = _spec(config, "mu0", make_initial_datum)
     draws = wild_velocity_batch(t, mu0, kernel, config["seed"], config["samples"],
-                                n_max=config["nmax"], workers=config["workers"])
+                                workers=config["workers"])
     run_id = diagnostics._run_id("simulate", {"t": t, "n_samples": config["samples"],
                                               "seed": config["seed"]}, kernel, mu0)
-    header = ["v_x", "v_y", "v_z"]
-    rows = [dict(zip(header, map(repr, v))) for v in draws.tolist()]
+    rows = [dict(zip(("v_x", "v_y", "v_z"), map(repr, v))) for v in draws.tolist()]
     payload = {"suite": "simulate", "run_id": run_id, "config": config,
                "n_samples": len(draws), "passed": True}
-    _write_outputs(payload, rows, header, config)
+    _write_outputs(payload, rows, config)
     if not config.get("csv"):
         for row in rows:
             print(",".join(row.values()))
@@ -385,14 +377,14 @@ def _reads(extra: str) -> tuple[str, ...]:
 
 
 COMMANDS = {  # name: (function, the settings it reads)
-    "identities": (_cmd_identities, _reads("t workers nmax z_threshold a_star")),
-    "conserve": (_cmd_conserve, _reads("mu0 t workers nmax z_threshold")),
-    "decay": (_cmd_decay, _reads("mu0 moment t workers nmax rate_tol max_rate")),
-    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers nmax estimator xi_grid max_rate")),
-    "crosscheck": (_cmd_crosscheck, _reads("mu0 t workers nmax xi_grid z_threshold")),
+    "identities": (_cmd_identities, _reads("t workers z_threshold a_star")),
+    "conserve": (_cmd_conserve, _reads("mu0 t workers z_threshold")),
+    "decay": (_cmd_decay, _reads("mu0 moment t workers rate_tol max_rate")),
+    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers estimator xi_grid max_rate")),
+    "crosscheck": (_cmd_crosscheck, _reads("mu0 t workers xi_grid z_threshold")),
     "legendre": (_cmd_legendre, _reads("tree_size z_threshold")),
-    "envelope": (_cmd_envelope, _reads("mu0 t workers nmax lam q")),
-    "simulate": (_cmd_simulate, _reads("mu0 t workers nmax")),
+    "envelope": (_cmd_envelope, _reads("mu0 t workers lam q")),
+    "simulate": (_cmd_simulate, _reads("mu0 t workers")),
 }
 ONE_TIME = ("envelope", "simulate")  # the commands that run at one time
 

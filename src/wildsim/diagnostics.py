@@ -27,7 +27,6 @@ from .geometry import frame_for, rotation_array
 from .initial import InitialDatum
 from .kernel import CollisionKernel, spectral_functionals
 from .sampler import (
-    DEFAULT_NU_CAP,
     cascade_velocities,
     draw_total,
     germination_record,
@@ -300,7 +299,6 @@ def run_identity_suite(
     a_star: float = 0.25,
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
-    n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
     """Monte Carlo means of the weight statistics against their closed forms."""
     if not a_star > 0.0:
@@ -313,7 +311,7 @@ def run_identity_suite(
                             run_id=_run_id("identities", config, kernel))
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
-            weight_sums, seed, (1, it), workers, t, n_samples, n_max,
+            weight_sums, seed, (1, it), workers, t, n_samples,
             kernel=kernel, s_powers=S_POWERS, a_star=a_star,
         )
         targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
@@ -342,7 +340,6 @@ def conservation_check(
     seed: int,
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
-    n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
     """Mean velocity and energy of cascade draws against the initial values."""
     if not math.isfinite(mu0.m2):
@@ -353,7 +350,7 @@ def conservation_check(
                             run_id=_run_id("conservation", config, kernel, mu0))
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
-            _velocity_moments_task, seed, (2, it), workers, t, n_samples, n_max,
+            _velocity_moments_task, seed, (2, it), workers, t, n_samples,
             mu0=mu0, kernel=kernel,
         )
         references = [("v1", mu0.mean[0]), ("v2", mu0.mean[1]),
@@ -374,7 +371,6 @@ def moment_decay_fit(
     n_samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    n_max: int = DEFAULT_NU_CAP,
     direction=None,
 ) -> DecayFit:
     """Fit the exponential decay rate of a moment deviation.
@@ -399,17 +395,17 @@ def moment_decay_fit(
     config = {"moment": moment_spec, "t_list": times.tolist(), "n_samples": n_samples,
               "seed": seed, "workers": workers,
               "direction": None if direction is None else np.asarray(direction, float).tolist()}
-    run_id = _run_id("decay", config, kernel, None if moment_spec in ("W", "w") else mu0)
+    run_id = _run_id("decay", config, kernel, None if moment_spec == "W" else mu0)
     values = np.empty(len(times))
     ses = np.empty(len(times))
-    if moment_spec in ("W", "w"):
+    if moment_spec == "W":
         for it, t in enumerate(times):
             sums = reduce_cascades(
-                weight_sums, seed, (3, it), workers, float(t), n_samples, n_max,
+                weight_sums, seed, (3, it), workers, float(t), n_samples,
                 kernel=kernel, s_powers=(),
             )
             values[it], ses[it] = mean_se(sums, "W")
-    elif moment_spec in ("v1^4", "v1_fourth"):
+    elif moment_spec == "v1^4":
         if mu0 is None:
             raise ConfigError("moment_spec 'v1^4' needs an initial datum")
         if mu0.m4 is None or not math.isfinite(mu0.m4):
@@ -422,7 +418,7 @@ def moment_decay_fit(
         for it, t in enumerate(times):
             sums = reduce_cascades(
                 _velocity_moments_task, seed, (3, it), workers, float(t), n_samples,
-                n_max, mu0=mu0, kernel=kernel, direction=direction,
+                mu0=mu0, kernel=kernel, direction=direction,
             )
             mean, se = mean_se(sums, "v1_fourth")
             values[it] = abs(mean - 3.0)
@@ -447,7 +443,6 @@ def transform_grid_estimates(
     seed: int,
     estimator: str = "raoblackwell",
     workers: int = 1,
-    n_max: int = DEFAULT_NU_CAP,
 ) -> list[dict]:
     """Transform estimates over a (time, frequency) grid as flat records
     with keys t, xi_x, xi_y, xi_z, re, im, se_re, se_im, n."""
@@ -455,7 +450,7 @@ def transform_grid_estimates(
     rows = []
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
-            transform_sums, seed, (4, it), workers, float(t), n_samples, n_max,
+            transform_sums, seed, (4, it), workers, float(t), n_samples,
             mu0=mu0, kernel=kernel, xi_grid=xi_grid, estimator=estimator,
         )
         estimate, se_re, se_im = _grid_estimates(sums)
@@ -479,7 +474,6 @@ def cf_distance_curve(
     seed: int,
     estimator: str = "raoblackwell",
     workers: int = 1,
-    n_max: int = DEFAULT_NU_CAP,
     grid_rows: list[dict] | None = None,
 ) -> DecayFit:
     """Noise-aware sup distance of the estimated transform to the limiting
@@ -499,7 +493,7 @@ def cf_distance_curve(
     if grid_rows is None:
         grid_rows = transform_grid_estimates(
             mu0, kernel, t_list, xi_grid, n_samples, seed,
-            estimator=estimator, workers=workers, n_max=n_max,
+            estimator=estimator, workers=workers,
         )
     values = np.empty(len(times))
     ses = np.empty(len(times))
@@ -535,7 +529,6 @@ def representation_crosscheck(
     seed: int,
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
-    n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
     """Conditional-transform average against the empirical transform of
     independent cascade velocity draws, frequency by frequency.
@@ -551,11 +544,11 @@ def representation_crosscheck(
                             pass_fraction_required=0.95,
                             run_id=_run_id("representation_crosscheck", config, kernel, mu0))
     tree_sums = reduce_cascades(
-        transform_sums, seed, (5, 0), workers, t, n_samples, n_max,
+        transform_sums, seed, (5, 0), workers, t, n_samples,
         mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
     wild_sums = reduce_cascades(
-        _wild_cf_task, seed, (5, 1), workers, t, n_samples, n_max,
+        _wild_cf_task, seed, (5, 1), workers, t, n_samples,
         mu0=mu0, kernel=kernel, xi_grid=xi_grid,
     )
     est_tree, se_re_t, se_im_t = _grid_estimates(tree_sums)
@@ -635,7 +628,6 @@ def envelope_check(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    n_max: int = DEFAULT_NU_CAP,
 ) -> IdentityReport:
     """Per-sample check |conditional transform| <= envelope on [0, R].
 
@@ -660,7 +652,7 @@ def envelope_check(
                 f"for (lam, q) = ({lam:g}, {q:g})"
             )
     sums = reduce_cascades(
-        _envelope_task, seed, (7, 0), workers, t, n_samples, n_max,
+        _envelope_task, seed, (7, 0), workers, t, n_samples,
         mu0=mu0, kernel=kernel, lam=lam, q=q,
     )
     config = {"mu0": mu0.name, "lam": lam, "q": q, "t": t,

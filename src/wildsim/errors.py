@@ -64,7 +64,7 @@ class OutOfChart(WildsimError, ValueError):
 # --- sampling ---------------------------------------------------------------
 
 class TimeTooLarge(WildsimError, ValueError):
-    """Expected cascade size exceeds the configured cap."""
+    """Expected or drawn cascade size exceeds the sampler's cap."""
 
 
 class NoAnalyticCf(WildsimError, ValueError):

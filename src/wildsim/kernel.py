@@ -109,8 +109,8 @@ def _capped(x, fn, cap):
     return np.minimum(fn(x), cap)
 
 
-def integrate_01(fn, tol=QUAD_TOL, points=None, knots=None) -> float:
-    """Quadrature of fn over (0, 1) to absolute tolerance tol.
+def integrate_01(fn, points=None, knots=None) -> float:
+    """Quadrature of fn over (0, 1) to absolute tolerance QUAD_TOL.
 
     With `knots` (sorted breakpoints of a piecewise-smooth integrand, as for
     tabulated kernels) a fixed Gauss-Legendre rule is applied per segment,
@@ -122,12 +122,12 @@ def integrate_01(fn, tol=QUAD_TOL, points=None, knots=None) -> float:
         return _segmented_gauss(fn, knots, extra=points)
     interior = sorted(set(float(p) for p in points or () if 0.0 < p < 1.0))
     edges = np.arcsin(np.array([0.0, *interior, 1.0]))
-    value, err = _adaptive_gauss_kronrod(fn, edges, 1e-2 * tol)
+    value, err = _adaptive_gauss_kronrod(fn, edges, 1e-2 * QUAD_TOL)
     if not math.isfinite(value):
         raise QuadratureFailure("integral over (0,1) is not finite")
-    if err > tol:
+    if err > QUAD_TOL:
         raise QuadratureFailure(
-            f"quadrature error {err:.3e} exceeds tolerance {tol:.1e}"
+            f"quadrature error {err:.3e} exceeds tolerance {QUAD_TOL:.1e}"
         )
     return value
 

@@ -84,12 +84,12 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import ConfigError, TimeTooLarge, WildsimError
-from .geometry import RotationArray, frame_for, left_frame, right_frame
+from .geometry import RotationArray, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel
 from .weights import WeightArray, legendre_value
 
-DEFAULT_NU_CAP = 1_000_000
+NU_CAP = 1_000_000      # largest cascade size drawn: a memory guard, not part of the law
 LEAF_BUDGET = 1 << 14   # leaves per chunk; a larger cascade is a chunk of its own
 TWO_PI = 2.0 * math.pi
 SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
@@ -103,35 +103,37 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_time(t: float, n_max: int) -> None:
+def _check_time(t: float) -> None:
     if not t >= 0.0:
         raise ConfigError(f"time must be a nonnegative number, got {t!r}")
-    if math.exp(t) > n_max:
+    if math.exp(t) > NU_CAP:
         raise TimeTooLarge(
-            f"expected cascade size exp({t:g}) exceeds the cap {n_max}"
+            f"expected cascade size exp({t:g}) exceeds the cap {NU_CAP}"
         )
 
 
-def sample_nu(t: float, rng: np.random.Generator, n_max: int = DEFAULT_NU_CAP) -> int:
+def sample_nu(t: float, rng: np.random.Generator) -> int:
     """Cascade size: P[nu = n] = e^-t (1 - e^-t)^(n-1)."""
-    return int(sample_nu_batch(t, rng, 1, n_max)[0])
+    return int(sample_nu_batch(t, rng, 1)[0])
 
 
-def sample_nu_batch(t, rng, size, n_max: int = DEFAULT_NU_CAP) -> np.ndarray:
-    _check_time(t, n_max)
+def sample_nu_batch(t, rng, size) -> np.ndarray:
+    """size cascade sizes at time t; TimeTooLarge where e^t or a drawn size
+    exceeds NU_CAP."""
+    _check_time(t)
     if t == 0.0:
         return np.ones(size, dtype=np.int64)
     log_fail = math.log(-math.expm1(-t))  # log(1 - e^-t), finite for tiny t
     u = np.clip(rng.random(size), 5e-324, None)
     nus = 1 + (np.log(u) / log_fail).astype(np.int64)
-    if np.any(nus > n_max):
-        raise TimeTooLarge(f"drew cascade size above the cap {n_max}")
+    if np.any(nus > NU_CAP):
+        raise TimeTooLarge(f"drew cascade size above the cap {NU_CAP}")
     return nus
 
 
-def sorted_sizes(t, rng, size, n_max: int = DEFAULT_NU_CAP):
+def sorted_sizes(t, rng, size):
     """size cascade sizes in descending order, with the draw index of each."""
-    nus = sample_nu_batch(t, rng, size, n_max)
+    nus = sample_nu_batch(t, rng, size)
     order = np.argsort(-nus, kind="stable")
     return nus[order], order
 
@@ -254,8 +256,7 @@ def grow(record: GerminationRecord, left, right, root) -> np.ndarray:
 def leaf_frames(record: GerminationRecord) -> tuple[np.ndarray, RotationArray]:
     """Order-1 leaf weights and leaf rotations of every cascade in the record."""
     weights = grow(record, np.cos(record.phis), np.sin(record.phis), 1.0)
-    rotations = grow(record, left_frame(record.phis, record.thetas),
-                     right_frame(record.phis, record.thetas), np.eye(3))
+    rotations = grow(record, *collision_frames(record.phis, record.thetas), np.eye(3))
     return weights, RotationArray(rotations=rotations)
 
 
@@ -269,7 +270,10 @@ def deflection(v, w, phi, theta):
     delta = cos^2(phi) d + |d| cos(phi) sin(phi) (cos(theta) e1 + sin(theta) e2),
     with (e1, e2, u) the branchless orthonormal completion of Duff et al.
     (JCGT 2017).  theta is uniform, so the law of the outcome does not depend
-    on the completion choice.  Turning theta by pi reflects delta through
+    on the completion choice, but one replay does: the completion follows
+    the sign bit of z(w - v), so a -0/+0 difference flips it and moves the
+    outcome by O(|d|).  Replays are therefore compared bit for bit, never
+    with a tolerance.  Turning theta by pi reflects delta through
     its mean over theta: delta(theta + pi) = 2 cos^2(phi) d - delta(theta).
     The sums accumulate in place, to keep temporaries few.
     """
@@ -511,12 +515,12 @@ def _summarized(task, strata, nus, rng, **kwargs) -> dict:
     return summarize(task(nus, rng, **kwargs), nus, strata)
 
 
-def reduce_cascades(task, seed, key, workers, t, n_samples, n_max, **kwargs) -> dict:
+def reduce_cascades(task, seed, key, workers, t, n_samples, **kwargs) -> dict:
     """Draw n_samples cascade sizes at time t from stream `key` of seed,
     pool the size strata at t over them, run task(nus, rng, **kwargs) on
     each chunk with stream key + (chunk,), summarize each chunk on the
     pooled strata, and merge the summaries in chunk order."""
-    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples, n_max)
+    nus, _ = sorted_sizes(t, rng_stream(seed, *key), n_samples)
     strata = size_strata(t).pooled(nus)
     return merge_sums(_run_chunks(functools.partial(_summarized, task, strata),
                                   nus, seed, key, workers, kwargs))
@@ -630,11 +634,11 @@ class TreeSample:
 
 
 def draw_tree_sample(t: float, kernel: CollisionKernel, rng: np.random.Generator,
-                     n_max: int = DEFAULT_NU_CAP, nu: int | None = None) -> TreeSample:
+                     nu: int | None = None) -> TreeSample:
     """Draw a TreeSample, a one-cascade chunk of the engine (nu overrides
     the size draw, for conditional studies)."""
     if nu is None:
-        nu = sample_nu(t, rng, n_max)
+        nu = sample_nu(t, rng)
     record = germination_record([nu], kernel, rng)
     weights, rotations = leaf_frames(record)
     return TreeSample(nu=nu, pi=WeightArray(values=weights, order=1), rotations=rotations,
@@ -642,18 +646,18 @@ def draw_tree_sample(t: float, kernel: CollisionKernel, rng: np.random.Generator
 
 
 def wild_velocity(t: float, mu0: InitialDatum, kernel: CollisionKernel,
-                  rng: np.random.Generator, n_max: int = DEFAULT_NU_CAP) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """One velocity draw from the solution at time t."""
-    nu = sample_nu(t, rng, n_max)
+    nu = sample_nu(t, rng)
     return cascade_velocities([nu], rng, mu0=mu0, kernel=kernel)[0]
 
 
 def wild_velocity_batch(t: float, mu0: InitialDatum, kernel: CollisionKernel, seed: int,
-                        size: int, n_max: int = DEFAULT_NU_CAP, workers: int = 1):
+                        size: int, workers: int = 1):
     """size independent draws from the solution at time t, shape (size, 3),
     in the order their sizes were drawn: the sizes from stream (0,) of seed,
     chunk c from stream (0, c), so the draws do not depend on workers."""
-    nus, order = sorted_sizes(t, rng_stream(seed, 0), size, n_max)
+    nus, order = sorted_sizes(t, rng_stream(seed, 0), size)
     out = np.empty((size, 3))
     chunks = _run_chunks(cascade_velocities, nus, seed, (0,), workers,
                          {"mu0": mu0, "kernel": kernel})
@@ -663,9 +667,9 @@ def wild_velocity_batch(t: float, mu0: InitialDatum, kernel: CollisionKernel, se
 
 
 def weight_statistic_sums(t: float, kernel: CollisionKernel, seed: int, n_samples: int,
-                          s_powers: tuple = (1, 2, 3, 4), a_star: float | None = None,
-                          n_max: int = DEFAULT_NU_CAP) -> dict[str, np.ndarray]:
+                          s_powers: tuple = (1, 2, 3, 4),
+                          a_star: float | None = None) -> dict[str, np.ndarray]:
     """`weight_sums` over n_samples cascades at time t, reduced on the
     streams of seed alone (read the summary with `mean_se`)."""
-    return reduce_cascades(weight_sums, seed, (), 1, t, n_samples, n_max,
+    return reduce_cascades(weight_sums, seed, (), 1, t, n_samples,
                            kernel=kernel, s_powers=s_powers, a_star=a_star)

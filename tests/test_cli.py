@@ -187,7 +187,7 @@ def test_crosscheck_command(tmp_path):
     ["identities", "--samples", "10", "--z-threshold", "nan"],
     ["decay", "--samples", "10", "--t", "1,2,3,4", "--rate-tol", "-0.1"],
     # a config file (the last item) holding a value of the wrong kind
-    ["identities", "--samples", "10", {"nmax": "abc"}],
+    ["identities", "--samples", "10", {"seed": "abc"}],
     ["identities", "--samples", "10", {"z_threshold": "x"}],
     ["envelope", "--samples", "10", {"lam": [1]}],
     ["identities", "--t", "0.5", {"samples": 20.7}],
@@ -233,8 +233,10 @@ def test_overflowing_mu0_is_config_error(capsys):
     ["legendre", "--t", "2"],  # not an abbreviation of --tree-size
     ["envelope", "--z-threshold", "3"],
     ["simulate", "--xi-grid", "[[1,0,0]]"],
+    ["identities", "--nmax", "5"],  # the cascade-size cap is fixed
     # a config file (the last item) holding a key the command does not read
     ["identities", {"mu0": "gaussian"}],
+    ["conserve", {"nmax": 5}],
 ])
 def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
     if not isinstance(argv[-1], dict):
@@ -266,14 +268,14 @@ SUITE_ARGS = {
 
 
 SUITE_SETTINGS = {
-    "identities": "t workers nmax z_threshold a_star",
-    "conserve": "mu0 t workers nmax z_threshold",
-    "decay": "mu0 moment t workers nmax rate_tol max_rate",
-    "cfcurve": "mu0 t workers nmax estimator xi_grid max_rate",
-    "crosscheck": "mu0 t workers nmax xi_grid z_threshold",
+    "identities": "t workers z_threshold a_star",
+    "conserve": "mu0 t workers z_threshold",
+    "decay": "mu0 moment t workers rate_tol max_rate",
+    "cfcurve": "mu0 t workers estimator xi_grid max_rate",
+    "crosscheck": "mu0 t workers xi_grid z_threshold",
     "legendre": "tree_size z_threshold",
-    "envelope": "mu0 t workers nmax lam q",
-    "simulate": "mu0 t workers nmax",
+    "envelope": "mu0 t workers lam q",
+    "simulate": "mu0 t workers",
 }
 
 
@@ -369,6 +371,12 @@ def _weight_sums_failing_on_chunk_one(nus, rng, **kwargs):
     if rng.bit_generator.seed_seq.spawn_key[-1] == 1:
         raise RuntimeError("injected failure")
     return weight_sums(nus, rng, **kwargs)
+
+
+def test_time_above_the_size_cap_is_a_runtime_error(capsys):
+    assert main(["identities", "--t", "14", "--samples", "10"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "error: expected cascade size exp(14) exceeds the cap 1000000\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -176,9 +176,10 @@ def test_moment_decay_gaussian_has_no_signal(kernel):
 
 
 def test_moment_decay_rejects_bad_spec(kernel, sixpoint):
-    with pytest.raises(ConfigError):
-        moment_decay_fit(sixpoint, kernel, [1, 2, 3, 4], moment_spec="v9^9",
-                         n_samples=100, seed=1)
+    for spec in ("v9^9", "w"):
+        with pytest.raises(ConfigError):
+            moment_decay_fit(sixpoint, kernel, [1, 2, 3, 4], moment_spec=spec,
+                             n_samples=100, seed=1)
     with pytest.raises(ConfigError):
         moment_decay_fit(None, kernel, [1, 2], moment_spec="W",
                          n_samples=100, seed=1)
