@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 # argparse's gettext imports locale lazily on the first parser; every command
 # builds one, so pay for it on import
@@ -22,7 +21,7 @@ import locale  # noqa: F401
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +146,10 @@ def _parse_xi_grid(value):
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ConfigError("xi grid directions must be nonzero")
-    return np.array([r * d for r in _as_array(spec["rho"], 1) for d in directions / norms])
+    rhos = _as_array(spec["rho"], 1)
+    if not rhos.size:
+        raise ConfigError("xi grid 'rho' is empty")
+    return np.array([r * d for r in rhos for d in directions / norms])
 
 
 def _as_array(value, ndim: int) -> np.ndarray:
@@ -219,53 +221,40 @@ def _write_outputs(payload: dict, rows: list[dict], config) -> None:
             writer.writerows(rows)
 
 
-def _report_outcome(config, *reports) -> int:
-    """Print each report's summary and write them out as one report: a
-    single report as it is, several (one per time) with their entries
-    concatenated and each one's run id and verdict under 'parts'."""
-    if len(reports) == 1:
-        payload = reports[0].as_dict()
-    else:
-        parts = [{"t": r.config["t"], "run_id": r.run_id, "passed": r.passed,
-                  "pass_fraction": r.pass_fraction} for r in reports]
-        entries = [e for r in reports for e in r.entries]
-        payload = {**reports[0].as_dict(),
-                   "run_id": hashlib.sha1(" ".join(r.run_id for r in reports)
-                                          .encode()).hexdigest()[:12],
-                   "passed": all(r.passed for r in reports),
-                   "pass_fraction": sum(e.passed for e in entries) / len(entries),
-                   "z_calibration": diagnostics.z_calibration(entries),
-                   "entries": [asdict(e) for e in entries],
-                   "parts": parts}
+def _report_outcome(config, report) -> int:
+    """Write an IdentityReport out, print its summary and failed checks."""
+    payload = report.as_dict()
     payload["config"] = config
-    _write_outputs(payload, [row for r in reports for row in r.csv_rows()], config)
-    for report in reports:
-        failed = [e for e in report.entries if not e.passed]
-        print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
-              f"checks passed (run {report.run_id})")
-        for entry in failed:
-            print(f"  FAIL {entry.identity} {entry.params}: "
-                  f"mc={entry.mc_value:.6g} ref={entry.reference_value:.6g} "
-                  f"z={entry.z_score:.2f}")
+    _write_outputs(payload, list(report.csv_rows()), config)
+    failed = [e for e in report.entries if not e.passed]
+    print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
+          f"checks passed (run {report.run_id})")
+    for entry in failed:
+        print(f"  FAIL {entry.identity} {entry.params}: "
+              f"mc={entry.mc_value:.6g} ref={entry.reference_value:.6g} "
+              f"z={entry.z_score:.2f}")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _fit_outcome(fit, config, suite) -> int:
+def _fit_outcome(config, suite, fit, rows=None, **extra) -> int:
+    """Write a DecayFit out with its checks: --rate-tol bounds the relative
+    rate error where the rate is finite, and --max-rate bounds the rate
+    where the fit used a point (a fit with no signal passes).  The CSV
+    holds `rows`, by default one per time, and `extra` joins the payload."""
     payload = {"suite": suite, "run_id": fit.run_id, "config": config,
-               "fit": fit.as_dict()}
+               "fit": fit.as_dict(), **extra}
     checks = {}
     if config.get("rate_tol") is not None and math.isfinite(fit.fitted_rate):
         rel = abs(fit.fitted_rate - fit.reference_rate) / abs(fit.reference_rate)
         checks["rate_within_tolerance"] = rel <= config["rate_tol"]
         payload["relative_rate_error"] = rel
-    if config.get("max_rate") is not None:
+    if config.get("max_rate") is not None and fit.used.any():
         checks["rate_below_max"] = fit.fitted_rate <= config["max_rate"]
     payload["checks"] = checks
-    payload["passed"] = all(checks.values()) if checks else True
-    rows = [
-        {"t": t, "value": v, "std_error": se, "used": int(u)}
-        for t, v, se, u in zip(fit.times, fit.values, fit.std_errors, fit.used)
-    ]
+    payload["passed"] = all(checks.values())
+    if rows is None:
+        rows = [{"t": t, "value": v, "std_error": se, "used": int(u)}
+                for t, v, se, u in zip(fit.times, fit.values, fit.std_errors, fit.used)]
     _write_outputs(payload, rows, config)
     print(f"{suite}: fitted rate {fit.fitted_rate:.5f} "
           f"(reference {fit.reference_rate:.5f}), residual {fit.residual:.3g} "
@@ -301,7 +290,7 @@ def _cmd_decay(config, kernel):
         n_samples=config["samples"], seed=config["seed"],
         workers=config["workers"],
     )
-    return _fit_outcome(fit, config, "decay")
+    return _fit_outcome(config, "decay", fit)
 
 
 def _cmd_cfcurve(config, kernel):
@@ -311,24 +300,17 @@ def _cmd_cfcurve(config, kernel):
     options = {"estimator": config["estimator"], "workers": config["workers"]}
     rows = diagnostics.transform_grid_estimates(*args, **options)
     fit = diagnostics.cf_distance_curve(*args, **options, grid_rows=rows)
-    payload = {"suite": "cfcurve", "run_id": fit.run_id, "config": config,
-               "fit": fit.as_dict(), "estimates": rows, "passed": True}
-    if config.get("max_rate") is not None and math.isfinite(fit.fitted_rate):
-        payload["passed"] = fit.fitted_rate <= config["max_rate"]
-    _write_outputs(payload, rows, config)
-    print(f"cfcurve: fitted rate {fit.fitted_rate:.5f} "
-          f"(reference {fit.reference_rate:.5f}) (run {fit.run_id})")
-    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+    return _fit_outcome(config, "cfcurve", fit, rows, estimates=rows)
 
 
 def _cmd_crosscheck(config, kernel):
     mu0 = _spec(config, "mu0", make_initial_datum)
     grid = _parse_xi_grid(config["xi_grid"])
-    reports = [diagnostics.representation_crosscheck(
-        mu0, kernel, t, grid, config["samples"], config["seed"],
+    report = diagnostics.representation_crosscheck(
+        mu0, kernel, config["t"], grid, config["samples"], config["seed"],
         workers=config["workers"], z_threshold=config["z_threshold"],
-    ) for t in config["t"]]
-    return _report_outcome(config, *reports)
+    )
+    return _report_outcome(config, report)
 
 
 def _cmd_legendre(config, kernel):

@@ -64,6 +64,7 @@ GUIDE_BUCKETS = 4 * (BETA_TABLE_NODES - 1)  # a power of two, so u * G is exact
 # below this many draws np.interp is faster: the guided lookup's dozen array
 # operations cost about 15 us per call, which one-cascade chunks would feel
 GUIDE_MIN_DRAWS = 512
+S_POWERS = (1, 2, 3, 4)  # the orders s of l_s, and of the sum_j |w_j|^s identities
 
 
 # --- preset kernels ---------------------------------------------------------
@@ -226,8 +227,6 @@ class CollisionKernel:
     """Normalized angular kernel with its tabulated angle-law inverse CDF."""
 
     evaluator: Callable
-    normalization: float
-    preset_name: str | None = None
     symmetry_validated: bool = True
     table_knots: np.ndarray | None = field(repr=False, default=None)
     phi_grid: np.ndarray = field(repr=False, default=None)
@@ -283,13 +282,13 @@ class CollisionKernel:
 
 
 def _resolve_raw(spec):
-    """Turn a kernel spec into (callable, preset_name, table knots or None)."""
+    """Turn a kernel spec into (callable, table knots or None)."""
     if isinstance(spec, str):
         if spec not in PRESETS:
             raise BadSpec(f"unknown kernel preset {spec!r}")
-        return PRESETS[spec], spec, None
+        return PRESETS[spec], None
     if callable(spec):
-        return spec, None, None
+        return spec, None
     if isinstance(spec, dict):
         branch = next((key for key in ("preset", "table", "function") if key in spec), None)
         if branch is None:
@@ -303,8 +302,8 @@ def _resolve_raw(spec):
                 raise BadSpec("kernel table must be a list of [x, b(x)] pairs")
             order = np.argsort(table[:, 0])
             xs, bs = table[order, 0], table[order, 1]
-            return partial(_tabulated, xs=xs, bs=bs), None, xs
-        return spec["function"], None, None
+            return partial(_tabulated, xs=xs, bs=bs), xs
+        return spec["function"], None
     raise BadSpec(f"cannot interpret kernel spec of type {type(spec).__name__}")
 
 
@@ -371,7 +370,7 @@ def make_kernel(spec, *, validate_symmetry: bool = True) -> CollisionKernel:
     integral over (0, 1) diverges, and SymmetryViolation when the exchange
     symmetry residual exceeds 1e-8 on a 1000-point grid.
     """
-    raw, preset_name, knots = _resolve_raw(spec)
+    raw, knots = _resolve_raw(spec)
 
     probe = (np.arange(SYMMETRY_GRID) + 0.5) / SYMMETRY_GRID
     values = np.asarray(raw(probe), dtype=float)
@@ -403,8 +402,6 @@ def make_kernel(spec, *, validate_symmetry: bool = True) -> CollisionKernel:
     phi_grid, cdf = _build_beta_table(evaluator)
     return CollisionKernel(
         evaluator=evaluator,
-        normalization=total,
-        preset_name=preset_name,
         symmetry_validated=validate_symmetry,
         table_knots=knots,
         phi_grid=phi_grid,
@@ -417,7 +414,7 @@ class KernelFunctionals:
     """Spectral functionals of a kernel, all by quadrature to 1e-10."""
 
     lambda_b: float
-    l_s_table: dict[float, float]
+    l_s_table: dict[int, float]
     f_b: float
     g_b: float
 
@@ -450,20 +447,13 @@ def _g_integrand(x, fn):
     return (s2 * s2 * np.abs(2.5 * s2 - 1.5) + c2 * c2 * np.abs(2.5 * c2 - 1.5)) * fn(x)
 
 
-def spectral_functionals(kernel: CollisionKernel, s_list=(1, 2, 3, 4)) -> KernelFunctionals:
-    """Compute lambda_b, the l_s table (s=2,4 always included), f_b and g_b."""
+def spectral_functionals(kernel: CollisionKernel) -> KernelFunctionals:
+    """Compute lambda_b, l_s for s in S_POWERS, f_b and g_b."""
     fn = kernel.evaluator
     knots = kernel.table_knots
     lam = -2.0 * integrate_01(partial(_lambda_integrand, fn=fn), knots=knots)
-    wanted = sorted(set(float(s) for s in s_list) | {2.0, 4.0})
-    if any(not 0.0 < s <= 16.0 for s in wanted):
-        raise BadSpec("moment orders s must lie in (0, 16]")
-    ls = {
-        (int(s) if s == int(s) else s): integrate_01(
-            partial(_ls_integrand, fn=fn, s=s), knots=knots
-        )
-        for s in wanted
-    }
+    ls = {s: integrate_01(partial(_ls_integrand, fn=fn, s=float(s)), knots=knots)
+          for s in S_POWERS}
     # the absolute values kink where 3 sin^2 = 1 and 5 sin^2 = 3, on each side
     f_b = integrate_01(
         partial(_f_integrand, fn=fn),
@@ -493,7 +483,7 @@ def truncate(spec, n: int) -> tuple[CollisionKernel, float]:
     """
     if n < 1:
         raise BadSpec("truncation level must be >= 1")
-    raw, _, knots = _resolve_raw(spec)
+    raw, knots = _resolve_raw(spec)
     if knots is not None:
         # refine the table so the cap crossings become explicit nodes,
         # keeping the capped interpolant exactly piecewise linear

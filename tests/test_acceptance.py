@@ -136,7 +136,7 @@ def test_criterion_06_representation_crosscheck(kernel, sixpoint):
     assert len(grid) == 20
     for t in (0.5, 1.0, 2.0):
         report = representation_crosscheck(
-            sixpoint, kernel, t, grid, 100_000, seed=8806, z_threshold=4.0
+            sixpoint, kernel, [t], grid, 100_000, seed=8806, z_threshold=4.0
         )
         assert report.pass_fraction >= 0.95, (t, report.pass_fraction)
     _finish(6, "representation cross-check", started, 20.0)

@@ -1,6 +1,7 @@
 """Command-line interface: config merge, outputs, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -162,6 +163,10 @@ def test_crosscheck_command(tmp_path):
     ["crosscheck", "--samples", "10", "--xi-grid", '{"directions": [[1,0,0]]}'],
     ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [1], "directions": [[0,0,0]]}'],
     ["crosscheck", "--samples", "10", "--xi-grid", '[[1, "x", 0]]'],
+    # a grid with no points
+    ["cfcurve", "--t", "0.5,1", "--samples", "100",
+     "--xi-grid", '{"rho": [], "directions": [[1,0,0]]}'],
+    ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [], "directions": [[1,0,0]]}'],
     ["conserve", "--samples", "10", "--mu0", '{"preset": "mixture"}'],
     ["conserve", "--samples", "10", "--kernel", '{"table": "x"}'],
     ["conserve", "--samples", "10", "--kernel", '{"table": [[0.1, 1], [0.9, "a"]]}'],
@@ -333,11 +338,40 @@ def test_crosscheck_writes_every_time(tmp_path):
     code = main(["crosscheck", "--t", "0.5,1", "--samples", "2000", "--seed", "2",
                  "--xi-grid", "[[1,0,0]]", "--out", str(out), "--csv", str(csv_path)])
     payload = json.loads(out.read_text())
-    assert [entry["params"]["t"] for entry in payload["entries"]] == [0.5, 1.0]
-    assert [part["t"] for part in payload["parts"]] == [0.5, 1.0]
-    assert payload["passed"] is all(part["passed"] for part in payload["parts"])
+    entries = payload["entries"]
+    assert [entry["params"]["t"] for entry in entries] == [0.5, 1.0]
+    # one frequency per time: the 95% rule needs each time's entry to pass
+    assert payload["passed"] is all(entry["passed"] for entry in entries)
+    assert "parts" not in payload
     assert code == (EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED)
-    assert len(csv_path.read_text().splitlines()) == 1 + 2
+    rows = list(csv.DictReader(csv_path.open()))
+    assert [json.loads(row["params"])["t"] for row in rows] == [0.5, 1.0]
+    assert [float(row["mc_value"]) for row in rows] == [e["mc_value"] for e in entries]
+
+
+def test_max_rate_bounds_a_fitted_rate(tmp_path):
+    out = tmp_path / "fit.json"
+
+    def run(*argv):
+        code = main([*argv, "--seed", "1", "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    decay = ["decay", "--moment", "W", "--t", "2,3,4,5", "--samples", "1000"]
+    code, payload = run(*decay, "--max-rate", "-1")
+    assert (code, payload["checks"]) == (EXIT_CHECK_FAILED, {"rate_below_max": False})
+    code, payload = run(*decay, "--max-rate", "0")
+    assert (code, payload["checks"]) == (EXIT_OK, {"rate_below_max": True})
+    code, payload = run("cfcurve", "--mu0", "sixpoint", "--t", "0.5,1,2,3",
+                        "--samples", "3000", "--max-rate", "-1")
+    assert -1.0 < payload["fit"]["fitted_rate"] < 0.0
+    assert (code, payload["checks"]) == (EXIT_CHECK_FAILED, {"rate_below_max": False})
+    # the Gaussian datum is the equilibrium: no point rises above noise, so
+    # the fit has no rate and no bound applies
+    for bound in ("-5", "0", "5"):
+        code, payload = run("cfcurve", "--mu0", "gaussian", "--t", "0.5,1",
+                            "--samples", "500", "--max-rate", bound)
+        assert not any(payload["fit"]["used"])
+        assert (code, payload["checks"], payload["passed"]) == (EXIT_OK, {}, True)
 
 
 def test_run_id_names_kernel_and_initial_datum(tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from wildsim.diagnostics import (
+    IdentityEntry,
+    IdentityReport,
     _z_score,
     cf_distance_curve,
     conservation_check,
@@ -107,7 +109,7 @@ def _fit_values(fit):
 # each runs several chunks: at t = 2.5 the 3000 cascades hold about 36k leaves
 CHUNKED_SUITES = {
     "crosscheck": lambda kernel, mu0, workers: report_values(representation_crosscheck(
-        mu0, kernel, 2.5, small_grid(), 3000, seed=14, workers=workers)),
+        mu0, kernel, [2.5], small_grid(), 3000, seed=14, workers=workers)),
     "transform_raoblackwell": lambda kernel, mu0, workers: transform_grid_estimates(
         mu0, kernel, [0.5, 2.5], small_grid(), 3000, 15, workers=workers),
     "transform_raw": lambda kernel, mu0, workers: transform_grid_estimates(
@@ -201,7 +203,7 @@ def test_cf_distance_curve_sixpoint_decreases(kernel, sixpoint):
 
 
 def test_crosscheck_gaussian_small_z(kernel):
-    report = representation_crosscheck(gaussian_datum(), kernel, 1.0,
+    report = representation_crosscheck(gaussian_datum(), kernel, [1.0],
                                        small_grid(), 4000, seed=43)
     assert report.passed
     # conditional side is exact for the Gaussian; z is pure wild-side noise
@@ -215,14 +217,38 @@ def test_cf_distance_requires_normalized(kernel):
 
 
 def test_representation_crosscheck_small(kernel, sixpoint):
-    report = representation_crosscheck(sixpoint, kernel, 1.0, small_grid(),
+    report = representation_crosscheck(sixpoint, kernel, [1.0], small_grid(),
                                        20_000, seed=41)
     assert report.pass_fraction_required == 0.95
     assert report.passed, [e.z_score for e in report.entries]
 
 
+def test_crosscheck_time_list_joins_the_single_time_reports(kernel, sixpoint):
+    joined = representation_crosscheck(sixpoint, kernel, [0.5, 1.0], small_grid(),
+                                       500, seed=44)
+    single = [representation_crosscheck(sixpoint, kernel, [t], small_grid(), 500, seed=44)
+              for t in (0.5, 1.0)]
+    assert joined.entries == single[0].entries + single[1].entries
+
+
+def test_crosscheck_pass_fraction_holds_at_each_time():
+    def report(fails_at_half, fails_at_one):
+        entries = [IdentityEntry("transform_match", {"t": t}, 0.0, 0.0, 0.0, "", 0.0,
+                                 passed=i >= fails)
+                   for t, fails in ((0.5, fails_at_half), (1.0, fails_at_one))
+                   for i in range(20)]
+        return IdentityReport("representation_crosscheck", {}, entries,
+                              pass_fraction_required=0.95)
+
+    # 38 of 40 entries pass, 95% over both times, but 18 of 20 at t = 0.5
+    uneven = report(2, 0)
+    assert uneven.pass_fraction == 0.95
+    assert not uneven.passed
+    assert report(1, 1).passed
+
+
 def test_representation_crosscheck_zero_time(kernel, sixpoint):
-    report = representation_crosscheck(sixpoint, kernel, 0.0, small_grid(),
+    report = representation_crosscheck(sixpoint, kernel, [0.0], small_grid(),
                                        2000, seed=42)
     assert report.passed
     # at t = 0 the conditional side is exact, only the empirical side fluctuates
@@ -260,6 +286,6 @@ def test_zero_frequency_rows_are_exact(kernel, sixpoint):
         zero, other = rows
         assert (zero["re"], zero["im"], zero["se_re"], zero["se_im"]) == (1.0, 0.0, 0.0, 0.0)
         assert other["se_re"] > 0.0
-    report = representation_crosscheck(sixpoint, kernel, 1.0, grid, 200, seed=3)
+    report = representation_crosscheck(sixpoint, kernel, [1.0], grid, 200, seed=3)
     zero = report.entries[0]
     assert (zero.mc_value, zero.mc_se, zero.z_score, zero.passed) == (0.0, 0.0, 0.0, True)

@@ -51,7 +51,7 @@ def xabs():
 
 @pytest.fixture(scope="module")
 def xabs_functionals(xabs):
-    return spectral_functionals(xabs, s_list=(1, 2, 3, 4))
+    return spectral_functionals(xabs)
 
 
 def test_xabs_is_normalized_and_symmetric(xabs):
@@ -286,7 +286,7 @@ def test_blend_closed_forms_and_quadrature_oracles():
     assert fn.l_s_table[4] == pytest.approx(23.0 / 70.0, abs=1e-10)
     for preset in ("cubic", "sqrtmix"):
         kernel = make_kernel(preset)
-        fn = spectral_functionals(kernel, s_list=(1, 3))
+        fn = spectral_functionals(kernel)
         for s in (1, 3):
             oracle = gauss_legendre_01(lambda x: (1 - x**2) ** (s / 2) * kernel(x))
             assert fn.l_s_table[s] == pytest.approx(oracle, abs=1e-10)
