@@ -8,6 +8,12 @@ config error), and exactly those are echoed into its report (save mu0
 under `decay --moment W`: its spec is checked, but W reads no datum).  Flags
 override config-file values, which override defaults.  All randomness
 derives from --seed; WILDSIM_WORKERS sets the default worker count.
+
+`main` builds the kernel and the initial datum once and names the run once,
+in `_run_id`: the run id digests every echoed setting except those in
+UNNAMED (--out, --csv and --workers, which change no number and no
+verdict), the kernel's angle table, the datum when the report echoes one,
+the reduction constants and the package version.
 """
 
 from __future__ import annotations
@@ -97,6 +103,7 @@ SETTINGS = {
     "out": Setting(None, "JSON report path"),
     "csv": Setting(None, "CSV output path"),
 }
+UNNAMED = ("out", "csv", "workers")  # the settings a run id leaves out
 
 
 def _parse_t(value):
@@ -221,14 +228,21 @@ def _write_outputs(payload: dict, rows: list[dict], config) -> None:
             writer.writerows(rows)
 
 
-def _report_outcome(config, report) -> int:
+def _run_id(command, config, kernel, mu0) -> str:
+    """The run id of a report: its command, its echoed settings bar
+    UNNAMED, the kernel and, when the report echoes one, the datum."""
+    settings = {key: value for key, value in config.items() if key not in UNNAMED}
+    return diagnostics._run_id(command, settings, kernel, mu0 if "mu0" in config else None)
+
+
+def _report_outcome(config, run_id, report) -> int:
     """Write an IdentityReport out, print its summary and failed checks."""
-    payload = report.as_dict()
-    payload["config"] = config
+    payload = {"suite": report.suite, "run_id": run_id, "config": config,
+               **report.as_dict()}
     _write_outputs(payload, list(report.csv_rows()), config)
     failed = [e for e in report.entries if not e.passed]
     print(f"{report.suite}: {len(report.entries) - len(failed)}/{len(report.entries)} "
-          f"checks passed (run {report.run_id})")
+          f"checks passed (run {run_id})")
     for entry in failed:
         print(f"  FAIL {entry.identity} {entry.params}: "
               f"mc={entry.mc_value:.6g} ref={entry.reference_value:.6g} "
@@ -236,12 +250,12 @@ def _report_outcome(config, report) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _fit_outcome(config, suite, fit, rows=None, **extra) -> int:
+def _fit_outcome(config, run_id, suite, fit, rows=None, **extra) -> int:
     """Write a DecayFit out with its checks: --rate-tol bounds the relative
     rate error where the rate is finite, and --max-rate bounds the rate
     where the fit used a point (a fit with no signal passes).  The CSV
     holds `rows`, by default one per time, and `extra` joins the payload."""
-    payload = {"suite": suite, "run_id": fit.run_id, "config": config,
+    payload = {"suite": suite, "run_id": run_id, "config": config,
                "fit": fit.as_dict(), **extra}
     checks = {}
     if config.get("rate_tol") is not None and math.isfinite(fit.fitted_rate):
@@ -258,87 +272,75 @@ def _fit_outcome(config, suite, fit, rows=None, **extra) -> int:
     _write_outputs(payload, rows, config)
     print(f"{suite}: fitted rate {fit.fitted_rate:.5f} "
           f"(reference {fit.reference_rate:.5f}), residual {fit.residual:.3g} "
-          f"(run {fit.run_id})")
+          f"(run {run_id})")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _cmd_identities(config, kernel):
+def _cmd_identities(config, kernel, mu0, run_id):
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
         a_star=config["a_star"], workers=config["workers"],
         z_threshold=config["z_threshold"],
     )
-    return _report_outcome(config, report)
+    return _report_outcome(config, run_id, report)
 
 
-def _cmd_conserve(config, kernel):
-    mu0 = _spec(config, "mu0", make_initial_datum)
+def _cmd_conserve(config, kernel, mu0, run_id):
     report = diagnostics.conservation_check(
         mu0, kernel, config["t"], config["samples"], config["seed"],
         workers=config["workers"], z_threshold=config["z_threshold"],
     )
-    return _report_outcome(config, report)
+    return _report_outcome(config, run_id, report)
 
 
-def _cmd_decay(config, kernel):
-    moment = config["moment"]
-    mu0 = _spec(config, "mu0", make_initial_datum)  # a bad spec is an error either way
-    if moment == "W":  # the weight statistic reads no initial datum
-        config = {key: value for key, value in config.items() if key != "mu0"}
+def _cmd_decay(config, kernel, mu0, run_id):
     fit = diagnostics.moment_decay_fit(
-        mu0, kernel, config["t"], moment_spec=moment,
+        mu0, kernel, config["t"], moment_spec=config["moment"],
         n_samples=config["samples"], seed=config["seed"],
         workers=config["workers"],
     )
-    return _fit_outcome(config, "decay", fit)
+    return _fit_outcome(config, run_id, "decay", fit)
 
 
-def _cmd_cfcurve(config, kernel):
-    mu0 = _spec(config, "mu0", make_initial_datum)
+def _cmd_cfcurve(config, kernel, mu0, run_id):
     grid = _parse_xi_grid(config["xi_grid"])
-    args = (mu0, kernel, config["t"], grid, config["samples"], config["seed"])
-    options = {"estimator": config["estimator"], "workers": config["workers"]}
-    rows = diagnostics.transform_grid_estimates(*args, **options)
-    fit = diagnostics.cf_distance_curve(*args, **options, grid_rows=rows)
-    return _fit_outcome(config, "cfcurve", fit, rows, estimates=rows)
+    rows = diagnostics.transform_grid_estimates(
+        mu0, kernel, config["t"], grid, config["samples"], config["seed"],
+        estimator=config["estimator"], workers=config["workers"],
+    )
+    fit = diagnostics.cf_distance_curve(mu0, kernel, config["t"], grid, rows)
+    return _fit_outcome(config, run_id, "cfcurve", fit, rows, estimates=rows)
 
 
-def _cmd_crosscheck(config, kernel):
-    mu0 = _spec(config, "mu0", make_initial_datum)
+def _cmd_crosscheck(config, kernel, mu0, run_id):
     grid = _parse_xi_grid(config["xi_grid"])
     report = diagnostics.representation_crosscheck(
         mu0, kernel, config["t"], grid, config["samples"], config["seed"],
         workers=config["workers"], z_threshold=config["z_threshold"],
     )
-    return _report_outcome(config, report)
+    return _report_outcome(config, run_id, report)
 
 
-def _cmd_legendre(config, kernel):
+def _cmd_legendre(config, kernel, mu0, run_id):
     report = diagnostics.legendre_moment_checks(
         kernel, tree_size=config["tree_size"], n_theta=config["samples"],
         seed=config["seed"], z_threshold=config["z_threshold"],
     )
-    return _report_outcome(config, report)
+    return _report_outcome(config, run_id, report)
 
 
-def _cmd_envelope(config, kernel):
-    t = config["t"][0]
-    mu0 = _spec(config, "mu0", make_initial_datum)
+def _cmd_envelope(config, kernel, mu0, run_id):
     report = diagnostics.envelope_check(
         mu0, config["lam"], config["q"], kernel,
-        t=t, n_samples=config["samples"], seed=config["seed"],
+        t=config["t"][0], n_samples=config["samples"], seed=config["seed"],
         workers=config["workers"],
     )
-    return _report_outcome(config, report)
+    return _report_outcome(config, run_id, report)
 
 
-def _cmd_simulate(config, kernel):
-    t = config["t"][0]
-    mu0 = _spec(config, "mu0", make_initial_datum)
-    draws = wild_velocity_batch(t, mu0, kernel, config["seed"], config["samples"],
-                                workers=config["workers"])
-    run_id = diagnostics._run_id("simulate", {"t": t, "n_samples": config["samples"],
-                                              "seed": config["seed"]}, kernel, mu0)
+def _cmd_simulate(config, kernel, mu0, run_id):
+    draws = wild_velocity_batch(config["t"][0], mu0, kernel, config["seed"],
+                                config["samples"], workers=config["workers"])
     rows = [dict(zip(("v_x", "v_y", "v_z"), map(repr, v))) for v in draws.tolist()]
     payload = {"suite": "simulate", "run_id": run_id, "config": config,
                "n_samples": len(draws), "passed": True}
@@ -397,7 +399,11 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         kernel = _spec(config, "kernel", make_kernel)  # every command reads one
-        return COMMANDS[args.command][0](config, kernel)
+        mu0 = _spec(config, "mu0", make_initial_datum) if "mu0" in config else None
+        if config.get("moment") == "W":  # its datum spec is checked, but W reads none
+            del config["mu0"]
+        run_id = _run_id(args.command, config, kernel, mu0)
+        return COMMANDS[args.command][0](config, kernel, mu0, run_id)
     except (ConfigError, BadSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .sampler import (
     weight_sums,
 )
 from .tree import ENUMERATION_LIMIT, enumerate_trees
-from .weights import leaf_weights, legendre_value
+from .weights import expected_sum_closed_form, leaf_weights, legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
 ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
@@ -63,13 +63,13 @@ class IdentityEntry:
     two_sided: bool = True  # z should follow N(0, 1) when the identity holds
 
 
-def _run_id(suite: str, config: dict, kernel: CollisionKernel,
+def _run_id(suite: str, settings: dict, kernel: CollisionKernel,
             mu0: InitialDatum | None = None) -> str:
-    """Digest of what a run's numbers depend on: the suite, its configuration,
-    the kernel's tabulated angle law, the initial datum when the suite uses
-    one (its name, moment table and first draws from a fixed stream), the
-    constants of the reduction (stratum count and pooling rule) and the
-    package version."""
+    """Digest of what a run's numbers and verdicts depend on: the suite, its
+    settings, the kernel's tabulated angle law, the initial datum when the
+    run reads one (its name, moment table and first draws from a fixed
+    stream), the constants of the reduction (stratum count and pooling rule)
+    and the package version.  `wildsim.cli` names every report with it."""
     from . import __version__  # the package imports this module before setting it
 
     datum = None
@@ -78,7 +78,7 @@ def _run_id(suite: str, config: dict, kernel: CollisionKernel,
         datum = [mu0.name, mu0.m2, mu0.m3, mu0.m4,
                  *(np.asarray(a, float).tolist() for a in arrays)]
     payload = json.dumps({
-        "suite": suite, "config": config, "version": __version__,
+        "suite": suite, "settings": settings, "version": __version__,
         "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
         "mu0": datum, "reduction": reduction_scheme(),
     }, sort_keys=True, default=str)
@@ -88,11 +88,9 @@ def _run_id(suite: str, config: dict, kernel: CollisionKernel,
 @dataclass
 class IdentityReport:
     suite: str
-    config: dict
     entries: list[IdentityEntry] = field(default_factory=list)
     kernel_functionals: dict | None = None
     pass_fraction_required: float | None = None
-    run_id: str = ""
 
     @property
     def pass_fraction(self) -> float:
@@ -115,8 +113,6 @@ class IdentityReport:
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "run_id": self.run_id,
-            "config": self.config,
             "kernel": self.kernel_functionals,
             "passed": self.passed,
             "pass_fraction": self.pass_fraction,
@@ -172,7 +168,6 @@ class DecayFit:
     residual: float
     reference_rate: float
     used: np.ndarray
-    run_id: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -309,18 +304,14 @@ def run_identity_suite(
     if not a_star > 0.0:
         raise ConfigError(f"the tail threshold a_star must be positive, got {a_star!r}")
     fn = spectral_functionals(kernel)
-    config = {"t_list": list(t_list), "n_samples": n_samples, "seed": seed,
-              "s_list": list(S_POWERS), "a_star": a_star, "workers": workers,
-              "z_threshold": z_threshold}
-    report = IdentityReport("identities", config, kernel_functionals=fn.as_dict(),
-                            run_id=_run_id("identities", config, kernel))
+    report = IdentityReport("identities", kernel_functionals=fn.as_dict())
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             weight_sums, seed, (1, it), workers, t, n_samples,
             kernel=kernel, s_powers=S_POWERS, a_star=a_star,
         )
         targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
-                    math.exp(-(1.0 - 2.0 * fn.l_s_table[s]) * t)) for s in S_POWERS]
+                    expected_sum_closed_form(fn.l_s_table[s], t=t)) for s in S_POWERS]
         targets.append(("zeta", "sum w^2|zeta|", math.exp(-(1.0 - fn.f_b) * t)))
         targets.append(("eta", "sum|w^3 eta|", math.exp(-(1.0 - fn.g_b) * t)))
         targets.append(("W", "sum w^4", math.exp(fn.lambda_b * t)))
@@ -349,10 +340,7 @@ def conservation_check(
     """Mean velocity and energy of cascade draws against the initial values."""
     if not math.isfinite(mu0.m2):
         raise ConfigError("conservation check needs a finite second moment")
-    config = {"mu0": mu0.name, "t_list": list(t_list), "n_samples": n_samples,
-              "seed": seed, "workers": workers}
-    report = IdentityReport("conservation", config,
-                            run_id=_run_id("conservation", config, kernel, mu0))
+    report = IdentityReport("conservation")
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             _velocity_moments_task, seed, (2, it), workers, t, n_samples,
@@ -397,10 +385,6 @@ def moment_decay_fit(
     times = np.asarray(list(t_list), float)
     if len(times) < 4:
         raise ConfigError("need at least 4 time points for a rate fit")
-    config = {"moment": moment_spec, "t_list": times.tolist(), "n_samples": n_samples,
-              "seed": seed, "workers": workers,
-              "direction": None if direction is None else np.asarray(direction, float).tolist()}
-    run_id = _run_id("decay", config, kernel, None if moment_spec == "W" else mu0)
     values = np.empty(len(times))
     ses = np.empty(len(times))
     if moment_spec == "W":
@@ -430,8 +414,7 @@ def moment_decay_fit(
             ses[it] = se
     else:
         raise ConfigError(f"unknown moment_spec {moment_spec!r}")
-    return replace(fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b),
-                   run_id=run_id)
+    return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
 
 
 def _grid_estimates(sums) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,14 +458,11 @@ def cf_distance_curve(
     kernel: CollisionKernel,
     t_list,
     xi_grid,
-    n_samples: int,
-    seed: int,
-    estimator: str = "raoblackwell",
-    workers: int = 1,
-    grid_rows: list[dict] | None = None,
+    grid_rows: list[dict],
 ) -> DecayFit:
     """Noise-aware sup distance of the estimated transform to the limiting
-    Gaussian transform over the frequency grid, fitted exponentially.
+    Gaussian transform over the frequency grid, fitted exponentially, from
+    the rows `transform_grid_estimates` gives for the same times and grid.
 
     This lower-bounds twice the total-variation distance at each time; it
     is never a total-variation estimate itself.
@@ -493,13 +473,6 @@ def cf_distance_curve(
     xi_grid = np.asarray(xi_grid, float)
     gauss = np.exp(-0.5 * np.einsum("ij,ij->i", xi_grid, xi_grid))
     times = np.asarray(list(t_list), float)
-    config = {"mu0": mu0.name, "t_list": times.tolist(), "xi_grid": xi_grid.tolist(),
-              "n_samples": n_samples, "seed": seed, "estimator": estimator, "workers": workers}
-    if grid_rows is None:
-        grid_rows = transform_grid_estimates(
-            mu0, kernel, t_list, xi_grid, n_samples, seed,
-            estimator=estimator, workers=workers,
-        )
     values = np.empty(len(times))
     ses = np.empty(len(times))
     m = len(xi_grid)
@@ -514,15 +487,14 @@ def cf_distance_curve(
         values[it] = float(deviation[at])
         ses[it] = float(se_mod[at])
     try:
-        fit = fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
+        return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
     except InsufficientSignal:
-        fit = DecayFit(
+        return DecayFit(
             times=times, values=values, std_errors=ses,
             fitted_rate=float("nan"), fitted_log_prefactor=float("nan"),
             residual=0.0, reference_rate=fn.lambda_b,
             used=np.zeros(len(times), dtype=bool),
         )
-    return replace(fit, run_id=_run_id("cfcurve", config, kernel, mu0))
 
 
 def representation_crosscheck(
@@ -545,11 +517,7 @@ def representation_crosscheck(
     from the same two streams, (5, 0) and (5, 1).
     """
     xi_grid = np.asarray(xi_grid, float)
-    config = {"mu0": mu0.name, "t_list": list(t_list), "n_samples": n_samples,
-              "seed": seed, "grid_size": len(xi_grid), "workers": workers}
-    report = IdentityReport("representation_crosscheck", config,
-                            pass_fraction_required=0.95,
-                            run_id=_run_id("representation_crosscheck", config, kernel, mu0))
+    report = IdentityReport("representation_crosscheck", pass_fraction_required=0.95)
     for t in t_list:
         tree_sums = reduce_cascades(
             transform_sums, seed, (5, 0), workers, t, n_samples,
@@ -598,9 +566,7 @@ def legendre_moment_checks(
     xi /= np.linalg.norm(xi)
     basis = frame_for(u)
     u_dot_xi = float(u @ xi)
-    config = {"tree_size": tree_size, "n_theta": n_theta, "seed": seed}
-    report = IdentityReport("legendre_moments", config,
-                            run_id=_run_id("legendre_moments", config, kernel))
+    report = IdentityReport("legendre_moments")
     for n in range(1, tree_size + 1):
         for tree in enumerate_trees(n):
             phis = kernel.inverse_beta_cdf(rng.random(n - 1))
@@ -663,10 +629,7 @@ def envelope_check(
         _envelope_task, seed, (7, 0), workers, t, n_samples,
         mu0=mu0, kernel=kernel, lam=lam, q=q,
     )
-    config = {"mu0": mu0.name, "lam": lam, "q": q, "t": t,
-              "n_samples": n_samples, "seed": seed, "n_rho": ENVELOPE_RADII}
-    report = IdentityReport("envelope", config,
-                            run_id=_run_id("envelope", config, kernel, mu0))
+    report = IdentityReport("envelope")
     violations = float(round(draw_total(sums, "violations")))
     report.entries.append(_check(
         "transform_under_envelope", {"checked_points": n_samples * ENVELOPE_RADII},

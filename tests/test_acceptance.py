@@ -19,6 +19,7 @@ from wildsim.diagnostics import (
     moment_decay_fit,
     representation_crosscheck,
     run_identity_suite,
+    transform_grid_estimates,
 )
 from wildsim.geometry import (
     collision_frames,
@@ -200,8 +201,9 @@ def test_criterion_09_gaussian_fixed_point(kernel):
         values = record.per_cascade(cf(rho * weights[:, None] * psi), np.multiply)
         assert np.all(np.abs(values - math.exp(-rho * rho / 2.0)) < 1e-12)
     grid = np.array([[0.5, 0, 0], [0, 1.0, 0], [0.4, 0.4, 0.4], [0, -0.9, 1.1]])
-    fit = cf_distance_curve(mu0, kernel, [0.5, 1.0, 2.0, 4.0], grid, 2000,
-                            seed=8819)
+    times = [0.5, 1.0, 2.0, 4.0]
+    fit = cf_distance_curve(mu0, kernel, times, grid, transform_grid_estimates(
+        mu0, kernel, times, grid, 2000, seed=8819))
     assert np.all(fit.values == 0.0)
     _finish(9, "gaussian fixed point", started, 10.0)
 

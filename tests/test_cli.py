@@ -401,6 +401,38 @@ def test_run_id_names_kernel_and_initial_datum(tmp_path, capsys):
     assert len({xabs, gaussian, decay, cfcurve}) == 4
 
 
+def test_run_id_names_every_verdict_setting(tmp_path):
+    def run_id(*argv, out="report.json"):
+        main([*argv, "--seed", "3", "--out", str(tmp_path / out)])
+        return json.loads((tmp_path / out).read_text())["run_id"]
+
+    runs = {
+        "conserve": ["conserve", "--t", "0.5", "--samples", "100"],
+        "crosscheck": ["crosscheck", "--t", "0.5", "--samples", "100", "--xi-grid", "[[1,0,0]]"],
+        "legendre": ["legendre", "--tree-size", "2", "--samples", "50"],
+        "decay": ["decay", "--moment", "W", "--t", "1,2,3,4", "--samples", "200"],
+        "cfcurve": ["cfcurve", "--mu0", "gaussian", "--t", "0.5,1", "--samples", "100",
+                    "--xi-grid", "[[1,0,0]]"],
+    }
+    verdict_settings = [("conserve", "--z-threshold", "4", "0.01"),
+                        ("crosscheck", "--z-threshold", "4", "0.01"),
+                        ("legendre", "--z-threshold", "4", "0.01"),
+                        ("decay", "--rate-tol", "0.5", "0.01"),
+                        ("decay", "--max-rate", "0", "-5"),
+                        ("cfcurve", "--max-rate", "0", "-5")]
+    for command, flag, first, second in verdict_settings:
+        argv = runs[command]
+        assert run_id(*argv, flag, first) != run_id(*argv, flag, second), (command, flag)
+    # settings that change no number and no verdict leave the run id as it is
+    conserve = run_id(*runs["conserve"])
+    assert run_id(*runs["conserve"], out="other.json") == conserve
+    assert run_id(*runs["conserve"], "--csv", str(tmp_path / "rows.csv")) == conserve
+    assert run_id(*runs["conserve"], "--workers", "2") == conserve
+    # W reads no datum, so the datum does not name a W run
+    decay = run_id(*runs["decay"])
+    assert run_id(*runs["decay"], "--mu0", "gaussian") == decay
+
+
 def _weight_sums_failing_on_chunk_one(nus, rng, **kwargs):
     if rng.bit_generator.seed_seq.spawn_key[-1] == 1:
         raise RuntimeError("injected failure")

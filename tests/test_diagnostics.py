@@ -70,7 +70,6 @@ def test_identity_suite_small(kernel):
     assert payload["suite"] == "identities"
     assert payload["kernel"]["lambda_b"] == pytest.approx(-1.0 / 3.0, abs=1e-9)
     assert len(payload["entries"]) == 2 * 8
-    assert payload["run_id"]
 
 
 def test_identity_suite_zero_time_is_exact(kernel):
@@ -188,16 +187,18 @@ def test_moment_decay_rejects_bad_spec(kernel, sixpoint):
 
 
 def test_cf_distance_curve_gaussian_is_zero(kernel):
-    fit = cf_distance_curve(gaussian_datum(), kernel, [0.5, 1.0, 2.0, 3.0],
-                            small_grid(), 500, seed=31)
+    mu0, times, grid = gaussian_datum(), [0.5, 1.0, 2.0, 3.0], small_grid()
+    fit = cf_distance_curve(mu0, kernel, times, grid, transform_grid_estimates(
+        mu0, kernel, times, grid, 500, seed=31))
     np.testing.assert_allclose(fit.values, 0.0, atol=1e-12)
     assert math.isnan(fit.fitted_rate)
     assert not fit.used.any()
 
 
 def test_cf_distance_curve_sixpoint_decreases(kernel, sixpoint):
-    fit = cf_distance_curve(sixpoint, kernel, [0.5, 1.5, 2.5, 3.5],
-                            small_grid(), 20_000, seed=32)
+    times, grid = [0.5, 1.5, 2.5, 3.5], small_grid()
+    fit = cf_distance_curve(sixpoint, kernel, times, grid, transform_grid_estimates(
+        sixpoint, kernel, times, grid, 20_000, seed=32))
     assert np.all(np.diff(fit.values) < 0.0)   # monotone within this window
     assert fit.fitted_rate <= -0.25            # at least gap-order decay
 
@@ -211,9 +212,10 @@ def test_crosscheck_gaussian_small_z(kernel):
 
 
 def test_cf_distance_requires_normalized(kernel):
+    mu0, times, grid = gaussian_datum(mean=(1, 0, 0)), [1.0, 2.0], small_grid()
+    rows = transform_grid_estimates(mu0, kernel, times, grid, 100, seed=2)
     with pytest.raises(ConfigError):
-        cf_distance_curve(gaussian_datum(mean=(1, 0, 0)), kernel,
-                          [1.0, 2.0], small_grid(), 100, seed=2)
+        cf_distance_curve(mu0, kernel, times, grid, rows)
 
 
 def test_representation_crosscheck_small(kernel, sixpoint):
@@ -237,7 +239,7 @@ def test_crosscheck_pass_fraction_holds_at_each_time():
                                  passed=i >= fails)
                    for t, fails in ((0.5, fails_at_half), (1.0, fails_at_one))
                    for i in range(20)]
-        return IdentityReport("representation_crosscheck", {}, entries,
+        return IdentityReport("representation_crosscheck", entries,
                               pass_fraction_required=0.95)
 
     # 38 of 40 entries pass, 95% over both times, but 18 of 20 at t = 0.5

@@ -214,14 +214,14 @@ def test_z_calibration_summary():
                _entry(0.0, diff=0.0),            # zeroed by the roundoff rule
                _entry(math.inf),                 # non-finite
                _entry(-3.0, two_sided=False)]    # one-sided
-    calibration = IdentityReport("synthetic", {}, entries).as_dict()["z_calibration"]
+    calibration = IdentityReport("synthetic", entries).as_dict()["z_calibration"]
     phi = [0.5 * (1.0 + math.erf(z / math.sqrt(2.0))) for z in (-1.0, 0.5, 2.0)]
     assert calibration["n"] == 3
     assert calibration["mean"] == pytest.approx(0.5, abs=1e-15)
     assert calibration["sd"] == pytest.approx(1.5, abs=1e-15)
     assert calibration["ks_distance"] == pytest.approx(phi[1] - 1.0 / 3.0, abs=1e-15)
     assert calibration["ks_distance"] == pytest.approx(0.358129, abs=1e-6)
-    empty = IdentityReport("synthetic", {}, [_entry(0.0, diff=0.0)]).as_dict()
+    empty = IdentityReport("synthetic", [_entry(0.0, diff=0.0)]).as_dict()
     assert empty["z_calibration"] == {"n": 0, "mean": None, "sd": None, "ks_distance": None}
 
 
