@@ -20,7 +20,7 @@ from .diagnostics import (
     run_identity_suite,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "WildsimError",

@@ -304,6 +304,7 @@ def _cmd_decay(config, kernel, mu0, run_id):
 
 def _cmd_cfcurve(config, kernel, mu0, run_id):
     grid = _parse_xi_grid(config["xi_grid"])
+    diagnostics.check_distance_datum(mu0)  # reject before the costly grid runs
     rows = diagnostics.transform_grid_estimates(
         mu0, kernel, config["t"], grid, config["samples"], config["seed"],
         estimator=config["estimator"], workers=config["workers"],

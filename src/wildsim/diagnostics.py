@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
 from .geometry import frame_for, rotation_array
 from .initial import InitialDatum
-from .kernel import S_POWERS, CollisionKernel, spectral_functionals
+from .kernel import S_POWERS, CollisionKernel, cos_sin, spectral_functionals
 from .sampler import (
     cascade_velocities,
     draw_total,
@@ -262,7 +262,8 @@ def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
 def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
     """Empirical transform of wild-cascade velocity draws on the grid."""
     phases = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ np.asarray(xi_grid).T
-    return {"re": np.cos(phases), "im": np.sin(phases)}
+    re, im = cos_sin(phases)
+    return {"re": re, "im": im}
 
 
 def _envelope_task(nus, rng, mu0, kernel, lam, q):
@@ -453,6 +454,13 @@ def transform_grid_estimates(
     return rows
 
 
+def check_distance_datum(mu0: InitialDatum) -> None:
+    """ConfigError unless mu0 is normalized (mean 0, covariance of trace 3),
+    as the limiting Gaussian of `cf_distance_curve` assumes."""
+    if not mu0.is_normalized(tol=1e-6):
+        raise ConfigError("distance curve needs a normalized initial datum")
+
+
 def cf_distance_curve(
     mu0: InitialDatum,
     kernel: CollisionKernel,
@@ -467,8 +475,7 @@ def cf_distance_curve(
     This lower-bounds twice the total-variation distance at each time; it
     is never a total-variation estimate itself.
     """
-    if not mu0.is_normalized(tol=1e-6):
-        raise ConfigError("distance curve needs a normalized initial datum")
+    check_distance_datum(mu0)
     fn = spectral_functionals(kernel)
     xi_grid = np.asarray(xi_grid, float)
     gauss = np.exp(-0.5 * np.einsum("ij,ij->i", xi_grid, xi_grid))

@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
+from .kernel import cos_sin
 
 EMPIRICAL_CF_SAMPLE = 100_000
 AUX_SEED = 20211205  # seed of the frozen auxiliary sample of `sampler_datum`
@@ -194,13 +195,13 @@ def _discrete_sampler(rng, size, points, masses):
 
 def _discrete_cf(xi, points, masses):
     xi = np.asarray(xi, float)
-    phases = xi @ points.T  # (..., npoints)
-    return np.exp(1j * phases) @ masses
+    cos, sin = cos_sin(xi @ points.T)  # (..., npoints)
+    return cos @ masses + 1j * (sin @ masses)
 
 
 def _symmetric_discrete_cf(xi, half, pair_masses, origin_mass):
     xi = np.asarray(xi, float)
-    return np.cos(xi @ half.T) @ pair_masses + origin_mass
+    return cos_sin(xi @ half.T)[0] @ pair_masses + origin_mass
 
 
 def _symmetric_half(points, masses):
@@ -347,7 +348,8 @@ def _empirical_cf(xi, frozen):
     step = max(1, 10_000_000 // max(len(frozen), 1))
     for start in range(0, len(flat), step):
         block = flat[start : start + step]
-        out[start : start + step] = np.exp(1j * block @ frozen.T).mean(axis=1)
+        cos, sin = cos_sin(block @ frozen.T)
+        out[start : start + step] = cos.mean(axis=1) + 1j * sin.mean(axis=1)
     return out.reshape(xi.shape[:-1]) if xi.ndim > 1 else out[0]
 
 

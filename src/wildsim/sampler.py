@@ -24,7 +24,11 @@ live in one flat buffer, and two passes walk the levels:
   per level over every cascade of the chunk, so each merge sees fully
   collapsed subtrees; the root keeps one draw from the solution.  A node
   keeps only its first outgoing velocity v + delta (`deflection`, which
-  `collide` also uses), written in place.  On request the pass also
+  `collide` also uses), written in place.  The trigonometry of every node
+  is done once per chunk, before the level loop: the factors cos^2 phi,
+  cos theta cos phi sin phi and sin theta cos phi sin phi, each angle's
+  (cos, sin) pair from one vectorised tangent of its half angle
+  (`kernel.cos_sin`).  On request the pass also
   returns each cascade's root collision at azimuth theta + pi, an
   antithetic partner of the same law for a few vector operations:
   delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
@@ -86,7 +90,7 @@ import numpy.random  # noqa: F401
 from .errors import ConfigError, TimeTooLarge, WildsimError
 from .geometry import RotationArray, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
-from .kernel import CollisionKernel
+from .kernel import CollisionKernel, cos_sin
 from .weights import WeightArray, legendre_value
 
 NU_CAP = 1_000_000      # largest cascade size drawn: a memory guard, not part of the law
@@ -260,6 +264,19 @@ def leaf_frames(record: GerminationRecord) -> tuple[np.ndarray, RotationArray]:
     return weights, RotationArray(rotations=rotations)
 
 
+def _node_factors(phis, thetas):
+    """The collision factors of nodes with angles (phis, thetas):
+    (cos^2 phi, cos theta cos phi sin phi, sin theta cos phi sin phi), each
+    angle's (cos, sin) from one tangent (`cos_sin`), written in place."""
+    cos_sq, h = cos_sin(phis)
+    k1, k2 = cos_sin(thetas)
+    h *= cos_sq
+    k1 *= h
+    k2 *= h
+    cos_sq *= cos_sq
+    return cos_sq, k1, k2
+
+
 def deflection(v, w, phi, theta):
     """The change of velocity v in a collision with w: the outgoing pair is
     v' = v + delta, w' = w - delta.  Components and angles may be scalars or
@@ -275,8 +292,16 @@ def deflection(v, w, phi, theta):
     outcome by O(|d|).  Replays are therefore compared bit for bit, never
     with a tolerance.  Turning theta by pi reflects delta through
     its mean over theta: delta(theta + pi) = 2 cos^2(phi) d - delta(theta).
-    The sums accumulate in place, to keep temporaries few.
+    The angles enter through `_node_factors`, the arithmetic through
+    `_deflect`, which `replay` calls level by level on factors it computes
+    once per chunk.
     """
+    return _deflect(v, w, *_node_factors(phi, theta))
+
+
+def _deflect(v, w, cos_sq, k1, k2):
+    """`deflection` from the nodes' factors (`_node_factors`), which it
+    leaves unchanged; the sums accumulate in place, to keep temporaries few."""
     vx, vy, vz = v
     wx, wy, wz = w
     dx, dy, dz = wx - vx, wy - vy, wz - vz
@@ -291,13 +316,6 @@ def deflection(v, w, phi, theta):
     a = np.abs(dz)
     a += norm
     a = -sign / np.maximum(a, TINY)
-    cp = np.cos(phi)
-    h = cp * np.sin(phi)
-    k1 = np.cos(theta)
-    k1 *= h
-    k2 = np.sin(theta)
-    k2 *= h
-    cos_sq = cp * cp
     q = sign * k1
     q *= dx
     q += k2 * dy
@@ -305,7 +323,7 @@ def deflection(v, w, phi, theta):
     gx = cos_sq * dx
     gx += norm * k1
     gx += dx * a
-    k2 *= sign
+    k2 = sign * k2
     k2 *= norm
     gy = cos_sq * dy
     gy += k2
@@ -332,20 +350,23 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
     record one tree level at a time, deepest level first: a node's output
     is the first outgoing velocity of collide(left input, right input, phi,
     theta), written in place as left input + `deflection`, one vectorised
-    call per level.  Returns each cascade's root velocity, shape
-    (cascades, 3), bit-identical to a fold of `collide`.
+    call per level.  The nodes' trigonometric factors are computed once for
+    the whole chunk, before the loop, and sliced per level.  Returns each
+    cascade's root velocity, shape (cascades, 3), bit-identical to a fold
+    of `collide`.
 
     With mirror, returns (roots, mirrored): mirrored is the root velocity
     with the root collision's azimuth turned by pi, the same subtrees below
     it, got by reflecting the root through its mean over the azimuth,
-    v + cos^2(phi) (w - v).  A cascade of one leaf has no root collision,
-    so its mirrored root is its leaf."""
+    v + cos^2(phi) (w - v), read from the chunk's factors.  A cascade of
+    one leaf has no root collision, so its mirrored root is its leaf."""
     n = record.n_leaves
     buffer = np.empty((3, n + len(record.phis)))
     buffer[:, :n] = np.asarray(velocities, float).T
+    cos_sq, k1, k2 = _node_factors(record.phis, record.thetas)
     for a, b in reversed(list(record.levels())):
         v, w = buffer[:, record.left[a:b]], buffer[:, record.right[a:b]]
-        delta = deflection(v, w, record.phis[a:b], record.thetas[a:b])
+        delta = _deflect(v, w, cos_sq[a:b], k1[a:b], k2[a:b])
         for out, v_i, delta_i in zip(buffer[:, n + a:n + b], v, delta):
             np.add(v_i, delta_i, out=out)
     roots = buffer[:, record.roots].T
@@ -353,8 +374,14 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
         return roots
     mirrored = roots.copy()
     if len(record.phis):  # v, w and b are the root level's, the loop's last
-        mean = v + np.cos(record.phis[:b]) ** 2 * (w - v)
-        mirrored[record.roots >= n] = (2.0 * mean - buffer[:, n:n + b]).T
+        # 2 (v + cos^2(phi) (w - v)) - root; sizes descend, so the b
+        # cascades with a root collision are the first b
+        flipped = w - v
+        flipped *= cos_sq[:b]
+        flipped += v
+        flipped *= 2.0
+        flipped -= buffer[:, n:n + b]
+        mirrored[:b] = flipped.T
     return roots, mirrored
 
 
@@ -552,17 +579,21 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
     """Per-cascade sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
     W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
     w, zeta, eta the order-1, -2 and -3 leaf weights.  No azimuth is drawn.
-    The order-1 weights are grown squared, w^2, with the factors cos^2 phi
-    and sin^2 phi = 1 - cos^2 phi, and |w| is its square root; with no
-    s_powers and no a_star the result holds W alone, grown from w^2 only,
-    at one trig call per node."""
+    The order-1 weights are grown squared, w^2, with the factors
+    cos^2 phi = 1 / (1 + tan^2 phi) and sin^2 phi = 1 - cos^2 phi, and |w|
+    is its square root; with no s_powers and no a_star the result holds W
+    alone, grown from w^2 only, at one vectorised tangent per node.  The
+    orders 2 and 3 take (cos phi, sin phi) from one more tangent, of the
+    half angle (`kernel.cos_sin`)."""
     record = germination_record(nus, kernel, rng, azimuths=False)
-    cos_p = np.cos(record.phis)
-    cos_sq = cos_p * cos_p
+    cos_sq = np.tan(record.phis)
+    cos_sq *= cos_sq
+    cos_sq += 1.0
+    np.divide(1.0, cos_sq, out=cos_sq)
     if not s_powers and a_star is None:
         w_sq = grow(record, cos_sq, 1.0 - cos_sq, 1.0)
         return {"W": record.per_cascade(w_sq * w_sq)}
-    sin_p = np.sin(record.phis)
+    cos_p, sin_p = cos_sin(record.phis)
     # columns w^2 (grown as W alone grows it), zeta and eta
     left = np.stack([cos_sq, legendre_value(2, cos_p), legendre_value(3, cos_p)], axis=-1)
     right = np.stack([1.0 - cos_sq, legendre_value(2, sin_p), legendre_value(3, sin_p)],
@@ -606,16 +637,17 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     for i, xi in enumerate(xi_grid):
         rho = float(np.linalg.norm(xi))
         if rho == 0.0:
-            values = np.ones(len(nus), dtype=complex)
+            real[:, i], imag[:, i] = 1.0, 0.0
+            continue
+        psi = columns @ frame_for(xi / rho).T
+        if estimator == "raoblackwell":
+            # rho w_j psi_j written over psi, one leaf array fewer at cf's peak
+            np.multiply(rho * weights[:, None], psi, out=psi)
+            values = record.per_cascade(cf(psi), np.multiply)
+            real[:, i], imag[:, i] = values.real, values.imag
         else:
-            psi = columns @ frame_for(xi / rho).T
-            if estimator == "raoblackwell":
-                values = record.per_cascade(cf(rho * weights[:, None] * psi), np.multiply)
-            else:
-                s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
-                values = np.exp(1j * rho * s)
-        real[:, i] = values.real
-        imag[:, i] = values.imag
+            s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
+            real[:, i], imag[:, i] = cos_sin(rho * s)
     return {"re": real, "im": imag}
 
 

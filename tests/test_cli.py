@@ -134,6 +134,19 @@ def test_cfcurve_csv_schema(tmp_path):
     assert len(lines) == 1 + 2 * 2  # (t, xi) grid rows
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the transform grid ran")
+
+
+def test_cfcurve_rejects_an_unnormalized_datum_before_the_grid(monkeypatch, capsys):
+    monkeypatch.setattr(diagnostics, "transform_grid_estimates", _no_grid)
+    code = main(["cfcurve", "--mu0", '{"preset": "gaussian", "mean": [1, 0, 0]}',
+                 "--t", "1,2,3,4", "--samples", "20000"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: distance curve needs a normalized initial datum\n")
+
+
 def test_envelope_premise_failure_is_runtime_error():
     code = main([
         "envelope", "--mu0", "gaussian", "--t", "1", "--samples", "50",
