@@ -4,8 +4,8 @@ cascades: kernels, trees, weights, rotations, samplers, diagnostics."""
 from .errors import WildsimError
 from .kernel import CollisionKernel, KernelFunctionals, make_kernel, sample_phi, spectral_functionals, truncate
 from .tree import McKeanTree, enumerate_trees, sample_tree, tree_probability
-from .weights import WeightArray, expected_sum_closed_form, leaf_weights, psi_envelope, symmetric_function_bound, w_statistic
-from .geometry import RotationArray, chart_basis, collision_frames, frame_for, leaf_directions, rotation_array
+from .weights import WeightArray, expected_sum_closed_form, symmetric_function_bound
+from .geometry import RotationArray, chart_basis, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum
 from .sampler import TreeSample, draw_tree_sample, rng_stream, sample_nu, wild_velocity
 from .diagnostics import (
@@ -20,17 +20,15 @@ from .diagnostics import (
     run_identity_suite,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "WildsimError",
     "CollisionKernel", "KernelFunctionals", "make_kernel", "sample_phi",
     "spectral_functionals", "truncate",
     "McKeanTree", "enumerate_trees", "sample_tree", "tree_probability",
-    "WeightArray", "expected_sum_closed_form", "leaf_weights", "psi_envelope",
-    "symmetric_function_bound", "w_statistic",
+    "WeightArray", "expected_sum_closed_form", "symmetric_function_bound",
     "RotationArray", "chart_basis", "collision_frames", "frame_for",
-    "leaf_directions", "rotation_array",
     "InitialDatum", "make_initial_datum",
     "TreeSample", "draw_tree_sample", "rng_stream", "sample_nu", "wild_velocity",
     "DecayFit", "IdentityReport", "cf_distance_curve", "conservation_check",

@@ -23,13 +23,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
-from .geometry import frame_for, rotation_array
+from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
 from .kernel import S_POWERS, CollisionKernel, cos_sin, spectral_functionals
 from .sampler import (
     cascade_velocities,
     draw_total,
     germination_record,
+    grow,
     leaf_frames,
     mean_se,
     reduce_cascades,
@@ -37,10 +38,11 @@ from .sampler import (
     replay,
     rng_stream,
     transform_sums,
+    tree_record,
     weight_sums,
 )
 from .tree import ENUMERATION_LIMIT, enumerate_trees
-from .weights import expected_sum_closed_form, leaf_weights, legendre_value
+from .weights import expected_sum_closed_form, legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
 ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
@@ -560,7 +562,10 @@ def legendre_moment_checks(
 
     For each tree and fixed split angles, the average over azimuth draws of
     P_k(psi_j . xi) must equal P_k(u . xi) times the order-k leaf weight,
-    for k = 1, 2, 3 and every leaf j.
+    for k = 1, 2, 3 and every leaf j.  Each tree is a `tree_record`, its
+    angles drawn in the record's node order.  One `grow` of the row
+    xi B(u), with frames over an axis of n_theta azimuth draws, gives every
+    psi_j . xi = xi B(u) O_j e3 without forming the leaf rotations.
     """
     if not 1 <= tree_size <= ENUMERATION_LIMIT:
         raise ConfigError(f"tree size must be 1 .. {ENUMERATION_LIMIT}, got {tree_size}")
@@ -571,19 +576,24 @@ def legendre_moment_checks(
     u /= np.linalg.norm(u)
     xi = np.array([-0.5, 0.7, 0.4])
     xi /= np.linalg.norm(xi)
-    basis = frame_for(u)
+    row = np.broadcast_to(xi @ frame_for(u), (n_theta, 1, 3))
     u_dot_xi = float(u @ xi)
     report = IdentityReport("legendre_moments")
     for n in range(1, tree_size + 1):
         for tree in enumerate_trees(n):
-            phis = kernel.inverse_beta_cdf(rng.random(n - 1))
-            factors = {k: leaf_weights(tree, phis, k).values for k in (1, 2, 3)}
+            record = tree_record(tree, kernel.inverse_beta_cdf(rng.random(n - 1)))
+            cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
+            factors = {k: grow(record, legendre_value(k, cos_p), legendre_value(k, sin_p), 1.0)
+                       for k in (1, 2, 3)}
             if n == 1:
                 dots = np.array([[u_dot_xi]])
             else:
-                thetas = rng.uniform(0.0, 2.0 * math.pi, (n_theta, n - 1))
-                cols = rotation_array(tree, phis, thetas.T).third_columns()  # (n, N, 3)
-                dots = np.einsum("jbk,ik,i->jb", cols, basis, xi)
+                thetas = rng.uniform(0.0, 2.0 * math.pi, (n - 1, n_theta))
+                # frames (n - 1, N, 3, 3) grow the rows xi B(u) O_j, (n, N, 1, 3);
+                # neither outlives this shape, so two never coexist
+                frames = collision_frames(record.phis[:, None], thetas)
+                dots = grow(record, *frames, row)[:, :, 0, 2].copy()
+                del frames
             for k in (1, 2, 3):
                 reference_scale = float(legendre_value(k, u_dot_xi))
                 samples = legendre_value(k, dots)

@@ -41,15 +41,7 @@ class TooLarge(WildsimError, ValueError):
     """Requested exhaustive enumeration beyond the supported size."""
 
 
-# --- weight arrays ----------------------------------------------------------
-
-class ArityMismatch(WildsimError, ValueError):
-    """Number of angles does not match leaf_count - 1."""
-
-
-class WrongOrder(WildsimError, ValueError):
-    """Weight array of the wrong Legendre order for this statistic."""
-
+# --- weights ----------------------------------------------------------------
 
 class NotNormalized(WildsimError, ValueError):
     """Squared weights do not sum to one."""

@@ -1,4 +1,4 @@
-"""Rotation frames, rotation cascades and the sphere atlas.
+"""Rotation frames and the sphere atlas.
 
 Each split of a collision tree contributes a pair of special-orthogonal
 frames, functions of the split's angles (phi, theta):
@@ -15,9 +15,9 @@ right(phi, theta) is left(phi, theta) with its columns cycled, [..., [1, 2, 0]].
 
 The frames' third columns are the post-collisional directions of the two
 branches when the incoming direction is e3.  Composing them along
-root-to-leaf paths yields one rotation per leaf; applied to e3 and mapped
-through a frame B(u) with B(u) e3 = u they give the leaf directions on the
-sphere.  No continuous global B exists, so B is realized through four
+root-to-leaf paths (`wildsim.sampler.grow`) yields one rotation per leaf;
+applied to e3 and mapped through a frame B(u) with B(u) e3 = u they give
+the leaf directions on the sphere.  No continuous global B exists, so B is realized through four
 smooth elliptic charts, each carrying an explicit orthonormal frame.
 """
 
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, OutOfChart
-from .tree import McKeanTree
+from .errors import OutOfChart
 
 E3 = np.array([0.0, 0.0, 1.0])
 ROTATION_TOL = 1e-12
@@ -86,8 +85,7 @@ def is_rotation(q: np.ndarray, tol: float = ROTATION_TOL) -> bool:
 
 @dataclass(frozen=True)
 class RotationArray:
-    """One rotation per leaf, in left-to-right leaf order: shape (n, 3, 3),
-    or (n, N, 3, 3) for a batch of N azimuth draws on one tree."""
+    """One rotation per leaf, in left-to-right leaf order: shape (n, 3, 3)."""
 
     rotations: np.ndarray
 
@@ -95,74 +93,8 @@ class RotationArray:
         return len(self.rotations)
 
     def third_columns(self) -> np.ndarray:
-        """Each rotation's third column (its image of e3): (n, 3) or (n, N, 3)."""
+        """Each rotation's third column (its image of e3), shape (n, 3)."""
         return self.rotations[..., 2]
-
-
-def _check_arity(tree, phis, thetas):
-    want = tree.leaf_count - 1
-    if len(phis) != want or len(thetas) != want:
-        raise ArityMismatch(
-            f"need {want} angle pairs for {tree.leaf_count} leaves, "
-            f"got {len(phis)}, {len(thetas)}"
-        )
-
-
-def rotation_array(tree: McKeanTree, phis, thetas) -> RotationArray:
-    """Compose the per-leaf rotations recursively from the root split down.
-
-    Angle ordering matches leaf_weights: the last pair belongs to the root
-    split, the first n_l - 1 pairs to the left subtree.  thetas may carry a
-    trailing batch axis, shape (n - 1, N): N azimuth draws for the same
-    tree and polar angles give rotations of shape (n, N, 3, 3) (for n >= 2).
-    """
-    phis = np.asarray(phis, float)
-    thetas = np.asarray(thetas, float)
-    _check_arity(tree, phis, thetas)
-    return RotationArray(rotations=np.array(_build_rotations(tree, phis, thetas)))
-
-
-def _build_rotations(tree, phis, thetas):
-    if tree.is_leaf:
-        return [np.eye(3)]
-    ml, mr = collision_frames(phis[-1], thetas[-1])
-    n_l = tree.left.leaf_count
-    left = _build_rotations(tree.left, phis[: n_l - 1], thetas[: n_l - 1])
-    right = _build_rotations(tree.right, phis[n_l - 1 : -1], thetas[n_l - 1 : -1])
-    return [ml @ q for q in left] + [mr @ q for q in right]
-
-
-def path_product_rotation(tree: McKeanTree, phis, thetas, leaf_index: int) -> np.ndarray:
-    """Independent construction of one leaf's rotation as an explicit
-    ordered product of frames along the root-to-leaf path."""
-    phis = np.asarray(phis, float)
-    thetas = np.asarray(thetas, float)
-    _check_arity(tree, phis, thetas)
-    if not 0 <= leaf_index < tree.leaf_count:
-        raise ArityMismatch(f"leaf index {leaf_index} outside 0..{tree.leaf_count - 1}")
-
-    # collect (side, global angle slot) pairs walking down, then multiply
-    # in path order: the factor at the root stands leftmost
-    path: list[tuple[str, int]] = []
-    node, j, lo, hi = tree, leaf_index, 0, tree.leaf_count - 1
-    while not node.is_leaf:
-        n_l = node.left.leaf_count
-        if j < n_l:
-            path.append(("l", hi - 1))
-            node, hi = node.left, lo + n_l - 1
-        else:
-            path.append(("r", hi - 1))
-            node, j, lo, hi = node.right, j - n_l, lo + n_l - 1, hi - 1
-    out = np.eye(3)
-    for side, slot in path:
-        frame = left_frame if side == "l" else right_frame
-        out = out @ frame(phis[slot], thetas[slot])
-    return out
-
-
-def leaf_directions(basis: np.ndarray, rotations: RotationArray) -> np.ndarray:
-    """Unit directions basis @ O_j @ e3 for every leaf, shape (n, 3)."""
-    return rotations.third_columns() @ np.asarray(basis).T
 
 
 # --- sphere atlas -------------------------------------------------------------

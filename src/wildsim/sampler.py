@@ -18,13 +18,14 @@ live in one flat buffer, and two passes walk the levels:
   left subtree and v * right on its right.  Scalar factors
   (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights; the
   collision frames left(phi, theta) and right(phi, theta) give the leaf
-  rotations.
+  rotations, and frames over an axis of azimuth draws give them for every
+  draw at once.
 * backward (`replay`), deepest level first: i.i.d. initial velocities at
   the leaves are folded through pairwise collisions, one vectorised call
   per level over every cascade of the chunk, so each merge sees fully
   collapsed subtrees; the root keeps one draw from the solution.  A node
-  keeps only its first outgoing velocity v + delta (`deflection`, which
-  `collide` also uses), written in place.  The trigonometry of every node
+  keeps only its first outgoing velocity v + delta (`deflection`; the
+  second one is w - delta), written in place.  The trigonometry of every node
   is done once per chunk, before the level loop: the factors cos^2 phi,
   cos theta cos phi sin phi and sin theta cos phi sin phi, each angle's
   (cos, sin) pair from one vectorised tangent of its half angle
@@ -39,7 +40,9 @@ live in one flat buffer, and two passes walk the levels:
 Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.  A record draws all node angles, then
 the cuts of the tree shapes, then the azimuths, which the weight
-reductions never read and skip.
+reductions never read and skip.  `tree_record` builds the record of one
+prescribed tree from cuts that select its shape, through the same level
+builder, for checks conditional on the tree.
 
 Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
 and np.multiply.reduceat over the offsets), and `reduce_cascades` turns them
@@ -91,6 +94,7 @@ from .errors import ConfigError, TimeTooLarge, WildsimError
 from .geometry import RotationArray, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel, cos_sin
+from .tree import McKeanTree
 from .weights import WeightArray, legendre_value
 
 NU_CAP = 1_000_000      # largest cascade size drawn: a memory guard, not part of the law
@@ -205,12 +209,34 @@ def germination_record(nus, kernel: CollisionKernel, rng: np.random.Generator,
     reduction that reads no azimuth skips their draw (azimuths=False leaves
     thetas None) and still sees the same trees and angles."""
     nus = np.asarray(nus, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(nus[:-1])))
-    n = int(offsets[-1] + nus[-1])
-    m = n - len(nus)
+    m = int(nus.sum()) - len(nus)
     phis = kernel.inverse_beta_cdf(rng.random(m))
     cuts = rng.random(m)
     thetas = rng.uniform(0.0, TWO_PI, m) if azimuths else None
+    return _build_levels(nus, cuts, phis, thetas)
+
+
+def tree_record(tree: McKeanTree, phis) -> GerminationRecord:
+    """The record of one prescribed tree, its node angles phis given in the
+    record's node order: level by level from the root, left child before
+    right (thetas is None).  A node over s leaves that sends L of them to
+    the left gets the cut (L - 1/2) / (s - 1), the middle of the cuts that
+    `germination_record` maps to L."""
+    cuts, level = [], [tree] if tree.leaf_count > 1 else []
+    while level:
+        cuts += [(node.left.leaf_count - 0.5) / (node.leaf_count - 1) for node in level]
+        level = [child for node in level for child in node.split() if not child.is_leaf]
+    return _build_levels(np.array([tree.leaf_count]), np.array(cuts, dtype=float),
+                         np.asarray(phis, dtype=float), None)
+
+
+def _build_levels(nus, cuts, phis, thetas) -> GerminationRecord:
+    """The record of cascades with sizes nus (descending, int64), one level
+    at a time: node i over s leaves sends 1 + floor(cuts[i] (s - 1)) of them
+    to its left subtree, nodes numbered in level order."""
+    offsets = np.concatenate(([0], np.cumsum(nus[:-1])))
+    n = int(offsets[-1] + nus[-1])
+    m = len(cuts)
     # each node's (left, right) children side by side: a child's leaf start,
     # replaced by its node slot when it splits; child_sizes has their leaf counts
     slots = np.empty((m, 2), dtype=np.int64)
@@ -243,13 +269,15 @@ def grow(record: GerminationRecord, left, right, root) -> np.ndarray:
 
     Every root starts at `root`; level by level, roots first, a node's
     value v passes v * left to its left subtree and v * right to its right.
-    Factors of shape (nodes, 3, 3) compose as matrices (v @ factor), any
-    other shape multiplies elementwise.
+    Factors of three or more dimensions, (nodes, 3, 3) or (nodes, N, 3, 3)
+    over N azimuth draws, compose as matrices (v @ factor), with root of
+    shape (3, 3), or (N, 1, 3) for one row per draw; any other factor
+    multiplies elementwise.
     """
     n = record.n_leaves
     values = np.empty((n + len(record.phis),) + np.shape(root))
     values[record.roots] = root
-    compose = np.matmul if np.ndim(left) == 3 else np.multiply
+    compose = np.matmul if np.ndim(left) >= 3 else np.multiply
     for a, b in record.levels():
         value = values[n + a:n + b]
         values[record.left[a:b]] = compose(value, left[a:b])
@@ -333,27 +361,17 @@ def _deflect(v, w, cos_sq, k1, k2):
     return gx, gy, gz
 
 
-def collide(v, w, phi, theta):
-    """Post-collisional pair for incoming velocities v = (vx, vy, vz) and
-    w = (wx, wy, wz), each output stacking its three components along
-    axis 0 (see `deflection`).  Momentum and kinetic energy are conserved
-    exactly up to roundoff, and identical velocities pass through unchanged.
-    """
-    gx, gy, gz = deflection(v, w, phi, theta)
-    vx, vy, vz = v
-    wx, wy, wz = w
-    return np.array([vx + gx, vy + gy, vz + gz]), np.array([wx - gx, wy - gy, wz - gz])
-
-
 def replay(record: GerminationRecord, velocities, mirror: bool = False):
     """Backward pass: fold leaf velocities, shape (leaves, 3), through the
     record one tree level at a time, deepest level first: a node's output
-    is the first outgoing velocity of collide(left input, right input, phi,
-    theta), written in place as left input + `deflection`, one vectorised
-    call per level.  The nodes' trigonometric factors are computed once for
-    the whole chunk, before the loop, and sliced per level.  Returns each
-    cascade's root velocity, shape (cascades, 3), bit-identical to a fold
-    of `collide`.
+    is the first outgoing velocity of the collision of its left and right
+    inputs at its angles (phi, theta), written in place as left input +
+    `deflection`, one vectorised call per level.  The nodes' trigonometric
+    factors are computed once for the whole chunk, before the loop, and
+    sliced per level.  Returns each cascade's root velocity, shape
+    (cascades, 3), bit-identical to a recursive fold of `deflection`.
+    Sizes descend, so the roots are two runs of slots: the root nodes of
+    the cascades that split, then the leaves of the one-leaf cascades.
 
     With mirror, returns (roots, mirrored): mirrored is the root velocity
     with the root collision's azimuth turned by pi, the same subtrees below
@@ -369,13 +387,14 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
         delta = _deflect(v, w, cos_sq[a:b], k1[a:b], k2[a:b])
         for out, v_i, delta_i in zip(buffer[:, n + a:n + b], v, delta):
             np.add(v_i, delta_i, out=out)
-    roots = buffer[:, record.roots].T
+    split = int(record.bounds[1]) if len(record.phis) else 0  # cascades with a root node
+    roots = np.concatenate((buffer[:, n:n + split],
+                            buffer[:, n + split - len(record.nus):n]), axis=1).T
     if not mirror:
         return roots
     mirrored = roots.copy()
-    if len(record.phis):  # v, w and b are the root level's, the loop's last
-        # 2 (v + cos^2(phi) (w - v)) - root; sizes descend, so the b
-        # cascades with a root collision are the first b
+    if split:  # v, w and b are the root level's, the loop's last
+        # 2 (v + cos^2(phi) (w - v)) - root for the first b = split cascades
         flipped = w - v
         flipped *= cos_sq[:b]
         flipped += v

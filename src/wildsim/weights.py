@@ -1,16 +1,16 @@
-"""Scalar leaf-weight arrays and their closed-form expectations.
+"""Scalar leaf weights: the Legendre factors and closed-form expectations.
 
 Each leaf of a collision tree carries, for every Legendre order k, the
 product of P_k(cos phi) / P_k(sin phi) factors collected along its
-root-to-leaf path (cosine on left turns, sine on right turns).  Order
-k = 1 gives the amplitude weights whose squares sum to one; k = 2 and
-k = 3 are the quadratic and cubic families entering the conditional
-moment identities.  The mean of sum_j |weight_j|^s over the growth chain
-obeys a one-dimensional recursion with closed form `expected_sum_closed_form`.
+root-to-leaf path (cosine on left turns, sine on right turns); the cascade
+engine (`wildsim.sampler.grow`) multiplies them out.  Order k = 1 gives the
+amplitude weights whose squares sum to one; k = 2 and k = 3 are the
+quadratic and cubic families entering the conditional moment identities.
+The mean of sum_j |weight_j|^s over the growth chain obeys a
+one-dimensional recursion with closed form `expected_sum_closed_form`.
 
-Also here: the quartic concentration statistic W = sum_j w_j^4, the Newton
-elementary-symmetric bound used for uniform integrability of the envelope,
-and the envelope function itself.
+Also here: the tail parameters of the partition and the Newton
+elementary-symmetric bound used for uniform integrability of the envelope.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, NotNormalized, WrongOrder
-from .tree import McKeanTree
+from .errors import NotNormalized
 
 SUM_SQUARES_TOL = 1e-9
 
@@ -50,40 +49,6 @@ class WeightArray:
 
     def sum_abs_power(self, s: float) -> float:
         return float(np.sum(np.abs(self.values) ** s))
-
-
-def leaf_weights(tree: McKeanTree, phis: Sequence[float], k: int = 1) -> WeightArray:
-    """Evaluate the order-k weight of every leaf, in left-to-right order.
-
-    phis must hold leaf_count - 1 angles; the last one belongs to the root
-    split, the first n_l - 1 to the left subtree, the remainder to the right.
-    """
-    phis = np.asarray(phis, dtype=float)
-    if phis.shape != (tree.leaf_count - 1,):
-        raise ArityMismatch(
-            f"need {tree.leaf_count - 1} angles for {tree.leaf_count} leaves, "
-            f"got {phis.shape}"
-        )
-    out: list[float] = []
-    _fill_weights(tree, phis, k, 1.0, out)
-    return WeightArray(values=np.array(out), order=k)
-
-
-def _fill_weights(tree, phis, k, factor, out):
-    if tree.is_leaf:
-        out.append(factor)
-        return
-    c, s = math.cos(phis[-1]), math.sin(phis[-1])
-    n_l = tree.left.leaf_count
-    _fill_weights(tree.left, phis[: n_l - 1], k, factor * float(legendre_value(k, c)), out)
-    _fill_weights(tree.right, phis[n_l - 1 : -1], k, factor * float(legendre_value(k, s)), out)
-
-
-def w_statistic(pi: WeightArray) -> float:
-    """Quartic concentration W = sum_j pi_j^4; lies in [1/n, 1]."""
-    if pi.order != 1:
-        raise WrongOrder(f"W is defined for order-1 weights, got order {pi.order}")
-    return float(np.sum(pi.values**4))
 
 
 def expected_sum_closed_form(alpha: float, n: int | None = None, t: float | None = None):
@@ -204,13 +169,3 @@ def symmetric_function_bound(
         product_bound_holds=product_ok,
     )
 
-
-def psi_envelope(lam: float, q: float, pi: WeightArray, rho: float) -> float:
-    """Envelope prod_j (lam^2 / (lam^2 + rho^2 pi_j^2))^q at radius rho."""
-    if lam <= 0 or q <= 0 or rho < 0:
-        raise ValueError("need lam > 0, q > 0, rho >= 0")
-    if pi.order != 1:
-        raise WrongOrder("envelope takes order-1 weights")
-    lam2 = lam * lam
-    log_terms = np.log(lam2 / (lam2 + rho * rho * pi.values**2))
-    return float(np.exp(q * np.sum(log_terms)))

@@ -7,6 +7,7 @@ statistical gate uses the tolerance stated in its criterion.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,17 +22,11 @@ from wildsim.diagnostics import (
     run_identity_suite,
     transform_grid_estimates,
 )
-from wildsim.geometry import (
-    collision_frames,
-    frame_for,
-    is_rotation,
-    path_product_rotation,
-    rotation_array,
-    rotation_z,
-)
+from oracles import cascade_trees, collide, path_product_rotation
+from wildsim.geometry import collision_frames, frame_for, rotation_z
 from wildsim.initial import gaussian_datum, sixpoint_datum
 from wildsim.kernel import make_kernel, sample_phi, spectral_functionals
-from wildsim.sampler import collide, germination_record, leaf_frames, rng_stream, sorted_sizes
+from wildsim.sampler import germination_record, leaf_frames, rng_stream, sorted_sizes, tree_record
 from wildsim.tree import chain_distribution, enumerate_trees, sample_tree, tree_probability
 from wildsim.weights import symmetric_function_bound
 
@@ -97,14 +92,17 @@ def test_criterion_04_geometry():
         tree = sample_tree(n, rng)
         phis = rng.uniform(0.0, math.pi, n - 1)
         thetas = rng.uniform(0.0, 2.0 * math.pi, n - 1)
-        rots = rotation_array(tree, phis, thetas).rotations
+        # the engine's leaf rotations of this tree, angles in level order
+        record = replace(tree_record(tree, phis), thetas=thetas)
+        rots = leaf_frames(record)[1].rotations
         gram = np.einsum("nji,njk->nik", rots, rots)
         assert float(np.max(np.abs(gram - eye))) < 1e-12
         dets = np.linalg.det(rots)
         assert float(np.max(np.abs(dets - 1.0))) < 1e-12
         if trial % 5 == 0:
             leaf = int(rng.integers(0, n))
-            direct = path_product_rotation(tree, phis, thetas, leaf)
+            [(_, path_phis, path_thetas, _)] = cascade_trees(record)
+            direct = path_product_rotation(tree, path_phis, path_thetas, leaf)
             assert float(np.max(np.abs(rots[leaf] - direct))) < 1e-12
     for _ in range(1000):
         phi = float(rng.uniform(0.0, math.pi))

@@ -10,23 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cascade_trees, collide, leaf_weights, rotation_array
 from wildsim.diagnostics import _velocity_moments_task
-from wildsim.geometry import is_rotation, left_frame, right_frame, rotation_array
+from wildsim.geometry import is_rotation, left_frame, right_frame
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
     LEAF_BUDGET,
     chunk_slices,
-    collide,
     germination_record,
     grow,
     leaf_frames,
     replay,
     rng_stream,
     sorted_sizes,
+    tree_record,
 )
-from wildsim.tree import LEAF, McKeanTree, enumerate_trees, tree_probability
-from wildsim.weights import leaf_weights, legendre_value
+from wildsim.tree import ENUMERATION_LIMIT, enumerate_trees, tree_probability
+from wildsim.weights import legendre_value
 
 KERNEL = make_kernel("xabs")
 SIXPOINT = sixpoint_datum()
@@ -40,24 +41,6 @@ def chunk(seed, size, t):
     rng = rng_stream(seed)
     nus, _ = sorted_sizes(t, rng, size)
     return germination_record(nus, KERNEL, rng), rng
-
-
-def cascade_trees(record):
-    """Per cascade, (McKeanTree, phis, thetas, leaves) by recursion over the
-    record: angles in the order of `leaf_weights` and `rotation_array` (left
-    subtree, right subtree, root) and leaf positions left to right."""
-    n = record.n_leaves
-
-    def build(slot):
-        if slot < n:
-            return LEAF, [], [], [slot]
-        k = slot - n
-        left, l_phis, l_thetas, l_leaves = build(record.left[k])
-        right, r_phis, r_thetas, r_leaves = build(record.right[k])
-        return (McKeanTree(left, right), l_phis + r_phis + [record.phis[k]],
-                l_thetas + r_thetas + [record.thetas[k]], l_leaves + r_leaves)
-
-    return [build(int(root)) for root in record.roots]
 
 
 def top_down(tree, phis, thetas, value, factors):
@@ -216,6 +199,33 @@ def test_leaf_ranges_tile_each_cascade(seed, size, t):
         start = record.offsets[j]
         assert tree.leaf_count == record.nus[j]
         assert leaves == list(range(start, start + record.nus[j]))
+
+
+def test_tree_record_round_trip():
+    """The record of every enumerated shape decodes back to that shape, its
+    angles taken in level order, left child before right."""
+    for n in range(1, ENUMERATION_LIMIT + 1):
+        for tree in enumerate_trees(n):
+            phis = np.arange(n - 1, dtype=float)
+            record = tree_record(tree, phis)
+            assert record.nus.tolist() == [n] and record.thetas is None
+            assert np.array_equal(record.phis, phis)
+            [(decoded, _, _, leaves)] = cascade_trees(record)
+            assert decoded == tree and leaves == list(range(n))
+            level, order = [tree] if n > 1 else [], []
+            while level:
+                order += [node.encode() for node in level]
+                level = [child for node in level for child in node.split()
+                         if not child.is_leaf]
+            assert [node_shape(record, n + k) for k in range(n - 1)] == order
+
+
+def node_shape(record, slot):
+    """Encoded subtree below a record slot."""
+    if slot < record.n_leaves:
+        return "."
+    k = slot - record.n_leaves
+    return f"({node_shape(record, record.left[k])}{node_shape(record, record.right[k])})"
 
 
 @pytest.mark.parametrize("nu", [4, 5, 6])

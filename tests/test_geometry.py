@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wildsim.errors import ArityMismatch, OutOfChart
+from oracles import path_product_rotation, rotation_array
+from wildsim.errors import OutOfChart
 from wildsim.geometry import (
     E3,
     chart_basis,
@@ -15,11 +16,9 @@ from wildsim.geometry import (
     collision_frames,
     frame_for,
     is_rotation,
-    leaf_directions,
-    path_product_rotation,
-    rotation_array,
     rotation_z,
 )
+from wildsim.sampler import grow, tree_record
 from wildsim.tree import LEAF, McKeanTree, sample_tree
 
 CHERRY = McKeanTree(LEAF, LEAF)
@@ -70,14 +69,23 @@ def test_z_rotation_shifts_theta():
         np.testing.assert_allclose(rotation_z(alpha) @ mr, mr_shift, atol=1e-12)
 
 
+def leaf_rotations(tree, phis, thetas, root=np.eye(3)):
+    """The engine's leaf rotations of one tree, angles in level order;
+    thetas may carry a trailing axis of azimuth draws, shape (n - 1, N),
+    with root of shape (N, 3, 3) or (N, 1, 3)."""
+    record = tree_record(tree, phis)
+    phis = record.phis if np.ndim(thetas) == 1 else record.phis[:, None]
+    return grow(record, *collision_frames(phis, thetas), root)
+
+
 def test_rotation_array_base_cases():
-    single = rotation_array(LEAF, [], [])
-    np.testing.assert_allclose(single.rotations, [np.eye(3)])
-    pair = rotation_array(CHERRY, [0.8], [1.3])
+    np.testing.assert_allclose(leaf_rotations(LEAF, [], np.empty(0)), [np.eye(3)])
+    np.testing.assert_allclose(rotation_array(LEAF, [], []).rotations, [np.eye(3)])
     ml, mr = collision_frames(0.8, 1.3)
-    np.testing.assert_allclose(pair.rotations, [ml, mr], atol=1e-15)
-    with pytest.raises(ArityMismatch):
-        rotation_array(CHERRY, [0.1, 0.2], [0.3, 0.4])
+    np.testing.assert_allclose(leaf_rotations(CHERRY, [0.8], np.array([1.3])), [ml, mr],
+                               atol=1e-15)
+    np.testing.assert_allclose(rotation_array(CHERRY, [0.8], [1.3]).rotations, [ml, mr],
+                               atol=1e-15)
 
 
 def test_recursive_equals_path_product():
@@ -97,14 +105,22 @@ def test_recursive_equals_path_product():
 
 
 def test_batch_third_columns_match_single():
+    """One `grow` over an axis of N azimuth draws equals N single-draw grows
+    bit for bit, and its row form (the root a row per draw) gives the rows
+    of the leaf rotations."""
     rng = np.random.default_rng(3)
-    tree = sample_tree(4, rng)
-    phis = rng.uniform(0, math.pi, 3)
-    thetas = rng.uniform(0, 2 * math.pi, (5, 3))
-    cols = rotation_array(tree, phis, thetas.T).third_columns()
-    for b in range(5):
-        rots = rotation_array(tree, phis, thetas[b])
-        np.testing.assert_allclose(cols[:, b, :], rots.third_columns(), atol=1e-13)
+    row = frame_for(np.array([0.6, 0.0, 0.8]))[1]
+    for n in (2, 4, 7):
+        tree = sample_tree(n, rng)
+        phis = rng.uniform(0, math.pi, n - 1)
+        thetas = rng.uniform(0, 2 * math.pi, (n - 1, 5))
+        batch = leaf_rotations(tree, phis, thetas, np.broadcast_to(np.eye(3), (5, 3, 3)))
+        assert batch.shape == (n, 5, 3, 3)
+        for b in range(5):
+            assert np.array_equal(batch[:, b], leaf_rotations(tree, phis, thetas[:, b]))
+        rows = leaf_rotations(tree, phis, thetas, np.broadcast_to(row, (5, 1, 3)))
+        assert rows.shape == (n, 5, 1, 3)
+        np.testing.assert_allclose(rows[:, :, 0], row @ batch, rtol=0.0, atol=1e-15)
 
 
 def test_chart_point_and_basis_example():
@@ -166,21 +182,21 @@ def test_golden_matrices():
 
 
 def test_leaf_directions():
+    # the leaf directions basis @ O_j @ e3, as the transforms take them
     rng = np.random.default_rng(6)
     u = random_unit(rng)
     basis = frame_for(u)
-    single = leaf_directions(basis, rotation_array(LEAF, [], []))
+    single = leaf_rotations(LEAF, [], np.empty(0))[..., 2] @ basis.T
     np.testing.assert_allclose(single, [u], atol=1e-13)
 
     phi, theta = 1.1, 4.0
-    pair = leaf_directions(basis, rotation_array(CHERRY, [phi], [theta]))
+    pair = leaf_rotations(CHERRY, [phi], np.array([theta]))[..., 2] @ basis.T
     assert abs(float(pair[0] @ pair[1])) < 1e-12
 
     n = 20
-    tree = sample_tree(n, rng)
-    rots = rotation_array(tree, rng.uniform(0, math.pi, n - 1),
+    rots = leaf_rotations(sample_tree(n, rng), rng.uniform(0, math.pi, n - 1),
                           rng.uniform(0, 2 * math.pi, n - 1))
-    for q in rots.rotations:
+    for q in rots:
         assert is_rotation(q)
-    psi = leaf_directions(basis, rots)
+    psi = rots[..., 2] @ basis.T
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)

@@ -10,9 +10,9 @@ from wildsim.errors import NoAnalyticCf, TimeTooLarge
 from wildsim.geometry import frame_for, is_rotation
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
+from oracles import collide, leaf_weights, rotation_array
 from wildsim.sampler import (
     chunk_slices,
-    collide,
     draw_tree_sample,
     germination_record,
     leaf_frames,
@@ -30,8 +30,6 @@ from wildsim.sampler import (
     wild_velocity_batch,
 )
 from wildsim.tree import McKeanTree, sample_tree
-from wildsim.weights import leaf_weights
-from wildsim.geometry import rotation_array, leaf_directions
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +120,7 @@ def test_incremental_matches_batch_construction(kernel):
             phis = kernel.inverse_beta_cdf(rng.random(2))
             thetas = rng.uniform(0, 2 * math.pi, 2)
             pi = leaf_weights(tree, phis, 1).values
-            psi = leaf_directions(basis, rotation_array(tree, phis, thetas))
+            psi = rotation_array(tree, phis, thetas).third_columns() @ basis.T
             dots = psi @ u
             out[i] = (
                 np.sum(np.abs(pi) ** 3),

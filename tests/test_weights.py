@@ -1,4 +1,4 @@
-"""Leaf-weight arrays, closed-form means, Newton bounds and the envelope."""
+"""Leaf weights grown by the engine, closed-form means and Newton bounds."""
 
 import math
 
@@ -6,21 +6,32 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from wildsim.errors import ArityMismatch, NotNormalized, WrongOrder
+from oracles import cascade_trees
+from wildsim.errors import NotNormalized
 from wildsim.kernel import make_kernel, sample_phi, spectral_functionals
+from wildsim.sampler import grow, rng_stream, tree_record, weight_sums
 from wildsim.tree import LEAF, McKeanTree, enumerate_trees, sample_tree, tree_probability
 from wildsim.weights import (
     WeightArray,
     expected_sum_closed_form,
-    leaf_weights,
     legendre_value,
     partition_parameters,
-    psi_envelope,
     symmetric_function_bound,
-    w_statistic,
 )
 
 CHERRY = McKeanTree(LEAF, LEAF)
+
+
+def leaf_weights(tree, phis, k=1):
+    """The engine's order-k leaf weights of one tree, angles in level order;
+    phis may carry a trailing axis of N draws, shape (n - 1, N), for weights
+    of shape (n, N) (the record keeps the first draw's angles; `grow` reads
+    only the factors)."""
+    phis = np.asarray(phis, dtype=float)
+    record = tree_record(tree, phis if phis.ndim == 1 else phis[:, 0])
+    c, s = np.cos(phis), np.sin(phis)
+    root = np.ones(phis.shape[1:])
+    return WeightArray(grow(record, legendre_value(k, c), legendre_value(k, s), root), k)
 
 
 def test_legendre_recurrence_matches_numpy():
@@ -45,11 +56,6 @@ def test_leaf_weights_base_cases():
     np.testing.assert_allclose(order2.values, [-0.5, 1.0], atol=1e-15)
 
 
-def test_leaf_weights_arity_check():
-    with pytest.raises(ArityMismatch):
-        leaf_weights(CHERRY, [0.1, 0.2], k=1)
-
-
 def test_general_order_reduces_to_bespoke_forms():
     # order 1, 2, 3 must equal the cos/sin, (3c^2-1)/2 and (5c^2-3)c/2 cascades
     rng = np.random.default_rng(42)
@@ -57,6 +63,7 @@ def test_general_order_reduces_to_bespoke_forms():
         n = int(rng.integers(2, 10))
         tree = sample_tree(n, rng)
         phis = rng.uniform(0.0, math.pi, n - 1)
+        [(_, recursive_phis, _, _)] = cascade_trees(tree_record(tree, phis))
 
         def bespoke(tree, phis, fc, fs):
             if tree.is_leaf:
@@ -75,7 +82,7 @@ def test_general_order_reduces_to_bespoke_forms():
         for k, (fc, fs) in forms.items():
             np.testing.assert_allclose(
                 leaf_weights(tree, phis, k).values,
-                bespoke(tree, phis, fc, fs),
+                bespoke(tree, recursive_phis, fc, fs),
                 atol=1e-12,
             )
 
@@ -94,21 +101,22 @@ def test_sum_of_squares_is_one_and_magnitudes_bounded():
 
 
 def test_w_statistic():
-    assert w_statistic(WeightArray(np.array([1.0]), 1)) == 1.0
-    n = 16
-    uniform = WeightArray(np.full(n, 1.0 / math.sqrt(n)), 1)
-    assert w_statistic(uniform) == pytest.approx(1.0 / n, abs=1e-14)
+    # W = sum_j w_j^4 of the order-1 weights
+    assert leaf_weights(LEAF, [], 1).sum_abs_power(4) == 1.0
     quarter = leaf_weights(CHERRY, [math.pi / 4], 1)
-    assert w_statistic(quarter) == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(WrongOrder):
-        w_statistic(WeightArray(np.array([1.0]), 2))
+    assert quarter.sum_abs_power(4) == pytest.approx(0.5, abs=1e-14)
     # 1/n <= W <= 1 on random draws
     rng = np.random.default_rng(2)
     for _ in range(50):
         n = int(rng.integers(1, 64))
         pi = leaf_weights(sample_tree(n, rng), rng.uniform(0, math.pi, n - 1), 1)
-        w = w_statistic(pi)
+        w = pi.sum_abs_power(4)
         assert 1.0 / n - 1e-12 <= w <= 1.0 + 1e-12
+    # and the reduction's W, grown from w^2 alone, per cascade of a chunk
+    nus = np.array([63, 20, 5, 2, 1])
+    w = weight_sums(nus, rng_stream(2), kernel=make_kernel("xabs"), s_powers=())["W"]
+    assert np.all((1.0 / nus - 1e-12 <= w) & (w <= 1.0 + 1e-12))
+    assert w[-1] == 1.0
 
 
 def test_expected_sum_closed_form_small_cases():
@@ -147,9 +155,8 @@ def test_conditional_mean_over_fixed_sizes():
         total, var_total = 0.0, 0.0
         for tree in enumerate_trees(n):
             phis = sample_phi(kernel, rng, size=(draws, n - 1))
-            vals = np.array(
-                [leaf_weights(tree, phis[i], 1).sum_abs_power(3) for i in range(draws)]
-            )
+            # one grow over the draws: weights of shape (n, draws)
+            vals = np.sum(np.abs(leaf_weights(tree, phis.T, 1).values) ** 3, axis=0)
             p = float(tree_probability(tree))
             total += p * vals.mean()
             var_total += p * p * vals.var(ddof=1) / draws
@@ -190,15 +197,3 @@ def test_symmetric_bound_uniform_thirty():
 def test_symmetric_bound_requires_normalization():
     with pytest.raises(NotNormalized):
         symmetric_function_bound([0.5, 0.4], r=2, a_star=0.5)
-
-
-def test_psi_envelope():
-    single = WeightArray(np.array([1.0]), 1)
-    assert psi_envelope(1.0, 0.5, single, 1.0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert psi_envelope(2.0, 0.25, single, 0.0) == 1.0
-    rng = np.random.default_rng(8)
-    pi = leaf_weights(sample_tree(6, rng), rng.uniform(0, math.pi, 5), 1)
-    values = [psi_envelope(0.7, 0.25, pi, rho) for rho in np.linspace(0.0, 8.0, 33)]
-    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-    with pytest.raises(WrongOrder):
-        psi_envelope(1.0, 0.5, WeightArray(np.array([1.0]), 3), 1.0)
