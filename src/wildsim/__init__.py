@@ -5,7 +5,7 @@ from .errors import WildsimError
 from .kernel import CollisionKernel, KernelFunctionals, make_kernel, sample_phi, spectral_functionals, truncate
 from .tree import McKeanTree, enumerate_trees, sample_tree, tree_probability
 from .weights import WeightArray, expected_sum_closed_form, symmetric_function_bound
-from .geometry import RotationArray, chart_basis, collision_frames, frame_for
+from .geometry import RotationArray, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum
 from .sampler import TreeSample, draw_tree_sample, rng_stream, sample_nu, wild_velocity
 from .diagnostics import (
@@ -20,7 +20,7 @@ from .diagnostics import (
     run_identity_suite,
 )
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 __all__ = [
     "WildsimError",
@@ -28,7 +28,7 @@ __all__ = [
     "spectral_functionals", "truncate",
     "McKeanTree", "enumerate_trees", "sample_tree", "tree_probability",
     "WeightArray", "expected_sum_closed_form", "symmetric_function_bound",
-    "RotationArray", "chart_basis", "collision_frames", "frame_for",
+    "RotationArray", "collision_frames", "frame_for",
     "InitialDatum", "make_initial_datum",
     "TreeSample", "draw_tree_sample", "rng_stream", "sample_nu", "wild_velocity",
     "DecayFit", "IdentityReport", "cf_distance_curve", "conservation_check",

@@ -92,7 +92,6 @@ SETTINGS = {
                          choices=("raoblackwell", "raw")),
     "xi_grid": Setting(None, "JSON list of 3-vectors or {rho, directions}"),
     "z_threshold": Setting(4.0, "largest |z| a check passes with", float, bound="positive"),
-    "a_star": Setting(0.25, "tail threshold for the W bound", float),
     "moment": Setting("W", "decay statistic", choices=("W", "v1^4")),
     "tree_size": Setting(4, "leaf count of the Legendre checks' trees", int),
     "lam": Setting(math.sqrt(0.5), "envelope scale", float),
@@ -279,8 +278,7 @@ def _fit_outcome(config, run_id, suite, fit, rows=None, **extra) -> int:
 def _cmd_identities(config, kernel, mu0, run_id):
     report = diagnostics.run_identity_suite(
         kernel, config["t"], config["samples"], config["seed"],
-        a_star=config["a_star"], workers=config["workers"],
-        z_threshold=config["z_threshold"],
+        workers=config["workers"], z_threshold=config["z_threshold"],
     )
     return _report_outcome(config, run_id, report)
 
@@ -362,7 +360,7 @@ def _reads(extra: str) -> tuple[str, ...]:
 
 
 COMMANDS = {  # name: (function, the settings it reads)
-    "identities": (_cmd_identities, _reads("t workers z_threshold a_star")),
+    "identities": (_cmd_identities, _reads("t workers z_threshold")),
     "conserve": (_cmd_conserve, _reads("mu0 t workers z_threshold")),
     "decay": (_cmd_decay, _reads("mu0 moment t workers rate_tol max_rate")),
     "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers estimator xi_grid max_rate")),

@@ -48,6 +48,7 @@ DEFAULT_Z_THRESHOLD = 4.0
 ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
 ENVELOPE_RADII = 33      # radii per cascade on [0, R] in the envelope check
 PREMISE_RHO_MAX = 30.0   # the tail premise is checked on [0, PREMISE_RHO_MAX]
+A_STAR = 0.25            # tail threshold of the Markov bound P[W >= a*] <= E[W] / a*
 
 
 # --- report containers --------------------------------------------------------
@@ -278,7 +279,7 @@ def _envelope_task(nus, rng, mu0, kernel, lam, q):
     radius = 0.5 * (1.0 / (mu0.require_m4() * record.per_cascade(weights**4))) ** 0.25
     directions = rng.standard_normal((len(nus), 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    bases = np.stack([frame_for(u) for u in directions])
+    bases = frame_for(directions)
     psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
                     rotations.third_columns())
     violations = np.zeros(len(nus))
@@ -299,19 +300,16 @@ def run_identity_suite(
     t_list,
     n_samples: int,
     seed: int,
-    a_star: float = 0.25,
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
     """Monte Carlo means of the weight statistics against their closed forms."""
-    if not a_star > 0.0:
-        raise ConfigError(f"the tail threshold a_star must be positive, got {a_star!r}")
     fn = spectral_functionals(kernel)
     report = IdentityReport("identities", kernel_functionals=fn.as_dict())
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             weight_sums, seed, (1, it), workers, t, n_samples,
-            kernel=kernel, s_powers=S_POWERS, a_star=a_star,
+            kernel=kernel, s_powers=S_POWERS, a_star=A_STAR,
         )
         targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
                     expected_sum_closed_form(fn.l_s_table[s], t=t)) for s in S_POWERS]
@@ -324,9 +322,9 @@ def run_identity_suite(
                 label, {"t": t, "n_samples": n_samples}, mean, se, reference,
                 "closed form from kernel quadrature", z_threshold))
         tail_mean, tail_se = map(float, mean_se(sums, "W_tail"))
-        bound = min(1.0, math.exp(fn.lambda_b * t) / a_star)
+        bound = min(1.0, math.exp(fn.lambda_b * t) / A_STAR)
         report.entries.append(_check(
-            "P[W>=a*]<=E[W]/a*", {"t": t, "a_star": a_star}, tail_mean, tail_se, bound,
+            "P[W>=a*]<=E[W]/a*", {"t": t, "a_star": A_STAR}, tail_mean, tail_se, bound,
             "Markov inequality (one-sided)", z_threshold, two_sided=False))
     return report
 

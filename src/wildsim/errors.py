@@ -47,12 +47,6 @@ class NotNormalized(WildsimError, ValueError):
     """Squared weights do not sum to one."""
 
 
-# --- sphere charts ----------------------------------------------------------
-
-class OutOfChart(WildsimError, ValueError):
-    """Direction lies outside the requested chart domain."""
-
-
 # --- sampling ---------------------------------------------------------------
 
 class TimeTooLarge(WildsimError, ValueError):

@@ -1,4 +1,4 @@
-"""Rotation frames and the sphere atlas.
+"""Rotation frames: the collision frames and the frame of a direction.
 
 Each split of a collision tree contributes a pair of special-orthogonal
 frames, functions of the split's angles (phi, theta):
@@ -16,9 +16,12 @@ right(phi, theta) is left(phi, theta) with its columns cycled, [..., [1, 2, 0]].
 The frames' third columns are the post-collisional directions of the two
 branches when the incoming direction is e3.  Composing them along
 root-to-leaf paths (`wildsim.sampler.grow`) yields one rotation per leaf;
-applied to e3 and mapped through a frame B(u) with B(u) e3 = u they give
-the leaf directions on the sphere.  No continuous global B exists, so B is realized through four
-smooth elliptic charts, each carrying an explicit orthonormal frame.
+applied to e3 and mapped through a rotation B(u) with B(u) e3 = u they give
+the leaf directions psi_j = B(u) O_j e3 on the sphere.  B need only be
+measurable in u: the root azimuth is uniform, so the law of the psi_j does
+not depend on which B is chosen (no continuous choice exists on the whole
+sphere).  `frame_for` takes Duff et al.'s branchless orthonormal completion
+(JCGT 2017), vectorised over any array of directions.
 """
 
 from __future__ import annotations
@@ -28,16 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfChart
-
 E3 = np.array([0.0, 0.0, 1.0])
 ROTATION_TOL = 1e-12
-CHART_TOL = 1e-9
-
-_ELLIPSE_A = 5.0 * math.pi      # u half-axis scale
-_ELLIPSE_B = 11.0 * math.pi     # v half-axis scale
-_ELLIPSE_R2 = (1.0 / 12.0) ** 2
-_V_CENTER = {1: math.pi, 2: 0.0, 3: math.pi, 4: 0.0}
 
 
 def left_frame(phi, theta) -> np.ndarray:
@@ -97,72 +92,25 @@ class RotationArray:
         return self.rotations[..., 2]
 
 
-# --- sphere atlas -------------------------------------------------------------
-
-def chart_point(k: int, u: float, v: float) -> np.ndarray:
-    """Parametrization of chart k at local coordinates (u, v)."""
-    su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
-    if k in (1, 2):
-        return np.array([cv * su, sv * su, cu])
-    if k in (3, 4):
-        return np.array([cu, cv * su, sv * su])
-    raise OutOfChart(f"chart index {k} outside 1..4")
-
-
-def _ellipse_excess(k: int, u: float, v: float) -> float:
-    du = (u - math.pi / 2.0) / _ELLIPSE_A
-    dv = (v - _V_CENTER[k]) / _ELLIPSE_B
-    return du * du + dv * dv - _ELLIPSE_R2
-
-
-def chart_parameters(k: int, w) -> tuple[float, float]:
-    """Invert the chart map at a unit vector; OutOfChart beyond the domain."""
-    w = np.asarray(w, float)
-    if k in (1, 2):
-        u = math.acos(min(1.0, max(-1.0, float(w[2]))))
-        v = math.atan2(float(w[1]), float(w[0]))
-    elif k in (3, 4):
-        u = math.acos(min(1.0, max(-1.0, float(w[0]))))
-        v = math.atan2(float(w[2]), float(w[1]))
-    else:
-        raise OutOfChart(f"chart index {k} outside 1..4")
-    if k in (1, 3) and v < 0.0:
-        v += 2.0 * math.pi
-    if _ellipse_excess(k, u, v) > CHART_TOL:
-        raise OutOfChart(f"direction outside chart {k}")
-    return u, v
-
-
-def chart_contains(k: int, w) -> bool:
-    try:
-        chart_parameters(k, w)
-    except OutOfChart:
-        return False
-    return True
-
-
-def chart_for_direction(w) -> int:
-    """First chart (in the fixed order 1..4) containing the direction."""
-    for k in (1, 2, 3, 4):
-        if chart_contains(k, w):
-            return k
-    raise OutOfChart("direction not covered by any chart")  # pragma: no cover
-
-
-def _basis_from_parameters(k: int, u: float, v: float) -> np.ndarray:
-    su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
-    rows = [[sv, cv * cu, cv * su], [-cv, sv * cu, sv * su], [0.0, -su, cu]]
-    if k in (1, 2):
-        return np.array(rows)
-    return np.array([rows[2], rows[0], rows[1]])
-
-
-def chart_basis(k: int, w) -> np.ndarray:
-    """Orthonormal frame of chart k whose third column is the direction."""
-    u, v = chart_parameters(k, w)
-    return _basis_from_parameters(k, u, v)
-
-
 def frame_for(w) -> np.ndarray:
-    """Orthonormal frame B with B e3 = w, from the first chart containing w."""
-    return chart_basis(chart_for_direction(w), w)
+    """Rotations B with B e3 = w for unit vectors w, shape (..., 3) to
+    (..., 3, 3).  With s = copysign(1, z), a = -1 / (s + z) and b = x y a,
+    the columns are (1 + s x^2 a, s b, -s x), (b, s + y^2 a, -y) and w
+    itself (Duff et al., JCGT 2017).  A zero z counts as +0, so the sign
+    of a zero never changes the frame.  Each direction is computed on its
+    own, so an array call equals its per-row calls bit for bit."""
+    w = np.asarray(w, float)
+    x, y = w[..., 0], w[..., 1]
+    z = w[..., 2] + 0.0  # -0 + 0 = +0
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    out = np.empty(w.shape + (3,))
+    out[..., 0, 0] = 1.0 + s * x * x * a
+    out[..., 1, 0] = s * b
+    out[..., 2, 0] = -s * x
+    out[..., 0, 1] = b
+    out[..., 1, 1] = s + y * y * a
+    out[..., 2, 1] = -y
+    out[..., 2] = w
+    return out

@@ -314,11 +314,11 @@ def deflection(v, w, phi, theta):
     azimuth theta about the unit relative velocity u = d / |d|, d = w - v:
     delta = cos^2(phi) d + |d| cos(phi) sin(phi) (cos(theta) e1 + sin(theta) e2),
     with (e1, e2, u) the branchless orthonormal completion of Duff et al.
-    (JCGT 2017).  theta is uniform, so the law of the outcome does not depend
-    on the completion choice, but one replay does: the completion follows
-    the sign bit of z(w - v), so a -0/+0 difference flips it and moves the
-    outcome by O(|d|).  Replays are therefore compared bit for bit, never
-    with a tolerance.  Turning theta by pi reflects delta through
+    (JCGT 2017), as `geometry.frame_for` takes it.  theta is uniform, so the
+    law of the outcome does not depend on the completion choice, but one
+    replay does: the completion follows the sign of z(w - v), and a zero
+    counts as +0, so inputs that differ only in the signs of their zeros
+    replay to equal outcomes.  Turning theta by pi reflects delta through
     its mean over theta: delta(theta + pi) = 2 cos^2(phi) d - delta(theta).
     The angles enter through `_node_factors`, the arithmetic through
     `_deflect`, which `replay` calls level by level on factors it computes
@@ -333,6 +333,7 @@ def _deflect(v, w, cos_sq, k1, k2):
     vx, vy, vz = v
     wx, wy, wz = w
     dx, dy, dz = wx - vx, wy - vy, wz - vz
+    dz += 0.0  # -0 + 0 = +0: the completion reads the value of dz, not its sign bit
     norm = dx * dx
     norm += dy * dy
     norm += dz * dz
@@ -651,14 +652,15 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     else:
         velocities = mu0.sampler(rng, record.n_leaves)
     xi_grid = np.asarray(xi_grid, float)
+    rhos = np.linalg.norm(xi_grid, axis=1)
+    bases = frame_for(xi_grid / np.where(rhos > 0.0, rhos, 1.0)[:, None])
     real = np.empty((len(nus), len(xi_grid)), order="F")
     imag = np.empty((len(nus), len(xi_grid)), order="F")
-    for i, xi in enumerate(xi_grid):
-        rho = float(np.linalg.norm(xi))
+    for i, (rho, basis) in enumerate(zip(rhos, bases)):
         if rho == 0.0:
             real[:, i], imag[:, i] = 1.0, 0.0
             continue
-        psi = columns @ frame_for(xi / rho).T
+        psi = columns @ basis.T
         if estimator == "raoblackwell":
             # rho w_j psi_j written over psi, one leaf array fewer at cf's peak
             np.multiply(rho * weights[:, None], psi, out=psi)

@@ -192,7 +192,7 @@ def test_criterion_09_gaussian_fixed_point(kernel):
     weights, rotations = leaf_frames(record)
     directions = rng.standard_normal((len(nus), 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    bases = np.stack([frame_for(u) for u in directions])
+    bases = frame_for(directions)
     psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
                     rotations.third_columns())
     for rho in (0.4, 1.0, 2.3):

@@ -194,7 +194,7 @@ def test_crosscheck_command(tmp_path):
     ["conserve", "--samples", "10", "--kernel", '{"preset": "xabs", "table": [[0.1, 1], [0.9, 1]]}'],
     ["conserve", "--samples", "10", "--kernel", '{"preset": "cubic", "normalize": true}'],
     # settings outside their domain, each rejected where it is read
-    ["identities", "--samples", "10", "--a-star", "0"],
+    ["envelope", "--samples", "10", "--mu0", "gaussian", "--lam", "0"],
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "0"],
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "-1"],
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--lam", "-1"],
@@ -245,6 +245,7 @@ def test_overflowing_mu0_is_config_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["identities", "--mu0", "gaussian"],
     ["conserve", "--a-star", "0.5"],
+    ["identities", "--a-star", "0"],  # the Markov tail threshold is fixed
     ["cfcurve", "--rate-tol", "0.1"],
     ["crosscheck", "--estimator", "raw"],
     ["legendre", "--workers", "2"],
@@ -286,7 +287,7 @@ SUITE_ARGS = {
 
 
 SUITE_SETTINGS = {
-    "identities": "t workers z_threshold a_star",
+    "identities": "t workers z_threshold",
     "conserve": "mu0 t workers z_threshold",
     "decay": "mu0 moment t workers rate_tol max_rate",
     "cfcurve": "mu0 t workers estimator xi_grid max_rate",

@@ -150,6 +150,19 @@ def test_replay_equals_recursive_fold_on_fixed_sizes(nus):
     assert np.array_equal(replay(record, velocities), recursive_replay(record, velocities))
 
 
+def test_replay_ignores_the_sign_of_zero():
+    """Leaf velocities that differ only in the signs of their zeros replay
+    to equal roots: the completion reads the value of z(w - v), not its
+    sign bit.  Each sixpoint atom has two zero components."""
+    rng = rng_stream(3)
+    nus, _ = sorted_sizes(1.0, rng, 2000)
+    record = germination_record(nus, KERNEL, rng)
+    velocities = SIXPOINT.sampler(rng, record.n_leaves)
+    negated = np.where(velocities == 0.0, -0.0, velocities)
+    assert np.signbit(negated[negated == 0.0]).all()
+    assert np.array_equal(replay(record, velocities), replay(record, negated))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(1, 40), st.floats(1e-3, 1e3))
 def test_mirrored_root_is_the_collision_at_the_opposite_azimuth(seed, pairs, scale):

@@ -1,23 +1,11 @@
-"""Rotation frames, cascade composition and the sphere atlas."""
+"""Rotation frames, cascade composition and the frame of a direction."""
 
 import math
 
 import numpy as np
-import pytest
 
 from oracles import path_product_rotation, rotation_array
-from wildsim.errors import OutOfChart
-from wildsim.geometry import (
-    E3,
-    chart_basis,
-    chart_contains,
-    chart_for_direction,
-    chart_point,
-    collision_frames,
-    frame_for,
-    is_rotation,
-    rotation_z,
-)
+from wildsim.geometry import E3, ROTATION_TOL, collision_frames, frame_for, is_rotation, rotation_z
 from wildsim.sampler import grow, tree_record
 from wildsim.tree import LEAF, McKeanTree, sample_tree
 
@@ -123,40 +111,30 @@ def test_batch_third_columns_match_single():
         np.testing.assert_allclose(rows[:, :, 0], row @ batch, rtol=0.0, atol=1e-15)
 
 
-def test_chart_point_and_basis_example():
-    w = chart_point(1, math.pi / 2, math.pi)
-    np.testing.assert_allclose(w, [-1.0, 0.0, 0.0], atol=1e-15)
-    basis = chart_basis(1, w)
-    np.testing.assert_allclose(basis[:, 2], w, atol=1e-15)
-    assert is_rotation(basis)
-
-
-def test_chart_bases_map_e3_to_direction():
+def test_frame_for_maps_e3_to_each_direction():
     rng = np.random.default_rng(4)
-    for k in (1, 2, 3, 4):
-        hits = 0
-        while hits < 1000:
-            w = random_unit(rng)
-            if not chart_contains(k, w):
-                continue
-            hits += 1
-            basis = chart_basis(k, w)
-            assert is_rotation(basis)
-            np.testing.assert_allclose(basis @ E3, w, atol=1e-12)
+    directions = np.concatenate([random_unit(rng, size=10_000),
+                                 [E3, -E3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    frames = frame_for(directions)
+    assert frames.shape == (len(directions), 3, 3)
+    gram = np.einsum("nji,njk->nik", frames, frames)
+    assert float(np.max(np.abs(gram - np.eye(3)))) < ROTATION_TOL
+    assert float(np.max(np.abs(np.linalg.det(frames) - 1.0))) < ROTATION_TOL
+    assert np.array_equal(frames[..., 2], directions)
+    assert np.array_equal(frames, np.stack([frame_for(w) for w in directions]))
+    assert np.array_equal(frame_for(directions.reshape(-1, 4, 3)),
+                          frames.reshape(-1, 4, 3, 3))
 
 
-def test_atlas_covers_the_sphere():
-    rng = np.random.default_rng(5)
-    for w in random_unit(rng, size=10_000):
-        assert chart_for_direction(w) in (1, 2, 3, 4)
-
-
-def test_poles_fall_to_later_charts():
-    north = np.array([0.0, 0.0, 1.0])
-    assert not chart_contains(1, north) and not chart_contains(2, north)
-    assert chart_for_direction(north) in (3, 4)
-    with pytest.raises(OutOfChart):
-        chart_basis(4, np.array([-1.0, 0.0, 0.0]))
+def test_frame_for_poles_and_signed_zeros():
+    assert np.array_equal(frame_for(E3), np.eye(3))
+    assert np.array_equal(frame_for(-E3), np.diag([1.0, -1.0, -1.0]))
+    # a zero z is read as +0, whatever its sign bit
+    for w in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.8, 0.0]):
+        plus, minus = np.array(w), np.array(w)
+        minus[2] = -0.0
+        assert np.array_equal(frame_for(plus), frame_for(minus))
+        assert is_rotation(frame_for(minus))
 
 
 def test_golden_matrices():
@@ -174,10 +152,8 @@ def test_golden_matrices():
             phi, theta = map(float, params)
             ml, mr = collision_frames(phi, theta)
             actual = ml if kind == "left" else mr
-        else:
-            k = int(kind.removeprefix("chart"))
-            u, v = map(float, params)
-            actual = chart_basis(k, chart_point(k, u, v))
+        else:  # frame_x_y_z: the frame of the direction (x, y, z)
+            actual = frame_for(np.array(params, float))
         np.testing.assert_allclose(actual, expected, atol=0.0, rtol=0.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from wildsim.diagnostics import transform_grid_estimates
 from wildsim.errors import NoAnalyticCf, TimeTooLarge
-from wildsim.geometry import frame_for, is_rotation
+from wildsim.geometry import frame_for, is_rotation, rotation_z
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
 from oracles import collide, leaf_weights, rotation_array
@@ -330,16 +330,14 @@ def test_transform_grid_modulus_invariant(kernel):
         assert abs(value) <= 1.0 + 3.0 * std_error + 1e-12
 
 
-def test_chart_invariance_of_conditional_mean(kernel):
-    # overlap point of charts 1 and 4: same direction, two different frames.
+def test_frame_invariance_of_conditional_mean(kernel):
+    # two frames with the same third column u, B(u) and B(u) Rz(alpha).
     # Per-sample conditional transforms differ, but their mean over the
     # cascade law does not; paired differences must be noise around zero.
-    from wildsim.geometry import chart_basis, chart_contains
-
     u = np.array([0.0, 1.0, 0.0])
-    assert chart_contains(1, u) and chart_contains(4, u)
-    b_first = chart_basis(1, u)
-    b_second = chart_basis(4, u)
+    b_first = frame_for(u)
+    b_second = b_first @ rotation_z(2.0)
+    assert np.array_equal(b_second[:, 2], u)
     assert not np.allclose(b_first, b_second)
     mu0 = sixpoint_datum()
     cf = mu0.cf
