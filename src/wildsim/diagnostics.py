@@ -64,6 +64,7 @@ class IdentityEntry:
     z_score: float
     passed: bool
     two_sided: bool = True  # z should follow N(0, 1) when the identity holds
+    expected_failures: float = 0.0  # the chance that a correct check fails its gate
 
 
 def _run_id(suite: str, settings: dict, kernel: CollisionKernel,
@@ -140,7 +141,8 @@ def z_calibration(entries) -> dict:
     """How well a report's z-scores follow N(0, 1): over the two-sided
     entries with a finite z that the roundoff rule did not zero, their
     count, mean, sample sd and Kolmogorov distance to N(0, 1) (None where
-    undefined).
+    undefined).  Also expected_failures: the number of entries a correct
+    run fails by chance, the sum of the entries' own (see `_check`).
 
     This describes one report, not the code: the entries of one time read
     the same cascades, so their z-scores move together, and one report's sd
@@ -156,7 +158,8 @@ def z_calibration(entries) -> dict:
     sd = math.sqrt(math.fsum((x - mean) ** 2 for x in z) / (n - 1)) if n > 1 else None
     cdf = [0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in z]
     distance = max((max((i + 1) / n - c, c - i / n) for i, c in enumerate(cdf)), default=None)
-    return {"n": n, "mean": mean, "sd": sd, "ks_distance": distance}
+    return {"n": n, "mean": mean, "sd": sd, "ks_distance": distance,
+            "expected_failures": math.fsum(e.expected_failures for e in entries)}
 
 
 @dataclass
@@ -234,17 +237,36 @@ def _z_score(diff: float, se: float) -> float:
     return diff / se if se > 0.0 else math.inf
 
 
+def _gate_tail(diff: float, se: float, z_threshold: float) -> float:
+    """P[|Z| > z_threshold] for Z ~ N(0, 1) when `_z_score(diff, se)` is the
+    random diff / se, and 0 when it is fixed at 0 (roundoff) or inf."""
+    random = math.isfinite(diff) and abs(diff) >= ROUNDOFF_DIFF and 0.0 < se < math.inf
+    return math.erfc(z_threshold / math.sqrt(2.0)) if random else 0.0
+
+
 def _check(identity, params, value, se, reference, provenance, z_threshold,
-           two_sided=True, z=None) -> IdentityEntry:
-    """One check entry.  z is `_z_score(value - reference, se)` unless
-    given; the check passes when |z| <= z_threshold (two-sided) or
-    z <= z_threshold (one-sided)."""
-    if z is None:
+           two_sided=True, parts=None) -> IdentityEntry:
+    """One check entry.  z is `_z_score(value - reference, se)`, or, given
+    parts, a list of (diff, se) pairs, the largest |_z_score(diff, se)|;
+    the check passes when |z| <= z_threshold (two-sided) or z <= z_threshold
+    (one-sided).  The entry's expected_failures is the chance that a
+    correct check fails this gate, each random z ~ N(0, 1): tail =
+    P[|Z| > z_threshold] two-sided, tail / 2 one-sided (an upper bound for
+    the Markov entry, whose z has mean <= 0 on correct code), and
+    1 - prod(1 - tail) over independent parts."""
+    if parts is None:
         z = _z_score(value - reference, se)
+        tail = _gate_tail(value - reference, se, z_threshold)
+        expected = tail if two_sided else 0.5 * tail
+    else:
+        z = max(abs(_z_score(diff, part_se)) for diff, part_se in parts)
+        expected = 1.0 - math.prod(1.0 - _gate_tail(diff, part_se, z_threshold)
+                                   for diff, part_se in parts)
     passed = abs(z) <= z_threshold if two_sided else z <= z_threshold
     return IdentityEntry(identity=identity, params=params, mc_value=value, mc_se=se,
                          reference_value=reference, reference_provenance=provenance,
-                         z_score=z, passed=bool(passed), two_sided=two_sided)
+                         z_score=z, passed=bool(passed), two_sided=two_sided,
+                         expected_failures=expected)
 
 
 # --- chunk tasks (module level so they pickle) ------------------------------------
@@ -540,11 +562,11 @@ def representation_crosscheck(
             diff = est_tree[i] - est_wild[i]
             se_re = math.hypot(se_re_t[i], se_re_w[i])
             se_im = math.hypot(se_im_t[i], se_im_w[i])
-            z = max(abs(_z_score(diff.real, se_re)), abs(_z_score(diff.imag, se_im)))
             report.entries.append(_check(
                 "transform_match", {"xi": list(map(float, xi)), "t": t}, abs(diff),
                 math.hypot(se_re, se_im), 0.0, "independent wild-cascade empirical transform",
-                z_threshold, two_sided=False, z=z))
+                z_threshold, two_sided=False,
+                parts=[(diff.real, se_re), (diff.imag, se_im)]))
     return report
 
 
@@ -649,5 +671,5 @@ def envelope_check(
     report.entries.append(_check(
         "transform_under_envelope", {"checked_points": n_samples * ENVELOPE_RADII},
         violations, 0.0, 0.0, "pointwise envelope inequality", DEFAULT_Z_THRESHOLD,
-        two_sided=False, z=0.0 if violations == 0 else math.inf))
+        two_sided=False))
     return report

@@ -189,8 +189,8 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
 
 def _discrete_sampler(rng, size, points, masses):
     if masses[0] == masses[-1] and np.ptp(masses) == 0.0:
-        return points[rng.integers(0, len(masses), size=size)]
-    return points[rng.choice(len(masses), size=size, p=masses)]
+        return points.take(rng.integers(0, len(masses), size=size), axis=0)
+    return points.take(rng.choice(len(masses), size=size, p=masses), axis=0)
 
 
 def _discrete_cf(xi, points, masses):

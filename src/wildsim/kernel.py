@@ -270,14 +270,20 @@ class CollisionKernel:
                 or not (x.min() >= 0.0 and x.max() < 1.0)):
             return np.interp(u, cdf, phi)
         bucket = (x * GUIDE_BUCKETS).astype(np.intp)
-        j = self.guide[bucket]
-        crowded = np.flatnonzero(self.guide[1:][bucket] - j > 1)
+        j = self.guide.take(bucket)
+        crowded = (self.guide[1:].take(bucket) - j > 1).nonzero()[0]
+        # from here on at most one draw-sized temporary is alive at a time,
+        # to keep peak memory low: slopes[j] (x - cdf[j]) + phi[j] in place
+        del bucket
         j = j.astype(np.intp)
-        j += cdf[1:][j] <= x
+        j += cdf[1:].take(j) <= x
+        out = cdf.take(j)
+        np.subtract(x, out, out=out)
         with np.errstate(invalid="ignore"):  # inf * 0 on a crowded bucket's flat run
-            out = self.slopes[j] * (x - cdf[j]) + phi[j]
+            out *= self.slopes.take(j)
+        out += phi.take(j)
         if crowded.size:
-            out[crowded] = np.interp(x[crowded], cdf, phi)
+            out[crowded] = np.interp(x.take(crowded), cdf, phi)
         return out
 
 

@@ -158,7 +158,7 @@ def test_criterion_07_conservation(kernel, sixpoint):
         energy_in = sum(x * x for x in v) + sum(x * x for x in w)
         energy_out = sum(x * x for x in v_out) + sum(x * x for x in w_out)
         assert abs(energy_out - energy_in) < 1e-12 * max(1.0, energy_in)
-    _finish(7, "conservation", started, 10.0)
+    _finish(7, "conservation", started, 2.0)
 
 
 def test_criterion_08_rate_recovery(kernel, sixpoint):
@@ -179,7 +179,7 @@ def test_criterion_08_rate_recovery(kernel, sixpoint):
     assert m_err < 0.15, (m_fit.fitted_rate, m_err)
     print(f"  W rate {w_fit.fitted_rate:.4f} ({100 * w_err:.1f}%), "
           f"directional fourth-moment rate {m_fit.fitted_rate:.4f} ({100 * m_err:.1f}%)")
-    _finish(8, "rate recovery", started, 40.0)
+    _finish(8, "rate recovery", started, 30.0)
 
 
 def test_criterion_09_gaussian_fixed_point(kernel):

@@ -223,6 +223,10 @@ def test_representation_crosscheck_small(kernel, sixpoint):
                                        20_000, seed=41)
     assert report.pass_fraction_required == 0.95
     assert report.passed, [e.z_score for e in report.entries]
+    # each entry's z is the larger |z| of a real and an imaginary part, so a
+    # correct run fails it with 1 - (1 - P[|Z| > 4])^2 = 1.2668e-4
+    assert [e.expected_failures for e in report.entries] == pytest.approx(
+        [1.2668095506229715e-4] * 5, rel=1e-12)
 
 
 def test_crosscheck_time_list_joins_the_single_time_reports(kernel, sixpoint):

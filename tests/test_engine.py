@@ -1,6 +1,7 @@
 """Property tests of the lockstep cascade engine against per-cascade
 recursions over the same trees and the tree-based references."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import GOLDEN, VALUE_TOL, engine_digests, engine_values
 from oracles import cascade_trees, collide, leaf_weights, rotation_array
 from wildsim.diagnostics import _velocity_moments_task
 from wildsim.geometry import is_rotation, left_frame, right_frame
@@ -18,6 +20,7 @@ from wildsim.kernel import make_kernel
 from wildsim.sampler import (
     LEAF_BUDGET,
     chunk_slices,
+    deflection,
     germination_record,
     grow,
     leaf_frames,
@@ -286,6 +289,50 @@ def test_identical_pairs_pass_through_unchanged():
     v = np.array([[1.0, -0.5], [2.0, 0.0], [3.0, 4.0]])
     v_out, w_out = collide(v, v.copy(), np.array([1.0, 2.5]), np.array([2.0, 0.1]))
     assert np.array_equal(v_out, v) and np.array_equal(w_out, v)
+
+
+def test_deflection_of_one_pair_equals_its_column_of_an_array_call():
+    """`deflection` on Python floats and on 0-d arrays gives, bit for bit,
+    the columns of one call over (3, k) arrays: random pairs, pairs whose
+    z components are zeros of either sign, identical pairs (d = 0) and
+    pairs that differ only in the sign of a zero z (d = (0, 0, -0)), whose
+    delta_z is -0 unless dz is read as +0."""
+    rng = rng_stream(17)
+    v = rng.standard_normal((3, 14))
+    w = rng.standard_normal((3, 14))
+    phis = rng.uniform(0.0, math.pi, 14)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, 14)
+    v[2, 4:8] = [0.0, -0.0, 0.0, -0.0]
+    w[2, 4:8] = [-0.0, 0.0, 0.0, -0.0]
+    w[:, 8:] = v[:, 8:]
+    v[2, 10], w[2, 10] = -0.0, -0.0
+    v[2, 11:], w[2, 11:] = 0.0, -0.0
+    phis[11:], thetas[11:] = [1.0, 2.5, 2.0], [2.0, 5.5, 0.5]
+    block = np.array(deflection(v, w, phis, thetas))
+    assert block.shape == (3, 14)
+    for j in range(14):
+        floats = deflection(v[:, j].tolist(), w[:, j].tolist(), float(phis[j]), float(thetas[j]))
+        zero_d = deflection([np.array(x) for x in v[:, j]], [np.array(x) for x in w[:, j]],
+                            np.array(phis[j]), np.array(thetas[j]))
+        for single in (floats, zero_d):
+            assert np.array_equal(np.array(single), block[:, j])
+            assert np.array_equal(np.signbit(single), np.signbit(block[:, j]))
+    assert np.array_equal(block[:, 8:], np.zeros((3, 6)))
+    assert not np.signbit(block[:, 8:]).any()
+
+
+def test_engine_golden_values():
+    """Records, angle lookups and initial-law draws at pinned seeds hash to
+    the digests frozen in engine_golden.json, and replays and weight
+    reductions, which pass through tan, match its values to VALUE_TOL
+    (tests/golden.py regenerates it, for a change meant to move them)."""
+    frozen = json.loads(GOLDEN.read_text())
+    assert engine_digests() == frozen["digests"]
+    values = engine_values()
+    assert values.keys() == frozen["values"].keys()
+    for key, value in values.items():
+        np.testing.assert_allclose(value, frozen["values"][key], rtol=VALUE_TOL,
+                                   atol=VALUE_TOL, err_msg=key)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])

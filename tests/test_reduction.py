@@ -13,6 +13,7 @@ import wildsim.diagnostics as diagnostics
 from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
+    _check,
     _run_id,
     conservation_check,
     run_identity_suite,
@@ -222,7 +223,39 @@ def test_z_calibration_summary():
     assert calibration["ks_distance"] == pytest.approx(phi[1] - 1.0 / 3.0, abs=1e-15)
     assert calibration["ks_distance"] == pytest.approx(0.358129, abs=1e-6)
     empty = IdentityReport("synthetic", [_entry(0.0, diff=0.0)]).as_dict()
-    assert empty["z_calibration"] == {"n": 0, "mean": None, "sd": None, "ks_distance": None}
+    assert empty["z_calibration"] == {"n": 0, "mean": None, "sd": None, "ks_distance": None,
+                                      "expected_failures": 0.0}
+
+
+def test_expected_failures_follow_each_gate_rule():
+    """At a gate of 2, P[|Z| > 2] = 0.0455002638963584.  A correct check
+    fails by chance with that two-sided, half that one-sided, and
+    1 - (1 - 0.0455002638963584)^2 = 0.0889302537780786 on the larger |z|
+    of two random parts; a part or check whose z is fixed (a roundoff-sized
+    difference, no standard error, a non-finite value) never does."""
+    gate = 2.0
+    entries = [
+        _check("two-sided", {}, 1.0, 1.0, 0.0, "", gate),
+        _check("one-sided", {}, 0.3, 0.1, 0.0, "", gate, two_sided=False),
+        _check("two parts", {}, 0.5, 1.4, 0.0, "", gate, two_sided=False,
+               parts=[(0.3, 1.0), (-0.4, 1.0)]),
+        _check("one random part", {}, 0.3, 1.4, 0.0, "", gate, two_sided=False,
+               parts=[(0.3, 1.0), (1e-13, 1.0)]),
+        _check("roundoff", {}, 1e-13, 1.0, 0.0, "", gate),
+        _check("exact", {}, 1.0, 0.0, 0.0, "", gate),
+        _check("overflow", {}, math.inf, 1.0, 0.0, "", gate),
+    ]
+    assert [e.expected_failures for e in entries] == pytest.approx(
+        [0.0455002638963584, 0.0227501319481792, 0.0889302537780786, 0.0455002638963584,
+         0.0, 0.0, 0.0], rel=1e-13, abs=0.0)
+    report = IdentityReport("synthetic", entries).as_dict()
+    assert report["z_calibration"]["expected_failures"] == pytest.approx(
+        0.2026809135189747, rel=1e-13)
+    # at the default gate of 4, legendre's 14,121 checks at tree size 8
+    # expect 14121 P[|Z| > 4] = 0.894 failures on correct code
+    legendre = IdentityReport("synthetic", [_check("x", {}, 0.1, 1.0, 0.0, "", 4.0)] * 14121)
+    assert legendre.as_dict()["z_calibration"]["expected_failures"] == pytest.approx(
+        0.8944592, rel=1e-6)
 
 
 SWEEP_SEEDS = range(400)
