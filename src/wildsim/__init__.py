@@ -2,7 +2,7 @@
 cascades: kernels, trees, weights, rotations, samplers, diagnostics."""
 
 from .errors import WildsimError
-from .kernel import CollisionKernel, KernelFunctionals, make_kernel, sample_phi, spectral_functionals, truncate
+from .kernel import CollisionKernel, KernelFunctionals, make_kernel, spectral_functionals, truncate
 from .tree import McKeanTree, enumerate_trees, sample_tree, tree_probability
 from .weights import WeightArray, expected_sum_closed_form, symmetric_function_bound
 from .geometry import RotationArray, collision_frames, frame_for
@@ -24,8 +24,7 @@ __version__ = "0.2.2"
 
 __all__ = [
     "WildsimError",
-    "CollisionKernel", "KernelFunctionals", "make_kernel", "sample_phi",
-    "spectral_functionals", "truncate",
+    "CollisionKernel", "KernelFunctionals", "make_kernel", "spectral_functionals", "truncate",
     "McKeanTree", "enumerate_trees", "sample_tree", "tree_probability",
     "WeightArray", "expected_sum_closed_form", "symmetric_function_bound",
     "RotationArray", "collision_frames", "frame_for",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 # argparse's gettext imports locale lazily on the first parser; every command
 # builds one, so pay for it on import
@@ -31,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
+from . import __version__, diagnostics
 from .errors import BadSpec, ConfigError, WildsimError
 from .initial import make_initial_datum
 from .kernel import make_kernel
-from .sampler import wild_velocity_batch
+from .sampler import reduction_scheme, rng_stream, wild_velocity_batch
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -88,8 +89,6 @@ SETTINGS = {
     "seed": Setting(0, "master seed", int, bound="nonnegative"),
     "workers": Setting(None, "worker processes (default WILDSIM_WORKERS, else 1)", int,
                        bound="positive"),
-    "estimator": Setting("raoblackwell", "transform estimator",
-                         choices=("raoblackwell", "raw")),
     "xi_grid": Setting(None, "JSON list of 3-vectors or {rho, directions}"),
     "z_threshold": Setting(4.0, "largest |z| a check passes with", float, bound="positive"),
     "moment": Setting("W", "decay statistic", choices=("W", "v1^4")),
@@ -159,7 +158,8 @@ def _parse_xi_grid(value):
 
 
 def _as_array(value, ndim: int) -> np.ndarray:
-    """A list of numbers (ndim 1) or of 3-vectors (ndim 2) from the xi grid spec."""
+    """A list of finite numbers (ndim 1) or of 3-vectors (ndim 2) from the
+    xi grid spec."""
     try:
         array = np.asarray(value, float)
     except (TypeError, ValueError) as exc:
@@ -167,6 +167,8 @@ def _as_array(value, ndim: int) -> np.ndarray:
     if array.ndim != ndim or (ndim == 2 and array.shape[1] != 3):
         raise ConfigError("xi grid must be a list of 3-vectors"
                           if ndim == 2 else "xi grid 'rho' must be a list of numbers")
+    if not np.all(np.isfinite(array)):
+        raise ConfigError("xi grid entries must be finite")
     return array
 
 
@@ -228,10 +230,23 @@ def _write_outputs(payload: dict, rows: list[dict], config) -> None:
 
 
 def _run_id(command, config, kernel, mu0) -> str:
-    """The run id of a report: its command, its echoed settings bar
-    UNNAMED, the kernel and, when the report echoes one, the datum."""
-    settings = {key: value for key, value in config.items() if key not in UNNAMED}
-    return diagnostics._run_id(command, settings, kernel, mu0 if "mu0" in config else None)
+    """Digest of what a report's numbers and verdicts depend on: its
+    command, its echoed settings bar UNNAMED, the kernel's tabulated angle
+    law, the datum when the report echoes one (its name, moment table and
+    first draws from a fixed stream), the constants of the reduction
+    (stratum count and pooling rule) and the package version."""
+    datum = None
+    if "mu0" in config:
+        arrays = (mu0.mean, mu0.covariance, mu0.m3_vector, mu0.sampler(rng_stream(0), 8))
+        datum = [mu0.name, mu0.m2, mu0.m3, mu0.m4,
+                 *(np.asarray(a, float).tolist() for a in arrays)]
+    payload = json.dumps({
+        "suite": command, "version": __version__,
+        "settings": {key: value for key, value in config.items() if key not in UNNAMED},
+        "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
+        "mu0": datum, "reduction": reduction_scheme(),
+    }, sort_keys=True, default=str)
+    return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
 def _report_outcome(config, run_id, report) -> int:
@@ -301,13 +316,10 @@ def _cmd_decay(config, kernel, mu0, run_id):
 
 
 def _cmd_cfcurve(config, kernel, mu0, run_id):
-    grid = _parse_xi_grid(config["xi_grid"])
-    diagnostics.check_distance_datum(mu0)  # reject before the costly grid runs
-    rows = diagnostics.transform_grid_estimates(
-        mu0, kernel, config["t"], grid, config["samples"], config["seed"],
-        estimator=config["estimator"], workers=config["workers"],
+    fit, rows = diagnostics.cf_distance_curve(
+        mu0, kernel, config["t"], _parse_xi_grid(config["xi_grid"]), config["samples"],
+        config["seed"], workers=config["workers"],
     )
-    fit = diagnostics.cf_distance_curve(mu0, kernel, config["t"], grid, rows)
     return _fit_outcome(config, run_id, "cfcurve", fit, rows, estimates=rows)
 
 
@@ -363,7 +375,7 @@ COMMANDS = {  # name: (function, the settings it reads)
     "identities": (_cmd_identities, _reads("t workers z_threshold")),
     "conserve": (_cmd_conserve, _reads("mu0 t workers z_threshold")),
     "decay": (_cmd_decay, _reads("mu0 moment t workers rate_tol max_rate")),
-    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers estimator xi_grid max_rate")),
+    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers xi_grid max_rate")),
     "crosscheck": (_cmd_crosscheck, _reads("mu0 t workers xi_grid z_threshold")),
     "legendre": (_cmd_legendre, _reads("tree_size z_threshold")),
     "envelope": (_cmd_envelope, _reads("mu0 t workers lam q")),

@@ -2,7 +2,13 @@
 
 Every suite returns an IdentityReport (per-check z-scores against closed
 forms, quadrature values or independent estimators) or a DecayFit (weighted
-log-linear fit of an exponentially decaying curve).
+log-linear fit of an exponentially decaying curve; `cf_distance_curve`
+returns it with the grid rows it was fitted to).  The transform grids of
+`transform_grid_estimates`, `cf_distance_curve` and
+`representation_crosscheck` come from `sampler.transform_sums`, whose
+estimator the datum picks: the conditional product where the datum has an
+exact transform, the raw average of exp(i rho S) over velocities drawn
+at the leaves otherwise.  Only `envelope_check` requires a transform.
 
 Monte Carlo work runs on the cascade engine of `wildsim.sampler`: each
 suite hands a module-level chunk task to `sampler.reduce_cascades` with the
@@ -15,7 +21,6 @@ one z-gate for all suites.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -34,7 +39,6 @@ from .sampler import (
     leaf_frames,
     mean_se,
     reduce_cascades,
-    reduction_scheme,
     replay,
     rng_stream,
     transform_sums,
@@ -65,28 +69,6 @@ class IdentityEntry:
     passed: bool
     two_sided: bool = True  # z should follow N(0, 1) when the identity holds
     expected_failures: float = 0.0  # the chance that a correct check fails its gate
-
-
-def _run_id(suite: str, settings: dict, kernel: CollisionKernel,
-            mu0: InitialDatum | None = None) -> str:
-    """Digest of what a run's numbers and verdicts depend on: the suite, its
-    settings, the kernel's tabulated angle law, the initial datum when the
-    run reads one (its name, moment table and first draws from a fixed
-    stream), the constants of the reduction (stratum count and pooling rule)
-    and the package version.  `wildsim.cli` names every report with it."""
-    from . import __version__  # the package imports this module before setting it
-
-    datum = None
-    if mu0 is not None:
-        arrays = (mu0.mean, mu0.covariance, mu0.m3_vector, mu0.sampler(rng_stream(0), 8))
-        datum = [mu0.name, mu0.m2, mu0.m3, mu0.m4,
-                 *(np.asarray(a, float).tolist() for a in arrays)]
-    payload = json.dumps({
-        "suite": suite, "settings": settings, "version": __version__,
-        "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
-        "mu0": datum, "reduction": reduction_scheme(),
-    }, sort_keys=True, default=str)
-    return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -452,7 +434,6 @@ def transform_grid_estimates(
     xi_grid,
     n_samples: int,
     seed: int,
-    estimator: str = "raoblackwell",
     workers: int = 1,
 ) -> list[dict]:
     """Transform estimates over a (time, frequency) grid as flat records
@@ -462,7 +443,7 @@ def transform_grid_estimates(
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             transform_sums, seed, (4, it), workers, float(t), n_samples,
-            mu0=mu0, kernel=kernel, xi_grid=xi_grid, estimator=estimator,
+            mu0=mu0, kernel=kernel, xi_grid=xi_grid,
         )
         estimate, se_re, se_im = _grid_estimates(sums)
         for i, xi in enumerate(xi_grid):
@@ -476,54 +457,50 @@ def transform_grid_estimates(
     return rows
 
 
-def check_distance_datum(mu0: InitialDatum) -> None:
-    """ConfigError unless mu0 is normalized (mean 0, covariance of trace 3),
-    as the limiting Gaussian of `cf_distance_curve` assumes."""
-    if not mu0.is_normalized(tol=1e-6):
-        raise ConfigError("distance curve needs a normalized initial datum")
-
-
 def cf_distance_curve(
     mu0: InitialDatum,
     kernel: CollisionKernel,
     t_list,
     xi_grid,
-    grid_rows: list[dict],
-) -> DecayFit:
+    n_samples: int,
+    seed: int,
+    workers: int = 1,
+) -> tuple[DecayFit, list[dict]]:
     """Noise-aware sup distance of the estimated transform to the limiting
-    Gaussian transform over the frequency grid, fitted exponentially, from
-    the rows `transform_grid_estimates` gives for the same times and grid.
+    Gaussian transform over the frequency grid, fitted exponentially, and
+    the `transform_grid_estimates` rows it reads.  The datum must be
+    normalized (mean 0, covariance of trace 3), as the limiting Gaussian
+    assumes; a ConfigError says so before any cascade is drawn.
 
     This lower-bounds twice the total-variation distance at each time; it
     is never a total-variation estimate itself.
     """
-    check_distance_datum(mu0)
+    if not mu0.is_normalized(tol=1e-6):
+        raise ConfigError("distance curve needs a normalized initial datum")
+    rows = transform_grid_estimates(mu0, kernel, t_list, xi_grid, n_samples, seed,
+                                    workers=workers)
     fn = spectral_functionals(kernel)
     xi_grid = np.asarray(xi_grid, float)
     gauss = np.exp(-0.5 * np.einsum("ij,ij->i", xi_grid, xi_grid))
     times = np.asarray(list(t_list), float)
-    values = np.empty(len(times))
-    ses = np.empty(len(times))
-    m = len(xi_grid)
-    for it in range(len(times)):
-        chunk = grid_rows[it * m : (it + 1) * m]
-        estimate = np.array([row["re"] + 1j * row["im"] for row in chunk])
-        se_mod = np.hypot([row["se_re"] for row in chunk],
-                          [row["se_im"] for row in chunk])
-        deviation = np.maximum(np.abs(estimate - gauss) - 2.0 * se_mod, 0.0)
-        deviation[deviation < 1e-12] = 0.0  # machine-precision floor
-        at = int(np.argmax(deviation))
-        values[it] = float(deviation[at])
-        ses[it] = float(se_mod[at])
+    # rows run over the grid at each time in turn
+    columns = np.array([[row[key] for key in ("re", "im", "se_re", "se_im")] for row in rows])
+    re, im, se_re, se_im = columns.T.reshape(4, len(times), len(xi_grid))
+    se_mod = np.hypot(se_re, se_im)
+    deviation = np.maximum(np.abs(re + 1j * im - gauss) - 2.0 * se_mod, 0.0)
+    deviation[deviation < 1e-12] = 0.0  # machine-precision floor
+    at = (np.arange(len(times)), np.argmax(deviation, axis=1))
+    values, ses = deviation[at], se_mod[at]
     try:
-        return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
+        fit = fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
     except InsufficientSignal:
-        return DecayFit(
+        fit = DecayFit(
             times=times, values=values, std_errors=ses,
             fitted_rate=float("nan"), fitted_log_prefactor=float("nan"),
             residual=0.0, reference_rate=fn.lambda_b,
             used=np.zeros(len(times), dtype=bool),
         )
+    return fit, rows
 
 
 def representation_crosscheck(
@@ -536,8 +513,10 @@ def representation_crosscheck(
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
-    """Conditional-transform average against the empirical transform of
-    independent cascade velocity draws, frequency by frequency, at each time.
+    """The weight-and-rotation transform average (`transform_sums`:
+    conditional where the datum has an exact transform, raw otherwise)
+    against the empirical transform of independent cascade velocity draws,
+    frequency by frequency, at each time.
 
     The two estimators target the same function through entirely different
     randomness (weights/rotations vs folded collisions), so matching

@@ -26,13 +26,9 @@ sphere).  `frame_for` takes Duff et al.'s branchless orthonormal completion
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-E3 = np.array([0.0, 0.0, 1.0])
-ROTATION_TOL = 1e-12
 
 
 def left_frame(phi, theta) -> np.ndarray:
@@ -65,27 +61,11 @@ def collision_frames(phi, theta) -> tuple[np.ndarray, np.ndarray]:
     return left, np.ascontiguousarray(left[..., [1, 2, 0]])
 
 
-def rotation_z(alpha: float) -> np.ndarray:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def is_rotation(q: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    q = np.asarray(q)
-    if q.shape != (3, 3):
-        return False
-    ortho = float(np.max(np.abs(q.T @ q - np.eye(3))))
-    return ortho < tol and abs(float(np.linalg.det(q)) - 1.0) < tol
-
-
 @dataclass(frozen=True)
 class RotationArray:
     """One rotation per leaf, in left-to-right leaf order: shape (n, 3, 3)."""
 
     rotations: np.ndarray
-
-    def __len__(self):
-        return len(self.rotations)
 
     def third_columns(self) -> np.ndarray:
         """Each rotation's third column (its image of e3), shape (n, 3)."""

@@ -60,12 +60,7 @@ class InitialDatum:
     m4: float | None = None
     m3_vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
     cf: Callable | None = field(default=None, repr=False)
-    cf_is_exact: bool = True
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return self.sampler(rng, 1)[0]
-        return self.sampler(rng, size)
+    cf_is_exact: bool = True  # else transform grids take the raw estimator, from draws
 
     def require_cf(self) -> Callable:
         if self.cf is None:
@@ -356,7 +351,7 @@ def _empirical_cf(xi, frozen):
 def sampler_datum(sampler, name="custom", empirical_cf=True) -> InitialDatum:
     """Wrap a velocity sampler; transform and moments come from a frozen
     auxiliary sample, drawn from the fixed seed AUX_SEED, so the transform is
-    flagged approximate."""
+    flagged approximate and transform grids estimate from draws instead."""
     frozen = np.asarray(
         sampler(np.random.default_rng(AUX_SEED), EMPIRICAL_CF_SAMPLE), float
     ).reshape(-1, 3)

@@ -227,7 +227,6 @@ class CollisionKernel:
     """Normalized angular kernel with its tabulated angle-law inverse CDF."""
 
     evaluator: Callable
-    symmetry_validated: bool = True
     table_knots: np.ndarray | None = field(repr=False, default=None)
     phi_grid: np.ndarray = field(repr=False, default=None)
     beta_cdf_values: np.ndarray = field(repr=False, default=None)
@@ -408,7 +407,6 @@ def make_kernel(spec, *, validate_symmetry: bool = True) -> CollisionKernel:
     phi_grid, cdf = _build_beta_table(evaluator)
     return CollisionKernel(
         evaluator=evaluator,
-        symmetry_validated=validate_symmetry,
         table_knots=knots,
         phi_grid=phi_grid,
         beta_cdf_values=cdf,
@@ -494,11 +492,6 @@ def cos_sin(x):
     r *= 2.0
     r -= 1.0
     return r, t
-
-
-def sample_phi(kernel: CollisionKernel, rng: np.random.Generator, size=None):
-    """Draw collision angles from the angle law by inverse-CDF lookup."""
-    return kernel.inverse_beta_cdf(rng.random(size))
 
 
 def truncate(spec, n: int) -> tuple[CollisionKernel, float]:

@@ -78,9 +78,12 @@ engine.
 The transform estimator (`transform_sums`, over a whole grid of
 frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
 conditional expectation given the tree, angles and rotations,
-prod_j cf(rho w_j psi_j) (the default when the initial transform is
-available, since conditioning never increases variance).  For a symmetric
-initial law cf is real, so the product is taken over floats.
+prod_j cf(rho w_j psi_j).  The datum picks it: the conditional product
+needs the exact initial transform and is taken whenever the datum has one
+(conditioning never increases variance); the raw average needs only draws
+and serves every other datum, such as a sampler-only one whose transform
+is an empirical approximation.  For a symmetric initial law cf is real, so
+the product is taken over floats.
 """
 
 from __future__ import annotations
@@ -637,27 +640,23 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
     return stats
 
 
-def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid,
-                   estimator: str = "raoblackwell") -> dict:
+def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid) -> dict:
     """Per-cascade transform estimator at every grid frequency, as real
     parts 're' and imaginary parts 'im' of shape (cascades, frequencies)
     (exactly 1 at xi = 0).
 
-    'raoblackwell' takes the conditional transform prod_j cf(rho w_j psi_j);
-    'raw' takes exp(i rho S) with velocities drawn at the leaves.
-    Frequencies are evaluated one at a time, so memory stays
-    O(leaves + cascades x frequencies).  The columns are stored
+    A datum with an exact transform cf takes the conditional transform
+    prod_j cf(rho w_j psi_j); any other takes exp(i rho S) with velocities
+    drawn at the leaves.  Frequencies are evaluated one at a time, so memory
+    stays O(leaves + cascades x frequencies).  The columns are stored
     contiguously, so each frequency's moments sum in the same order as a
     one-dimensional array's.
     """
-    if estimator not in ("raoblackwell", "raw"):
-        raise ConfigError(f"unknown estimator {estimator!r}")
     record = germination_record(nus, kernel, rng)
     weights, rotations = leaf_frames(record)
     columns = rotations.third_columns()
-    if estimator == "raoblackwell":
-        cf = mu0.require_cf()
-    else:
+    cf = mu0.cf if mu0.cf_is_exact else None
+    if cf is None:
         velocities = mu0.sampler(rng, record.n_leaves)
     xi_grid = np.asarray(xi_grid, float)
     rhos = np.linalg.norm(xi_grid, axis=1)
@@ -669,7 +668,7 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
             real[:, i], imag[:, i] = 1.0, 0.0
             continue
         psi = columns @ basis.T
-        if estimator == "raoblackwell":
+        if cf is not None:
             # rho w_j psi_j written over psi, one leaf array fewer at cf's peak
             np.multiply(rho * weights[:, None], psi, out=psi)
             values = record.per_cascade(cf(psi), np.multiply)

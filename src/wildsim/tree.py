@@ -22,7 +22,6 @@ from functools import lru_cache
 from .errors import IndexOutOfRange, SplitOfLeaf, TooLarge
 
 ENUMERATION_LIMIT = 8
-EXACT_PROBABILITY_LIMIT = 12
 
 
 class McKeanTree:
@@ -109,24 +108,6 @@ class McKeanTree:
             return (0,)
         return tuple(d + 1 for d in self.left.depths() + self.right.depths())
 
-    def parent_array(self) -> tuple[int, ...]:
-        """Pointer-free encoding: parent index of each node in preorder.
-
-        The root has parent -1; leaves and internal nodes share the
-        numbering (preorder position).
-        """
-        parents: list[int] = []
-
-        def visit(node, parent):
-            idx = len(parents)
-            parents.append(parent)
-            if not node.is_leaf:
-                visit(node.left, idx)
-                visit(node.right, idx)
-
-        visit(self, -1)
-        return tuple(parents)
-
 
 LEAF = McKeanTree()
 
@@ -142,31 +123,11 @@ def sample_tree(n: int, rng) -> McKeanTree:
 
 
 @lru_cache(maxsize=None)
-def _probability_exact(tree: McKeanTree) -> Fraction:
+def tree_probability(tree: McKeanTree) -> Fraction:
+    """Chain probability of the shape, as an exact Fraction."""
     if tree.is_leaf:
         return Fraction(1)
-    return (
-        _probability_exact(tree.left)
-        * _probability_exact(tree.right)
-        / (tree.leaf_count - 1)
-    )
-
-
-def _probability_float(tree: McKeanTree) -> float:
-    if tree.is_leaf:
-        return 1.0
-    return (
-        _probability_float(tree.left)
-        * _probability_float(tree.right)
-        / (tree.leaf_count - 1)
-    )
-
-
-def tree_probability(tree: McKeanTree):
-    """Chain probability of the shape; exact Fraction up to 12 leaves."""
-    if tree.leaf_count <= EXACT_PROBABILITY_LIMIT:
-        return _probability_exact(tree)
-    return _probability_float(tree)
+    return tree_probability(tree.left) * tree_probability(tree.right) / (tree.leaf_count - 1)
 
 
 @lru_cache(maxsize=None)

@@ -44,12 +44,6 @@ class WeightArray:
     values: np.ndarray
     order: int
 
-    def __len__(self):
-        return len(self.values)
-
-    def sum_abs_power(self, s: float) -> float:
-        return float(np.sum(np.abs(self.values) ** s))
-
 
 def expected_sum_closed_form(alpha: float, n: int | None = None, t: float | None = None):
     """Mean of sum_j |weight_j|^s over the chain, with alpha the per-split factor.

@@ -3,9 +3,11 @@
 Each function builds one cascade's leaf weights, leaf rotations or
 collision outcome by recursion over a `McKeanTree`, the way the paper
 writes them down, independently of the level-by-level engine in
-`wildsim.sampler`.  Angles are in recursive order: the last one belongs to
-the root split, the first n_l - 1 to the left subtree, the remainder to the
-right subtree (`cascade_trees` reads a record in this order).
+`wildsim.sampler`; `rotation_z` and `is_rotation` are the rotation helpers
+the geometry checks share.  Angles are in recursive order: the last one
+belongs to the root split, the first n_l - 1 to the left subtree, the
+remainder to the right subtree (`cascade_trees` reads a record in this
+order).
 """
 
 import math
@@ -16,6 +18,24 @@ from wildsim.geometry import RotationArray, collision_frames, left_frame, right_
 from wildsim.sampler import deflection
 from wildsim.tree import LEAF, McKeanTree
 from wildsim.weights import WeightArray, legendre_value
+
+E3 = np.array([0.0, 0.0, 1.0])
+ROTATION_TOL = 1e-12
+
+
+def rotation_z(alpha: float) -> np.ndarray:
+    """The rotation by alpha about e3."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def is_rotation(q: np.ndarray, tol: float = ROTATION_TOL) -> bool:
+    """Whether q is a 3 x 3 special-orthogonal matrix to within tol."""
+    q = np.asarray(q)
+    if q.shape != (3, 3):
+        return False
+    ortho = float(np.max(np.abs(q.T @ q - np.eye(3))))
+    return ortho < tol and abs(float(np.linalg.det(q)) - 1.0) < tol
 
 
 def cascade_trees(record):

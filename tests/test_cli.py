@@ -125,7 +125,7 @@ def test_cfcurve_csv_schema(tmp_path):
     csv_path = tmp_path / "cf.csv"
     code = main([
         "cfcurve", "--mu0", "sixpoint", "--t", "0.5,1", "--samples", "400",
-        "--seed", "37", "--estimator", "raw",
+        "--seed", "37",
         "--xi-grid", "[[1,0,0],[0,1,0]]", "--csv", str(csv_path),
     ])
     assert code == EXIT_OK
@@ -219,6 +219,14 @@ def test_crosscheck_command(tmp_path):
     # decay --moment W reads no datum, but a malformed one is still rejected
     ["decay", "--samples", "10", "--t", "1,2,3,4", "--moment", "W",
      "--mu0", '{"preset": "gaussian", "cov": "x"}'],
+    # a frequency that is not finite
+    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1", "--xi-grid", "[[NaN,0,0]]"],
+    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+     "--xi-grid", "[[Infinity,0,0]]"],
+    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+     "--xi-grid", '{"rho": [NaN], "directions": [[1,0,0]]}'],
+    ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+     "--xi-grid", "[[NaN,0,0]]"],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):
@@ -256,6 +264,7 @@ def test_overflowing_mu0_is_config_error(capsys):
     # a config file (the last item) holding a key the command does not read
     ["identities", {"mu0": "gaussian"}],
     ["conserve", {"nmax": 5}],
+    ["cfcurve", "--estimator", "raw"],  # the datum picks the transform estimator
 ])
 def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
     if not isinstance(argv[-1], dict):
@@ -290,7 +299,7 @@ SUITE_SETTINGS = {
     "identities": "t workers z_threshold",
     "conserve": "mu0 t workers z_threshold",
     "decay": "mu0 moment t workers rate_tol max_rate",
-    "cfcurve": "mu0 t workers estimator xi_grid max_rate",
+    "cfcurve": "mu0 t workers xi_grid max_rate",
     "crosscheck": "mu0 t workers xi_grid z_threshold",
     "legendre": "tree_size z_threshold",
     "envelope": "mu0 t workers lam q",

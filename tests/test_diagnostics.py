@@ -1,6 +1,7 @@
 """Verification-suite drivers at reduced sample counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ CHUNKED_SUITES = {
     "transform_raoblackwell": lambda kernel, mu0, workers: transform_grid_estimates(
         mu0, kernel, [0.5, 2.5], small_grid(), 3000, 15, workers=workers),
     "transform_raw": lambda kernel, mu0, workers: transform_grid_estimates(
-        mu0, kernel, [0.5, 2.5], small_grid(), 3000, 15, estimator="raw", workers=workers),
+        replace(mu0, cf=None), kernel, [0.5, 2.5], small_grid(), 3000, 15, workers=workers),
     "decay_W": lambda kernel, mu0, workers: _fit_values(moment_decay_fit(
         None, kernel, [1, 2, 3, 4], moment_spec="W", n_samples=3000, seed=16,
         workers=workers)),
@@ -188,8 +189,8 @@ def test_moment_decay_rejects_bad_spec(kernel, sixpoint):
 
 def test_cf_distance_curve_gaussian_is_zero(kernel):
     mu0, times, grid = gaussian_datum(), [0.5, 1.0, 2.0, 3.0], small_grid()
-    fit = cf_distance_curve(mu0, kernel, times, grid, transform_grid_estimates(
-        mu0, kernel, times, grid, 500, seed=31))
+    fit, rows = cf_distance_curve(mu0, kernel, times, grid, 500, seed=31)
+    assert rows == transform_grid_estimates(mu0, kernel, times, grid, 500, seed=31)
     np.testing.assert_allclose(fit.values, 0.0, atol=1e-12)
     assert math.isnan(fit.fitted_rate)
     assert not fit.used.any()
@@ -197,8 +198,7 @@ def test_cf_distance_curve_gaussian_is_zero(kernel):
 
 def test_cf_distance_curve_sixpoint_decreases(kernel, sixpoint):
     times, grid = [0.5, 1.5, 2.5, 3.5], small_grid()
-    fit = cf_distance_curve(sixpoint, kernel, times, grid, transform_grid_estimates(
-        sixpoint, kernel, times, grid, 20_000, seed=32))
+    fit, _ = cf_distance_curve(sixpoint, kernel, times, grid, 20_000, seed=32)
     assert np.all(np.diff(fit.values) < 0.0)   # monotone within this window
     assert fit.fitted_rate <= -0.25            # at least gap-order decay
 
@@ -213,9 +213,8 @@ def test_crosscheck_gaussian_small_z(kernel):
 
 def test_cf_distance_requires_normalized(kernel):
     mu0, times, grid = gaussian_datum(mean=(1, 0, 0)), [1.0, 2.0], small_grid()
-    rows = transform_grid_estimates(mu0, kernel, times, grid, 100, seed=2)
     with pytest.raises(ConfigError):
-        cf_distance_curve(mu0, kernel, times, grid, rows)
+        cf_distance_curve(mu0, kernel, times, grid, 100, seed=2)
 
 
 def test_representation_crosscheck_small(kernel, sixpoint):
@@ -286,9 +285,8 @@ def test_envelope_premise_failure(kernel):
 
 def test_zero_frequency_rows_are_exact(kernel, sixpoint):
     grid = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    for estimator in ("raoblackwell", "raw"):
-        rows = transform_grid_estimates(sixpoint, kernel, [1.0], grid, 200, 3,
-                                        estimator=estimator)
+    for mu0 in (sixpoint, replace(sixpoint, cf=None)):  # conditional and raw
+        rows = transform_grid_estimates(mu0, kernel, [1.0], grid, 200, 3)
         zero, other = rows
         assert (zero["re"], zero["im"], zero["se_re"], zero["se_im"]) == (1.0, 0.0, 0.0, 0.0)
         assert other["se_re"] > 0.0

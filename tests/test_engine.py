@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import GOLDEN, VALUE_TOL, engine_digests, engine_values
-from oracles import cascade_trees, collide, leaf_weights, rotation_array
+from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array
 from wildsim.diagnostics import _velocity_moments_task
-from wildsim.geometry import is_rotation, left_frame, right_frame
+from wildsim.geometry import left_frame, right_frame
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (

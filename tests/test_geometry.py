@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from oracles import path_product_rotation, rotation_array
-from wildsim.geometry import E3, ROTATION_TOL, collision_frames, frame_for, is_rotation, rotation_z
+from oracles import E3, ROTATION_TOL, is_rotation, path_product_rotation, rotation_array, rotation_z
+from wildsim.geometry import collision_frames, frame_for
 from wildsim.sampler import grow, tree_record
 from wildsim.tree import LEAF, McKeanTree, sample_tree
 

@@ -20,7 +20,7 @@ from wildsim.initial import (
 
 
 def _check_moments_against_sampler(datum, n=100_000, seed=0):
-    draws = datum.sample(np.random.default_rng(seed), n)
+    draws = datum.sampler(np.random.default_rng(seed), n)
     se_mean = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - datum.mean) < 4 * se_mean + 1e-12)
     sq = np.einsum("ij,ij->i", draws, draws)
@@ -113,7 +113,7 @@ ANISOTROPIC_COV = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.2]])
 @pytest.mark.parametrize("datum, reference", [
     # the six atoms as normalised (a draw shows them all), not sqrt(3) e_k exactly
     (sixpoint_datum, lambda xi: _complex_discrete_transform(
-        xi, np.unique(sixpoint_datum().sample(np.random.default_rng(0), 1000), axis=0),
+        xi, np.unique(sixpoint_datum().sampler(np.random.default_rng(0), 1000), axis=0),
         np.full(6, 1.0 / 6.0))),
     (lambda: discrete_datum(PAIRED_POINTS, PAIRED_MASSES),
      lambda xi: _complex_discrete_transform(xi, PAIRED_POINTS, PAIRED_MASSES)),
@@ -160,7 +160,7 @@ def test_heavytail_moments_and_tail():
     with pytest.raises(MomentUnavailable):
         h.require_m4()
     # fourth-moment checks are impossible; the radial law P(|V|>R) = R^-q is exact
-    draws = h.sample(np.random.default_rng(3), 100_000)
+    draws = h.sampler(np.random.default_rng(3), 100_000)
     radii = np.linalg.norm(draws, axis=1)
     assert radii.min() >= 1.0
     for radius in (1.5, 2.0, 4.0):

@@ -8,13 +8,12 @@ from itertools import pairwise
 import numpy as np
 import pytest
 
+import wildsim.cli as cli
 import wildsim.sampler as sampler
-import wildsim.diagnostics as diagnostics
 from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
     _check,
-    _run_id,
     conservation_check,
     run_identity_suite,
 )
@@ -186,22 +185,22 @@ def test_draw_total_recovers_an_integer_count_exactly():
 
 def test_run_id_names_the_reduction(kernel, monkeypatch):
     config = {"t_list": [1.0], "n_samples": 100, "seed": 1}
-    base = _run_id("identities", config, kernel)
-    assert _run_id("identities", config, kernel) == base
+    base = cli._run_id("identities", config, kernel, None)
+    assert cli._run_id("identities", config, kernel, None) == base
     monkeypatch.setattr(sampler, "SIZE_STRATA", 32)
-    assert _run_id("identities", config, kernel) != base
+    assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(sampler, "SIZE_STRATA", 16)
-    assert _run_id("identities", config, kernel) == base
+    assert cli._run_id("identities", config, kernel, None) == base
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 3)
-    assert _run_id("identities", config, kernel) != base
+    assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
-    assert _run_id("identities", config, kernel) == base
+    assert cli._run_id("identities", config, kernel, None) == base
     # the velocity estimator's pairing rule is named as well
     scheme = sampler.reduction_scheme()
     assert "theta + pi" in scheme["velocity_pairing"]
-    monkeypatch.setattr(diagnostics, "reduction_scheme",
+    monkeypatch.setattr(cli, "reduction_scheme",
                         lambda: {**scheme, "velocity_pairing": "none"})
-    assert _run_id("identities", config, kernel) != base
+    assert cli._run_id("identities", config, kernel, None) != base
 
 
 def _entry(z, diff=1.0, two_sided=True):

@@ -1,16 +1,17 @@
 """Cascade sampling: sizes, incremental arrays, collisions, transforms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wildsim.diagnostics import transform_grid_estimates
+from wildsim.diagnostics import envelope_check, transform_grid_estimates
 from wildsim.errors import NoAnalyticCf, TimeTooLarge
-from wildsim.geometry import frame_for, is_rotation, rotation_z
+from wildsim.geometry import frame_for
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
-from oracles import collide, leaf_weights, rotation_array
+from oracles import collide, is_rotation, leaf_weights, rotation_array, rotation_z
 from wildsim.sampler import (
     chunk_slices,
     draw_tree_sample,
@@ -23,7 +24,6 @@ from wildsim.sampler import (
     size_strata,
     sorted_sizes,
     summarize,
-    transform_sums,
     weight_statistic_sums,
     weight_sums,
     wild_velocity,
@@ -170,13 +170,12 @@ def test_conditional_transform_gaussian_fixed_point(kernel):
 
 
 def test_conditional_transform_requires_transform(kernel):
+    # the envelope bounds the conditional transform, which the datum must have
     silent = sampler_datum(
         lambda rng, size: rng.standard_normal((size, 3)), empirical_cf=False
     )
-    nus, _ = sorted_sizes(1.0, rng_stream(11), 50)
     with pytest.raises(NoAnalyticCf):
-        transform_sums(nus, rng_stream(11, 0), mu0=silent, kernel=make_kernel("xabs"),
-                       xi_grid=[[0.0, 0.0, 1.0]])
+        envelope_check(silent, math.sqrt(0.5), 0.25, kernel, t=1.0, n_samples=50, seed=11)
 
 
 def test_second_moment_bound_given_cascade(kernel):
@@ -279,12 +278,26 @@ def test_cf_estimators_agree(kernel):
     mu0 = sixpoint_datum()
     xi = np.array([0.8, 0.36, 0.48])
     (rb,) = transform_grid_estimates(mu0, kernel, [1.0], [xi], 20_000, seed=21)
-    (raw,) = transform_grid_estimates(mu0, kernel, [1.0], [xi], 20_000, seed=22,
-                                      estimator="raw")
+    # without a transform the datum takes the raw estimator
+    (raw,) = transform_grid_estimates(replace(mu0, cf=None), kernel, [1.0], [xi], 20_000,
+                                      seed=22)
     assert abs(rb["re"] - raw["re"]) < 4 * math.hypot(rb["se_re"], raw["se_re"])
     assert abs(rb["im"] - raw["im"]) < 4 * math.hypot(rb["se_im"], raw["se_im"]) + 1e-12
     # conditioning cannot increase the variance
     assert grid_estimate(rb)[1] <= grid_estimate(raw)[1] * 1.1
+
+
+def test_sampler_only_datum_transform_is_unbiased(kernel):
+    # the transform of a sampler-only datum is the empirical one of a frozen
+    # sample, not exact, so its grid takes the raw estimator; the conditional
+    # product over the empirical transform misses by 4e-4 at xi = (0, 1.5, 0),
+    # 50 standard errors at t = 0.3 and the whole gap at t = 0
+    mu0 = sampler_datum(lambda rng, size: rng.standard_normal((size, 3)))
+    grid = [[0.0, 1.5, 0.0], [0.8, 0.0, 0.6]]
+    for row in transform_grid_estimates(mu0, kernel, [0.0, 0.3], grid, 2000, seed=24):
+        value, std_error = grid_estimate(row)
+        rho2 = row["xi_x"] ** 2 + row["xi_y"] ** 2 + row["xi_z"] ** 2
+        assert abs(value - math.exp(-rho2 / 2.0)) < 4.0 * std_error, row
 
 
 def test_weight_statistic_sums_match_closed_forms(kernel):

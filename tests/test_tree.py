@@ -150,8 +150,3 @@ def test_encode_decode_roundtrip():
     for _ in range(25):
         tree = sample_tree(int(rng.integers(1, 12)), rng)
         assert McKeanTree.decode(tree.encode()) == tree
-
-
-def test_parent_array():
-    assert LEAF.parent_array() == (-1,)
-    assert McKeanTree(McKeanTree(LEAF, LEAF), LEAF).parent_array() == (-1, 0, 1, 1, 0)
