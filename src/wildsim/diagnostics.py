@@ -6,9 +6,10 @@ log-linear fit of an exponentially decaying curve; `cf_distance_curve`
 returns it with the grid rows it was fitted to).  The transform grids of
 `transform_grid_estimates`, `cf_distance_curve` and
 `representation_crosscheck` come from `sampler.transform_sums`, whose
-estimator the datum picks: the conditional product where the datum has an
-exact transform, the raw average of exp(i rho S) over velocities drawn
-at the leaves otherwise.  Only `envelope_check` requires a transform.
+estimator the datum picks: the conditional product where the datum has a
+transform, the raw average of exp(i rho S) over velocities drawn at the
+leaves otherwise.  A suite asks the datum for what it may lack, and a rate
+fit checks for MIN_FIT_TIMES times, before drawing any cascade.
 
 Monte Carlo work runs on the cascade engine of `wildsim.sampler`: each
 suite hands a module-level chunk task to `sampler.reduce_cascades` with the
@@ -53,6 +54,7 @@ ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
 ENVELOPE_RADII = 33      # radii per cascade on [0, R] in the envelope check
 PREMISE_RHO_MAX = 30.0   # the tail premise is checked on [0, PREMISE_RHO_MAX]
 A_STAR = 0.25            # tail threshold of the Markov bound P[W >= a*] <= E[W] / a*
+MIN_FIT_TIMES = 4        # times a rate fit needs (a line through two has no residual)
 
 
 # --- report containers --------------------------------------------------------
@@ -276,11 +278,10 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
 def _envelope_task(nus, rng, mu0, kernel, lam, q):
     """Per-cascade count of radii in [0, R] where the conditional transform
     along a uniform random direction exceeds the envelope."""
-    cf = mu0.require_cf()
     lam2 = lam * lam
     record = germination_record(nus, kernel, rng)
     weights, rotations = leaf_frames(record)
-    radius = 0.5 * (1.0 / (mu0.require_m4() * record.per_cascade(weights**4))) ** 0.25
+    radius = 0.5 * (1.0 / (mu0.m4 * record.per_cascade(weights**4))) ** 0.25
     directions = rng.standard_normal((len(nus), 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     bases = frame_for(directions)
@@ -290,7 +291,7 @@ def _envelope_task(nus, rng, mu0, kernel, lam, q):
     for fraction in np.linspace(0.0, 1.0, ENVELOPE_RADII):
         rho = np.repeat(fraction * radius, record.nus)
         transform = np.abs(record.per_cascade(
-            cf(rho[:, None] * weights[:, None] * psi), np.multiply))
+            mu0.cf(rho[:, None] * weights[:, None] * psi), np.multiply))
         envelope = np.exp(q * record.per_cascade(
             np.log(lam2 / (lam2 + rho**2 * weights**2))))
         violations += transform > envelope * (1.0 + 1e-10) + 1e-12
@@ -386,10 +387,10 @@ def moment_decay_fit(
     are caller choices.  Directions with sum_m u_m^4 = 3/5 suppress the
     contamination entirely for axis-symmetric data.
     """
-    fn = spectral_functionals(kernel)
     times = np.asarray(list(t_list), float)
-    if len(times) < 4:
-        raise ConfigError("need at least 4 time points for a rate fit")
+    if len(times) < MIN_FIT_TIMES:
+        raise ConfigError(f"need at least {MIN_FIT_TIMES} time points for a rate fit")
+    fn = spectral_functionals(kernel)
     values = np.empty(len(times))
     ses = np.empty(len(times))
     if moment_spec == "W":
@@ -402,8 +403,7 @@ def moment_decay_fit(
     elif moment_spec == "v1^4":
         if mu0 is None:
             raise ConfigError("moment_spec 'v1^4' needs an initial datum")
-        if mu0.m4 is None or not math.isfinite(mu0.m4):
-            raise ConfigError("directional fourth-moment fit needs finite m4")
+        mu0.require_m4()
         if not mu0.is_normalized(tol=1e-6):
             raise ConfigError("directional fourth-moment fit needs a normalized datum")
         if direction is not None:
@@ -475,14 +475,16 @@ def cf_distance_curve(
     This lower-bounds twice the total-variation distance at each time; it
     is never a total-variation estimate itself.
     """
+    times = np.asarray(list(t_list), float)
+    if len(times) < MIN_FIT_TIMES:
+        raise ConfigError(f"need at least {MIN_FIT_TIMES} time points for a rate fit")
     if not mu0.is_normalized(tol=1e-6):
         raise ConfigError("distance curve needs a normalized initial datum")
-    rows = transform_grid_estimates(mu0, kernel, t_list, xi_grid, n_samples, seed,
+    rows = transform_grid_estimates(mu0, kernel, times, xi_grid, n_samples, seed,
                                     workers=workers)
     fn = spectral_functionals(kernel)
     xi_grid = np.asarray(xi_grid, float)
     gauss = np.exp(-0.5 * np.einsum("ij,ij->i", xi_grid, xi_grid))
-    times = np.asarray(list(t_list), float)
     # rows run over the grid at each time in turn
     columns = np.array([[row[key] for key in ("re", "im", "se_re", "se_im")] for row in rows])
     re, im, se_re, se_im = columns.T.reshape(4, len(times), len(xi_grid))
@@ -621,14 +623,15 @@ def envelope_check(
 ) -> IdentityReport:
     """Per-sample check |conditional transform| <= envelope on [0, R].
 
-    First verifies the tail premise |mu0_cf(xi)| <= (lam^2/(lam^2+|xi|^2))^q
-    on a radial grid; then counts envelope violations over cascade draws,
-    at ENVELOPE_RADII radii on [0, R] with R = (1/2) (1 / (m4 W))^(1/4) per
-    sample.
+    Given the datum's transform and a finite m4 (a ConfigError otherwise),
+    first verifies the tail premise |mu0_cf(xi)| <= (lam^2/(lam^2+|xi|^2))^q
+    on a radial grid; then counts violations over cascade draws at
+    ENVELOPE_RADII radii on [0, R], R = (1/2) (1 / (m4 W))^(1/4) per sample.
     """
     if not (lam > 0.0 and q > 0.0):
         raise ConfigError(f"the envelope needs lam > 0 and q > 0, got ({lam!r}, {q!r})")
     cf = mu0.require_cf()
+    mu0.require_m4()
     rhos = np.linspace(0.0, PREMISE_RHO_MAX, 601)
     directions = np.vstack([np.eye(3), [[0.6, 0.64, 0.48]]])
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

@@ -53,7 +53,7 @@ class TimeTooLarge(WildsimError, ValueError):
     """Expected or drawn cascade size exceeds the sampler's cap."""
 
 
-class NoAnalyticCf(WildsimError, ValueError):
+class NoAnalyticCf(ConfigError):
     """Initial datum has no closed-form characteristic function."""
 
 
@@ -68,7 +68,7 @@ def reject_unknown_keys(spec: dict, known, what: str) -> None:
         raise BadSpec(f"unknown {what} spec key(s): {', '.join(unknown)}")
 
 
-class MomentUnavailable(WildsimError, ValueError):
+class MomentUnavailable(ConfigError):
     """A required moment of the initial datum is infinite or unknown."""
 
 

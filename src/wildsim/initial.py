@@ -4,12 +4,13 @@ Presets cover the cases exercised by the verification suite: Gaussians and
 Gaussian mixtures, symmetric discrete laws (notably the six-point law on
 the coordinate axes), the radial heavy-tail family with density
 q / (4 pi |v|^(3+q)) outside the unit ball (finite third, infinite fourth
-moment for q in (3, 4)), and sampler-only data with an empirical
-characteristic function built from a frozen auxiliary sample.
+moment for q in (3, 4)), and sampler-only data, whose moments come from a
+frozen auxiliary sample and which have no transform.
 
-Moment conventions: m_h = E|V|^h and the cubic vector is E[|V|^2 V].
-Unavailable moments are stored as None (unknown) or inf (divergent),
-never fabricated.
+A datum is its law plus only what a check reads: mean, covariance, m2 and
+m4 (m_h = E|V|^h; m4 is None if unknown, inf if divergent, never
+fabricated) and the exact transform cf, or None.  `require_cf` and
+`require_m4` say what a datum lacks, as a ConfigError.
 
 A law symmetric under v -> -v has a real transform, and gets one: the test
 is made when the law is built, by exact float equality on its atoms (every
@@ -17,9 +18,8 @@ atom p has a partner -p of equal mass) or its means (a centred Gaussian, or
 a mixture of them), never by name or tolerance; the radial heavy-tail law
 is symmetric by construction.  The discrete transform is then
 sum_half 2 m cos(xi . p) (plus the mass of an atom at the origin) over half
-the atoms, and the odd moments (mean, cubic vector) are exactly zero; every
-other law keeps its complex transform.  Dictionary specs must hold only the
-keys their preset reads.
+the atoms, and the mean is exactly zero; every other law keeps its complex
+transform.  Dictionary specs must hold only the keys their preset reads.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
 from .kernel import cos_sin
 
-EMPIRICAL_CF_SAMPLE = 100_000
-AUX_SEED = 20211205  # seed of the frozen auxiliary sample of `sampler_datum`
+AUX_SEED, AUX_SAMPLE = 20211205, 100_000  # seed and size of `sampler_datum`'s frozen sample
 _HEAVYTAIL_SERIES_LIMIT = 25.0
 # the keys each dictionary preset reads besides "preset"; any other is an error
 _SPEC_KEYS = {
@@ -49,18 +48,15 @@ _SPEC_KEYS = {
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """A sampleable initial law with its transform and moment table."""
+    """A sampleable initial law with the moments and transform checks read."""
 
     name: str
     sampler: Callable = field(repr=False)
     mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
     covariance: np.ndarray = field(default_factory=lambda: np.eye(3))
     m2: float = 3.0
-    m3: float | None = None
     m4: float | None = None
-    m3_vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
     cf: Callable | None = field(default=None, repr=False)
-    cf_is_exact: bool = True  # else transform grids take the raw estimator, from draws
 
     def require_cf(self) -> Callable:
         if self.cf is None:
@@ -69,10 +65,8 @@ class InitialDatum:
 
     def require_m4(self) -> float:
         if self.m4 is None or not math.isfinite(self.m4):
-            raise MomentUnavailable(
-                f"fourth moment of {self.name!r} is "
-                f"{'unknown' if self.m4 is None else 'infinite'}"
-            )
+            state = "unknown" if self.m4 is None else "infinite"
+            raise MomentUnavailable(f"fourth moment of {self.name!r} is {state}")
         return self.m4
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
@@ -83,7 +77,7 @@ class InitialDatum:
 
 def _require_finite(name: str, *moments) -> None:
     """Reject a law whose moments, finite by construction, overflowed."""
-    if not all(np.all(np.isfinite(m)) for m in moments):
+    if not all(math.isfinite(m) for m in moments):
         raise BadSpec(f"moments of initial datum {name!r} overflow double precision")
 
 
@@ -112,22 +106,16 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
     chol = np.linalg.cholesky(cov)
     name = name or "gaussian"
     with np.errstate(over="ignore", invalid="ignore"):
-        tr, mm = float(np.trace(cov)), float(mean @ mean)
-        m2 = tr + mm
+        m2 = float(np.trace(cov)) + float(mean @ mean)
         m4 = m2 * m2 + 2.0 * float(np.trace(cov @ cov)) + 4.0 * float(mean @ cov @ mean)
-        m3_vector = m2 * mean + 2.0 * cov @ mean
-    _require_finite(name, m2, m4, m3_vector)
-    iso = np.allclose(cov, cov[0, 0] * np.eye(3)) and mm == 0.0
-    m3 = (cov[0, 0] ** 1.5) * 8.0 * math.sqrt(2.0 / math.pi) if iso else None
+    _require_finite(name, m2, m4)
     return InitialDatum(
         name=name,
         sampler=partial(_gaussian_sampler, mean=mean, chol=chol),
         mean=mean,
         covariance=cov,
         m2=m2,
-        m3=m3,
         m4=m4,
-        m3_vector=m3_vector,
         cf=(partial(_gaussian_cf, mean=mean, cov=cov) if np.any(mean)
             else partial(_centred_gaussian_cf, cov=cov)),
     )
@@ -173,9 +161,7 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
         mean=mean,
         covariance=second - np.outer(mean, mean),
         m2=float(np.trace(second)),
-        m3=None,
         m4=float(sum(w * p.m4 for w, p in zip(weights, parts))),
-        m3_vector=sum(w * p.m3_vector for w, p in zip(weights, parts)),
         cf=partial(_mixture_cf, weights=weights, cfs=[p.cf for p in parts]),
     )
 
@@ -235,15 +221,14 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
     half = _symmetric_half(points, masses)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", points, points)
-        m2, m3, m4 = float(masses @ sq), float(masses @ sq**1.5), float(masses @ sq**2)
+        m2, m4 = float(masses @ sq), float(masses @ sq**2)
         covariance = np.einsum("i,ij,ik->jk", masses, points, points)
         if half is None:
             mean = masses @ points
-            m3_vector = (masses * sq) @ points
             covariance -= np.outer(mean, mean)
-        else:  # the odd moments of a symmetric law vanish exactly
-            mean, m3_vector = np.zeros(3), np.zeros(3)
-    _require_finite(name, m2, m4, m3_vector)
+        else:  # the mean of a symmetric law vanishes exactly
+            mean = np.zeros(3)
+    _require_finite(name, m2, m4)
     if half is None:
         cf = partial(_discrete_cf, points=points, masses=masses)
     else:
@@ -256,9 +241,7 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         mean=mean,
         covariance=covariance,
         m2=m2,
-        m3=m3,
         m4=m4,
-        m3_vector=m3_vector,
         cf=cf,
     )
 
@@ -327,52 +310,33 @@ def heavytail_datum(q: float, normalize: bool = False) -> InitialDatum:
         mean=np.zeros(3),
         covariance=(scale**2 * m2_raw / 3.0) * np.eye(3),
         m2=scale**2 * m2_raw,
-        m3=scale**3 * q / (q - 3.0),
         m4=math.inf,
-        m3_vector=np.zeros(3),
         cf=partial(_heavytail_cf, q=q, scale=scale),
     )
 
 
 # --- sampler-only data -------------------------------------------------------
 
-def _empirical_cf(xi, frozen):
-    xi = np.asarray(xi, float)
-    flat = xi.reshape(-1, 3)
-    out = np.empty(len(flat), dtype=complex)
-    step = max(1, 10_000_000 // max(len(frozen), 1))
-    for start in range(0, len(flat), step):
-        block = flat[start : start + step]
-        cos, sin = cos_sin(block @ frozen.T)
-        out[start : start + step] = cos.mean(axis=1) + 1j * sin.mean(axis=1)
-    return out.reshape(xi.shape[:-1]) if xi.ndim > 1 else out[0]
-
-
-def sampler_datum(sampler, name="custom", empirical_cf=True) -> InitialDatum:
-    """Wrap a velocity sampler; transform and moments come from a frozen
-    auxiliary sample, drawn from the fixed seed AUX_SEED, so the transform is
-    flagged approximate and transform grids estimate from draws instead."""
+def sampler_datum(sampler, name="custom") -> InitialDatum:
+    """Wrap a velocity sampler.  Its moments come from a frozen auxiliary
+    sample, drawn from the fixed seed AUX_SEED; it has no transform, so
+    transform grids estimate from draws and the envelope check refuses it."""
     frozen = np.asarray(
-        sampler(np.random.default_rng(AUX_SEED), EMPIRICAL_CF_SAMPLE), float
+        sampler(np.random.default_rng(AUX_SEED), AUX_SAMPLE), float
     ).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = frozen.mean(axis=0)
         sq = np.einsum("ij,ij->i", frozen, frozen)
-        m2, m3, m4 = float(sq.mean()), float((sq**1.5).mean()), float((sq**2).mean())
-        m3_vector = (sq[:, None] * frozen).mean(axis=0)
+        m2, m4 = float(sq.mean()), float((sq**2).mean())
         covariance = np.cov(frozen.T, bias=True)
-    _require_finite(name, m2, m4, m3_vector)
+    _require_finite(name, m2, m4)
     return InitialDatum(
         name=name,
         sampler=sampler,
         mean=mean,
         covariance=covariance,
         m2=m2,
-        m3=m3,
         m4=m4,
-        m3_vector=m3_vector,
-        cf=partial(_empirical_cf, frozen=frozen) if empirical_cf else None,
-        cf_is_exact=False,
     )
 
 

@@ -81,9 +81,8 @@ conditional expectation given the tree, angles and rotations,
 prod_j cf(rho w_j psi_j).  The datum picks it: the conditional product
 needs the exact initial transform and is taken whenever the datum has one
 (conditioning never increases variance); the raw average needs only draws
-and serves every other datum, such as a sampler-only one whose transform
-is an empirical approximation.  For a symmetric initial law cf is real, so
-the product is taken over floats.
+and serves every other datum, such as a sampler-only one.  For a symmetric
+initial law cf is real, so the product is taken over floats.
 """
 
 from __future__ import annotations
@@ -655,7 +654,7 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     record = germination_record(nus, kernel, rng)
     weights, rotations = leaf_frames(record)
     columns = rotations.third_columns()
-    cf = mu0.cf if mu0.cf_is_exact else None
+    cf = mu0.cf
     if cf is None:
         velocities = mu0.sampler(rng, record.n_leaves)
     xi_grid = np.asarray(xi_grid, float)

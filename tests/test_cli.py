@@ -124,14 +124,14 @@ def test_envelope_command():
 def test_cfcurve_csv_schema(tmp_path):
     csv_path = tmp_path / "cf.csv"
     code = main([
-        "cfcurve", "--mu0", "sixpoint", "--t", "0.5,1", "--samples", "400",
+        "cfcurve", "--mu0", "sixpoint", "--t", "0.5,1,1.5,2", "--samples", "400",
         "--seed", "37",
         "--xi-grid", "[[1,0,0],[0,1,0]]", "--csv", str(csv_path),
     ])
     assert code == EXIT_OK
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,xi_x,xi_y,xi_z,re,im,se_re,se_im,n"
-    assert len(lines) == 1 + 2 * 2  # (t, xi) grid rows
+    assert len(lines) == 1 + 4 * 2  # (t, xi) grid rows
 
 
 def _no_grid(*args, **kwargs):
@@ -145,6 +145,35 @@ def test_cfcurve_rejects_an_unnormalized_datum_before_the_grid(monkeypatch, caps
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "config error: distance curve needs a normalized initial datum\n")
+
+
+def _no_cascades(*args, **kwargs):
+    raise AssertionError("a cascade was drawn")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfcurve", "--mu0", "sixpoint", "--t", "0.5,1", "--xi-grid", "[[1,0,0]]"],
+    ["decay", "--moment", "W", "--t", "1,2,3"],
+])
+def test_rate_fits_need_four_times(argv, monkeypatch, capsys):
+    # a line through two points always fits with zero residual
+    monkeypatch.setattr(diagnostics, "reduce_cascades", _no_cascades)
+    assert main([*argv, "--samples", "200", "--seed", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: need at least 4 time points for a rate fit\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--t", "1"],
+    ["decay", "--moment", "v1^4", "--t", "1,2,3,4"],
+])
+def test_datum_without_a_finite_fourth_moment_is_config_error(argv, monkeypatch, capsys):
+    # the datum says what it lacks before any cascade is drawn
+    monkeypatch.setattr(diagnostics, "reduce_cascades", _no_cascades)
+    heavy = '{"preset": "heavytail", "q": 3.5, "normalize": true}'
+    assert main([*argv, "--mu0", heavy, "--samples", "200", "--seed", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: fourth moment of 'heavytail(q=3.5)-normalized' is infinite\n")
 
 
 def test_envelope_premise_failure_is_runtime_error():
@@ -177,7 +206,7 @@ def test_crosscheck_command(tmp_path):
     ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [1], "directions": [[0,0,0]]}'],
     ["crosscheck", "--samples", "10", "--xi-grid", '[[1, "x", 0]]'],
     # a grid with no points
-    ["cfcurve", "--t", "0.5,1", "--samples", "100",
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "100",
      "--xi-grid", '{"rho": [], "directions": [[1,0,0]]}'],
     ["crosscheck", "--samples", "10", "--xi-grid", '{"rho": [], "directions": [[1,0,0]]}'],
     ["conserve", "--samples", "10", "--mu0", '{"preset": "mixture"}'],
@@ -220,10 +249,11 @@ def test_crosscheck_command(tmp_path):
     ["decay", "--samples", "10", "--t", "1,2,3,4", "--moment", "W",
      "--mu0", '{"preset": "gaussian", "cov": "x"}'],
     # a frequency that is not finite
-    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1", "--xi-grid", "[[NaN,0,0]]"],
-    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "200", "--seed", "1",
+     "--xi-grid", "[[NaN,0,0]]"],
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "200", "--seed", "1",
      "--xi-grid", "[[Infinity,0,0]]"],
-    ["cfcurve", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "200", "--seed", "1",
      "--xi-grid", '{"rho": [NaN], "directions": [[1,0,0]]}'],
     ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
      "--xi-grid", "[[NaN,0,0]]"],
@@ -287,7 +317,7 @@ SUITE_ARGS = {
     "identities": ["--t", "0.5"],
     "conserve": ["--t", "0.5"],
     "decay": ["--moment", "W", "--t", "0.5,1,1.5,2"],
-    "cfcurve": ["--t", "0.5,1", "--xi-grid", "[[1,0,0]]"],
+    "cfcurve": ["--t", "0.5,1,1.5,2", "--xi-grid", "[[1,0,0]]"],
     "crosscheck": ["--t", "0.5", "--xi-grid", "[[1,0,0],[0,0.6,0.8]]"],
     "legendre": ["--tree-size", "2"],
     "envelope": ["--mu0", "gaussian", "--t", "1"],
@@ -391,7 +421,7 @@ def test_max_rate_bounds_a_fitted_rate(tmp_path):
     # the Gaussian datum is the equilibrium: no point rises above noise, so
     # the fit has no rate and no bound applies
     for bound in ("-5", "0", "5"):
-        code, payload = run("cfcurve", "--mu0", "gaussian", "--t", "0.5,1",
+        code, payload = run("cfcurve", "--mu0", "gaussian", "--t", "0.5,1,1.5,2",
                             "--samples", "500", "--max-rate", bound)
         assert not any(payload["fit"]["used"])
         assert (code, payload["checks"], payload["passed"]) == (EXIT_OK, {}, True)
@@ -417,10 +447,10 @@ def test_run_id_names_kernel_and_initial_datum(tmp_path, capsys):
     assert run_id("decay", "--moment", "W", "--kernel", "cubic", t="0.5,1,1.5,2") != decay
     assert run_id("decay", "--moment", "W", t="0.5,1,1.5,2.5") != decay
     grid = ["cfcurve", "--xi-grid", "[[1,0,0]]"]
-    cfcurve = run_id(*grid, "--mu0", "gaussian", t="0.5,1")
-    assert run_id(*grid, "--mu0", "gaussian", t="0.5,1") == cfcurve
-    assert run_id(*grid, "--mu0", "sixpoint", t="0.5,1") != cfcurve
-    assert run_id(*grid, "--mu0", "gaussian", "--kernel", "cubic", t="0.5,1") != cfcurve
+    cfcurve = run_id(*grid, "--mu0", "gaussian", t="0.5,1,1.5,2")
+    assert run_id(*grid, "--mu0", "gaussian", t="0.5,1,1.5,2") == cfcurve
+    assert run_id(*grid, "--mu0", "sixpoint", t="0.5,1,1.5,2") != cfcurve
+    assert run_id(*grid, "--mu0", "gaussian", "--kernel", "cubic", t="0.5,1,1.5,2") != cfcurve
     assert len({xabs, gaussian, decay, cfcurve}) == 4
 
 
@@ -434,7 +464,7 @@ def test_run_id_names_every_verdict_setting(tmp_path):
         "crosscheck": ["crosscheck", "--t", "0.5", "--samples", "100", "--xi-grid", "[[1,0,0]]"],
         "legendre": ["legendre", "--tree-size", "2", "--samples", "50"],
         "decay": ["decay", "--moment", "W", "--t", "1,2,3,4", "--samples", "200"],
-        "cfcurve": ["cfcurve", "--mu0", "gaussian", "--t", "0.5,1", "--samples", "100",
+        "cfcurve": ["cfcurve", "--mu0", "gaussian", "--t", "0.5,1,1.5,2", "--samples", "100",
                     "--xi-grid", "[[1,0,0]]"],
     }
     verdict_settings = [("conserve", "--z-threshold", "4", "0.01"),

@@ -212,8 +212,8 @@ def test_crosscheck_gaussian_small_z(kernel):
 
 
 def test_cf_distance_requires_normalized(kernel):
-    mu0, times, grid = gaussian_datum(mean=(1, 0, 0)), [1.0, 2.0], small_grid()
-    with pytest.raises(ConfigError):
+    mu0, times, grid = gaussian_datum(mean=(1, 0, 0)), [1.0, 2.0, 3.0, 4.0], small_grid()
+    with pytest.raises(ConfigError, match="normalized"):
         cf_distance_curve(mu0, kernel, times, grid, 100, seed=2)
 
 

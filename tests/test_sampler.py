@@ -171,9 +171,7 @@ def test_conditional_transform_gaussian_fixed_point(kernel):
 
 def test_conditional_transform_requires_transform(kernel):
     # the envelope bounds the conditional transform, which the datum must have
-    silent = sampler_datum(
-        lambda rng, size: rng.standard_normal((size, 3)), empirical_cf=False
-    )
+    silent = sampler_datum(lambda rng, size: rng.standard_normal((size, 3)))
     with pytest.raises(NoAnalyticCf):
         envelope_check(silent, math.sqrt(0.5), 0.25, kernel, t=1.0, n_samples=50, seed=11)
 
@@ -288,10 +286,7 @@ def test_cf_estimators_agree(kernel):
 
 
 def test_sampler_only_datum_transform_is_unbiased(kernel):
-    # the transform of a sampler-only datum is the empirical one of a frozen
-    # sample, not exact, so its grid takes the raw estimator; the conditional
-    # product over the empirical transform misses by 4e-4 at xi = (0, 1.5, 0),
-    # 50 standard errors at t = 0.3 and the whole gap at t = 0
+    # a sampler-only datum has no transform, so its grid takes the raw estimator
     mu0 = sampler_datum(lambda rng, size: rng.standard_normal((size, 3)))
     grid = [[0.0, 1.5, 0.0], [0.8, 0.0, 0.6]]
     for row in transform_grid_estimates(mu0, kernel, [0.0, 0.3], grid, 2000, seed=24):
