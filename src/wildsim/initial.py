@@ -48,13 +48,15 @@ _SPEC_KEYS = {
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """A sampleable initial law with the moments and transform checks read."""
+    """A sampleable initial law with the moments and transform checks read.
+    mean, covariance and m2 have no defaults, so a datum built by hand states
+    them; m4 and cf default to None, unknown."""
 
     name: str
     sampler: Callable = field(repr=False)
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    covariance: np.ndarray = field(default_factory=lambda: np.eye(3))
-    m2: float = 3.0
+    mean: np.ndarray
+    covariance: np.ndarray
+    m2: float
     m4: float | None = None
     cf: Callable | None = field(default=None, repr=False)
 

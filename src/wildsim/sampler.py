@@ -16,10 +16,13 @@ live in one flat buffer, and two passes walk the levels:
 
 * forward (`grow`), roots first: a node's value v becomes v * left on its
   left subtree and v * right on its right.  Scalar factors
-  (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights; the
-  collision frames left(phi, theta) and right(phi, theta) give the leaf
-  rotations, and frames over an axis of azimuth draws give them for every
-  draw at once.
+  (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights, each
+  order in a one-dimensional `grow` of its own: the weight reductions grow
+  the squared order-1 weights from (cos^2 phi, sin^2 phi) and the orders 2
+  and 3 from the closed forms P2(x) = 1.5 x^2 - 0.5 and
+  P3(x) = x (2.5 x^2 - 1.5).  The collision frames left(phi, theta) and
+  right(phi, theta) give the leaf rotations, and frames over an axis of
+  azimuth draws give them for every draw at once.
 * backward (`replay`), deepest level first: i.i.d. initial velocities at
   the leaves are folded through pairwise collisions, one vectorised call
   per level over every cascade of the chunk, so each merge sees fully
@@ -69,9 +72,12 @@ estimate sum_h p_h xbar_h and its standard error
 sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most of it for the
 weight statistics, drops out; the draws are those of a plain mean (at
 t = 0 there is one stratum, and the estimate is the plain mean).  Each
-reduction grows only what it reads: W = sum_j w_j^4 alone needs only the
-squared order-1 weights, so it grows scalar (cos^2 phi, 1 - cos^2 phi)
-factors rather than orders 1 to 3.  The single-draw views
+reduction grows only what it reads: W = sum_j w_j^4 needs only the squared
+order-1 weights, grown from scalar (cos^2 phi, 1 - cos^2 phi) factors, and
+`weight_sums` returns there when W is all it is asked for.  The full
+statistics go on from the same w^2, so both give the same W, and take the
+powers of |w| as products (|w|^3 = w^2 |w|, and sum_j |w_j|^4 is W) rather
+than through pow.  The single-draw views
 (`draw_tree_sample`, `wild_velocity`) are one-cascade chunks of the same
 engine.
 
@@ -102,7 +108,7 @@ from .geometry import RotationArray, collision_frames, frame_for
 from .initial import InitialDatum, make_initial_datum  # noqa: F401  (module API)
 from .kernel import CollisionKernel, cos_sin
 from .tree import McKeanTree
-from .weights import WeightArray, legendre_value
+from .weights import WeightArray
 
 NU_CAP = 1_000_000      # largest cascade size drawn: a memory guard, not part of the law
 LEAF_BUDGET = 1 << 14   # leaves per chunk; a larger cascade is a chunk of its own
@@ -606,36 +612,56 @@ def draw_total(sums: dict, key: str):
 
 def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
                 a_star: float | None = None) -> dict:
-    """Per-cascade sum_j |w_j|^s, sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|,
-    W = sum_j w_j^4 and (given a_star) the tail indicator W >= a_star, with
-    w, zeta, eta the order-1, -2 and -3 leaf weights.  No azimuth is drawn.
+    """Per-cascade sum_j |w_j|^s for each s of s_powers (a subset of
+    1 .. 4), sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|, W = sum_j w_j^4 and
+    (given a_star) the tail indicator W >= a_star, with w, zeta, eta the
+    order-1, -2 and -3 leaf weights.  No azimuth is drawn.
+
     The order-1 weights are grown squared, w^2, with the factors
-    cos^2 phi = 1 / (1 + tan^2 phi) and sin^2 phi = 1 - cos^2 phi, and |w|
-    is its square root; with no s_powers and no a_star the result holds W
-    alone, grown from w^2 only, at one vectorised tangent per node.  The
-    orders 2 and 3 take (cos phi, sin phi) from one more tangent, of the
-    half angle (`kernel.cos_sin`)."""
+    cos^2 phi = 1 / (1 + tan^2 phi) and sin^2 phi = 1 - cos^2 phi, at one
+    vectorised tangent per node, and W is reduced from them; with no
+    s_powers and no a_star the result holds W alone.  The full path goes on
+    from the same w^2, so both paths give the same W.  It takes
+    (cos phi, sin phi) from one more tangent, of the half angle
+    (`kernel.cos_sin`), writes the closed forms P2(x) = 1.5 x^2 - 0.5 and
+    P3(x) = x (2.5 x^2 - 1.5) in place, and grows each order with its own
+    one-dimensional `grow`.  The powers are products: |w| = sqrt(w^2),
+    |w|^3 = w^2 |w|, and sum_j |w_j|^4 is W itself."""
     record = germination_record(nus, kernel, rng, azimuths=False)
     cos_sq = np.tan(record.phis)
     cos_sq *= cos_sq
     cos_sq += 1.0
     np.divide(1.0, cos_sq, out=cos_sq)
+    w_sq = grow(record, cos_sq, 1.0 - cos_sq, 1.0)
+    sum_w4 = record.per_cascade(w_sq * w_sq)
     if not s_powers and a_star is None:
-        w_sq = grow(record, cos_sq, 1.0 - cos_sq, 1.0)
-        return {"W": record.per_cascade(w_sq * w_sq)}
+        return {"W": sum_w4}
     cos_p, sin_p = cos_sin(record.phis)
-    # columns w^2 (grown as W alone grows it), zeta and eta
-    left = np.stack([cos_sq, legendre_value(2, cos_p), legendre_value(3, cos_p)], axis=-1)
-    right = np.stack([1.0 - cos_sq, legendre_value(2, sin_p), legendre_value(3, sin_p)],
-                     axis=-1)
-    w_sq, zeta, eta = np.abs(grow(record, left, right, np.ones(3))).T
+    p2 = np.empty((2, len(record.phis)))  # P2(cos phi), P2(sin phi)
+    scratch = np.empty(len(record.phis))
+    for x, out in zip((cos_p, sin_p), p2):
+        np.multiply(x, x, out=out)
+        np.multiply(out, 2.5, out=scratch)
+        scratch -= 1.5
+        x *= scratch  # x now holds P3(x)
+        out *= 1.5
+        out -= 0.5
+    zeta = grow(record, p2[0], p2[1], 1.0)
+    eta = grow(record, cos_p, sin_p, 1.0)
     w = np.sqrt(w_sq)
-    stats = {f"abs_pow_{s}": record.per_cascade(w**s) for s in s_powers}
-    stats["zeta"] = record.per_cascade(w_sq * zeta)
-    stats["eta"] = record.per_cascade(w_sq * w * eta)
-    stats["W"] = record.per_cascade(w_sq * w_sq)
+    w_cube = w_sq * w
+    leaf_powers = {1: w, 2: w_sq, 3: w_cube}
+    stats = {f"abs_pow_{s}": sum_w4 if s == 4 else record.per_cascade(leaf_powers[s])
+             for s in s_powers}
+    np.abs(zeta, out=zeta)
+    zeta *= w_sq
+    stats["zeta"] = record.per_cascade(zeta)
+    np.abs(eta, out=eta)
+    eta *= w_cube
+    stats["eta"] = record.per_cascade(eta)
+    stats["W"] = sum_w4
     if a_star is not None:
-        stats["W_tail"] = (stats["W"] >= a_star).astype(float)
+        stats["W_tail"] = (sum_w4 >= a_star).astype(float)
     return stats
 
 

@@ -155,7 +155,7 @@ def test_z_gate_fails_when_a_standard_error_overflows(kernel):
     # energy's squared deviations overflow and its standard error is inf
     shift = np.array([1e150, 0.0, 0.0])
     huge = InitialDatum(name="huge", sampler=lambda rng, size: shift + rng.standard_normal((size, 3)),
-                        mean=shift, m2=float(shift @ shift) + 3.0)
+                        mean=shift, covariance=np.eye(3), m2=float(shift @ shift) + 3.0)
     with np.errstate(over="ignore", invalid="ignore"):
         report = conservation_check(huge, kernel, [0.5], 20, seed=1)
     energy = next(e for e in report.entries if e.identity == "conserved_energy")

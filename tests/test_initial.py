@@ -9,6 +9,7 @@ from scipy import integrate
 
 from wildsim.errors import BadSpec, MomentUnavailable, NoAnalyticCf
 from wildsim.initial import (
+    InitialDatum,
     discrete_datum,
     gaussian_datum,
     heavytail_datum,
@@ -188,6 +189,18 @@ def test_sampler_datum_has_no_transform():
                             name="wrapped-normal")
     with pytest.raises(NoAnalyticCf):
         wrapped.require_cf()
+
+
+@pytest.mark.parametrize("missing", ["mean", "covariance", "m2"])
+def test_hand_built_datum_must_state_its_moments(missing):
+    # no mean, covariance or m2 is invented: conserve would check them
+    given = {"mean": np.zeros(3), "covariance": np.eye(3), "m2": 3.0}
+    sampler = lambda rng, size: rng.standard_normal((size, 3))  # noqa: E731
+    complete = InitialDatum(name="hand-built", sampler=sampler, **given)
+    assert complete.m4 is None and complete.cf is None  # unknown, not invented
+    del given[missing]
+    with pytest.raises(TypeError, match=missing):
+        InitialDatum(name="hand-built", sampler=sampler, **given)
 
 
 @pytest.mark.parametrize("build", [

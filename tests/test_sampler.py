@@ -11,7 +11,7 @@ from wildsim.errors import NoAnalyticCf, TimeTooLarge
 from wildsim.geometry import frame_for
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
-from oracles import collide, is_rotation, leaf_weights, rotation_array, rotation_z
+from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array, rotation_z
 from wildsim.sampler import (
     chunk_slices,
     draw_tree_sample,
@@ -328,6 +328,26 @@ def test_weight_sums_w_alone_matches_full_path(kernel, t):
     assert alone.keys() == {"count", "prob", "W"}
     assert np.array_equal(alone["count"], full["count"])
     assert np.array_equal(alone["W"], full["W"])
+
+
+@pytest.mark.parametrize("t, seed", [(1.0, 51), (3.0, 52)])
+def test_weight_sums_match_recursive_weights(kernel, t, seed):
+    """Every statistic of `weight_sums`, per cascade, against the recursive
+    order-1, -2 and -3 leaf weights of the same record, powers taken with **."""
+    nus, _ = sorted_sizes(t, rng_stream(seed), 300)
+    stats = weight_sums(nus, rng_stream(seed, 1), kernel=kernel)
+    record = germination_record(nus, kernel, rng_stream(seed, 1), azimuths=False)
+    reference = {key: [] for key in stats}
+    for tree, phis, _, _ in cascade_trees(record):
+        w, zeta, eta = (np.abs(leaf_weights(tree, phis, k).values) for k in (1, 2, 3))
+        for s in (1, 2, 3, 4):
+            reference[f"abs_pow_{s}"].append(np.sum(w**s))
+        reference["zeta"].append(np.sum(w**2 * zeta))
+        reference["eta"].append(np.sum(w**3 * eta))
+        reference["W"].append(np.sum(w**4))
+    assert max(nus) > 1 and stats.keys() == reference.keys()
+    for key, values in reference.items():
+        np.testing.assert_allclose(stats[key], values, rtol=1e-13, err_msg=key)
 
 
 def test_transform_grid_modulus_invariant(kernel):
