@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, diagnostics
-from .errors import BadSpec, ConfigError, WildsimError
+from .errors import BadSpec, ConfigError, WildsimError, reject_unknown_keys
 from .initial import make_initial_datum
 from .kernel import make_kernel
 from .sampler import reduction_scheme, rng_stream, wild_velocity_batch
@@ -129,21 +129,20 @@ def _parse_json_or_name(value):
 
 
 def default_xi_grid():
-    directions = np.array([
-        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-        [1.0, 1.0, 1.0], [1.0, -1.0, 0.5],
-    ])
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    rhos = [0.6, 1.0, 1.5, 2.2]
-    return np.array([r * d for r in rhos for d in directions])
+    """The grid --xi-grid defaults to: four radii times five directions."""
+    return _parse_xi_grid({"rho": [0.6, 1.0, 1.5, 2.2], "directions": [
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.5]]})
 
 
 def _parse_xi_grid(value):
+    """The frequencies of a JSON list of 3-vectors, or of a
+    {"rho", "directions"} spec: every radius times every unit direction."""
     if value is None:
         return default_xi_grid()
     spec = _parse_json_or_name(value)
     if not isinstance(spec, dict):
         return _as_array(spec, 2)
+    reject_unknown_keys(spec, ("rho", "directions"), "xi grid")
     missing = {"rho", "directions"} - spec.keys()
     if missing:
         raise ConfigError(f"xi grid spec lacks {sorted(missing)}")
@@ -419,6 +418,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (WildsimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -160,16 +160,8 @@ class DecayFit:
     used: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "times": list(map(float, self.times)),
-            "values": list(map(float, self.values)),
-            "std_errors": list(map(float, self.std_errors)),
-            "fitted_rate": self.fitted_rate,
-            "fitted_log_prefactor": self.fitted_log_prefactor,
-            "residual": self.residual,
-            "reference_rate": self.reference_rate,
-            "used": list(map(bool, self.used)),
-        }
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items()}
 
 
 def fit_exponential_decay(times, values, std_errors, reference_rate=float("nan")) -> DecayFit:
@@ -221,13 +213,6 @@ def _z_score(diff: float, se: float) -> float:
     return diff / se if se > 0.0 else math.inf
 
 
-def _gate_tail(diff: float, se: float, z_threshold: float) -> float:
-    """P[|Z| > z_threshold] for Z ~ N(0, 1) when `_z_score(diff, se)` is the
-    random diff / se, and 0 when it is fixed at 0 (roundoff) or inf."""
-    random = math.isfinite(diff) and abs(diff) >= ROUNDOFF_DIFF and 0.0 < se < math.inf
-    return math.erfc(z_threshold / math.sqrt(2.0)) if random else 0.0
-
-
 def _check(identity, params, value, se, reference, provenance, z_threshold,
            two_sided=True, parts=None) -> IdentityEntry:
     """One check entry.  z is `_z_score(value - reference, se)`, or, given
@@ -237,15 +222,17 @@ def _check(identity, params, value, se, reference, provenance, z_threshold,
     correct check fails this gate, each random z ~ N(0, 1): tail =
     P[|Z| > z_threshold] two-sided, tail / 2 one-sided (an upper bound for
     the Markov entry, whose z has mean <= 0 on correct code), and
-    1 - prod(1 - tail) over independent parts."""
+    1 - prod(1 - tail) over independent parts.  A z is random when it is
+    finite and nonzero; `_z_score` fixes the others at 0 (roundoff) or inf."""
+    tail = math.erfc(z_threshold / math.sqrt(2.0))
     if parts is None:
         z = _z_score(value - reference, se)
-        tail = _gate_tail(value - reference, se, z_threshold)
-        expected = tail if two_sided else 0.5 * tail
+        expected = (tail if two_sided else 0.5 * tail) if 0.0 < abs(z) < math.inf else 0.0
     else:
-        z = max(abs(_z_score(diff, part_se)) for diff, part_se in parts)
-        expected = 1.0 - math.prod(1.0 - _gate_tail(diff, part_se, z_threshold)
-                                   for diff, part_se in parts)
+        zs = [abs(_z_score(diff, part_se)) for diff, part_se in parts]
+        z = max(zs)
+        expected = 1.0 - math.prod(1.0 - tail if 0.0 < part_z < math.inf else 1.0
+                                   for part_z in zs)
     passed = abs(z) <= z_threshold if two_sided else z <= z_threshold
     return IdentityEntry(identity=identity, params=params, mc_value=value, mc_se=se,
                          reference_value=reference, reference_provenance=provenance,
@@ -422,7 +409,11 @@ def moment_decay_fit(
     return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
 
 
-def _grid_estimates(sums) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transform_grid(task, mu0, kernel, t, xi_grid, n_samples, seed, key, workers):
+    """The transform estimates of `task` on xi_grid at time t, from stream
+    key: (estimates, se_re, se_im), one entry per frequency."""
+    sums = reduce_cascades(task, seed, key, workers, t, n_samples,
+                           mu0=mu0, kernel=kernel, xi_grid=xi_grid)
     (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
     return re + 1j * im, se_re, se_im
 
@@ -441,11 +432,8 @@ def transform_grid_estimates(
     xi_grid = np.asarray(xi_grid, float)
     rows = []
     for it, t in enumerate(t_list):
-        sums = reduce_cascades(
-            transform_sums, seed, (4, it), workers, float(t), n_samples,
-            mu0=mu0, kernel=kernel, xi_grid=xi_grid,
-        )
-        estimate, se_re, se_im = _grid_estimates(sums)
+        estimate, se_re, se_im = _transform_grid(transform_sums, mu0, kernel, float(t),
+                                                 xi_grid, n_samples, seed, (4, it), workers)
         for i, xi in enumerate(xi_grid):
             rows.append({
                 "t": float(t),
@@ -529,16 +517,10 @@ def representation_crosscheck(
     xi_grid = np.asarray(xi_grid, float)
     report = IdentityReport("representation_crosscheck", pass_fraction_required=0.95)
     for t in t_list:
-        tree_sums = reduce_cascades(
-            transform_sums, seed, (5, 0), workers, t, n_samples,
-            mu0=mu0, kernel=kernel, xi_grid=xi_grid,
-        )
-        wild_sums = reduce_cascades(
-            _wild_cf_task, seed, (5, 1), workers, t, n_samples,
-            mu0=mu0, kernel=kernel, xi_grid=xi_grid,
-        )
-        est_tree, se_re_t, se_im_t = _grid_estimates(tree_sums)
-        est_wild, se_re_w, se_im_w = _grid_estimates(wild_sums)
+        est_tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, xi_grid,
+                                                     n_samples, seed, (5, 0), workers)
+        est_wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, xi_grid,
+                                                     n_samples, seed, (5, 1), workers)
         for i, xi in enumerate(xi_grid):
             diff = est_tree[i] - est_wild[i]
             se_re = math.hypot(se_re_t[i], se_re_w[i])

@@ -61,9 +61,6 @@ SYMMETRY_TOL = 1e-8
 SYMMETRY_GRID = 1000
 BETA_TABLE_NODES = 16385  # 4 * 4096 + 1, comfortably above the 4096 minimum
 GUIDE_BUCKETS = 4 * (BETA_TABLE_NODES - 1)  # a power of two, so u * G is exact
-# below this many draws np.interp is faster: the guided lookup's dozen array
-# operations cost about 15 us per call, which one-cascade chunks would feel
-GUIDE_MIN_DRAWS = 512
 S_POWERS = (1, 2, 3, 4)  # the orders s of l_s, and of the sum_j |w_j|^s identities
 
 
@@ -249,23 +246,19 @@ class CollisionKernel:
     def __call__(self, x):
         return self.evaluator(x)
 
-    def beta_cdf(self, phi):
-        """CDF of the angle law on [0, pi]; nondecreasing, 0 at 0, 1 at pi."""
-        return np.interp(phi, self.phi_grid, self.beta_cdf_values)
-
     def inverse_beta_cdf(self, u):
-        """Angles phi with beta_cdf(phi) = u, by guide-table lookup; always
-        exactly np.interp(u, beta_cdf_values, phi_grid).
+        """Angles phi whose angle-law CDF (beta_cdf_values over phi_grid, on
+        [0, pi]) is u, by guide-table lookup; always exactly
+        np.interp(u, beta_cdf_values, phi_grid).
 
         Draw u in bucket k = floor(u G) lies in table interval guide[k] or
         the next one, unless the bucket holds more than one knot (a few
         tenths of a percent of draws); those draws go through np.interp, as
-        does any input that is not a 1-d float array of at least
-        GUIDE_MIN_DRAWS draws inside [0, 1).
+        does an empty input or any that is not a 1-d float array inside [0, 1).
         """
         cdf, phi = self.beta_cdf_values, self.phi_grid
         x = np.asarray(u)
-        if (x.ndim != 1 or x.dtype != np.float64 or x.size < GUIDE_MIN_DRAWS
+        if (x.ndim != 1 or x.dtype != np.float64 or not x.size
                 or not (x.min() >= 0.0 and x.max() < 1.0)):
             return np.interp(u, cdf, phi)
         bucket = (x * GUIDE_BUCKETS).astype(np.intp)

@@ -386,9 +386,8 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
     `deflection`, one vectorised call per level.  The nodes' trigonometric
     factors are computed once for the whole chunk, before the loop, and
     sliced per level.  Returns each cascade's root velocity, shape
-    (cascades, 3), bit-identical to a recursive fold of `deflection`.
-    Sizes descend, so the roots are two runs of slots: the root nodes of
-    the cascades that split, then the leaves of the one-leaf cascades.
+    (cascades, 3), bit-identical to a recursive fold of `deflection`,
+    gathered from the slots record.roots, where `grow` puts the roots.
 
     With mirror, returns (roots, mirrored): mirrored is the root velocity
     with the root collision's azimuth turned by pi, the same subtrees below
@@ -404,14 +403,12 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
         w = buffer.take(record.right[a:b], axis=1)
         delta = _deflect(v, w, cos_sq[a:b], k1[a:b], k2[a:b])
         np.add(v, delta, out=buffer[:, n + a:n + b])
-    split = int(record.bounds[1]) if len(record.phis) else 0  # cascades with a root node
-    roots = np.concatenate((buffer[:, n:n + split],
-                            buffer[:, n + split - len(record.nus):n]), axis=1).T
+    roots = buffer.take(record.roots, axis=1).T
     if not mirror:
         return roots
     mirrored = roots.copy()
-    if split:  # v, w and b are the root level's, the loop's last
-        # 2 (v + cos^2(phi) (w - v)) - root for the first b = split cascades
+    if len(record.phis):  # v, w and b are the root level's, the loop's last:
+        # 2 (v + cos^2(phi) (w - v)) - root for the first b cascades, which split
         flipped = w - v
         flipped *= cos_sq[:b]
         flipped += v

@@ -16,6 +16,7 @@ with probability exactly p_n, so the recursion has an independent oracle in
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,37 +25,24 @@ from .errors import IndexOutOfRange, SplitOfLeaf, TooLarge
 ENUMERATION_LIMIT = 8
 
 
+@dataclass(frozen=True, slots=True)
 class McKeanTree:
-    """Immutable full binary tree with ordered leaves."""
+    """Immutable full binary tree with ordered leaves: frozen, so equality
+    and hashing go by shape, and assigning a field raises FrozenInstanceError."""
 
-    __slots__ = ("left", "right", "leaf_count", "_hash")
+    left: McKeanTree | None = None
+    right: McKeanTree | None = None
+    leaf_count: int = field(init=False)
 
-    def __init__(self, left: "McKeanTree | None" = None, right: "McKeanTree | None" = None):
-        if (left is None) != (right is None):
+    def __post_init__(self):
+        if (self.left is None) != (self.right is None):
             raise ValueError("a node has either two children or none")
-        self.left = left
-        self.right = right
-        self.leaf_count = 1 if left is None else left.leaf_count + right.leaf_count
-        self._hash = None
+        count = 1 if self.left is None else self.left.leaf_count + self.right.leaf_count
+        object.__setattr__(self, "leaf_count", count)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def __eq__(self, other):
-        if not isinstance(other, McKeanTree):
-            return NotImplemented
-        if self is other:
-            return True
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf
-        return self.leaf_count == other.leaf_count and \
-            self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = 5 if self.is_leaf else hash((hash(self.left), hash(self.right)))
-        return self._hash
 
     def __repr__(self):
         return f"McKeanTree({self.encode()!r})"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wildsim
-from wildsim import diagnostics
+from wildsim import diagnostics, sampler
 from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from wildsim.sampler import LEAF_BUDGET, weight_sums
 
@@ -257,6 +257,9 @@ def test_crosscheck_command(tmp_path):
      "--xi-grid", '{"rho": [NaN], "directions": [[1,0,0]]}'],
     ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
      "--xi-grid", "[[NaN,0,0]]"],
+    # a key the xi grid spec does not read (here misspelled), as for kernel and datum specs
+    ["crosscheck", "--t", "1", "--samples", "200", "--seed", "1",
+     "--xi-grid", '{"rho":[1],"directions":[[1,0,0]],"normalise":true}'],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):
@@ -496,6 +499,22 @@ def test_time_above_the_size_cap_is_a_runtime_error(capsys):
     assert main(["identities", "--t", "14", "--samples", "10"]) == EXIT_RUNTIME
     assert capsys.readouterr().err == (
         "error: expected cascade size exp(14) exceeds the cap 1000000\n")
+
+
+def _sizes_out_of_memory(t, rng, size):
+    raise MemoryError(f"Unable to allocate {8 * size} bytes for {size} cascade sizes")
+
+
+def test_out_of_memory_is_a_one_line_runtime_error(monkeypatch, capsys):
+    # raised in place of the allocation, which a host that overcommits
+    # memory would try to carry out
+    monkeypatch.setattr(sampler, "sorted_sizes", _sizes_out_of_memory)
+    code = main(["identities", "--t", "1", "--samples", "1000000000000", "--seed", "1"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err == ("error: out of memory: Unable to allocate 8000000000000 bytes "
+                   "for 1000000000000 cascade sizes\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

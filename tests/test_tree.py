@@ -1,5 +1,6 @@
 """Tree growth, depths, shape probabilities and exhaustive oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -150,3 +151,14 @@ def test_encode_decode_roundtrip():
     for _ in range(25):
         tree = sample_tree(int(rng.integers(1, 12)), rng)
         assert McKeanTree.decode(tree.encode()) == tree
+
+
+def test_trees_are_immutable():
+    # an assigned child would leave leaf_count and the cached probability stale
+    tree = McKeanTree(McKeanTree(LEAF, LEAF), LEAF)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.left = LEAF
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.leaf_count = 2
+    assert tree.encode() == "((..).)" and tree.leaf_count == 3
+    assert tree_probability(tree) == Fraction(1, 2)
