@@ -15,8 +15,8 @@ Two kinds of entry:
            draws;
   values   outputs that pass through tan (`kernel.cos_sin`, `weight_sums`),
            which numpy runs as SIMD code on an AVX-512 host and as libm
-           elsewhere, up to an ulp apart: replays and weight reductions,
-           compared to VALUE_TOL.  A tan off by one ulp in every call moves
+           elsewhere, up to an ulp apart: replays, weight reductions and
+           conditional transforms, compared to VALUE_TOL.  A tan off by one ulp in every call moves
            them by at most 3.1e-15 (400 cascades at t = 3).
 """
 
@@ -27,9 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+from wildsim.cli import default_xi_grid
 from wildsim.initial import _discrete_sampler, sixpoint_datum
 from wildsim.kernel import PRESETS, make_kernel
-from wildsim.sampler import germination_record, replay, rng_stream, sorted_sizes, weight_sums
+from wildsim.sampler import (germination_record, replay, rng_stream, sorted_sizes,
+                             transform_sums, weight_sums)
 
 GOLDEN = Path(__file__).parent / "data" / "engine_golden.json"
 RECORD_FIELDS = ("phis", "thetas", "left", "right", "bounds", "roots")
@@ -67,7 +69,9 @@ def engine_digests() -> dict:
 
 
 def engine_values() -> dict:
-    """Replays and weight reductions of 40 cascades at t = 3, as lists."""
+    """Replays and weight reductions of 40 cascades at t = 3, and the
+    `sixpoint` conditional transforms of 40 cascades at t = 1 and 3 on the
+    default grid, as lists."""
     xabs = make_kernel("xabs")
     rng = rng_stream(21)
     nus, _ = sorted_sizes(3.0, rng, 40)
@@ -79,6 +83,12 @@ def engine_values() -> dict:
         nus, _ = sorted_sizes(3.0, rng, 40)
         for key, value in weight_sums(nus, rng, kernel=xabs, **kwargs).items():
             out[f"weight_sums/{label}/{key}"] = value
+    for t, seed in ((1.0, 61), (3.0, 62)):
+        rng = rng_stream(seed)
+        nus, _ = sorted_sizes(t, rng, 40)
+        sums = transform_sums(nus, rng, mu0=sixpoint_datum(), kernel=xabs, xi_grid=default_xi_grid())
+        for key, value in sums.items():
+            out[f"transform_sums/sixpoint/t={t:g}/{key}"] = value
     return {key: np.asarray(value, float).tolist() for key, value in out.items()}
 
 

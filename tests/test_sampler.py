@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wildsim.cli import default_xi_grid
 from wildsim.diagnostics import envelope_check, transform_grid_estimates
 from wildsim.errors import NoAnalyticCf, TimeTooLarge
 from wildsim.geometry import frame_for
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
-from wildsim.kernel import make_kernel
+from wildsim.kernel import cos_sin, make_kernel
 from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array, rotation_z
 from wildsim.sampler import (
     chunk_slices,
@@ -24,6 +25,7 @@ from wildsim.sampler import (
     size_strata,
     sorted_sizes,
     summarize,
+    transform_sums,
     weight_statistic_sums,
     weight_sums,
     wild_velocity,
@@ -174,6 +176,45 @@ def test_conditional_transform_requires_transform(kernel):
     silent = sampler_datum(lambda rng, size: rng.standard_normal((size, 3)))
     with pytest.raises(NoAnalyticCf):
         envelope_check(silent, math.sqrt(0.5), 0.25, kernel, t=1.0, n_samples=50, seed=11)
+
+
+TRANSFORM_GRIDS = {
+    "default": default_xi_grid(),
+    # one direction at three radii, and the zero frequency between them
+    "radii": np.array([[0.3, -0.4, 1.2], [0.0, 0.0, 0.0], [0.6, -0.8, 2.4], [0.9, -1.2, 3.6]]),
+    # one direction given at two norms
+    "norms": np.array([[1.0, 2.0, 2.0], [0.5, 1.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS)
+@pytest.mark.parametrize("make_datum", [sixpoint_datum, gaussian_datum])
+def test_transform_sums_match_each_frequency_alone(kernel, grid, make_datum):
+    """The grid reduction gives, frequency by frequency, what one frequency
+    alone gives on the same record: the conditional product to 1e-13, the
+    raw average bit for bit (xi = 0 exactly 1 + 0i on both paths)."""
+    mu0, xi_grid = make_datum(), TRANSFORM_GRIDS[grid]
+    nus, _ = sorted_sizes(2.0, rng_stream(14), 60)
+    record = germination_record(nus, kernel, rng_stream(15))
+    weights, rotations = leaf_frames(record)
+    conditional = transform_sums(nus, rng_stream(15), mu0=mu0, kernel=kernel, xi_grid=xi_grid)
+    raw = transform_sums(nus, rng_stream(15), mu0=replace(mu0, cf=None), kernel=kernel,
+                         xi_grid=xi_grid)
+    rng = rng_stream(15)
+    germination_record(nus, kernel, rng)
+    velocities = mu0.sampler(rng, record.n_leaves)
+    for i, (xi, rho) in enumerate(zip(xi_grid, np.linalg.norm(xi_grid, axis=1))):
+        if rho == 0.0:
+            for sums in (conditional, raw):
+                assert np.all(sums["re"][:, i] == 1.0) and np.all(sums["im"][:, i] == 0.0)
+            continue
+        expected = conditional_transforms(record, mu0, rho, xi / rho)
+        np.testing.assert_allclose(conditional["re"][:, i], expected.real, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(conditional["im"][:, i], expected.imag, rtol=1e-13, atol=0)
+        psi = rotations.third_columns() @ frame_for(xi / rho).T
+        s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
+        re, im = cos_sin(rho * s)
+        assert np.array_equal(raw["re"][:, i], re) and np.array_equal(raw["im"][:, i], im)
 
 
 def test_second_moment_bound_given_cascade(kernel):
