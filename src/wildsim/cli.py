@@ -153,12 +153,14 @@ def _parse_xi_grid(value):
     rhos = _as_array(spec["rho"], 1)
     if not rhos.size:
         raise ConfigError("xi grid 'rho' is empty")
-    return np.array([r * d for r in rhos for d in directions / norms])
+    # a radius large enough for its frequencies' norms to overflow is
+    # rejected as such a vector would be
+    return _as_array([r * d for r in rhos for d in directions / norms], 2)
 
 
 def _as_array(value, ndim: int) -> np.ndarray:
-    """A list of finite numbers (ndim 1) or of 3-vectors (ndim 2) from the
-    xi grid spec."""
+    """A list of finite numbers (ndim 1) or of 3-vectors with finite norms
+    (ndim 2) from the xi grid spec."""
     try:
         array = np.asarray(value, float)
     except (TypeError, ValueError) as exc:
@@ -168,6 +170,9 @@ def _as_array(value, ndim: int) -> np.ndarray:
                           if ndim == 2 else "xi grid 'rho' must be a list of numbers")
     if not np.all(np.isfinite(array)):
         raise ConfigError("xi grid entries must be finite")
+    with np.errstate(over="ignore"):
+        if ndim == 2 and not np.all(np.isfinite(np.linalg.norm(array, axis=1))):
+            raise ConfigError("xi grid vectors must have a finite norm")
     return array
 
 

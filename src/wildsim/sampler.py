@@ -88,7 +88,13 @@ prod_j cf(rho w_j psi_j).  The datum picks it: the conditional product
 needs the exact initial transform and is taken whenever the datum has one
 (conditioning never increases variance); the raw average needs only draws
 and serves every other datum, such as a sampler-only one.  For a symmetric
-initial law cf is real, so the product is taken over floats.
+initial law cf is real, so the product is taken over floats.  The leaf
+directions psi_j = B R_j e3, with B the frame of the frequency's direction
+(`geometry.frame_for`) and R_j the leaf rotation, depend on xi / rho
+alone, and a grid is mostly a few directions at several radii (the
+default one is five directions times four radii).  So the grid is
+evaluated one direction at a time: psi_j, and w_j psi_j or S, once per
+direction, then one scaling by rho per frequency.
 """
 
 from __future__ import annotations
@@ -669,35 +675,44 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
 
     A datum with an exact transform cf takes the conditional transform
     prod_j cf(rho w_j psi_j); any other takes exp(i rho S) with velocities
-    drawn at the leaves.  Frequencies are evaluated one at a time, so memory
-    stays O(leaves + cascades x frequencies).  The columns are stored
-    contiguously, so each frequency's moments sum in the same order as a
-    one-dimensional array's.
+    drawn at the leaves.  The leaf directions psi_j depend on the
+    frequency's direction xi / rho alone, so frequencies that share one
+    (as bytes) share one psi: the conditional path scales w_j psi_j once
+    per direction and by rho per frequency, the raw path reduces
+    S = sum_j w_j psi_j . V_j once per direction and takes cos and sin of
+    rho S per frequency.  Memory stays O(leaves + cascades x frequencies).
+    The output columns are stored contiguously, so each frequency's moments
+    sum in the same order as a one-dimensional array's.
     """
     record = germination_record(nus, kernel, rng)
     weights, rotations = leaf_frames(record)
-    columns = rotations.third_columns()
+    # the third columns as contiguous rows, which the matmuls read faster;
+    # the (leaves, 3, 3) rotations are freed before the first cf call
+    columns = np.ascontiguousarray(rotations.third_columns())
+    del rotations
     cf = mu0.cf
     if cf is None:
         velocities = mu0.sampler(rng, record.n_leaves)
     xi_grid = np.asarray(xi_grid, float)
     rhos = np.linalg.norm(xi_grid, axis=1)
-    bases = frame_for(xi_grid / np.where(rhos > 0.0, rhos, 1.0)[:, None])
+    units = xi_grid / np.where(rhos > 0.0, rhos, 1.0)[:, None]
     real = np.empty((len(nus), len(xi_grid)), order="F")
     imag = np.empty((len(nus), len(xi_grid)), order="F")
-    for i, (rho, basis) in enumerate(zip(rhos, bases)):
-        if rho == 0.0:
-            real[:, i], imag[:, i] = 1.0, 0.0
-            continue
-        psi = columns @ basis.T
+    real[:, rhos == 0.0], imag[:, rhos == 0.0] = 1.0, 0.0
+    directions = {}
+    for i in np.flatnonzero(rhos):
+        directions.setdefault(units[i].tobytes(), []).append(i)
+    for members in directions.values():
+        psi = columns @ frame_for(units[members[0]]).T
         if cf is not None:
-            # rho w_j psi_j written over psi, one leaf array fewer at cf's peak
-            np.multiply(rho * weights[:, None], psi, out=psi)
-            values = record.per_cascade(cf(psi), np.multiply)
-            real[:, i], imag[:, i] = values.real, values.imag
+            psi *= weights[:, None]  # w_j psi_j, scaled by rho per frequency
+            for i in members:
+                values = record.per_cascade(cf(rhos[i] * psi), np.multiply)
+                real[:, i], imag[:, i] = values.real, values.imag
         else:
             s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
-            real[:, i], imag[:, i] = cos_sin(rho * s)
+            for i in members:
+                real[:, i], imag[:, i] = cos_sin(rhos[i] * s)
     return {"re": real, "im": imag}
 
 

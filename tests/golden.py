@@ -16,8 +16,9 @@ Two kinds of entry:
   values   outputs that pass through tan (`kernel.cos_sin`, `weight_sums`),
            which numpy runs as SIMD code on an AVX-512 host and as libm
            elsewhere, up to an ulp apart: replays, weight reductions and
-           conditional transforms, compared to VALUE_TOL.  A tan off by one ulp in every call moves
-           them by at most 3.1e-15 (400 cascades at t = 3).
+           conditional transforms, compared to VALUE_TOL.  A tan off by
+           one ulp in every call moves the replays and weight reductions
+           by at most 3.1e-15 (400 cascades at t = 3).
 """
 
 import hashlib

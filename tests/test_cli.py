@@ -260,6 +260,15 @@ def test_crosscheck_command(tmp_path):
     # a key the xi grid spec does not read (here misspelled), as for kernel and datum specs
     ["crosscheck", "--t", "1", "--samples", "200", "--seed", "1",
      "--xi-grid", '{"rho":[1],"directions":[[1,0,0]],"normalise":true}'],
+    # a frequency or direction whose norm overflows, each entry finite
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "200", "--seed", "1",
+     "--xi-grid", "[[1e200,1e200,1e200]]"],
+    ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+     "--xi-grid", "[[1e200,1e200,1e200]]"],
+    ["cfcurve", "--t", "0.5,1,1.5,2", "--samples", "200", "--seed", "1",
+     "--xi-grid", '{"rho": [1e200], "directions": [[1,0,0]]}'],
+    ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
+     "--xi-grid", '{"rho": [1], "directions": [[1e200,1e200,1e200]]}'],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):

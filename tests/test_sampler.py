@@ -211,7 +211,7 @@ def test_transform_sums_match_each_frequency_alone(kernel, grid, make_datum):
         expected = conditional_transforms(record, mu0, rho, xi / rho)
         np.testing.assert_allclose(conditional["re"][:, i], expected.real, rtol=1e-13, atol=0)
         np.testing.assert_allclose(conditional["im"][:, i], expected.imag, rtol=1e-13, atol=0)
-        psi = rotations.third_columns() @ frame_for(xi / rho).T
+        psi = np.ascontiguousarray(rotations.third_columns()) @ frame_for(xi / rho).T
         s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
         re, im = cos_sin(rho * s)
         assert np.array_equal(raw["re"][:, i], re) and np.array_equal(raw["im"][:, i], im)
