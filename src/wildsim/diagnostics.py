@@ -264,7 +264,10 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
 
 def _envelope_task(nus, rng, mu0, kernel, lam, q):
     """Per-cascade count of radii in [0, R] where the conditional transform
-    along a uniform random direction exceeds the envelope."""
+    along a uniform random direction exceeds the envelope.  The leaf
+    frequencies w_j psi_j are projected once (cf.project), and each of the
+    ENVELOPE_RADII radii, one per cascade, is one evaluation of the
+    transform's profile with rho given per leaf."""
     lam2 = lam * lam
     record = germination_record(nus, kernel, rng)
     weights, rotations = leaf_frames(record)
@@ -274,11 +277,11 @@ def _envelope_task(nus, rng, mu0, kernel, lam, q):
     bases = frame_for(directions)
     psi = np.einsum("jik,jk->ji", np.repeat(bases, record.nus, axis=0),
                     rotations.third_columns())
+    projection = mu0.cf.project(weights[:, None] * psi)
     violations = np.zeros(len(nus))
     for fraction in np.linspace(0.0, 1.0, ENVELOPE_RADII):
         rho = np.repeat(fraction * radius, record.nus)
-        transform = np.abs(record.per_cascade(
-            mu0.cf(rho[:, None] * weights[:, None] * psi), np.multiply))
+        transform = np.abs(record.per_cascade(mu0.cf.profile(projection, rho), np.multiply))
         envelope = np.exp(q * record.per_cascade(
             np.log(lam2 / (lam2 + rho**2 * weights**2))))
         violations += transform > envelope * (1.0 + 1e-10) + 1e-12

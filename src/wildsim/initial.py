@@ -12,6 +12,15 @@ m4 (m_h = E|V|^h; m4 is None if unknown, inf if divergent, never
 fabricated) and the exact transform cf, or None.  `require_cf` and
 `require_m4` say what a datum lacks, as a ConfigError.
 
+Each family writes its transform once, along rays (`Transform`): a
+projection of a frequency y, which the estimators take once per direction,
+and a profile in the radius rho, so that phi0(rho y) =
+profile(project(y), rho).  The projections are y @ points.T (discrete
+laws), y . C y and y . mean (Gaussians; the second only when the mean is
+not zero), the components' projections (mixtures) and scale |y| (the
+heavy tail); cf(xi) is the profile of xi's projection at rho = 1, and a
+product by 1.0 is exact.
+
 A law symmetric under v -> -v has a real transform, and gets one: the test
 is made when the law is built, by exact float equality on its atoms (every
 atom p has a partner -p of equal mass) or its means (a centred Gaussian, or
@@ -19,7 +28,9 @@ a mixture of them), never by name or tolerance; the radial heavy-tail law
 is symmetric by construction.  The discrete transform is then
 sum_half 2 m cos(xi . p) (plus the mass of an atom at the origin) over half
 the atoms, and the mean is exactly zero; every other law keeps its complex
-transform.  Dictionary specs must hold only the keys their preset reads.
+transform.  The symmetric profile is cosines alone (`kernel.cosine`, the
+cosine half of `kernel.cos_sin`).  Dictionary specs must hold only the keys
+their preset reads.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadSpec, MomentUnavailable, NoAnalyticCf, reject_unknown_keys
-from .kernel import cos_sin
+from .kernel import cos_sin, cosine
 
 AUX_SEED, AUX_SAMPLE = 20211205, 100_000  # seed and size of `sampler_datum`'s frozen sample
 _HEAVYTAIL_SERIES_LIMIT = 25.0
@@ -47,6 +58,28 @@ _SPEC_KEYS = {
 
 
 @dataclass(frozen=True)
+class Transform:
+    """An exact initial transform along rays: phi0(rho y) =
+    profile(project(y), rho).  project(y) maps frequencies (..., 3) to what
+    the profile reads; profile(p, rho) takes rho as a scalar or as an array
+    of y's leading shape (one radius per frequency).  Calling it is the
+    transform, the profile at rho = 1.  Both parts are instance attributes,
+    so a wrapper made with functools.wraps carries them along."""
+
+    project: Callable
+    profile: Callable
+
+    def __call__(self, xi):
+        return self.profile(self.project(np.asarray(xi, float)), 1.0)
+
+
+def _radial(rho, p):
+    """rho * p for a projection p with one axis more than the frequencies:
+    rho is a scalar or has p's leading shape."""
+    return np.multiply(np.expand_dims(rho, -1), p)
+
+
+@dataclass(frozen=True)
 class InitialDatum:
     """A sampleable initial law with the moments and transform checks read.
     mean, covariance and m2 have no defaults, so a datum built by hand states
@@ -58,9 +91,9 @@ class InitialDatum:
     covariance: np.ndarray
     m2: float
     m4: float | None = None
-    cf: Callable | None = field(default=None, repr=False)
+    cf: Transform | None = field(default=None, repr=False)
 
-    def require_cf(self) -> Callable:
+    def require_cf(self) -> Transform:
         if self.cf is None:
             raise NoAnalyticCf(f"initial datum {self.name!r} has no transform")
         return self.cf
@@ -89,15 +122,21 @@ def _gaussian_sampler(rng, size, mean, chol):
     return mean + rng.standard_normal((size, 3)) @ chol.T
 
 
-def _gaussian_cf(xi, mean, cov):
-    xi = np.asarray(xi, float)
-    quad = np.einsum("...i,ij,...j->...", xi, cov, xi)
-    return np.exp(1j * (xi @ mean) - 0.5 * quad)
+def _quadratic_form(y, cov):
+    return np.einsum("...i,ij,...j->...", y, cov, y)
 
 
-def _centred_gaussian_cf(xi, cov):
-    xi = np.asarray(xi, float)
-    return np.exp(-0.5 * np.einsum("...i,ij,...j->...", xi, cov, xi))
+def _gaussian_project(y, mean, cov):
+    return _quadratic_form(y, cov), y @ mean
+
+
+def _gaussian_profile(p, rho):
+    quad, shift = p
+    return np.exp(1j * (rho * shift) - 0.5 * (rho * rho * quad))
+
+
+def _centred_gaussian_profile(quad, rho):
+    return np.exp(-0.5 * (rho * rho * quad))
 
 
 def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
@@ -118,8 +157,9 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
         covariance=cov,
         m2=m2,
         m4=m4,
-        cf=(partial(_gaussian_cf, mean=mean, cov=cov) if np.any(mean)
-            else partial(_centred_gaussian_cf, cov=cov)),
+        cf=(Transform(partial(_gaussian_project, mean=mean, cov=cov), _gaussian_profile)
+            if np.any(mean)
+            else Transform(partial(_quadratic_form, cov=cov), _centred_gaussian_profile)),
     )
 
 
@@ -135,10 +175,14 @@ def _mixture_sampler(rng, size, weights, means, chols):
     return out
 
 
-def _mixture_cf(xi, weights, cfs):
+def _mixture_project(y, cfs):
+    return [cf.project(y) for cf in cfs]
+
+
+def _mixture_profile(p, rho, weights, cfs):
     total = 0.0  # stays real when every component transform is real
-    for w, cf in zip(weights, cfs):
-        total = total + w * cf(xi)
+    for w, part, cf in zip(weights, p, cfs):
+        total = total + w * cf.profile(part, rho)
     return total
 
 
@@ -154,6 +198,7 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
     # each component rejects its own overflow; averages of finite moments stay finite
     parts = [gaussian_datum(m, c, name=f"{name} component {i}")
              for i, (m, c) in enumerate(zip(means, covs))]
+    cfs = [p.cf for p in parts]
     mean = sum(w * p.mean for w, p in zip(weights, parts))
     second = sum(w * (p.covariance + np.outer(p.mean, p.mean))
                  for w, p in zip(weights, parts))
@@ -164,7 +209,8 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
         covariance=second - np.outer(mean, mean),
         m2=float(np.trace(second)),
         m4=float(sum(w * p.m4 for w, p in zip(weights, parts))),
-        cf=partial(_mixture_cf, weights=weights, cfs=[p.cf for p in parts]),
+        cf=Transform(partial(_mixture_project, cfs=cfs),
+                     partial(_mixture_profile, weights=weights, cfs=cfs)),
     )
 
 
@@ -176,15 +222,17 @@ def _discrete_sampler(rng, size, points, masses):
     return points.take(rng.choice(len(masses), size=size, p=masses), axis=0)
 
 
-def _discrete_cf(xi, points, masses):
-    xi = np.asarray(xi, float)
-    cos, sin = cos_sin(xi @ points.T)  # (..., npoints)
+def _atom_phases(y, points):
+    return y @ points.T  # (..., npoints)
+
+
+def _discrete_profile(p, rho, masses):
+    cos, sin = cos_sin(_radial(rho, p))
     return cos @ masses + 1j * (sin @ masses)
 
 
-def _symmetric_discrete_cf(xi, half, pair_masses, origin_mass):
-    xi = np.asarray(xi, float)
-    return cos_sin(xi @ half.T)[0] @ pair_masses + origin_mass
+def _symmetric_discrete_profile(p, rho, pair_masses, origin_mass):
+    return cosine(_radial(rho, p)) @ pair_masses + origin_mass
 
 
 def _symmetric_half(points, masses):
@@ -232,11 +280,13 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
             mean = np.zeros(3)
     _require_finite(name, m2, m4)
     if half is None:
-        cf = partial(_discrete_cf, points=points, masses=masses)
+        cf = Transform(partial(_atom_phases, points=points),
+                       partial(_discrete_profile, masses=masses))
     else:
         origin = ~np.any(points, axis=1)
-        cf = partial(_symmetric_discrete_cf, half=points[half], pair_masses=2.0 * masses[half],
-                     origin_mass=float(masses[origin].sum()))
+        cf = Transform(partial(_atom_phases, points=points[half]),
+                       partial(_symmetric_discrete_profile, pair_masses=2.0 * masses[half],
+                               origin_mass=float(masses[origin].sum())))
     return InitialDatum(
         name=name,
         sampler=partial(_discrete_sampler, points=points, masses=masses),
@@ -293,9 +343,12 @@ def _heavytail_cf_scalar(x, q):
     return q / x * value
 
 
-def _heavytail_cf(xi, q, scale):
-    xi = np.asarray(xi, float)
-    radii = scale * np.linalg.norm(xi, axis=-1)
+def _heavytail_project(y, scale):
+    return scale * np.linalg.norm(y, axis=-1)
+
+
+def _heavytail_profile(r, rho, q):
+    radii = rho * r
     flat = np.array([_heavytail_cf_scalar(float(x), q) for x in np.ravel(radii)])
     return flat.reshape(radii.shape) if radii.ndim else float(flat[0])
 
@@ -313,7 +366,8 @@ def heavytail_datum(q: float, normalize: bool = False) -> InitialDatum:
         covariance=(scale**2 * m2_raw / 3.0) * np.eye(3),
         m2=scale**2 * m2_raw,
         m4=math.inf,
-        cf=partial(_heavytail_cf, q=q, scale=scale),
+        cf=Transform(partial(_heavytail_project, scale=scale),
+                     partial(_heavytail_profile, q=q)),
     )
 
 

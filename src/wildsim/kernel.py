@@ -236,11 +236,16 @@ class CollisionKernel:
         cdf, phi = self.beta_cdf_values, self.phi_grid
         if cdf is None or phi is None:
             return
-        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
-        guide = np.searchsorted(cdf, edges, side="right") - 1
+        # cdf[j] <= k / G exactly when ceil(cdf[j] G) <= k (G is a power of
+        # two, so cdf[j] G is exact): the last such j is a count of knots,
+        # in time linear in the table
+        counts = np.bincount(np.ceil(cdf * GUIDE_BUCKETS).astype(np.intp),
+                             minlength=GUIDE_BUCKETS + 1)
+        guide = counts.cumsum(dtype=np.int32)
+        guide -= 1
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = np.diff(phi) / np.diff(cdf)  # inf on flat runs, never selected
-        object.__setattr__(self, "guide", guide.astype(np.int32))
+        object.__setattr__(self, "guide", guide)
         object.__setattr__(self, "slopes", slopes)
 
     def __call__(self, x):
@@ -485,6 +490,20 @@ def cos_sin(x):
     r *= 2.0
     r -= 1.0
     return r, t
+
+
+def cosine(x):
+    """cos x alone, by the steps of `cos_sin` without those of the sine, so
+    it equals cos_sin(x)[0] bit for bit; one array is allocated."""
+    x = np.asarray(x, dtype=float)
+    c = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tan(c, out=c)
+    c *= c
+    c += 1.0
+    np.divide(1.0, c, out=c)
+    c *= 2.0
+    c -= 1.0
+    return c
 
 
 def truncate(spec, n: int) -> tuple[CollisionKernel, float]:

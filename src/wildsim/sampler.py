@@ -93,8 +93,11 @@ directions psi_j = B R_j e3, with B the frame of the frequency's direction
 (`geometry.frame_for`) and R_j the leaf rotation, depend on xi / rho
 alone, and a grid is mostly a few directions at several radii (the
 default one is five directions times four radii).  So the grid is
-evaluated one direction at a time: psi_j, and w_j psi_j or S, once per
-direction, then one scaling by rho per frequency.
+evaluated one direction at a time: psi_j once per direction, then S, or
+the projection of w_j psi_j (`initial.Transform`: atom phases, quadratic
+forms or norms), once per direction, and per frequency one scaling of S
+by rho, or one evaluation of the transform's profile at rho (for the
+symmetric discrete laws, one cosine per leaf and atom pair).
 """
 
 from __future__ import annotations
@@ -677,10 +680,10 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     prod_j cf(rho w_j psi_j); any other takes exp(i rho S) with velocities
     drawn at the leaves.  The leaf directions psi_j depend on the
     frequency's direction xi / rho alone, so frequencies that share one
-    (as bytes) share one psi: the conditional path scales w_j psi_j once
-    per direction and by rho per frequency, the raw path reduces
-    S = sum_j w_j psi_j . V_j once per direction and takes cos and sin of
-    rho S per frequency.  Memory stays O(leaves + cascades x frequencies).
+    (as bytes) share one psi: the conditional path projects w_j psi_j
+    (cf.project) once per direction and evaluates cf.profile at rho per
+    frequency, the raw path reduces S = sum_j w_j psi_j . V_j once per
+    direction and takes cos and sin of rho S per frequency.  Memory stays O(leaves + cascades x frequencies).
     The output columns are stored contiguously, so each frequency's moments
     sum in the same order as a one-dimensional array's.
     """
@@ -705,9 +708,10 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     for members in directions.values():
         psi = columns @ frame_for(units[members[0]]).T
         if cf is not None:
-            psi *= weights[:, None]  # w_j psi_j, scaled by rho per frequency
+            psi *= weights[:, None]
+            projection = cf.project(psi)
             for i in members:
-                values = record.per_cascade(cf(rhos[i] * psi), np.multiply)
+                values = record.per_cascade(cf.profile(projection, rhos[i]), np.multiply)
                 real[:, i], imag[:, i] = values.real, values.imag
         else:
             s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))

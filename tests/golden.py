@@ -1,12 +1,20 @@
 """What the cascade engine computes at pinned seeds, frozen.
 
 `tests/data/engine_golden.json` freezes it; `test_engine_golden_values`
-checks the engine against it.  A change that is meant to move any of these
-values must regenerate the file and say so in CHANGES.md:
+checks the engine against it.  Three modes:
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py           # rewrite the whole file
+    PYTHONPATH=src python tests/golden.py --add     # add only missing keys
+    PYTHONPATH=src python tests/golden.py --drift   # print each entry's drift
 
-which writes the values of the checked-out code, with its git commit.
+The first writes the digests and values of the checked-out code with its
+git commit, in "commit"; a change that is meant to move any of them must
+run it and say so in CHANGES.md.  --add computes the same, but writes only
+the keys the file lacks, leaving every existing entry as it is, and names
+the commit that wrote each added key in "commits" (a key without an entry
+there was written by "commit").  --drift writes nothing: it prints, per
+entry, whether its digest still matches, or how far its value moved
+against VALUE_TOL, and exits 1 if any entry fails or the key sets differ.
 
 Two kinds of entry:
   digests  sha256 of outputs that only IEEE arithmetic, the random streams
@@ -21,6 +29,7 @@ Two kinds of entry:
            by at most 3.1e-15 (400 cascades at t = 3).
 """
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -93,9 +102,66 @@ def engine_values() -> dict:
     return {key: np.asarray(value, float).tolist() for key, value in out.items()}
 
 
-if __name__ == "__main__":
+def add_missing(frozen: dict, computed: dict, commit: str) -> list:
+    """Add to frozen, in place, each computed entry it lacks, and name
+    commit as its writer; return the added keys as section/key."""
+    added = []
+    for section in ("digests", "values"):
+        for key, value in computed[section].items():
+            if key not in frozen[section]:
+                frozen[section][key] = value
+                frozen.setdefault("commits", {})[f"{section}/{key}"] = commit
+                added.append(f"{section}/{key}")
+    return added
+
+
+def drift(frozen: dict, computed: dict) -> list:
+    """(section/key, failed, note) per entry of either side; a value fails
+    as test_engine_golden_values fails it, |a - b| > VALUE_TOL (1 + |b|)."""
+    rows = []
+    for section in ("digests", "values"):
+        old, new = frozen[section], computed[section]
+        for key in sorted(old.keys() | new.keys()):
+            name = f"{section}/{key}"
+            if key not in new or key not in old:
+                rows.append((name, True, "only in the file" if key in old else "not in the file"))
+            elif section == "digests":
+                rows.append((name, old[key] != new[key],
+                             "same" if old[key] == new[key] else "differs"))
+            else:
+                a, b = np.asarray(new[key], float), np.asarray(old[key], float)
+                diff = np.abs(a - b)
+                failed = bool(np.any(diff > VALUE_TOL * (1.0 + np.abs(b))))
+                rows.append((name, failed, f"max |diff| {diff.max(initial=0.0):.2e}"))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--add", action="store_true", help="write only the keys the file lacks")
+    mode.add_argument("--drift", action="store_true",
+                      help="print each entry's drift from the checked-out engine; write nothing")
+    args = parser.parse_args(argv)
+    computed = {"digests": engine_digests(), "values": engine_values()}
+    if args.drift:
+        rows = drift(json.loads(GOLDEN.read_text()), computed)
+        for name, failed, note in rows:
+            print(f"{'FAIL' if failed else 'ok  '}  {name}: {note}")
+        return int(any(failed for _, failed, _ in rows))
     commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                             check=True, cwd=Path(__file__).parent).stdout.strip()
-    payload = {"commit": commit, "digests": engine_digests(), "values": engine_values()}
-    GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
+    if args.add:
+        frozen = json.loads(GOLDEN.read_text())
+        added = add_missing(frozen, computed, commit)
+        if added:
+            GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
+        print(f"added {len(added)} keys to {GOLDEN} at {commit}", *added, sep="\n  ")
+        return 0
+    GOLDEN.write_text(json.dumps({"commit": commit, **computed}, indent=1) + "\n")
     print(f"wrote {GOLDEN} at {commit}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

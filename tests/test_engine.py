@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import GOLDEN, VALUE_TOL, engine_digests, engine_values
+from golden import GOLDEN, VALUE_TOL, add_missing, drift, engine_digests, engine_values
 from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array
 from wildsim.diagnostics import _velocity_moments_task
 from wildsim.geometry import left_frame, right_frame
@@ -333,6 +333,22 @@ def test_engine_golden_values():
     for key, value in values.items():
         np.testing.assert_allclose(value, frozen["values"][key], rtol=VALUE_TOL,
                                    atol=VALUE_TOL, err_msg=key)
+
+
+def test_golden_tool_adds_only_missing_keys_and_reports_drift():
+    frozen = {"commit": "old", "digests": {"a": "x"}, "values": {"v": [1.0], "u": [2.0]}}
+    computed = {"digests": {"a": "changed", "b": "y"},
+                "values": {"v": [1.5], "u": [2.0 + 1e-15], "w": [3.0]}}
+    assert add_missing(frozen, computed, "new") == ["digests/b", "values/w"]
+    # existing entries stay as they were, even where the engine moved them
+    assert frozen == {"commit": "old", "digests": {"a": "x", "b": "y"},
+                      "values": {"v": [1.0], "u": [2.0], "w": [3.0]},
+                      "commits": {"digests/b": "new", "values/w": "new"}}
+    failed = {name: fails for name, fails, _ in drift(frozen, computed)}
+    assert failed == {"digests/a": True, "digests/b": False, "values/u": False,
+                      "values/v": True, "values/w": False}
+    del computed["values"]["w"]
+    assert dict((name, fails) for name, fails, _ in drift(frozen, computed))["values/w"]
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])

@@ -9,7 +9,9 @@ from scipy import integrate
 
 from wildsim.errors import BadSpec, MomentUnavailable, NoAnalyticCf
 from wildsim.initial import (
+    _HEAVYTAIL_SERIES_LIMIT,
     InitialDatum,
+    _heavytail_cf_scalar,
     discrete_datum,
     gaussian_datum,
     heavytail_datum,
@@ -18,6 +20,7 @@ from wildsim.initial import (
     sampler_datum,
     sixpoint_datum,
 )
+from wildsim.kernel import cos_sin
 
 
 def _check_moments_against_sampler(datum, n=100_000, seed=0):
@@ -286,3 +289,98 @@ def test_heavytail_transform_is_real():
     assert values[2] == values[3]
     assert type(h.cf(np.array([0.5, 0.0, 0.0]))) is float
     assert h.cf(np.zeros(3)) == 1.0
+
+
+UNMATCHED_POINTS = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+UNMATCHED_MASSES = [0.3, 0.3, 0.4]
+SHIFTED_MEAN = (0.5, -0.2, 0.1)
+MIXTURE_COMPONENTS = [(0.25, (1.0, 0.0, 0.0), 0.5), (0.75, (-1.0 / 3.0, 0.0, 0.0), ANISOTROPIC_COV)]
+RAY_DATA = {
+    "sixpoint": sixpoint_datum,
+    "unmatched-atom": lambda: discrete_datum(UNMATCHED_POINTS, UNMATCHED_MASSES),
+    "origin-atom": lambda: discrete_datum(SYMMETRIC_POINTS, SYMMETRIC_MASSES),
+    "centred-gaussian": lambda: gaussian_datum(cov=ANISOTROPIC_COV),
+    "shifted-gaussian": lambda: gaussian_datum(SHIFTED_MEAN, ANISOTROPIC_COV),
+    "mixture": lambda: mixture_datum(MIXTURE_COMPONENTS),
+    "centred-mixture": lambda: mixture_datum(CENTRED_COMPONENTS),
+    "heavytail": lambda: heavytail_datum(3.5, normalize=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_DATA))
+def test_ray_profile_is_the_transform_along_the_ray(name):
+    cf = RAY_DATA[name]().cf
+    rng = np.random.default_rng(12)
+    if name == "heavytail":
+        # small radii, where the alternating series does not cancel, and one
+        # row past it, on the oscillatory tail
+        y = rng.normal(scale=0.5, size=(40, 3))
+        y[0] *= 4.0 * _HEAVYTAIL_SERIES_LIMIT / np.linalg.norm(y[0])
+    else:
+        y = rng.normal(scale=1.5, size=(400, 3))
+    projection = cf.project(y)
+    rows = rng.uniform(0.5, 2.0, len(y))
+    for rho, scaled in ((1.3, 1.3 * y), (rows, rows[:, None] * y)):
+        if name == "heavytail":
+            assert np.ravel(rho)[0] * projection[0] > _HEAVYTAIL_SERIES_LIMIT
+        ray, direct = cf.profile(projection, rho), cf(scaled)
+        assert np.shape(ray) == np.shape(direct) and np.iscomplexobj(ray) == np.iscomplexobj(direct)
+        # the two round their phases differently, and cos_sin is good to two
+        # ulps of 1, so near a zero of the transform only an absolute bound holds
+        np.testing.assert_allclose(ray, direct, rtol=1e-13, atol=2e-15)
+
+
+def _unit_radius_transforms():
+    """Each family's transform as one expression over its parameters."""
+    six = np.vstack([np.eye(3), -np.eye(3)])
+    six = six * math.sqrt(3.0 / float(np.full(6, 1.0 / 6.0) @ np.einsum("ij,ij->i", six, six)))
+    symmetric = np.asarray(SYMMETRIC_POINTS, float)
+    masses = np.asarray(SYMMETRIC_MASSES, float)
+    half = np.array([True, False, True, False, False])
+    unmatched = np.asarray(UNMATCHED_POINTS, float)
+
+    def centred(xi, cov):
+        return np.exp(-0.5 * np.einsum("...i,ij,...j->...", xi, cov, xi))
+
+    def shifted(xi, mean, cov):
+        quad = np.einsum("...i,ij,...j->...", xi, cov, xi)
+        return np.exp(1j * (xi @ mean) - 0.5 * quad)
+
+    def discrete(xi, points, masses):
+        cos, sin = cos_sin(xi @ points.T)
+        return cos @ masses + 1j * (sin @ masses)
+
+    def mixture(xi, components):
+        total = 0.0
+        for w, mean, cov in components:
+            mean = np.asarray(mean, float)
+            cov = float(cov) * np.eye(3) if np.ndim(cov) == 0 else np.asarray(cov, float)
+            total = total + w * (shifted(xi, mean, cov) if np.any(mean) else centred(xi, cov))
+        return total
+
+    def heavytail(xi):
+        radii = math.sqrt(3.0 / (3.5 / 1.5)) * np.linalg.norm(xi, axis=-1)
+        flat = np.array([_heavytail_cf_scalar(float(x), 3.5) for x in np.ravel(radii)])
+        return flat.reshape(radii.shape) if radii.ndim else float(flat[0])
+
+    return {
+        "sixpoint": lambda xi: cos_sin(xi @ six[:3].T)[0] @ (2.0 * np.full(3, 1.0 / 6.0)) + 0.0,
+        "unmatched-atom": lambda xi: discrete(xi, unmatched, np.asarray(UNMATCHED_MASSES)),
+        "origin-atom": lambda xi: cos_sin(xi @ symmetric[half].T)[0] @ (2.0 * masses[half])
+        + float(masses[-1]),
+        "centred-gaussian": lambda xi: centred(xi, ANISOTROPIC_COV),
+        "shifted-gaussian": lambda xi: shifted(xi, np.asarray(SHIFTED_MEAN), ANISOTROPIC_COV),
+        "mixture": lambda xi: mixture(xi, MIXTURE_COMPONENTS),
+        "centred-mixture": lambda xi: mixture(xi, CENTRED_COMPONENTS),
+        "heavytail": heavytail,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RAY_DATA))
+def test_transform_is_the_unit_radius_profile_bit_for_bit(name):
+    cf, expression = RAY_DATA[name]().cf, _unit_radius_transforms()[name]
+    xi = FREQUENCIES[:50] if name == "heavytail" else FREQUENCIES
+    for frequencies in (xi, xi[:12].reshape(3, 4, 3), xi[7]):
+        got, want = cf(frequencies), expression(frequencies)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

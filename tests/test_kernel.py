@@ -24,12 +24,14 @@ from wildsim.errors import (
 )
 from wildsim.kernel import (
     BETA_TABLE_NODES,
+    GUIDE_BUCKETS,
     PRESETS,
     QUAD_MAX_INTERVALS,
     _GK_NODES,
     _GK_RULES,
     _build_beta_table,
     cos_sin,
+    cosine,
     integrate_01,
     make_kernel,
     spectral_functionals,
@@ -207,6 +209,7 @@ def _gapped_table_kernel():
 
 ORACLE_KERNELS = {
     **{name: lambda name=name: make_kernel(name) for name in PRESETS},
+    "table": lambda: make_kernel({"table": [[x, 2.0 * x] for x in np.linspace(0.0, 1.0, 41)]}),
     "gapped table": _gapped_table_kernel,
     "truncated": lambda: truncate(lambda x: x**-1.5, 8)[0],
 }
@@ -243,6 +246,20 @@ def test_guided_inverse_cdf_equals_interp(name):
     assert not np.array_equal(squeezed.guide, kernel.guide)
     u = rng.random(100_000)
     assert np.array_equal(squeezed.inverse_beta_cdf(u), np.interp(u, cdf**2, phi))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_guide_table_equals_binary_search(name):
+    # the guide is built by counting knots per bucket; binary search over
+    # the bucket edges is the definition it must reproduce
+    kernel = ORACLE_KERNELS[name]()
+    cdf = kernel.beta_cdf_values
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    want = np.searchsorted(cdf, edges, side="right") - 1
+    assert kernel.guide.dtype == np.int32
+    assert np.array_equal(kernel.guide, want)
+    if name == "gapped table":  # flat runs put many knots in one bucket
+        assert np.max(np.diff(kernel.guide)) > 100
 
 
 def _scipy_beta_table(evaluator):
@@ -336,3 +353,13 @@ def test_cos_sin_keeps_the_shape(shape):
     assert isinstance(cos, np.ndarray) and cos.shape == sin.shape == shape
     assert np.array_equal(cos.ravel(), cos_sin(x.ravel())[0])
     assert np.array_equal(sin.ravel(), cos_sin(x.ravel())[1])
+
+
+@pytest.mark.parametrize("low, high", [(0.0, math.pi / 2), (0.0, 2 * math.pi), (-50.0, 50.0)])
+def test_cosine_is_the_cosine_of_cos_sin(low, high):
+    x = np.concatenate([np.random.default_rng(7).uniform(low, high, 100_000), SPECIAL_ANGLES])
+    want = cos_sin(x)[0]
+    assert cosine(x).tobytes() == want.tobytes()
+    for a, c in zip(x[::50].tolist(), want[::50]):
+        one = cosine(a)
+        assert one.shape == () and one.tobytes() == c.tobytes()

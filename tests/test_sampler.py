@@ -1,5 +1,6 @@
 """Cascade sampling: sizes, incremental arrays, collisions, transforms."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -215,6 +216,19 @@ def test_transform_sums_match_each_frequency_alone(kernel, grid, make_datum):
         s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
         re, im = cos_sin(rho * s)
         assert np.array_equal(raw["re"][:, i], re) and np.array_equal(raw["im"][:, i], im)
+
+
+def test_wrapped_transform_keeps_its_rays(kernel):
+    """A transform wrapped by functools.wraps, as a timer or a logger wraps
+    it, carries its projection and profile along, so the grid reduction
+    takes the same path and gives the same values bit for bit."""
+    mu0 = sixpoint_datum()
+    wrapped = replace(mu0, cf=functools.wraps(mu0.cf)(lambda xi: mu0.cf(xi)))
+    nus, _ = sorted_sizes(1.0, rng_stream(16), 200)
+    plain, through = (transform_sums(nus, rng_stream(17), mu0=datum, kernel=kernel,
+                                     xi_grid=default_xi_grid()) for datum in (mu0, wrapped))
+    for key in ("re", "im"):
+        assert plain[key].tobytes() == through[key].tobytes()
 
 
 def test_second_moment_bound_given_cascade(kernel):
