@@ -8,8 +8,11 @@ returns it with the grid rows it was fitted to).  The transform grids of
 `representation_crosscheck` come from `sampler.transform_sums`, whose
 estimator the datum picks: the conditional product where the datum has a
 transform, the raw average of exp(i rho S) over velocities drawn at the
-leaves otherwise.  A suite asks the datum for what it may lack, and a rate
-fit checks for MIN_FIT_TIMES times, before drawing any cascade.
+leaves otherwise.  `representation_crosscheck` holds them against the
+empirical transform of independent velocity draws, less control variates
+of exactly known mean where the datum allows (`_controls_exact`).  A suite
+asks the datum for what it may lack, and a rate fit checks for
+MIN_FIT_TIMES times, before drawing any cascade.
 
 Monte Carlo work runs on the cascade engine of `wildsim.sampler`: each
 suite hands a module-level chunk task to `sampler.reduce_cascades` with the
@@ -33,6 +36,8 @@ from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
 from .kernel import S_POWERS, CollisionKernel, cos_sin, spectral_functionals
 from .sampler import (
+    CONTROL_KEY,
+    CONTROL_PILOT,
     cascade_velocities,
     draw_total,
     germination_record,
@@ -45,6 +50,7 @@ from .sampler import (
     transform_sums,
     tree_record,
     weight_sums,
+    wild_velocity_batch,
 )
 from .tree import ENUMERATION_LIMIT, enumerate_trees
 from .weights import expected_sum_closed_form, legendre_value
@@ -255,10 +261,36 @@ def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
             "v1_fourth": ((pair @ axis) ** 4).mean(axis=0)}
 
 
-def _wild_cf_task(nus, rng, mu0, kernel, xi_grid):
-    """Empirical transform of wild-cascade velocity draws on the grid."""
-    phases = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ np.asarray(xi_grid).T
-    re, im = cos_sin(phases)
+def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
+    """Empirical transform of wild-cascade velocity draws v on the grid:
+    per cascade and frequency, cos p and sin p of the phase p = xi . v.
+
+    Given betas, rows (b, b1, b3) per frequency (`_control_coefficients`),
+    each column at a nonzero frequency carries control variates of exactly
+    known mean instead: with x = p / (|xi| sigma) = v . u / sigma, where
+    u = xi / |xi| and sigma^2 = m2 / 3, cos p - b (x^2 - 1) and
+    sin p - b1 x - b3 x^3.  The means of the controls vanish for a datum
+    that meets the premises of `_controls_exact`, so each column keeps its
+    mean.  The columns are made one frequency at a time from the draws, so
+    no block of phases is held beside the re and im blocks; these are
+    column-major, so each column is contiguous and its moments sum as a
+    one-dimensional array's.  A zero frequency keeps its exact (1, 0)."""
+    xi_grid = np.asarray(xi_grid)
+    if betas is None:
+        re, im = cos_sin(cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ xi_grid.T)
+        return {"re": re, "im": im}
+    velocities = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
+    units = np.linalg.norm(xi_grid, axis=1) * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
+    re = np.empty((len(velocities), len(xi_grid)), order="F")
+    im = np.empty_like(re)
+    for i, (b, b1, b3) in enumerate(betas.T):
+        p = velocities @ xi_grid[i]
+        re[:, i], im[:, i] = cos_sin(p)
+        if units[i] > 0.0:
+            x = p / units[i]
+            square = x * x
+            re[:, i] -= b * (square - 1.0)
+            im[:, i] -= (b1 + b3 * square) * x
     return {"re": re, "im": im}
 
 
@@ -412,11 +444,12 @@ def moment_decay_fit(
     return fit_exponential_decay(times, values, ses, reference_rate=fn.lambda_b)
 
 
-def _transform_grid(task, mu0, kernel, t, xi_grid, n_samples, seed, key, workers):
+def _transform_grid(task, mu0, kernel, t, xi_grid, n_samples, seed, key, workers,
+                    **kwargs):
     """The transform estimates of `task` on xi_grid at time t, from stream
     key: (estimates, se_re, se_im), one entry per frequency."""
     sums = reduce_cascades(task, seed, key, workers, t, n_samples,
-                           mu0=mu0, kernel=kernel, xi_grid=xi_grid)
+                           mu0=mu0, kernel=kernel, xi_grid=xi_grid, **kwargs)
     (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
     return re + 1j * im, se_re, se_im
 
@@ -496,6 +529,52 @@ def cf_distance_curve(
     return fit, rows
 
 
+def _controls_exact(mu0: InitialDatum) -> bool:
+    """Whether the control means of `_wild_cf_task` are exact at every t.
+    The datum must have an exact transform and a finite m4, so that its
+    moments are the law's, not a sample's, and the controls have finite
+    variance.  Its transform must be real, which holds exactly when the
+    law is symmetric under v -> -v; the collisions keep the symmetry, so
+    every odd moment of the solution vanishes.  And its second-moment
+    tensor (for a symmetric law, the covariance) must be exactly
+    (m2 / 3) I with m2 > 0, which the collisions keep, so that
+    E[(v . u)^2] = m2 / 3 for every unit u."""
+    return (mu0.cf is not None and mu0.m4 is not None and math.isfinite(mu0.m4)
+            and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
+            and not np.iscomplexobj(mu0.cf(np.zeros(3))))
+
+
+def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
+    """The rows (b, b1, b3) of `_wild_cf_task`'s control coefficients, one
+    column per frequency, fitted on CONTROL_PILOT velocity draws at time t
+    from stream CONTROL_KEY, which no estimate reads, so the coefficients
+    are independent of the draws they correct.  Per nonzero frequency, with
+    p = xi . v and x = p / (|xi| sigma) of variance 1, cos p is regressed
+    on x^2 and sin p on (x, x^3), each with an intercept, from the pilot's
+    covariances, with x^3 first made orthogonal to x.  A regressor whose
+    (residual) sum of squares is below 1e-10 CONTROL_PILOT is one the
+    pilot cannot resolve, and its b is 0: so b3 = 0 where x^3 is a
+    multiple of x, as for discrete data at t = 0, where rounding alone
+    would set it.  A zero frequency keeps b = 0."""
+    velocities = wild_velocity_batch(t, mu0, kernel, seed, CONTROL_PILOT, workers,
+                                     key=CONTROL_KEY)
+    units = np.linalg.norm(xi_grid, axis=1) * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
+    cov = np.zeros((5, 5, len(xi_grid)))  # of x^2, x, x^3, cos p and sin p
+    for i in np.flatnonzero(units):
+        p = velocities @ xi_grid[i]
+        x = p / units[i]
+        columns = np.array([x * x, x, x * x * x, *cos_sin(p)])
+        columns -= columns.mean(axis=1, keepdims=True)
+        cov[:, :, i] = columns @ columns.T
+
+    def slope(cxy, cxx):
+        return np.divide(cxy, cxx, out=np.zeros_like(cxy), where=cxx > 1e-10 * CONTROL_PILOT)
+
+    g = slope(cov[2, 1], cov[1, 1])  # x^3 on x
+    b3 = slope(cov[2, 4] - g * cov[1, 4], cov[2, 2] - g * cov[2, 1])
+    return np.array([slope(cov[0, 3], cov[0, 0]), slope(cov[1, 4], cov[1, 1]) - b3 * g, b3])
+
+
 def representation_crosscheck(
     mu0: InitialDatum,
     kernel: CollisionKernel,
@@ -516,22 +595,40 @@ def representation_crosscheck(
     z-scores validate the representation itself.  The report passes when
     at least 95% of the frequencies match at each time; every time draws
     from the same two streams, (5, 0) and (5, 1).
+
+    The empirical side carries control variates of exact mean
+    (`_wild_cf_task`) when the datum meets `_controls_exact`: an exact
+    transform that is real (exact v -> -v symmetry), a finite m4 and an
+    isotropic, nonzero second-moment tensor.  Their coefficients come from
+    a pilot of CONTROL_PILOT cascades on stream CONTROL_KEY, (5, 2), fitted
+    at each time, so each estimate stays a post-stratified plain mean of
+    its controlled columns, with an honest standard error.  Every other
+    datum takes the plain empirical transform.
     """
     xi_grid = np.asarray(xi_grid, float)
     report = IdentityReport("representation_crosscheck", pass_fraction_required=0.95)
+    controlled = _controls_exact(mu0)
+    provenance = "independent wild-cascade empirical transform"
+    if controlled:
+        provenance += (", less control variates x^2 - 1, x and x^3 of exact mean "
+                       "(x = v . xi / (|xi| sqrt(m2/3))), fitted on a pilot of "
+                       f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")
     for t in t_list:
         est_tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, xi_grid,
                                                      n_samples, seed, (5, 0), workers)
+        # after the tree side, so that its peak memory is not stacked on the pilot's
+        betas = (_control_coefficients(mu0, kernel, t, xi_grid, seed, workers)
+                 if controlled else None)
         est_wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, xi_grid,
-                                                     n_samples, seed, (5, 1), workers)
+                                                     n_samples, seed, (5, 1), workers,
+                                                     betas=betas)
         for i, xi in enumerate(xi_grid):
             diff = est_tree[i] - est_wild[i]
             se_re = math.hypot(se_re_t[i], se_re_w[i])
             se_im = math.hypot(se_im_t[i], se_im_w[i])
             report.entries.append(_check(
                 "transform_match", {"xi": list(map(float, xi)), "t": t}, abs(diff),
-                math.hypot(se_re, se_im), 0.0, "independent wild-cascade empirical transform",
-                z_threshold, two_sided=False,
+                math.hypot(se_re, se_im), 0.0, provenance, z_threshold, two_sided=False,
                 parts=[(diff.real, se_re), (diff.imag, se_im)]))
     return report
 

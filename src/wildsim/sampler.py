@@ -37,8 +37,9 @@ live in one flat buffer, and two passes walk the levels:
   antithetic partner of the same law for a few vector operations:
   delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
   `decay --moment v1^4` average their velocity statistics over the pair,
-  still one unbiased row per cascade; `simulate` and `crosscheck` keep the
-  plain draw.
+  still one unbiased row per cascade; `simulate` keeps the plain draw, and
+  so does `crosscheck`, whose empirical transform subtracts control
+  variates of known mean from it instead (`diagnostics._wild_cf_task`).
 
 Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.  Level loops gather with `take` and
@@ -438,14 +439,24 @@ def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) 
 SIZE_STRATA = 16       # equal-probability bins of the size law at t; atoms stay whole
 MIN_STRATUM_DRAWS = 2  # a stratum with fewer draws is pooled with the strata of larger
                        # sizes after it (a short last group joins the group before it)
+CONTROL_PILOT = 2000   # cascades of the pilot that fits crosscheck's control coefficients
+CONTROL_KEY = (5, 2)   # the pilot's stream key, apart from crosscheck's (5, 0) and (5, 1)
 
 
 def reduction_scheme() -> dict:
-    """The constants of the post-stratified reduction and the velocity
-    estimator's pairing rule, for run identifiers."""
+    """The constants of the post-stratified reduction, the velocity
+    estimator's pairing rule and the transform control rule, for run
+    identifiers."""
     return {"scheme": "post-stratified on nu", "strata": SIZE_STRATA,
             "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes",
-            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi"}
+            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
+            "transform_controls": (
+                "crosscheck's empirical side, for data with an exact real transform, finite "
+                "m4 and isotropic second moments: with p = xi . v and "
+                "x = p / (|xi| sqrt(m2 / 3)), cos p - b (x^2 - 1) and sin p - b1 x - b3 x^3, "
+                "the b fitted by least squares (x^3 made orthogonal to x, unresolved "
+                f"regressors dropped) on a pilot of {CONTROL_PILOT} cascades "
+                f"from stream {CONTROL_KEY}")}
 
 
 @dataclass(frozen=True)
@@ -754,13 +765,14 @@ def wild_velocity(t: float, mu0: InitialDatum, kernel: CollisionKernel,
 
 
 def wild_velocity_batch(t: float, mu0: InitialDatum, kernel: CollisionKernel, seed: int,
-                        size: int, workers: int = 1):
+                        size: int, workers: int = 1, key=(0,)):
     """size independent draws from the solution at time t, shape (size, 3),
-    in the order their sizes were drawn: the sizes from stream (0,) of seed,
-    chunk c from stream (0, c), so the draws do not depend on workers."""
-    nus, order = sorted_sizes(t, rng_stream(seed, 0), size)
+    in the order their sizes were drawn: the sizes from stream key of seed,
+    chunk c from stream key + (c,), so the draws do not depend on workers.
+    `simulate` draws from the default key (0,)."""
+    nus, order = sorted_sizes(t, rng_stream(seed, *key), size)
     out = np.empty((size, 3))
-    chunks = _run_chunks(cascade_velocities, nus, seed, (0,), workers,
+    chunks = _run_chunks(cascade_velocities, nus, seed, key, workers,
                          {"mu0": mu0, "kernel": kernel})
     for chunk, draws in zip(chunk_slices(nus), chunks):
         out[order[chunk]] = draws  # back to draw order

@@ -9,9 +9,12 @@ Each time draws CASCADES cascade sizes as `reduce_cascades` draws them
 (`chunk_slices`), with the `xabs` kernel and the `sixpoint` datum.  A
 layer's time is the best of --repeats passes over every chunk, divided by
 CASCADES.  The inputs a layer reads but does not make (records, uniforms,
-factors, leaf velocities) are built before its timer starts; the last two
-rows time a whole chunk task, record included.  Mean cascade sizes are
-e, e^3 and e^5.  Nothing here is a gate: the numbers depend on the host.
+factors, leaf velocities) are built before its timer starts; the last three
+rows time a whole chunk task, record included.  The empirical transform
+task (`crosscheck`'s other side) runs with its control variates, whose
+coefficients are fitted on the pilot before any timer starts.  Mean cascade
+sizes are e, e^3 and e^5.  Nothing here is a gate: the numbers depend on
+the host.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import time
 import numpy as np
 
 from wildsim.cli import default_xi_grid
+from wildsim.diagnostics import _control_coefficients, _wild_cf_task
 from wildsim.geometry import collision_frames
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
@@ -71,6 +75,7 @@ def layers(t_index, t, kernel, mu0):
         return out
 
     grid = default_xi_grid()
+    betas = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
     return [
         ("`germination_record` (angles, cuts, azimuths)", fresh_streams,
          lambda a: germination_record(a[0], kernel, a[1])),
@@ -86,6 +91,8 @@ def layers(t_index, t, kernel, mu0):
          lambda a: weight_sums(a[0], a[1], kernel=kernel)),
         ("`transform_sums`, default 20-point grid, all included", fresh_streams,
          lambda a: transform_sums(a[0], a[1], mu0=mu0, kernel=kernel, xi_grid=grid)),
+        ("`_wild_cf_task` with controls, default grid, all but the pilot", fresh_streams,
+         lambda a: _wild_cf_task(a[0], a[1], mu0, kernel, grid, betas=betas)),
     ]
 
 

@@ -9,6 +9,10 @@ import pytest
 from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
+    _control_coefficients,
+    _controls_exact,
+    _transform_grid,
+    _wild_cf_task,
     _z_score,
     cf_distance_curve,
     conservation_check,
@@ -21,8 +25,17 @@ from wildsim.diagnostics import (
     transform_grid_estimates,
 )
 from wildsim.errors import ConfigError, InsufficientSignal, PremiseFailed
-from wildsim.initial import InitialDatum, gaussian_datum, sixpoint_datum
-from wildsim.kernel import make_kernel
+from wildsim.initial import (
+    InitialDatum,
+    discrete_datum,
+    gaussian_datum,
+    heavytail_datum,
+    mixture_datum,
+    sampler_datum,
+    sixpoint_datum,
+)
+from wildsim.kernel import cos_sin, make_kernel
+from wildsim.sampler import cascade_velocities, mean_se, reduce_cascades, transform_sums
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +303,114 @@ def test_zero_frequency_rows_are_exact(kernel, sixpoint):
         zero, other = rows
         assert (zero["re"], zero["im"], zero["se_re"], zero["se_im"]) == (1.0, 0.0, 0.0, 0.0)
         assert other["se_re"] > 0.0
+    # the controlled empirical side keeps rho = 0 at exactly (1, 0, 0, 0)
+    assert _controls_exact(sixpoint)
+    betas = _control_coefficients(sixpoint, kernel, 1.0, np.array(grid), 3, 1)
+    assert betas[:, 0].tolist() == [0.0, 0.0, 0.0] and np.all(betas[:, 1] != 0.0)
+    estimate, se_re, se_im = _transform_grid(_wild_cf_task, sixpoint, kernel, 1.0,
+                                             np.array(grid), 200, 3, (5, 1), 1, betas=betas)
+    assert (estimate[0].real, estimate[0].imag, se_re[0], se_im[0]) == (1.0, 0.0, 0.0, 0.0)
     report = representation_crosscheck(sixpoint, kernel, [1.0], grid, 200, seed=3)
     zero = report.entries[0]
     assert (zero.mc_value, zero.mc_se, zero.z_score, zero.passed) == (0.0, 0.0, 0.0, True)
+
+
+def _projected_moments(nus, rng, *, mu0, kernel, directions):
+    """Per cascade, x - mean . u, x^2 - m2 / 3 and x^3 for x = v . u along
+    each unit direction u (columns)."""
+    x = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ directions.T
+    return {"x": x - mu0.mean @ directions.T, "x2": x * x - mu0.m2 / 3.0, "x3": x**3}
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0])
+@pytest.mark.parametrize("datum", ["sixpoint", "gaussian"])
+def test_control_means_are_exact(kernel, datum, t):
+    """The means crosscheck's controls rely on: for a symmetric datum with
+    isotropic second moments, E[v . u] = mean . u, E[(v . u)^2] = m2 / 3 and
+    E[(v . u)^3] = 0 at every t, along every direction."""
+    mu0 = sixpoint_datum() if datum == "sixpoint" else gaussian_datum()
+    assert _controls_exact(mu0)
+    directions = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.3, -0.2, 0.93],
+                           [-0.5, 0.7, 0.4]])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    sums = reduce_cascades(_projected_moments, 71, (int(t),), 1, t, 20_000,
+                           mu0=mu0, kernel=kernel, directions=directions)
+    for key in ("x", "x2", "x3"):
+        mean, se = mean_se(sums, key)
+        assert np.all(se > 0.0), key
+        assert np.all(np.abs(mean / se) <= 4.0), (key, mean / se)
+
+
+# the vertices of a regular tetrahedron: mean exactly 0 and covariance exactly
+# I, but not symmetric under v -> -v, so only the symmetry premise fails
+TETRAHEDRON = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+
+
+def test_controls_apply_exactly_to_symmetric_isotropic_laws():
+    """The controls need a real transform (exact v -> -v symmetry), finite
+    m4 and covariance exactly (m2 / 3) I with m2 > 0; each datum below
+    fails one."""
+    pair = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    controlled = {
+        "sixpoint": sixpoint_datum(),
+        "centred gaussian": gaussian_datum(),
+        "centred mixture": mixture_datum([(0.5, (0, 0, 0), 1.0), (0.5, (0, 0, 0), 2.0)]),
+    }
+    plain = {
+        "shifted gaussian": gaussian_datum(mean=(0.5, 0.0, 0.0)),
+        "anisotropic gaussian": gaussian_datum(cov=np.diag([1.0, 2.0, 0.5])),
+        "unequal pair": discrete_datum(pair, [0.4, 0.6]),
+        "equal pair": discrete_datum(pair, [0.5, 0.5]),  # symmetric, not isotropic
+        "tetrahedron": discrete_datum(TETRAHEDRON, [0.25] * 4),
+        "origin atom": discrete_datum([[0.0, 0.0, 0.0]], [1.0]),  # m2 = 0: x undefined
+        "shifted mixture": mixture_datum([(0.5, (0.5, 0, 0), 1.0), (0.5, (-0.5, 0, 0), 1.0)]),
+        "heavytail": heavytail_datum(3.5, normalize=True),
+        "sampler": sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
+    }
+    assert np.array_equal(plain["tetrahedron"].covariance, np.eye(3))
+    assert [name for name, mu0 in controlled.items() if not _controls_exact(mu0)] == []
+    assert [name for name, mu0 in plain.items() if _controls_exact(mu0)] == []
+
+
+def _plain_wild_task(nus, rng, *, mu0, kernel, xi_grid):
+    phases = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ xi_grid.T
+    re, im = cos_sin(phases)
+    return {"re": re, "im": im}
+
+
+@pytest.mark.parametrize("datum", ["shifted", "anisotropic", "tetrahedron", "heavytail",
+                                   "sampler"])
+def test_crosscheck_falls_back_to_the_plain_empirical_transform(kernel, datum):
+    """A datum that fails a premise of the controls takes the plain cos/sin
+    reduction on stream (5, 1), bit for bit."""
+    mu0 = {
+        "shifted": lambda: gaussian_datum(mean=(0.5, 0.0, 0.0)),
+        "anisotropic": lambda: gaussian_datum(cov=np.diag([1.0, 1.0, 1.0 + 2**-40])),
+        "tetrahedron": lambda: discrete_datum(TETRAHEDRON, [0.25] * 4),
+        "heavytail": lambda: heavytail_datum(3.5, normalize=True),
+        "sampler": lambda: sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
+    }[datum]()
+    assert not _controls_exact(mu0)
+    grid, n, seed = small_grid(), 300, 45
+    report = representation_crosscheck(mu0, kernel, [1.0], grid, n, seed=seed)
+    tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, 1.0, grid, n,
+                                             seed, (5, 0), 1)
+    sums = reduce_cascades(_plain_wild_task, seed, (5, 1), 1, 1.0, n,
+                           mu0=mu0, kernel=kernel, xi_grid=grid)
+    (re, se_re), (im, se_im) = mean_se(sums, "re"), mean_se(sums, "im")
+    for i, entry in enumerate(report.entries):
+        assert entry.mc_value == abs(tree[i] - (re[i] + 1j * im[i]))
+        assert entry.mc_se == math.hypot(math.hypot(se_re_t[i], se_re[i]),
+                                         math.hypot(se_im_t[i], se_im[i]))
+        assert entry.reference_provenance == "independent wild-cascade empirical transform"
+
+
+def test_crosscheck_controls_survive_huge_frequencies(kernel, sixpoint):
+    """At |xi| near 1e150 the controls, read in x = v . xi / (|xi| sigma)
+    rather than in the phase, stay finite, so the report is made as the
+    plain estimator's would be."""
+    grid = np.array([[0.8, 0.0, 0.0], [1e150, 0.0, 0.0], [0.0, 3e140, 4e140]])
+    betas = _control_coefficients(sixpoint, kernel, 1.0, grid, 5, 1)
+    assert np.all(np.isfinite(betas))
+    report = representation_crosscheck(sixpoint, kernel, [1.0], grid, 300, seed=5)
+    assert all(math.isfinite(e.mc_value) and math.isfinite(e.mc_se) for e in report.entries)

@@ -14,10 +14,13 @@ from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
     _check,
+    _control_coefficients,
+    _transform_grid,
+    _wild_cf_task,
     conservation_check,
     run_identity_suite,
 )
-from wildsim.initial import sixpoint_datum
+from wildsim.initial import gaussian_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
     SizeStrata,
@@ -29,6 +32,7 @@ from wildsim.sampler import (
     size_strata,
     sorted_sizes,
     summarize,
+    transform_sums,
     weight_sums,
 )
 
@@ -198,6 +202,19 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     # the velocity estimator's pairing rule is named as well
     scheme = sampler.reduction_scheme()
     assert "theta + pi" in scheme["velocity_pairing"]
+    # and so is crosscheck's control rule: its pilot size and stream
+    assert "2000 cascades" in scheme["transform_controls"]
+    monkeypatch.setattr(sampler, "CONTROL_PILOT", 1000)
+    assert cli._run_id("identities", config, kernel, None) != base
+    monkeypatch.setattr(sampler, "CONTROL_PILOT", 2000)
+    assert cli._run_id("identities", config, kernel, None) == base
+    monkeypatch.setattr(sampler, "CONTROL_KEY", (5, 3))
+    assert cli._run_id("identities", config, kernel, None) != base
+    monkeypatch.setattr(sampler, "CONTROL_KEY", (5, 2))
+    assert cli._run_id("identities", config, kernel, None) == base
+    monkeypatch.setattr(cli, "reduction_scheme",
+                        lambda: {**scheme, "transform_controls": "none"})
+    assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(cli, "reduction_scheme",
                         lambda: {**scheme, "velocity_pairing": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
@@ -292,3 +309,40 @@ def test_conservation_z_scores_are_calibrated_across_seeds(kernel, t, n_samples)
         z = np.array(scores[f"conserved_{key}"])
         assert abs(z.mean()) <= 4.0 / math.sqrt(n), (key, z.mean())
         assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (key, z.std(ddof=1))
+
+
+@pytest.mark.parametrize("datum", ["sixpoint", "gaussian"])
+def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
+    """The same sweep for `crosscheck` at t = 1: the real and imaginary
+    z-scores of the tree side (stream (5, 0)) minus the controlled empirical
+    side (stream (5, 1), coefficients from the pilot on (5, 2)) have mean 0
+    and sd 1 within 4 sigma at every frequency of the grid, so the pilot's
+    coefficients bias neither the estimate nor its standard error.  The
+    controlled real parts lean positive (over these seeds the largest z
+    mean is +0.15, against the gate's 0.2): over seeds 1000-1399, averaged
+    over the ten real parts of both data, the controlled z means exceeded
+    the plain ones by 0.07, 0.02 and 0.02 at 2,000, 5,000 and 20,000
+    cascades (one frequency's z mean carries noise of about 0.05 over 400
+    seeds).  The shift does not grow with the sample, as a bias of the
+    controls would, so it reads as skew (what the x^2 control leaves is
+    mostly the x^4 term); and over 4e7 cascades at t = 1 the control means
+    read within 2 standard errors of zero (2.2e-4 for x^2 - m2 / 3)."""
+    mu0 = sixpoint_datum() if datum == "sixpoint" else gaussian_datum()
+    grid = np.array([[0.8, 0.0, 0.0], [0.0, 0.0, 1.1], [0.5, 0.5, 0.5],
+                     [-0.4, 0.8, 0.2], [1.2, -0.3, 0.9]])  # test_diagnostics.small_grid
+    t, n_samples = 1.0, 2000
+    z = []
+    for seed in SWEEP_SEEDS:
+        tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, grid,
+                                                 n_samples, seed, (5, 0), 1)
+        betas = _control_coefficients(mu0, kernel, t, grid, seed, 1)
+        wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, grid,
+                                                 n_samples, seed, (5, 1), 1, betas=betas)
+        diff = tree - wild
+        z.append(np.concatenate([diff.real / np.hypot(se_re_t, se_re_w),
+                                 diff.imag / np.hypot(se_im_t, se_im_w)]))
+    z = np.array(z)
+    n = len(SWEEP_SEEDS)
+    assert np.all(np.abs(z.mean(axis=0)) <= 4.0 / math.sqrt(n)), z.mean(axis=0)
+    assert np.all(np.abs(z.std(axis=0, ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n)), \
+        z.std(axis=0, ddof=1)
