@@ -10,7 +10,8 @@ estimator the datum picks: the conditional product where the datum has a
 transform, the raw average of exp(i rho S) over velocities drawn at the
 leaves otherwise.  `representation_crosscheck` holds them against the
 empirical transform of independent velocity draws, less control variates
-of exactly known mean where the datum allows (`_controls_exact`).  A suite
+of exactly known mean where the datum allows (`_controls_exact`), as are
+`conservation_check`'s mean velocity and energy.  A suite
 asks the datum for what it may lack, and a rate fit checks for
 MIN_FIT_TIMES times, before drawing any cascade.
 
@@ -248,17 +249,44 @@ def _check(identity, params, value, se, reference, provenance, z_threshold,
 
 # --- chunk tasks (module level so they pickle) ------------------------------------
 
-def _velocity_moments_task(nus, rng, mu0, kernel, direction=None):
-    """Per-cascade velocity statistics, each averaged over the antithetic
-    pair of root velocities (root azimuth theta and theta + pi, see
-    `sampler.replay`): one unbiased row per cascade with less variance."""
+def _root_pairs(nus, rng, mu0, kernel) -> np.ndarray:
+    """Each cascade's root velocity and its antithetic partner at root
+    azimuth theta + pi (`sampler.replay`), shape (2, cascades, 3): a
+    statistic averaged over the pair is one unbiased row per cascade with
+    less variance."""
     record = germination_record(nus, kernel, rng)
-    pair = np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
-    axis = np.array([1.0, 0.0, 0.0]) if direction is None else np.asarray(direction)
+    return np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
+
+
+def _velocity_moments_task(nus, rng, mu0, kernel, mu4=None):
+    """Per cascade, the mean velocity v1, v2, v3 and the energy |v|^2, each
+    averaged over the root pair.  Given mu4 = E|v|^4 at the chunk's time
+    (`_exact_fourth_moment`), for a datum that meets `_controls_exact`,
+    they carry control variates of exact mean with the limiting
+    Maxwellian's optimal coefficients: |v|^2 - (|v|^4 - mu4) / (4 m2) and
+    v_m - 3 v_m |v|^2 / (7 m2), whose control has mean 0 by the v -> -v
+    symmetry.  A fixed coefficient keeps each column's mean and its plain
+    standard error."""
+    pair = _root_pairs(nus, rng, mu0, kernel)
+    if mu4 is None:
+        energy = np.einsum("pij,pij->i", pair, pair) / 2.0
+    else:  # in place: |v|^2, then the factor on v, then the energy's control
+        square = np.einsum("pij,pij->pi", pair, pair)
+        control = square * (-3.0 / (7.0 * mu0.m2))
+        control += 1.0
+        pair *= control[:, :, None]
+        np.multiply(square, square, out=control)
+        control -= mu4
+        control *= 1.0 / (4.0 * mu0.m2)
+        square -= control
+        energy = square.mean(axis=0)
     mean = pair.mean(axis=0)
-    return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2],
-            "energy": np.einsum("pij,pij->i", pair, pair) / 2.0,
-            "v1_fourth": ((pair @ axis) ** 4).mean(axis=0)}
+    return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2], "energy": energy}
+
+
+def _fourth_moment_task(nus, rng, mu0, kernel, axis):
+    """Per cascade, (v . axis)^4 averaged over the root pair."""
+    return {"v1_fourth": ((_root_pairs(nus, rng, mu0, kernel) @ axis) ** 4).mean(axis=0)}
 
 
 def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
@@ -365,22 +393,31 @@ def conservation_check(
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
-    """Mean velocity and energy of cascade draws against the initial values."""
+    """Mean velocity and energy of cascade draws against the initial values,
+    less control variates of exact mean (`_velocity_moments_task`) for a
+    datum that meets `_controls_exact`; each entry's provenance names its
+    control."""
     if not math.isfinite(mu0.m2):
         raise ConfigError("conservation check needs a finite second moment")
     report = IdentityReport("conservation")
+    controlled = _controls_exact(mu0)
+    lambda_b = spectral_functionals(kernel).lambda_b if controlled else None
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
-            _velocity_moments_task, seed, (2, it), workers, t, n_samples,
-            mu0=mu0, kernel=kernel,
+            _velocity_moments_task, seed, (2, it), workers, t, n_samples, mu0=mu0,
+            kernel=kernel, mu4=_exact_fourth_moment(mu0, lambda_b, t) if controlled else None,
         )
-        references = [("v1", mu0.mean[0]), ("v2", mu0.mean[1]),
-                      ("v3", mu0.mean[2]), ("energy", mu0.m2)]
-        for key, reference in references:
+        references = [("v1", mu0.mean[0], "3 v1 |v|^2 / (7 m2)"),
+                      ("v2", mu0.mean[1], "3 v2 |v|^2 / (7 m2)"),
+                      ("v3", mu0.mean[2], "3 v3 |v|^2 / (7 m2)"),
+                      ("energy", mu0.m2, "(|v|^4 - E|v|^4(t)) / (4 m2)")]
+        for key, reference, control in references:
             mean, se = map(float, mean_se(sums, key))
             report.entries.append(_check(
                 f"conserved_{key}", {"t": t}, mean, se, float(reference),
-                "initial-datum moment table", z_threshold))
+                "initial-datum moment table"
+                + (f", less control {control} of exact mean" if controlled else ""),
+                z_threshold))
     return report
 
 
@@ -428,13 +465,15 @@ def moment_decay_fit(
         mu0.require_m4()
         if not mu0.is_normalized(tol=1e-6):
             raise ConfigError("directional fourth-moment fit needs a normalized datum")
-        if direction is not None:
-            direction = np.asarray(direction, float)
-            direction = direction / np.linalg.norm(direction)
+        if direction is None:
+            axis = np.array([1.0, 0.0, 0.0])
+        else:
+            axis = np.asarray(direction, float)
+            axis = axis / np.linalg.norm(axis)
         for it, t in enumerate(times):
             sums = reduce_cascades(
-                _velocity_moments_task, seed, (3, it), workers, float(t), n_samples,
-                mu0=mu0, kernel=kernel, direction=direction,
+                _fourth_moment_task, seed, (3, it), workers, float(t), n_samples,
+                mu0=mu0, kernel=kernel, axis=axis,
             )
             mean, se = mean_se(sums, "v1_fourth")
             values[it] = abs(mean - 3.0)
@@ -530,18 +569,30 @@ def cf_distance_curve(
 
 
 def _controls_exact(mu0: InitialDatum) -> bool:
-    """Whether the control means of `_wild_cf_task` are exact at every t.
-    The datum must have an exact transform and a finite m4, so that its
-    moments are the law's, not a sample's, and the controls have finite
-    variance.  Its transform must be real, which holds exactly when the
-    law is symmetric under v -> -v; the collisions keep the symmetry, so
-    every odd moment of the solution vanishes.  And its second-moment
-    tensor (for a symmetric law, the covariance) must be exactly
-    (m2 / 3) I with m2 > 0, which the collisions keep, so that
+    """Whether the control means of `_wild_cf_task` and
+    `_velocity_moments_task` are exact at every t.  The datum must have an
+    exact transform and a finite m4, so that its moments are the law's, not
+    a sample's, and the controls have finite variance (every preset that
+    qualifies is discrete, a centred Gaussian or a centred Gaussian
+    mixture, with every moment finite).  Its transform must be real, which
+    holds exactly when the law is symmetric under v -> -v; the collisions
+    keep the symmetry, so every odd moment of the solution vanishes.  And
+    its second-moment tensor (for a symmetric law, the covariance) must be
+    exactly (m2 / 3) I with m2 > 0, which the collisions keep, so that
     E[(v . u)^2] = m2 / 3 for every unit u."""
     return (mu0.cf is not None and mu0.m4 is not None and math.isfinite(mu0.m4)
             and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
+
+
+def _exact_fourth_moment(mu0: InitialDatum, lambda_b: float, t: float) -> float:
+    """E|v|^4 at time t, 15 s^4 + (m4 - 15 s^4) exp(lambda_b t) with
+    s^2 = m2 / 3, for a datum that meets `_controls_exact`: with
+    v = sum_j w_j O_j V_j, sum_j w_j^2 = 1 and i.i.d. centred V_j of
+    covariance s^2 I, E[|v|^4 | cascade] = 15 s^4 + W (m4 - 15 s^4), and
+    E[W] = exp(lambda_b t)."""
+    gaussian = 15.0 * (mu0.m2 / 3.0) ** 2
+    return gaussian + (mu0.m4 - gaussian) * math.exp(lambda_b * t)
 
 
 def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:

@@ -37,8 +37,10 @@ live in one flat buffer, and two passes walk the levels:
   antithetic partner of the same law for a few vector operations:
   delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
   `decay --moment v1^4` average their velocity statistics over the pair,
-  still one unbiased row per cascade; `simulate` keeps the plain draw, and
-  so does `crosscheck`, whose empirical transform subtracts control
+  still one unbiased row per cascade, and `conserve` subtracts control
+  variates of known mean from the pair where the datum allows
+  (`diagnostics._velocity_moments_task`); `simulate` keeps the plain draw,
+  and so does `crosscheck`, whose empirical transform subtracts control
   variates of known mean from it instead (`diagnostics._wild_cf_task`).
 
 Both passes cost O(depth) Python-level steps per chunk; the depth grows
@@ -445,11 +447,16 @@ CONTROL_KEY = (5, 2)   # the pilot's stream key, apart from crosscheck's (5, 0) 
 
 def reduction_scheme() -> dict:
     """The constants of the post-stratified reduction, the velocity
-    estimator's pairing rule and the transform control rule, for run
-    identifiers."""
+    estimator's pairing and control rules and the transform control rule,
+    for run identifiers."""
     return {"scheme": "post-stratified on nu", "strata": SIZE_STRATA,
             "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes",
             "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
+            "velocity_controls": (
+                "conserve, for data with an exact real transform, finite m4 and isotropic "
+                "second moments: with s^2 = m2 / 3, energy |v|^2 - (|v|^4 - mu4(t)) / (4 m2), "
+                "mu4(t) = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t), and mean velocity "
+                "v_m (1 - 3 |v|^2 / (7 m2)), fixed coefficients"),
             "transform_controls": (
                 "crosscheck's empirical side, for data with an exact real transform, finite "
                 "m4 and isotropic second moments: with p = xi . v and "

@@ -12,7 +12,8 @@ CASCADES.  The inputs a layer reads but does not make (records, uniforms,
 factors, leaf velocities) are built before its timer starts; the last three
 rows time a whole chunk task, record included.  The empirical transform
 task (`crosscheck`'s other side) runs with its control variates, whose
-coefficients are fitted on the pilot before any timer starts.  Mean cascade
+coefficients are fitted on the pilot before any timer starts, and so does
+`conserve`'s velocity task, whose control means are closed forms.  Mean cascade
 sizes are e, e^3 and e^5.  Nothing here is a gate: the numbers depend on
 the host.
 """
@@ -23,10 +24,15 @@ import time
 import numpy as np
 
 from wildsim.cli import default_xi_grid
-from wildsim.diagnostics import _control_coefficients, _wild_cf_task
+from wildsim.diagnostics import (
+    _control_coefficients,
+    _exact_fourth_moment,
+    _velocity_moments_task,
+    _wild_cf_task,
+)
 from wildsim.geometry import collision_frames
 from wildsim.initial import sixpoint_datum
-from wildsim.kernel import make_kernel
+from wildsim.kernel import make_kernel, spectral_functionals
 from wildsim.sampler import (
     chunk_slices,
     germination_record,
@@ -76,6 +82,7 @@ def layers(t_index, t, kernel, mu0):
 
     grid = default_xi_grid()
     betas = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
+    mu4 = _exact_fourth_moment(mu0, spectral_functionals(kernel).lambda_b, t)
     return [
         ("`germination_record` (angles, cuts, azimuths)", fresh_streams,
          lambda a: germination_record(a[0], kernel, a[1])),
@@ -93,6 +100,8 @@ def layers(t_index, t, kernel, mu0):
          lambda a: transform_sums(a[0], a[1], mu0=mu0, kernel=kernel, xi_grid=grid)),
         ("`_wild_cf_task` with controls, default grid, all but the pilot", fresh_streams,
          lambda a: _wild_cf_task(a[0], a[1], mu0, kernel, grid, betas=betas)),
+        ("`_velocity_moments_task` with controls, record included", fresh_streams,
+         lambda a: _velocity_moments_task(a[0], a[1], mu0, kernel, mu4=mu4)),
     ]
 
 

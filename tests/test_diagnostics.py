@@ -11,6 +11,7 @@ from wildsim.diagnostics import (
     IdentityReport,
     _control_coefficients,
     _controls_exact,
+    _exact_fourth_moment,
     _transform_grid,
     _wild_cf_task,
     _z_score,
@@ -34,8 +35,15 @@ from wildsim.initial import (
     sampler_datum,
     sixpoint_datum,
 )
-from wildsim.kernel import cos_sin, make_kernel
-from wildsim.sampler import cascade_velocities, mean_se, reduce_cascades, transform_sums
+from wildsim.kernel import cos_sin, make_kernel, spectral_functionals
+from wildsim.sampler import (
+    cascade_velocities,
+    germination_record,
+    mean_se,
+    reduce_cascades,
+    replay,
+    transform_sums,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +166,40 @@ def test_conservation_shifted_mean(kernel):
     assert report.passed
     v1 = [e for e in report.entries if e.identity == "conserved_v1"][0]
     assert v1.reference_value == 1.0
+
+
+def _plain_velocity_task(nus, rng, *, mu0, kernel):
+    """conserve's columns without controls: v1, v2, v3 and |v|^2, each
+    averaged over the root pair."""
+    record = germination_record(nus, kernel, rng)
+    pair = np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
+    mean = pair.mean(axis=0)
+    return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2],
+            "energy": np.einsum("pij,pij->i", pair, pair) / 2.0}
+
+
+@pytest.mark.parametrize("datum", ["shifted", "sampler"])
+def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
+    """A datum that fails a premise of the velocity controls takes the
+    plain columns on streams (2, t index), bit for bit; a datum that meets
+    them names its control in each entry's provenance."""
+    mu0 = {
+        "shifted": lambda: gaussian_datum(mean=(0.5, 0.0, 0.0)),
+        "sampler": lambda: sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
+    }[datum]()
+    assert not _controls_exact(mu0)
+    times, n, seed = [1.0, 3.0], 2000, 46
+    report = conservation_check(mu0, kernel, times, n, seed=seed)
+    for it, t in enumerate(times):
+        sums = reduce_cascades(_plain_velocity_task, seed, (2, it), 1, t, n,
+                               mu0=mu0, kernel=kernel)
+        entries = [e for e in report.entries if e.params["t"] == t]
+        for entry, key in zip(entries, ("v1", "v2", "v3", "energy"), strict=True):
+            assert entry.identity == f"conserved_{key}"
+            assert (entry.mc_value, entry.mc_se) == tuple(map(float, mean_se(sums, key)))
+            assert entry.reference_provenance == "initial-datum moment table"
+    controlled = conservation_check(sixpoint_datum(), kernel, [1.0], 200, seed=seed)
+    assert all("less control" in e.reference_provenance for e in controlled.entries)
 
 
 def test_z_gate_fails_when_a_standard_error_overflows(kernel):
@@ -339,6 +381,42 @@ def test_control_means_are_exact(kernel, datum, t):
         mean, se = mean_se(sums, key)
         assert np.all(se > 0.0), key
         assert np.all(np.abs(mean / se) <= 4.0), (key, mean / se)
+
+
+def _fourth_moments(nus, rng, *, mu0, kernel):
+    """Per cascade, |v|^4 and v |v|^2 of one plain velocity draw v."""
+    v = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
+    square = np.einsum("ij,ij->i", v, v)
+    return {"fourth": square * square, "odd": v * square[:, None]}
+
+
+CENTRED_ISOTROPIC = {
+    "sixpoint": sixpoint_datum,
+    "gaussian": gaussian_datum,
+    "mixture": lambda: mixture_datum([(0.5, (0, 0, 0), 0.5), (0.5, (0, 0, 0), 1.5)]),
+}
+
+
+@pytest.mark.parametrize("datum", sorted(CENTRED_ISOTROPIC))
+def test_velocity_control_means_are_exact(kernel, datum):
+    """The means conserve's controls rely on: for a symmetric datum with
+    isotropic second moments, E|v|^4 = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t)
+    with s^2 = m2 / 3, and E[v_m |v|^2] = 0 for m = 1, 2, 3, at every t.
+    The mixture's m4 (18.75) and sixpoint's (9) differ from 15 s^4 = 15, so
+    the W term is tested with either sign.  A velocity scale error of 1e-2
+    moves E|v|^4 by 4%, which fails the sixpoint and Gaussian cases; the
+    mixture's heavier tail hides it at this sample size."""
+    mu0 = CENTRED_ISOTROPIC[datum]()
+    assert _controls_exact(mu0)
+    lambda_b = spectral_functionals(kernel).lambda_b
+    for it, t in enumerate([0.5, 1.0, 3.0, 5.0]):
+        sums = reduce_cascades(_fourth_moments, 72, (it,), 1, t, 40_000,
+                               mu0=mu0, kernel=kernel)
+        for key, reference in [("fourth", _exact_fourth_moment(mu0, lambda_b, t)),
+                               ("odd", 0.0)]:
+            mean, se = mean_se(sums, key)
+            assert np.all(se > 0.0), (key, t)
+            assert np.all(np.abs((mean - reference) / se) <= 4.0), (key, t, mean, reference, se)
 
 
 # the vertices of a regular tetrahedron: mean exactly 0 and covariance exactly

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from golden import GOLDEN, VALUE_TOL, add_missing, drift, engine_digests, engine_values
 from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array
-from wildsim.diagnostics import _velocity_moments_task
+from wildsim.diagnostics import _fourth_moment_task, _velocity_moments_task
 from wildsim.geometry import left_frame, right_frame
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
@@ -187,10 +187,14 @@ def test_mirrored_root_is_the_collision_at_the_opposite_azimuth(seed, pairs, sca
 def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
     """The paired estimator against the plain one: each statistic is the
     mean of a plain replay of the record and of a replay with pi added to
-    every root azimuth, on the same leaf velocities."""
+    every root azimuth, on the same leaf velocities; and so is each
+    controlled statistic, given a fourth-moment mean mu4."""
     nus, _ = sorted_sizes(t, rng_stream(seed), size)
     probe = np.array([0.6, 0.0, 0.8])
-    stats = _velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, probe)
+    stats = {**_velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL),
+             **_fourth_moment_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, probe)}
+    mu4 = 13.0
+    controlled = _velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, mu4)
     rng = rng_stream(seed, 1)
     record = germination_record(nus, KERNEL, rng)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
@@ -204,6 +208,15 @@ def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
     for key, values in expected.items():
         np.testing.assert_allclose(stats[key], values.mean(axis=0), rtol=1e-12, atol=1e-12,
                                    err_msg=key)
+    m2 = SIXPOINT.m2
+    square = expected["energy"]
+    expected = {key: expected[key] * (1.0 - 3.0 * square / (7.0 * m2))
+                for key in ("v1", "v2", "v3")}
+    expected["energy"] = square - (square**2 - mu4) / (4.0 * m2)
+    assert controlled.keys() == expected.keys()
+    for key, values in expected.items():
+        np.testing.assert_allclose(controlled[key], values.mean(axis=0), rtol=1e-12,
+                                   atol=1e-12, err_msg=key)
 
 
 @settings(max_examples=40, deadline=None)

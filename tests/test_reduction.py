@@ -199,9 +199,10 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
     assert cli._run_id("identities", config, kernel, None) == base
-    # the velocity estimator's pairing rule is named as well
+    # the velocity estimator's pairing and control rules are named as well
     scheme = sampler.reduction_scheme()
     assert "theta + pi" in scheme["velocity_pairing"]
+    assert "7 m2" in scheme["velocity_controls"]
     # and so is crosscheck's control rule: its pilot size and stream
     assert "2000 cascades" in scheme["transform_controls"]
     monkeypatch.setattr(sampler, "CONTROL_PILOT", 1000)
@@ -217,6 +218,9 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(cli, "reduction_scheme",
                         lambda: {**scheme, "velocity_pairing": "none"})
+    assert cli._run_id("identities", config, kernel, None) != base
+    monkeypatch.setattr(cli, "reduction_scheme",
+                        lambda: {**scheme, "velocity_controls": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
 
 
@@ -294,12 +298,15 @@ def test_identity_z_scores_are_calibrated_across_seeds(kernel, t, n_samples):
         assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (label, z.std(ddof=1))
 
 
+@pytest.mark.parametrize("datum", ["sixpoint", "gaussian"])
 @pytest.mark.parametrize("t, n_samples", [(1.0, 1_000), (3.0, 600)])
-def test_conservation_z_scores_are_calibrated_across_seeds(kernel, t, n_samples):
+def test_conservation_z_scores_are_calibrated_across_seeds(kernel, t, n_samples, datum):
     """The same sweep for `conserve`, whose velocity statistics average the
-    antithetic pair of root azimuths: over 400 seeds the z-scores of the
-    mean velocity and the energy have mean 0 and sd 1 within 4 sigma."""
-    mu0 = sixpoint_datum()
+    antithetic pair of root azimuths and, for these data, carry control
+    variates of exact mean with fixed coefficients: over 400 seeds the
+    z-scores of the mean velocity and the energy have mean 0 and sd 1
+    within 4 sigma."""
+    mu0 = sixpoint_datum() if datum == "sixpoint" else gaussian_datum()
     scores = {}
     for seed in SWEEP_SEEDS:
         for entry in conservation_check(mu0, kernel, [t], n_samples, seed=seed).entries:
