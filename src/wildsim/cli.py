@@ -338,9 +338,7 @@ def _cmd_crosscheck(config, kernel, mu0, run_id):
 
 def _cmd_legendre(config, kernel, mu0, run_id):
     report = diagnostics.legendre_moment_checks(
-        kernel, tree_size=config["tree_size"], n_theta=config["samples"],
-        seed=config["seed"], z_threshold=config["z_threshold"],
-    )
+        kernel, tree_size=config["tree_size"], seed=config["seed"])
     return _report_outcome(config, run_id, report)
 
 
@@ -371,19 +369,19 @@ def _cmd_simulate(config, kernel, mu0, run_id):
 
 def _reads(extra: str) -> tuple[str, ...]:
     """The settings of every command and extra, in the order of SETTINGS."""
-    names = {"kernel", "samples", "seed", "out", "csv", *extra.split()}
+    names = {"kernel", "seed", "out", "csv", *extra.split()}
     return tuple(key for key in SETTINGS if key in names)
 
 
 COMMANDS = {  # name: (function, the settings it reads)
-    "identities": (_cmd_identities, _reads("t workers z_threshold")),
-    "conserve": (_cmd_conserve, _reads("mu0 t workers z_threshold")),
-    "decay": (_cmd_decay, _reads("mu0 moment t workers rate_tol max_rate")),
-    "cfcurve": (_cmd_cfcurve, _reads("mu0 t workers xi_grid max_rate")),
-    "crosscheck": (_cmd_crosscheck, _reads("mu0 t workers xi_grid z_threshold")),
-    "legendre": (_cmd_legendre, _reads("tree_size z_threshold")),
-    "envelope": (_cmd_envelope, _reads("mu0 t workers lam q")),
-    "simulate": (_cmd_simulate, _reads("mu0 t workers")),
+    "identities": (_cmd_identities, _reads("t samples workers z_threshold")),
+    "conserve": (_cmd_conserve, _reads("mu0 t samples workers z_threshold")),
+    "decay": (_cmd_decay, _reads("mu0 moment t samples workers rate_tol max_rate")),
+    "cfcurve": (_cmd_cfcurve, _reads("mu0 t samples workers xi_grid max_rate")),
+    "crosscheck": (_cmd_crosscheck, _reads("mu0 t samples workers xi_grid z_threshold")),
+    "legendre": (_cmd_legendre, _reads("tree_size")),
+    "envelope": (_cmd_envelope, _reads("mu0 t samples workers lam q")),
+    "simulate": (_cmd_simulate, _reads("mu0 t samples workers")),
 }
 ONE_TIME = ("envelope", "simulate")  # the commands that run at one time
 

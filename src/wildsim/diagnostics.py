@@ -62,6 +62,7 @@ ENVELOPE_RADII = 33      # radii per cascade on [0, R] in the envelope check
 PREMISE_RHO_MAX = 30.0   # the tail premise is checked on [0, PREMISE_RHO_MAX]
 A_STAR = 0.25            # tail threshold of the Markov bound P[W >= a*] <= E[W] / a*
 MIN_FIT_TIMES = 4        # times a rate fit needs (a line through two has no residual)
+AZIMUTH_POINTS = 4       # equispaced azimuths per split: exact for P_k, k <= 3
 
 
 # --- report containers --------------------------------------------------------
@@ -687,60 +688,49 @@ def representation_crosscheck(
 def legendre_moment_checks(
     kernel: CollisionKernel,
     tree_size: int = 4,
-    n_theta: int = 100_000,
     seed: int = 0,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
     """Conditional Legendre moments of the leaf directions against the
     product-form references, for every shape up to tree_size leaves.
 
-    For each tree and fixed split angles, the average over azimuth draws of
+    For each tree and fixed split angles, the mean over the azimuths of
     P_k(psi_j . xi) must equal P_k(u . xi) times the order-k leaf weight,
     for k = 1, 2, 3 and every leaf j.  Each tree is a `tree_record`, its
-    angles drawn in the record's node order.  One `grow` of the row
-    xi B(u), with frames over an axis of n_theta azimuth draws, gives every
+    angles drawn in the record's node order.  P_k(psi_j . xi) has degree
+    <= k in each azimuth, so a grid of AZIMUTH_POINTS per split gives the
+    mean exactly.  One `grow` of the row xi B(u) over the grid gives every
     psi_j . xi = xi B(u) O_j e3 without forming the leaf rotations.
     """
     if not 1 <= tree_size <= ENUMERATION_LIMIT:
         raise ConfigError(f"tree size must be 1 .. {ENUMERATION_LIMIT}, got {tree_size}")
-    if n_theta < 2:
-        raise ConfigError(f"need at least 2 azimuth draws per tree, got {n_theta}")
     rng = rng_stream(seed, 6)
     u = np.array([0.3, -0.2, 0.93])
     u /= np.linalg.norm(u)
     xi = np.array([-0.5, 0.7, 0.4])
     xi /= np.linalg.norm(xi)
-    row = np.broadcast_to(xi @ frame_for(u), (n_theta, 1, 3))
     u_dot_xi = float(u @ xi)
     report = IdentityReport("legendre_moments")
+    azimuths = np.arange(AZIMUTH_POINTS) * (2.0 * math.pi / AZIMUTH_POINTS)
     for n in range(1, tree_size + 1):
+        # node i's frame at grid point p: row 4 i + (digit i of p) of the stacked frames
+        points = np.indices((AZIMUTH_POINTS,) * (n - 1)).reshape(n - 1, AZIMUTH_POINTS ** (n - 1))
+        points += AZIMUTH_POINTS * np.arange(n - 1)[:, None]
+        row = np.broadcast_to(xi @ frame_for(u), (points.shape[1], 1, 3))
         for tree in enumerate_trees(n):
             record = tree_record(tree, kernel.inverse_beta_cdf(rng.random(n - 1)))
             cos_p, sin_p = np.cos(record.phis), np.sin(record.phis)
-            factors = {k: grow(record, legendre_value(k, cos_p), legendre_value(k, sin_p), 1.0)
-                       for k in (1, 2, 3)}
-            if n == 1:
-                dots = np.array([[u_dot_xi]])
-            else:
-                thetas = rng.uniform(0.0, 2.0 * math.pi, (n - 1, n_theta))
-                # frames (n - 1, N, 3, 3) grow the rows xi B(u) O_j, (n, N, 1, 3);
-                # neither outlives this shape, so two never coexist
-                frames = collision_frames(record.phis[:, None], thetas)
-                dots = grow(record, *frames, row)[:, :, 0, 2].copy()
-                del frames
+            frames = collision_frames(record.phis[:, None], azimuths)
+            dots = grow(record, *(f.reshape(-1, 3, 3).take(points, axis=0) for f in frames),
+                        row)[..., 0, 2]
             for k in (1, 2, 3):
-                reference_scale = float(legendre_value(k, u_dot_xi))
-                samples = legendre_value(k, dots)
+                means = legendre_value(k, dots).mean(axis=1)
+                references = float(legendre_value(k, u_dot_xi)) * grow(
+                    record, legendre_value(k, cos_p), legendre_value(k, sin_p), 1.0)
                 for j in range(n):
-                    mean = float(samples[j].mean())
-                    se = (
-                        0.0 if n == 1
-                        else float(samples[j].std(ddof=1) / math.sqrt(samples.shape[1]))
-                    )
                     report.entries.append(_check(
                         f"legendre_k{k}", {"tree": tree.encode(), "leaf": j + 1},
-                        mean, se, reference_scale * float(factors[k][j]),
-                        "order-k leaf weight product", z_threshold))
+                        float(means[j]), 0.0, float(references[j]),
+                        "order-k leaf weight product", DEFAULT_Z_THRESHOLD))
     return report
 
 

@@ -227,9 +227,8 @@ def test_crosscheck_command(tmp_path):
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "0"],
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--q", "-1"],
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--lam", "-1"],
-    ["legendre", "--samples", "10", "--tree-size", "0"],
-    ["legendre", "--samples", "10", "--tree-size", "9"],
-    ["legendre", "--samples", "1", "--tree-size", "2"],
+    ["legendre", "--tree-size", "0"],
+    ["legendre", "--tree-size", "9"],
     ["identities", "--samples", "10", "--z-threshold", "0"],
     ["identities", "--samples", "10", "--z-threshold", "nan"],
     ["decay", "--samples", "10", "--t", "1,2,3,4", "--rate-tol", "-0.1"],
@@ -239,6 +238,8 @@ def test_crosscheck_command(tmp_path):
     ["envelope", "--samples", "10", {"lam": [1]}],
     ["identities", "--t", "0.5", {"samples": 20.7}],
     ["identities", "--t", "0.5", {"samples": None}],
+    # legendre's means are exact: it reads no sample count
+    ["legendre", {"samples": 10}],
     # a command that runs at one time given several
     ["envelope", "--samples", "10", "--mu0", "gaussian", "--t", "0.5,9"],
     ["simulate", "--samples", "10", "--t", "0.5,1"],
@@ -300,6 +301,8 @@ def test_overflowing_mu0_is_config_error(capsys):
     ["crosscheck", "--estimator", "raw"],
     ["legendre", "--workers", "2"],
     ["legendre", "--t", "2"],  # not an abbreviation of --tree-size
+    ["legendre", "--samples", "10"],  # its means are exact
+    ["legendre", "--z-threshold", "4"],  # its gate is exact
     ["envelope", "--z-threshold", "3"],
     ["simulate", "--xi-grid", "[[1,0,0]]"],
     ["identities", "--nmax", "5"],  # the cascade-size cap is fixed
@@ -309,9 +312,10 @@ def test_overflowing_mu0_is_config_error(capsys):
     ["cfcurve", "--estimator", "raw"],  # the datum picks the transform estimator
 ])
 def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
+    samples = [] if argv[0] == "legendre" else ["--samples", "10"]
     if not isinstance(argv[-1], dict):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--samples", "10"])
+            main([*argv, *samples])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         # the command's own usage, which lists the flags it does take
@@ -320,7 +324,7 @@ def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
         return
     path = tmp_path / "config.json"
     path.write_text(json.dumps(argv[-1]))
-    assert main([*argv[:-1], "--samples", "10", "--config", str(path)]) == EXIT_CONFIG
+    assert main([*argv[:-1], *samples, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
@@ -338,29 +342,29 @@ SUITE_ARGS = {
 
 
 SUITE_SETTINGS = {
-    "identities": "t workers z_threshold",
-    "conserve": "mu0 t workers z_threshold",
-    "decay": "mu0 moment t workers rate_tol max_rate",
-    "cfcurve": "mu0 t workers xi_grid max_rate",
-    "crosscheck": "mu0 t workers xi_grid z_threshold",
-    "legendre": "tree_size z_threshold",
-    "envelope": "mu0 t workers lam q",
-    "simulate": "mu0 t workers",
+    "identities": "t samples workers z_threshold",
+    "conserve": "mu0 t samples workers z_threshold",
+    "decay": "mu0 moment t samples workers rate_tol max_rate",
+    "cfcurve": "mu0 t samples workers xi_grid max_rate",
+    "crosscheck": "mu0 t samples workers xi_grid z_threshold",
+    "legendre": "tree_size",
+    "envelope": "mu0 t samples workers lam q",
+    "simulate": "mu0 t samples workers",
 }
 
 
 @pytest.mark.parametrize("command", sorted(SUITE_ARGS))
 def test_reports_write_json_booleans(command, tmp_path):
     out = tmp_path / "report.json"
-    main([command, "--samples", "300", "--seed", "5", "--out", str(out),
-          *SUITE_ARGS[command]])
+    samples = ["--samples", "300"] if "samples" in SUITE_SETTINGS[command] else []
+    main([command, *samples, "--seed", "5", "--out", str(out), *SUITE_ARGS[command]])
     payload = json.loads(out.read_text())
     flags = [payload["passed"], *payload.get("checks", {}).values(),
              *(entry["passed"] for entry in payload.get("entries", []))]
     assert all(type(flag) is bool for flag in flags)
     # the echoed config holds exactly the settings the command reads; the
     # weight statistic of decay --moment W reads no initial datum
-    reads = {"kernel", "samples", "seed", "out", "csv", *SUITE_SETTINGS[command].split()}
+    reads = {"kernel", "seed", "out", "csv", *SUITE_SETTINGS[command].split()}
     assert set(payload["config"]) == reads - ({"mu0"} if command == "decay" else set())
 
 
@@ -474,14 +478,14 @@ def test_run_id_names_every_verdict_setting(tmp_path):
     runs = {
         "conserve": ["conserve", "--t", "0.5", "--samples", "100"],
         "crosscheck": ["crosscheck", "--t", "0.5", "--samples", "100", "--xi-grid", "[[1,0,0]]"],
-        "legendre": ["legendre", "--tree-size", "2", "--samples", "50"],
+        "legendre": ["legendre"],
         "decay": ["decay", "--moment", "W", "--t", "1,2,3,4", "--samples", "200"],
         "cfcurve": ["cfcurve", "--mu0", "gaussian", "--t", "0.5,1,1.5,2", "--samples", "100",
                     "--xi-grid", "[[1,0,0]]"],
     }
     verdict_settings = [("conserve", "--z-threshold", "4", "0.01"),
                         ("crosscheck", "--z-threshold", "4", "0.01"),
-                        ("legendre", "--z-threshold", "4", "0.01"),
+                        ("legendre", "--tree-size", "2", "3"),
                         ("decay", "--rate-tol", "0.5", "0.01"),
                         ("decay", "--max-rate", "0", "-5"),
                         ("cfcurve", "--max-rate", "0", "-5")]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wildsim import diagnostics
 from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
@@ -24,8 +25,10 @@ from wildsim.diagnostics import (
     representation_crosscheck,
     run_identity_suite,
     transform_grid_estimates,
+    z_calibration,
 )
 from wildsim.errors import ConfigError, InsufficientSignal, PremiseFailed
+from wildsim.geometry import collision_frames
 from wildsim.initial import (
     InitialDatum,
     discrete_datum,
@@ -317,12 +320,25 @@ def test_representation_crosscheck_zero_time(kernel, sixpoint):
 
 
 def test_legendre_moment_checks_small(kernel):
-    report = legendre_moment_checks(kernel, tree_size=3, n_theta=20_000, seed=51)
-    assert report.passed, [e for e in report.entries if not e.passed]
-    exact = [e for e in report.entries if e.params["tree"] == "."]
-    assert all(e.mc_se == 0.0 and e.passed for e in exact)
-    sizes = {len(e.params["tree"]) for e in report.entries}
-    assert sizes == {1, 4, 7}  # shapes with 1..3 leaves
+    """The azimuth grid gives exact means, so every check is an exact gate."""
+    for seed in (51, 52):
+        report = legendre_moment_checks(kernel, tree_size=6, seed=seed)
+        assert report.passed, [e for e in report.entries if not e.passed]
+        assert all(e.mc_se == 0.0 for e in report.entries)
+        assert all(abs(e.mc_value - e.reference_value) < 1e-12 for e in report.entries)
+        assert z_calibration(report.entries)["expected_failures"] == 0
+        sizes = {e.params["tree"].count(".") for e in report.entries}
+        assert sizes == {1, 2, 3, 4, 5, 6}  # shapes with 1..6 leaves
+
+
+def test_legendre_gate_fails_perturbed_frames(kernel, monkeypatch):
+    """Split angles off by a relative 1e-6 in the frames alone fail the gate."""
+    def perturbed(phi, theta):
+        return collision_frames(phi * (1.0 + 1e-6), theta)
+
+    monkeypatch.setattr(diagnostics, "collision_frames", perturbed)
+    report = legendre_moment_checks(kernel, tree_size=3, seed=51)
+    assert not report.passed
 
 
 def test_envelope_check_gaussian(kernel):

@@ -271,10 +271,10 @@ def test_expected_failures_follow_each_gate_rule():
     report = IdentityReport("synthetic", entries).as_dict()
     assert report["z_calibration"]["expected_failures"] == pytest.approx(
         0.2026809135189747, rel=1e-13)
-    # at the default gate of 4, legendre's 14,121 checks at tree size 8
-    # expect 14121 P[|Z| > 4] = 0.894 failures on correct code
-    legendre = IdentityReport("synthetic", [_check("x", {}, 0.1, 1.0, 0.0, "", 4.0)] * 14121)
-    assert legendre.as_dict()["z_calibration"]["expected_failures"] == pytest.approx(
+    # at the default gate of 4, a report of 14,121 two-sided z-gated checks
+    # expects 14121 P[|Z| > 4] = 0.894 failures on correct code
+    many = IdentityReport("synthetic", [_check("x", {}, 0.1, 1.0, 0.0, "", 4.0)] * 14121)
+    assert many.as_dict()["z_calibration"]["expected_failures"] == pytest.approx(
         0.8944592, rel=1e-6)
 
 
