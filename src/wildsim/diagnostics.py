@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
 from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
-from .kernel import S_POWERS, CollisionKernel, cos_sin, spectral_functionals
+from .kernel import S_POWERS, CollisionKernel, cos_sin, l_s, spectral_functionals
 from .sampler import (
     CONTROL_KEY,
     CONTROL_PILOT,
@@ -259,28 +259,34 @@ def _root_pairs(nus, rng, mu0, kernel) -> np.ndarray:
     return np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
 
 
-def _velocity_moments_task(nus, rng, mu0, kernel, mu4=None):
+def _velocity_moments_task(nus, rng, mu0, kernel, mu4=None, mu6=None):
     """Per cascade, the mean velocity v1, v2, v3 and the energy |v|^2, each
-    averaged over the root pair.  Given mu4 = E|v|^4 at the chunk's time
-    (`_exact_fourth_moment`), for a datum that meets `_controls_exact`,
-    they carry control variates of exact mean with the limiting
-    Maxwellian's optimal coefficients: |v|^2 - (|v|^4 - mu4) / (4 m2) and
-    v_m - 3 v_m |v|^2 / (7 m2), whose control has mean 0 by the v -> -v
-    symmetry.  A fixed coefficient keeps each column's mean and its plain
-    standard error."""
+    averaged over the root pair.  Given mu4 = E|v|^4 and mu6 = E|v|^6 at the
+    chunk's time (`_exact_fourth_moment`, `_exact_sixth_moment`), for a
+    datum that meets `_controls_exact`, they carry control variates of exact
+    mean with the limiting Maxwellian's optimal coefficients:
+    |v|^2 - 25 (|v|^4 - mu4) / (51 m2) + (|v|^6 - mu6) / (17 m2^2) and
+    v_m (1 - 6 |v|^2 / (7 m2) + |v|^4 / (7 m2^2)), whose control has mean 0
+    by the v -> -v symmetry.  A fixed coefficient keeps each column's mean
+    and its plain standard error."""
     pair = _root_pairs(nus, rng, mu0, kernel)
     if mu4 is None:
         energy = np.einsum("pij,pij->i", pair, pair) / 2.0
-    else:  # in place: |v|^2, then the factor on v, then the energy's control
+    else:  # in place, by Horner in |v|^2: the factor on v, then the energy
+        m2 = mu0.m2
         square = np.einsum("pij,pij->pi", pair, pair)
-        control = square * (-3.0 / (7.0 * mu0.m2))
+        control = square * (1.0 / (7.0 * m2 * m2))
+        control -= 6.0 / (7.0 * m2)
+        control *= square
         control += 1.0
         pair *= control[:, :, None]
-        np.multiply(square, square, out=control)
-        control -= mu4
-        control *= 1.0 / (4.0 * mu0.m2)
-        square -= control
-        energy = square.mean(axis=0)
+        np.multiply(square, 1.0 / (17.0 * m2 * m2), out=control)
+        control -= 25.0 / (51.0 * m2)
+        control *= square
+        control += 1.0
+        control *= square
+        control += 25.0 * mu4 / (51.0 * m2) - mu6 / (17.0 * m2 * m2)
+        energy = control.mean(axis=0)
     mean = pair.mean(axis=0)
     return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2], "energy": energy}
 
@@ -397,21 +403,22 @@ def conservation_check(
     """Mean velocity and energy of cascade draws against the initial values,
     less control variates of exact mean (`_velocity_moments_task`) for a
     datum that meets `_controls_exact`; each entry's provenance names its
-    control."""
+    control, a sum of two terms."""
     if not math.isfinite(mu0.m2):
         raise ConfigError("conservation check needs a finite second moment")
     report = IdentityReport("conservation")
     controlled = _controls_exact(mu0)
-    lambda_b = spectral_functionals(kernel).lambda_b if controlled else None
+    if controlled:
+        lambda_b, l6 = spectral_functionals(kernel).lambda_b, l_s(kernel, 6)
     for it, t in enumerate(t_list):
-        sums = reduce_cascades(
-            _velocity_moments_task, seed, (2, it), workers, t, n_samples, mu0=mu0,
-            kernel=kernel, mu4=_exact_fourth_moment(mu0, lambda_b, t) if controlled else None,
-        )
-        references = [("v1", mu0.mean[0], "3 v1 |v|^2 / (7 m2)"),
-                      ("v2", mu0.mean[1], "3 v2 |v|^2 / (7 m2)"),
-                      ("v3", mu0.mean[2], "3 v3 |v|^2 / (7 m2)"),
-                      ("energy", mu0.m2, "(|v|^4 - E|v|^4(t)) / (4 m2)")]
+        moments = ({"mu4": _exact_fourth_moment(mu0, lambda_b, t),
+                    "mu6": _exact_sixth_moment(mu0, lambda_b, l6, t)} if controlled else {})
+        sums = reduce_cascades(_velocity_moments_task, seed, (2, it), workers, t, n_samples,
+                               mu0=mu0, kernel=kernel, **moments)
+        references = [(f"v{m}", mu0.mean[m - 1],
+                       f"v{m} (6 |v|^2 / (7 m2) - |v|^4 / (7 m2^2))") for m in (1, 2, 3)]
+        references.append(("energy", mu0.m2, "25 (|v|^4 - E|v|^4(t)) / (51 m2) "
+                           "- (|v|^6 - E|v|^6(t)) / (17 m2^2)"))
         for key, reference, control in references:
             mean, se = map(float, mean_se(sums, key))
             report.entries.append(_check(
@@ -572,16 +579,18 @@ def cf_distance_curve(
 def _controls_exact(mu0: InitialDatum) -> bool:
     """Whether the control means of `_wild_cf_task` and
     `_velocity_moments_task` are exact at every t.  The datum must have an
-    exact transform and a finite m4, so that its moments are the law's, not
-    a sample's, and the controls have finite variance (every preset that
-    qualifies is discrete, a centred Gaussian or a centred Gaussian
-    mixture, with every moment finite).  Its transform must be real, which
-    holds exactly when the law is symmetric under v -> -v; the collisions
-    keep the symmetry, so every odd moment of the solution vanishes.  And
+    exact transform and a finite m4 and m6, so that its moments are the
+    law's, not a sample's, and the controls have finite means (every preset
+    that qualifies is discrete, a centred Gaussian or a centred Gaussian
+    mixture, with every moment finite, so their variances are finite too).
+    Its transform must be real, which holds exactly when the law is
+    symmetric under v -> -v; the collisions keep the symmetry, so every odd
+    moment of the solution vanishes.  And
     its second-moment tensor (for a symmetric law, the covariance) must be
     exactly (m2 / 3) I with m2 > 0, which the collisions keep, so that
     E[(v . u)^2] = m2 / 3 for every unit u."""
-    return (mu0.cf is not None and mu0.m4 is not None and math.isfinite(mu0.m4)
+    return (mu0.cf is not None and all(m is not None and math.isfinite(m)
+                                       for m in (mu0.m4, mu0.m6))
             and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
 
@@ -594,6 +603,21 @@ def _exact_fourth_moment(mu0: InitialDatum, lambda_b: float, t: float) -> float:
     E[W] = exp(lambda_b t)."""
     gaussian = 15.0 * (mu0.m2 / 3.0) ** 2
     return gaussian + (mu0.m4 - gaussian) * math.exp(lambda_b * t)
+
+
+def _exact_sixth_moment(mu0: InitialDatum, lambda_b: float, l6: float, t: float) -> float:
+    """E|v|^6 at time t for a datum that meets `_controls_exact`, with
+    s^2 = m2 / 3 and l6 = `kernel.l_s` at s = 6:
+    105 s^6 + 21 s^2 (m4 - 15 s^4) exp(lambda_b t)
+    + (m6 - 21 s^2 m4 + 210 s^6) exp(-(1 - 2 l6) t).  With v as in
+    `_exact_fourth_moment` and V symmetric under V -> -V, a cumulant
+    expansion gives E[|v|^6 | cascade] = 105 s^6 + 21 s^2 (m4 - 15 s^4) W
+    + (m6 - 21 s^2 m4 + 210 s^6) sum_j w_j^6, every contraction of V's
+    fourth cumulant with s^2 I being m4 - 15 s^4; and
+    E[sum_j w_j^6] = exp(-(1 - 2 l6) t)."""
+    s2 = mu0.m2 / 3.0
+    return (105.0 * s2**3 + 21.0 * s2 * (mu0.m4 - 15.0 * s2 * s2) * math.exp(lambda_b * t)
+            + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3) * math.exp(-(1.0 - 2.0 * l6) * t))
 
 
 def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:

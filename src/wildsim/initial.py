@@ -7,10 +7,11 @@ q / (4 pi |v|^(3+q)) outside the unit ball (finite third, infinite fourth
 moment for q in (3, 4)), and sampler-only data, whose moments come from a
 frozen auxiliary sample and which have no transform.
 
-A datum is its law plus only what a check reads: mean, covariance, m2 and
-m4 (m_h = E|V|^h; m4 is None if unknown, inf if divergent, never
-fabricated) and the exact transform cf, or None.  `require_cf` and
-`require_m4` say what a datum lacks, as a ConfigError.
+A datum is its law plus only what a check reads: mean, covariance, m2, m4
+and m6 (m_h = E|V|^h; m4 and m6 are None if unknown, inf if divergent, and
+an m6 that overflows is inf; none is fabricated) and the exact transform
+cf, or None.  `require_cf` and `require_m4` say what a datum lacks, as a
+ConfigError.
 
 Each family writes its transform once, along rays (`Transform`): a
 projection of a frequency y, which the estimators take once per direction,
@@ -83,7 +84,7 @@ def _radial(rho, p):
 class InitialDatum:
     """A sampleable initial law with the moments and transform checks read.
     mean, covariance and m2 have no defaults, so a datum built by hand states
-    them; m4 and cf default to None, unknown."""
+    them; m4, m6 and cf default to None, unknown."""
 
     name: str
     sampler: Callable = field(repr=False)
@@ -91,6 +92,7 @@ class InitialDatum:
     covariance: np.ndarray
     m2: float
     m4: float | None = None
+    m6: float | None = None
     cf: Transform | None = field(default=None, repr=False)
 
     def require_cf(self) -> Transform:
@@ -111,7 +113,9 @@ class InitialDatum:
 
 
 def _require_finite(name: str, *moments) -> None:
-    """Reject a law whose moments, finite by construction, overflowed."""
+    """Reject a law whose moments, finite by construction, overflowed.
+    Only m2 and m4 are checked: an m6 that overflows is kept as inf, which
+    only withholds the controls that read it."""
     if not all(math.isfinite(m) for m in moments):
         raise BadSpec(f"moments of initial datum {name!r} overflow double precision")
 
@@ -147,8 +151,14 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
     chol = np.linalg.cholesky(cov)
     name = name or "gaussian"
     with np.errstate(over="ignore", invalid="ignore"):
-        m2 = float(np.trace(cov)) + float(mean @ mean)
-        m4 = m2 * m2 + 2.0 * float(np.trace(cov @ cov)) + 4.0 * float(mean @ cov @ mean)
+        # |V|^2 has cumulants k_n = 2^(n-1) (n-1)! (tr C^n + n mean' C^(n-1) mean),
+        # so m2 = k1, m4 = k1^2 + k2 and m6 = k1^3 + 3 k1 k2 + k3 = m2 (m4 + 2 k2) + k3
+        cov2, quad = cov @ cov, mean @ cov @ mean
+        m2 = np.trace(cov) + mean @ mean
+        m4 = m2 * m2 + 2.0 * np.trace(cov2) + 4.0 * quad
+        k2 = 2.0 * np.trace(cov2) + 4.0 * quad
+        k3 = 8.0 * np.trace(cov2 @ cov) + 24.0 * (mean @ cov2 @ mean)
+        m2, m4, m6 = float(m2), float(m4), float(m2 * (m4 + 2.0 * k2) + k3)
     _require_finite(name, m2, m4)
     return InitialDatum(
         name=name,
@@ -157,6 +167,7 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
         covariance=cov,
         m2=m2,
         m4=m4,
+        m6=m6,
         cf=(Transform(partial(_gaussian_project, mean=mean, cov=cov), _gaussian_profile)
             if np.any(mean)
             else Transform(partial(_quadratic_form, cov=cov), _centred_gaussian_profile)),
@@ -202,6 +213,8 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
     mean = sum(w * p.mean for w, p in zip(weights, parts))
     second = sum(w * (p.covariance + np.outer(p.mean, p.mean))
                  for w, p in zip(weights, parts))
+    with np.errstate(over="ignore"):  # a component's m6 may be inf; a weight 0 skips it
+        m6 = float(sum(w * p.m6 for w, p in zip(weights, parts) if w > 0.0))
     return InitialDatum(
         name=name,
         sampler=partial(_mixture_sampler, weights=weights, means=means, chols=chols),
@@ -209,6 +222,7 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
         covariance=second - np.outer(mean, mean),
         m2=float(np.trace(second)),
         m4=float(sum(w * p.m4 for w, p in zip(weights, parts))),
+        m6=m6,
         cf=Transform(partial(_mixture_project, cfs=cfs),
                      partial(_mixture_profile, weights=weights, cfs=cfs)),
     )
@@ -271,7 +285,7 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
     half = _symmetric_half(points, masses)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", points, points)
-        m2, m4 = float(masses @ sq), float(masses @ sq**2)
+        m2, m4, m6 = float(masses @ sq), float(masses @ sq**2), float(masses @ sq**3)
         covariance = np.einsum("i,ij,ik->jk", masses, points, points)
         if half is None:
             mean = masses @ points
@@ -294,6 +308,7 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         covariance=covariance,
         m2=m2,
         m4=m4,
+        m6=m6,
         cf=cf,
     )
 
@@ -366,6 +381,7 @@ def heavytail_datum(q: float, normalize: bool = False) -> InitialDatum:
         covariance=(scale**2 * m2_raw / 3.0) * np.eye(3),
         m2=scale**2 * m2_raw,
         m4=math.inf,
+        m6=math.inf,
         cf=Transform(partial(_heavytail_project, scale=scale),
                      partial(_heavytail_profile, q=q)),
     )

@@ -449,13 +449,19 @@ def _g_integrand(x, fn):
     return (s2 * s2 * np.abs(2.5 * s2 - 1.5) + c2 * c2 * np.abs(2.5 * c2 - 1.5)) * fn(x)
 
 
+def l_s(kernel: CollisionKernel, s: float) -> float:
+    """l_s = int (1 - x^2)^(s/2) b(x) dx, by quadrature to 1e-10: the
+    per-split factor of E[sum_j |w_j|^s] = exp(-(1 - 2 l_s) t)."""
+    return integrate_01(partial(_ls_integrand, fn=kernel.evaluator, s=float(s)),
+                        knots=kernel.table_knots)
+
+
 def spectral_functionals(kernel: CollisionKernel) -> KernelFunctionals:
     """Compute lambda_b, l_s for s in S_POWERS, f_b and g_b."""
     fn = kernel.evaluator
     knots = kernel.table_knots
     lam = -2.0 * integrate_01(partial(_lambda_integrand, fn=fn), knots=knots)
-    ls = {s: integrate_01(partial(_ls_integrand, fn=fn, s=float(s)), knots=knots)
-          for s in S_POWERS}
+    ls = {s: l_s(kernel, s) for s in S_POWERS}
     # the absolute values kink where 3 sin^2 = 1 and 5 sin^2 = 3, on each side
     f_b = integrate_01(
         partial(_f_integrand, fn=fn),

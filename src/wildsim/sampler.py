@@ -453,13 +453,16 @@ def reduction_scheme() -> dict:
             "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes",
             "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
             "velocity_controls": (
-                "conserve, for data with an exact real transform, finite m4 and isotropic "
-                "second moments: with s^2 = m2 / 3, energy |v|^2 - (|v|^4 - mu4(t)) / (4 m2), "
-                "mu4(t) = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t), and mean velocity "
-                "v_m (1 - 3 |v|^2 / (7 m2)), fixed coefficients"),
+                "conserve, for data with an exact real transform, finite m4 and m6 and "
+                "isotropic second moments: with s^2 = m2 / 3, energy |v|^2 "
+                "- 25 (|v|^4 - mu4(t)) / (51 m2) + (|v|^6 - mu6(t)) / (17 m2^2), "
+                "mu4(t) = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t), mu6(t) = 105 s^6 "
+                "+ 21 s^2 (m4 - 15 s^4) exp(lambda_b t) "
+                "+ (m6 - 21 s^2 m4 + 210 s^6) exp(-(1 - 2 l6) t), and mean velocity "
+                "v_m (1 - 6 |v|^2 / (7 m2) + |v|^4 / (7 m2^2)), fixed coefficients"),
             "transform_controls": (
                 "crosscheck's empirical side, for data with an exact real transform, finite "
-                "m4 and isotropic second moments: with p = xi . v and "
+                "m4 and m6 and isotropic second moments: with p = xi . v and "
                 "x = p / (|xi| sqrt(m2 / 3)), cos p - b (x^2 - 1) and sin p - b1 x - b3 x^3, "
                 "the b fitted by least squares (x^3 made orthogonal to x, unresolved "
                 f"regressors dropped) on a pilot of {CONTROL_PILOT} cascades "

@@ -27,12 +27,13 @@ from wildsim.cli import default_xi_grid
 from wildsim.diagnostics import (
     _control_coefficients,
     _exact_fourth_moment,
+    _exact_sixth_moment,
     _velocity_moments_task,
     _wild_cf_task,
 )
 from wildsim.geometry import collision_frames
 from wildsim.initial import sixpoint_datum
-from wildsim.kernel import make_kernel, spectral_functionals
+from wildsim.kernel import l_s, make_kernel, spectral_functionals
 from wildsim.sampler import (
     chunk_slices,
     germination_record,
@@ -82,7 +83,9 @@ def layers(t_index, t, kernel, mu0):
 
     grid = default_xi_grid()
     betas = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
-    mu4 = _exact_fourth_moment(mu0, spectral_functionals(kernel).lambda_b, t)
+    lambda_b = spectral_functionals(kernel).lambda_b
+    mu4 = _exact_fourth_moment(mu0, lambda_b, t)
+    mu6 = _exact_sixth_moment(mu0, lambda_b, l_s(kernel, 6), t)
     return [
         ("`germination_record` (angles, cuts, azimuths)", fresh_streams,
          lambda a: germination_record(a[0], kernel, a[1])),
@@ -101,7 +104,7 @@ def layers(t_index, t, kernel, mu0):
         ("`_wild_cf_task` with controls, default grid, all but the pilot", fresh_streams,
          lambda a: _wild_cf_task(a[0], a[1], mu0, kernel, grid, betas=betas)),
         ("`_velocity_moments_task` with controls, record included", fresh_streams,
-         lambda a: _velocity_moments_task(a[0], a[1], mu0, kernel, mu4=mu4)),
+         lambda a: _velocity_moments_task(a[0], a[1], mu0, kernel, mu4=mu4, mu6=mu6)),
     ]
 
 

@@ -13,6 +13,7 @@ from wildsim.diagnostics import (
     _control_coefficients,
     _controls_exact,
     _exact_fourth_moment,
+    _exact_sixth_moment,
     _transform_grid,
     _wild_cf_task,
     _z_score,
@@ -38,10 +39,11 @@ from wildsim.initial import (
     sampler_datum,
     sixpoint_datum,
 )
-from wildsim.kernel import cos_sin, make_kernel, spectral_functionals
+from wildsim.kernel import cos_sin, l_s, make_kernel, spectral_functionals
 from wildsim.sampler import (
     cascade_velocities,
     germination_record,
+    leaf_frames,
     mean_se,
     reduce_cascades,
     replay,
@@ -181,7 +183,7 @@ def _plain_velocity_task(nus, rng, *, mu0, kernel):
             "energy": np.einsum("pij,pij->i", pair, pair) / 2.0}
 
 
-@pytest.mark.parametrize("datum", ["shifted", "sampler"])
+@pytest.mark.parametrize("datum", ["shifted", "sampler", "unknown-m6"])
 def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
     """A datum that fails a premise of the velocity controls takes the
     plain columns on streams (2, t index), bit for bit; a datum that meets
@@ -189,6 +191,7 @@ def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
     mu0 = {
         "shifted": lambda: gaussian_datum(mean=(0.5, 0.0, 0.0)),
         "sampler": lambda: sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
+        "unknown-m6": lambda: replace(sixpoint_datum(), m6=None),
     }[datum]()
     assert not _controls_exact(mu0)
     times, n, seed = [1.0, 3.0], 2000, 46
@@ -203,6 +206,14 @@ def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
             assert entry.reference_provenance == "initial-datum moment table"
     controlled = conservation_check(sixpoint_datum(), kernel, [1.0], 200, seed=seed)
     assert all("less control" in e.reference_provenance for e in controlled.entries)
+
+
+def test_conservation_controls_keep_their_gain(kernel, sixpoint):
+    """The `long_cascades` benchmark's conserve run: with the sixth-moment
+    controls every standard error stays at or below 0.0065 (0.0052 at this
+    seed; 0.0096 with the fourth-moment controls alone)."""
+    report = conservation_check(sixpoint, kernel, [3.0, 4.0, 5.0], 5000, seed=1)
+    assert max(e.mc_se for e in report.entries) <= 0.0065
 
 
 def test_z_gate_fails_when_a_standard_error_overflows(kernel):
@@ -399,11 +410,13 @@ def test_control_means_are_exact(kernel, datum, t):
         assert np.all(np.abs(mean / se) <= 4.0), (key, mean / se)
 
 
-def _fourth_moments(nus, rng, *, mu0, kernel):
-    """Per cascade, |v|^4 and v |v|^2 of one plain velocity draw v."""
+def _control_moments(nus, rng, *, mu0, kernel):
+    """Per cascade, |v|^4, |v|^6, v |v|^2 and v |v|^4 of one plain velocity
+    draw v."""
     v = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
     square = np.einsum("ij,ij->i", v, v)
-    return {"fourth": square * square, "odd": v * square[:, None]}
+    return {"fourth": square * square, "sixth": square**3, "odd": v * square[:, None],
+            "odd4": v * (square * square)[:, None]}
 
 
 CENTRED_ISOTROPIC = {
@@ -417,22 +430,57 @@ CENTRED_ISOTROPIC = {
 def test_velocity_control_means_are_exact(kernel, datum):
     """The means conserve's controls rely on: for a symmetric datum with
     isotropic second moments, E|v|^4 = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t)
-    with s^2 = m2 / 3, and E[v_m |v|^2] = 0 for m = 1, 2, 3, at every t.
+    with s^2 = m2 / 3, E|v|^6 = `_exact_sixth_moment`, and
+    E[v_m |v|^2] = E[v_m |v|^4] = 0 for m = 1, 2, 3, at every t.
     The mixture's m4 (18.75) and sixpoint's (9) differ from 15 s^4 = 15, so
-    the W term is tested with either sign.  A velocity scale error of 1e-2
-    moves E|v|^4 by 4%, which fails the sixpoint and Gaussian cases; the
-    mixture's heavier tail hides it at this sample size."""
+    the W term is tested with either sign; the sum_j w_j^6 term's
+    coefficient m6 - 21 s^2 m4 + 210 s^6 is 48 for sixpoint and 0 for the
+    Gaussian and the mixture, a scale mixture of Gaussians.  A velocity
+    scale error of 1e-2 moves E|v|^4 by 4%, which fails the sixpoint and
+    Gaussian cases; the mixture's heavier tail hides it at this sample
+    size."""
     mu0 = CENTRED_ISOTROPIC[datum]()
     assert _controls_exact(mu0)
-    lambda_b = spectral_functionals(kernel).lambda_b
+    lambda_b, l6 = spectral_functionals(kernel).lambda_b, l_s(kernel, 6)
     for it, t in enumerate([0.5, 1.0, 3.0, 5.0]):
-        sums = reduce_cascades(_fourth_moments, 72, (it,), 1, t, 40_000,
+        sums = reduce_cascades(_control_moments, 72, (it,), 1, t, 40_000,
                                mu0=mu0, kernel=kernel)
         for key, reference in [("fourth", _exact_fourth_moment(mu0, lambda_b, t)),
-                               ("odd", 0.0)]:
+                               ("sixth", _exact_sixth_moment(mu0, lambda_b, l6, t)),
+                               ("odd", 0.0), ("odd4", 0.0)]:
             mean, se = mean_se(sums, key)
             assert np.all(se > 0.0), (key, t)
             assert np.all(np.abs((mean - reference) / se) <= 4.0), (key, t, mean, reference, se)
+
+
+def _sixth_weight_sums(nus, rng, *, kernel):
+    """Per cascade, sum_j w_j^6 of the order-1 leaf weights."""
+    record = germination_record(nus, kernel, rng)
+    weights, _ = leaf_frames(record)
+    return {"S6": record.per_cascade(weights**6)}
+
+
+@pytest.mark.parametrize("name", ["xabs", "cubic"])
+def test_sixth_weight_sum_decays_at_its_exact_rate(name):
+    """The curve under `_exact_sixth_moment`: E[sum_j w_j^6] =
+    exp(-(1 - 2 l6) t), with l6 = 1/4 exactly for xabs, at |z| <= 4.  At
+    t = 0 the sixth-moment curve is m6, and for a Gaussian it is 105 s^6."""
+    kernel = make_kernel(name)
+    l6 = l_s(kernel, 6)
+    if name == "xabs":
+        assert l6 == pytest.approx(0.25, abs=1e-9)
+    for it, t in enumerate([0.5, 1.0, 3.0]):
+        sums = reduce_cascades(_sixth_weight_sums, 73, (it,), 1, t, 20_000, kernel=kernel)
+        mean, se = map(float, mean_se(sums, "S6"))
+        assert se > 0.0, t
+        assert abs(mean - math.exp(-(1.0 - 2.0 * l6) * t)) <= 4.0 * se, (t, mean, se)
+    lambda_b = spectral_functionals(kernel).lambda_b
+    for build in CENTRED_ISOTROPIC.values():
+        mu0 = build()
+        assert _exact_sixth_moment(mu0, lambda_b, l6, 0.0) == pytest.approx(mu0.m6, rel=1e-12)
+    gaussian = gaussian_datum(cov=2.0)
+    assert _exact_sixth_moment(gaussian, lambda_b, l6, 2.0) == pytest.approx(105.0 * 8.0,
+                                                                         rel=1e-12)
 
 
 # the vertices of a regular tetrahedron: mean exactly 0 and covariance exactly
@@ -442,8 +490,8 @@ TETRAHEDRON = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.
 
 def test_controls_apply_exactly_to_symmetric_isotropic_laws():
     """The controls need a real transform (exact v -> -v symmetry), finite
-    m4 and covariance exactly (m2 / 3) I with m2 > 0; each datum below
-    fails one."""
+    m4 and m6 and covariance exactly (m2 / 3) I with m2 > 0; each datum
+    below fails one."""
     pair = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
     controlled = {
         "sixpoint": sixpoint_datum(),
@@ -460,6 +508,7 @@ def test_controls_apply_exactly_to_symmetric_isotropic_laws():
         "shifted mixture": mixture_datum([(0.5, (0.5, 0, 0), 1.0), (0.5, (-0.5, 0, 0), 1.0)]),
         "heavytail": heavytail_datum(3.5, normalize=True),
         "sampler": sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
+        "unknown m6": replace(sixpoint_datum(), m6=None),
     }
     assert np.array_equal(plain["tetrahedron"].covariance, np.eye(3))
     assert [name for name, mu0 in controlled.items() if not _controls_exact(mu0)] == []

@@ -188,13 +188,14 @@ def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
     """The paired estimator against the plain one: each statistic is the
     mean of a plain replay of the record and of a replay with pi added to
     every root azimuth, on the same leaf velocities; and so is each
-    controlled statistic, given a fourth-moment mean mu4."""
+    controlled statistic, given a fourth- and a sixth-moment mean mu4 and
+    mu6."""
     nus, _ = sorted_sizes(t, rng_stream(seed), size)
     probe = np.array([0.6, 0.0, 0.8])
     stats = {**_velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL),
              **_fourth_moment_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, probe)}
-    mu4 = 13.0
-    controlled = _velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, mu4)
+    mu4, mu6 = 13.0, 41.0
+    controlled = _velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL, mu4, mu6)
     rng = rng_stream(seed, 1)
     record = germination_record(nus, KERNEL, rng)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
@@ -210,9 +211,11 @@ def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
                                    err_msg=key)
     m2 = SIXPOINT.m2
     square = expected["energy"]
-    expected = {key: expected[key] * (1.0 - 3.0 * square / (7.0 * m2))
+    expected = {key: expected[key] * (1.0 - 6.0 * square / (7.0 * m2)
+                                      + square**2 / (7.0 * m2 * m2))
                 for key in ("v1", "v2", "v3")}
-    expected["energy"] = square - (square**2 - mu4) / (4.0 * m2)
+    expected["energy"] = (square - 25.0 * (square**2 - mu4) / (51.0 * m2)
+                          + (square**3 - mu6) / (17.0 * m2 * m2))
     assert controlled.keys() == expected.keys()
     for key, values in expected.items():
         np.testing.assert_allclose(controlled[key], values.mean(axis=0), rtol=1e-12,

@@ -33,6 +33,9 @@ def _check_moments_against_sampler(datum, n=100_000, seed=0):
     if datum.m4 is not None and math.isfinite(datum.m4):
         se_m4 = (sq**2).std(ddof=1) / math.sqrt(n)
         assert abs((sq**2).mean() - datum.m4) < 4 * se_m4 + 1e-12
+    if datum.m6 is not None and math.isfinite(datum.m6):
+        se_m6 = (sq**3).std(ddof=1) / math.sqrt(n)
+        assert abs((sq**3).mean() - datum.m6) < 4 * se_m6 + 1e-12
 
 
 def _check_cf_bounds(datum, seed=1):
@@ -46,7 +49,7 @@ def _check_cf_bounds(datum, seed=1):
 def test_standard_gaussian():
     g = gaussian_datum()
     assert g.is_normalized()
-    assert g.m2 == 3.0 and g.m4 == 15.0
+    assert g.m2 == 3.0 and g.m4 == 15.0 and g.m6 == 105.0
     _check_moments_against_sampler(g)
     _check_cf_bounds(g)
 
@@ -62,11 +65,31 @@ def test_anisotropic_gaussian_moments():
     _check_moments_against_sampler(g, n=200_000)
 
 
+def test_shifted_anisotropic_gaussian_sixth_moment():
+    """m6 = a^3 + 3 a^2 c1 + 3 a (c1^2 + 2 c2) + c1^3 + 6 c1 c2 + 8 c3
+    + 12 a q1 + 12 (q1 c1 + 2 q2), with a = |mean|^2, c_k = tr C^k,
+    q1 = mean' C mean and q2 = mean' C^2 mean, and against 10^6 draws."""
+    mean = np.array([0.4, -0.3, 0.2])
+    g = gaussian_datum(mean, ANISOTROPIC_COV)
+    a = float(mean @ mean)
+    c1, c2, c3 = (float(np.trace(np.linalg.matrix_power(ANISOTROPIC_COV, k)))
+                  for k in (1, 2, 3))
+    q1 = float(mean @ ANISOTROPIC_COV @ mean)
+    q2 = float(mean @ ANISOTROPIC_COV @ ANISOTROPIC_COV @ mean)
+    expected = (a**3 + 3 * a**2 * c1 + 3 * a * (c1**2 + 2 * c2) + c1**3 + 6 * c1 * c2
+                + 8 * c3 + 12 * a * q1 + 12 * (q1 * c1 + 2 * q2))
+    assert g.m6 == pytest.approx(expected, rel=1e-12)
+    draws = g.sampler(np.random.default_rng(21), 1_000_000)
+    sixth = np.einsum("ij,ij->i", draws, draws) ** 3
+    assert abs(sixth.mean() - g.m6) <= 4.0 * sixth.std(ddof=1) / 1000.0
+
+
 def test_sixpoint_datum():
     s = sixpoint_datum()
     assert s.is_normalized()
     np.testing.assert_allclose(s.covariance, np.eye(3), atol=1e-14)
     assert s.m4 == pytest.approx(9.0)
+    assert s.m6 == pytest.approx(27.0, rel=1e-12)
     xi = np.array([1.0, 0.0, 0.0])
     assert complex(s.cf(xi)) == pytest.approx(
         (math.cos(math.sqrt(3.0)) + 2.0) / 3.0, abs=1e-14
@@ -81,6 +104,9 @@ def test_mixture_datum():
         (0.75, (-1.0 / 3.0, 0.0, 0.0), np.eye(3)),
     ])
     assert np.allclose(m.mean, 0.0, atol=1e-14)
+    parts = [gaussian_datum((1.0, 0.0, 0.0), 0.5 * np.eye(3)),
+             gaussian_datum((-1.0 / 3.0, 0.0, 0.0), np.eye(3))]
+    assert m.m6 == pytest.approx(0.25 * parts[0].m6 + 0.75 * parts[1].m6, rel=1e-12)
     _check_moments_against_sampler(m, n=200_000)
     _check_cf_bounds(m)
 
@@ -156,7 +182,7 @@ def test_asymmetric_law_keeps_complex_transform(datum, imaginary):
 def test_heavytail_moments_and_tail():
     h = heavytail_datum(3.5)
     assert h.m2 == pytest.approx(7.0 / 3.0)
-    assert h.m4 == math.inf
+    assert h.m4 == math.inf and h.m6 == math.inf
     with pytest.raises(MomentUnavailable):
         h.require_m4()
     # fourth-moment checks are impossible; the radial law P(|V|>R) = R^-q is exact
@@ -192,6 +218,7 @@ def test_sampler_datum_has_no_transform():
                             name="wrapped-normal")
     with pytest.raises(NoAnalyticCf):
         wrapped.require_cf()
+    assert wrapped.m6 is None  # a frozen sample's m6 would not be the law's
 
 
 @pytest.mark.parametrize("missing", ["mean", "covariance", "m2"])
@@ -200,7 +227,7 @@ def test_hand_built_datum_must_state_its_moments(missing):
     given = {"mean": np.zeros(3), "covariance": np.eye(3), "m2": 3.0}
     sampler = lambda rng, size: rng.standard_normal((size, 3))  # noqa: E731
     complete = InitialDatum(name="hand-built", sampler=sampler, **given)
-    assert complete.m4 is None and complete.cf is None  # unknown, not invented
+    assert complete.m4 is None and complete.m6 is None and complete.cf is None  # unknown
     del given[missing]
     with pytest.raises(TypeError, match=missing):
         InitialDatum(name="hand-built", sampler=sampler, **given)
@@ -221,6 +248,21 @@ def test_overflowing_moment_table_is_bad_spec(build):
         warnings.simplefilter("error")  # and no RuntimeWarning on the way
         with pytest.raises(BadSpec, match="overflow"):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gaussian_datum(mean=(1e60, 0.0, 0.0)),
+    lambda: mixture_datum([(0.5, (1e60, 0.0, 0.0), np.eye(3)),
+                           (0.5, (0.0, 0.0, 0.0), np.eye(3))]),
+    lambda: discrete_datum([[1e60, 0, 0], [-1e60, 0, 0]], [0.5, 0.5]),
+], ids=["gaussian", "mixture", "discrete"])
+def test_overflowing_sixth_moment_is_infinite(build):
+    """An m6 that overflows, beside finite m2 and m4, is inf: no error and
+    no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        datum = build()
+    assert math.isfinite(datum.m4) and datum.m6 == math.inf
 
 
 def test_make_initial_datum_dispatch():
