@@ -237,13 +237,15 @@ def _run_id(command, config, kernel, mu0) -> str:
     """Digest of what a report's numbers and verdicts depend on: its
     command, its echoed settings bar UNNAMED, the kernel's tabulated angle
     law, the datum when the report echoes one (its name, m2, m4, m6, mean,
-    covariance and first eight draws from a fixed stream), the constants of
-    the reduction (stratum count, pooling rule and the rules of the velocity
-    and transform estimators) and the package version."""
+    covariance, fourth-moment tensor and first eight draws from a fixed
+    stream), the constants of the reduction (stratum count, pooling rule
+    and the rules of the velocity and transform estimators) and the package
+    version."""
     datum = None
     if "mu0" in config:
         arrays = (mu0.mean, mu0.covariance, mu0.sampler(rng_stream(0), 8))
         datum = [mu0.name, mu0.m2, mu0.m4, mu0.m6,
+                 None if mu0.m4_tensor is None else mu0.m4_tensor.tolist(),
                  *(np.asarray(a, float).tolist() for a in arrays)]
     payload = json.dumps({
         "suite": command, "version": __version__,

@@ -35,10 +35,11 @@ import numpy as np
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
 from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
-from .kernel import S_POWERS, CollisionKernel, cos_sin, l_s, spectral_functionals
+from .kernel import S_POWERS, CollisionKernel, a4, cos_sin, l_s, spectral_functionals
 from .sampler import (
     CONTROL_KEY,
     CONTROL_PILOT,
+    QUARTIC_CONTROL_RHO,
     cascade_velocities,
     draw_total,
     germination_record,
@@ -300,16 +301,18 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
     """Empirical transform of wild-cascade velocity draws v on the grid:
     per cascade and frequency, cos p and sin p of the phase p = xi . v.
 
-    Given betas, rows (b, b1, b3) per frequency (`_control_coefficients`),
-    each column at a nonzero frequency carries control variates of exactly
-    known mean instead: with x = p / (|xi| sigma) = v . u / sigma, where
-    u = xi / |xi| and sigma^2 = m2 / 3, cos p - b (x^2 - 1) and
-    sin p - b1 x - b3 x^3.  The means of the controls vanish for a datum
-    that meets the premises of `_controls_exact`, so each column keeps its
-    mean.  The columns are made one frequency at a time from the draws, so
-    no block of phases is held beside the re and im blocks; these are
-    column-major, so each column is contiguous and its moments sum as a
-    one-dimensional array's.  A zero frequency keeps its exact (1, 0)."""
+    Given betas, rows (b2, b4, c, b1, b3, b5) per frequency
+    (`_control_coefficients`), each column at a nonzero frequency carries
+    control variates of exactly known mean instead: with
+    x = p / (|xi| sigma) = v . u / sigma, where u = xi / |xi| and
+    sigma^2 = m2 / 3, cos p - (b2 x^2 + b4 x^4 - c) and
+    sin p - (b1 x + b3 x^3 + b5 x^5), where c is the exact mean of
+    b2 x^2 + b4 x^4.  The odd controls have mean 0 for a datum that meets
+    the premises of `_controls_exact`, so each column keeps its mean.  The
+    columns are made one frequency at a time from the draws, so no block of
+    phases is held beside the re and im blocks; these are column-major, so
+    each column is contiguous and its moments sum as a one-dimensional
+    array's.  A zero frequency keeps its exact (1, 0)."""
     xi_grid = np.asarray(xi_grid)
     if betas is None:
         re, im = cos_sin(cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ xi_grid.T)
@@ -318,14 +321,23 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
     units = np.linalg.norm(xi_grid, axis=1) * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
     re = np.empty((len(velocities), len(xi_grid)), order="F")
     im = np.empty_like(re)
-    for i, (b, b1, b3) in enumerate(betas.T):
+    for i, (b2, b4, c, b1, b3, b5) in enumerate(betas.T):
         p = velocities @ xi_grid[i]
         re[:, i], im[:, i] = cos_sin(p)
-        if units[i] > 0.0:
-            x = p / units[i]
+        if units[i] > 0.0:  # in place, by Horner in x^2
+            x = np.divide(p, units[i], out=p)
             square = x * x
-            re[:, i] -= b * (square - 1.0)
-            im[:, i] -= (b1 + b3 * square) * x
+            control = square * b4
+            control += b2
+            control *= square
+            control -= c
+            re[:, i] -= control
+            np.multiply(square, b5, out=control)
+            control += b3
+            control *= square
+            control += b1
+            control *= x
+            im[:, i] -= control
     return {"re": re, "im": im}
 
 
@@ -579,18 +591,19 @@ def cf_distance_curve(
 def _controls_exact(mu0: InitialDatum) -> bool:
     """Whether the control means of `_wild_cf_task` and
     `_velocity_moments_task` are exact at every t.  The datum must have an
-    exact transform and a finite m4 and m6, so that its moments are the
-    law's, not a sample's, and the controls have finite means (every preset
-    that qualifies is discrete, a centred Gaussian or a centred Gaussian
-    mixture, with every moment finite, so their variances are finite too).
+    exact transform, a finite m4 and m6 and its fourth-moment tensor, so
+    that its moments are the law's, not a sample's, and the controls have
+    finite means (every preset that qualifies is discrete, a centred
+    Gaussian or a centred Gaussian mixture, with every moment finite, so
+    their variances are finite too).
     Its transform must be real, which holds exactly when the law is
     symmetric under v -> -v; the collisions keep the symmetry, so every odd
     moment of the solution vanishes.  And
     its second-moment tensor (for a symmetric law, the covariance) must be
     exactly (m2 / 3) I with m2 > 0, which the collisions keep, so that
     E[(v . u)^2] = m2 / 3 for every unit u."""
-    return (mu0.cf is not None and all(m is not None and math.isfinite(m)
-                                       for m in (mu0.m4, mu0.m6))
+    return (mu0.cf is not None and mu0.m4_tensor is not None
+            and all(m is not None and math.isfinite(m) for m in (mu0.m4, mu0.m6))
             and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
 
@@ -620,35 +633,95 @@ def _exact_sixth_moment(mu0: InitialDatum, lambda_b: float, l6: float, t: float)
             + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3) * math.exp(-(1.0 - 2.0 * l6) * t))
 
 
+def _exact_fourth_powers(mu0: InitialDatum, kernel: CollisionKernel, t: float,
+                         directions) -> np.ndarray:
+    """E[(u . v)^4] at time t along each unit direction u (rows), for a
+    datum that meets `_controls_exact`.  With T = E[V (x) V (x) V (x) V],
+    the quartic form q(u) = E[(u . V)^4] splits into spherical-harmonic
+    degrees: q0 = m4 / 5, q2(u) = (6/7) (u' M u - m4 / 3) with
+    M = E[|V|^2 V V'] (T traced once) and q4 = q - q0 - q2.  Each collision
+    maps the degree-l part to A_{4,l} (`kernel.a4`) times itself, and the
+    cross term adds 6 s^4 int cos^2 sin^2 dbeta (s^2 = m2 / 3), so
+    E[(u . v)^4](t) = 3 s^4 + (q0 - 3 s^4) exp((A_{4,0} - 1) t)
+    + q2 exp((A_{4,2} - 1) t) + q4 exp((A_{4,4} - 1) t), with
+    A_{4,0} - 1 = lambda_b."""
+    tensor, s2 = mu0.m4_tensor, mu0.m2 / 3.0
+    quartic = np.einsum("ijkl,ni,nj,nk,nl->n", tensor, directions, directions, directions,
+                        directions)
+    q0 = mu0.m4 / 5.0
+    q2 = (6.0 / 7.0) * (np.einsum("ni,ij,nj->n", directions, np.einsum("iijk->jk", tensor),
+                                  directions) - mu0.m4 / 3.0)
+    growth = [math.exp((a4(kernel, l) - 1.0) * t) for l in (0, 2, 4)]
+    return (3.0 * s2 * s2 + (q0 - 3.0 * s2 * s2) * growth[0] + q2 * growth[1]
+            + (quartic - q0 - q2) * growth[2])
+
+
+def _slope(cxy, cxx):
+    """cxy / cxx, or 0 where cxx <= 1e-10 CONTROL_PILOT: a regressor whose
+    (residual) sum of squares the pilot cannot resolve gets no weight."""
+    return np.divide(cxy, cxx, out=np.zeros_like(cxy), where=cxx > 1e-10 * CONTROL_PILOT)
+
+
+def _least_squares(cov, regressors, target) -> np.ndarray:
+    """Least-squares coefficients of column `target` on the columns
+    `regressors`, one row per regressor, from the centred cross products
+    cov (frequencies, columns, columns), by Gram-Schmidt in the order
+    given: each regressor is first made orthogonal to those before it, and
+    `_slope` drops one that is then unresolved."""
+    coefficients = np.zeros(cov.shape[:2])  # per frequency, on every column
+    basis = []
+    for r in regressors:
+        e = np.zeros_like(coefficients)
+        e[:, r] = 1.0
+        for q, qq in basis:
+            e -= _slope(np.einsum("fi,fij,fj->f", q, cov, e), qq)[:, None] * q
+        ee = np.einsum("fi,fij,fj->f", e, cov, e)
+        basis.append((e, ee))
+        coefficients += _slope(np.einsum("fi,fi->f", e, cov[:, :, target]), ee)[:, None] * e
+    return coefficients[:, regressors].T
+
+
 def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
-    """The rows (b, b1, b3) of `_wild_cf_task`'s control coefficients, one
-    column per frequency, fitted on CONTROL_PILOT velocity draws at time t
-    from stream CONTROL_KEY, which no estimate reads, so the coefficients
-    are independent of the draws they correct.  Per nonzero frequency, with
-    p = xi . v and x = p / (|xi| sigma) of variance 1, cos p is regressed
-    on x^2 and sin p on (x, x^3), each with an intercept, from the pilot's
-    covariances, with x^3 first made orthogonal to x.  A regressor whose
-    (residual) sum of squares is below 1e-10 CONTROL_PILOT is one the
-    pilot cannot resolve, and its b is 0: so b3 = 0 where x^3 is a
-    multiple of x, as for discrete data at t = 0, where rounding alone
-    would set it.  A zero frequency keeps b = 0."""
+    """The rows (b2, b4, c, b1, b3, b5) of `_wild_cf_task`'s control
+    coefficients, one column per frequency, fitted on CONTROL_PILOT velocity
+    draws at time t from stream CONTROL_KEY, which no estimate reads, so
+    the coefficients are independent of the draws they correct.  Per
+    nonzero frequency, with p = xi . v and x = p / (|xi| sigma) of variance
+    1, cos p is regressed on (x^2, x^4) and sin p on (x, x^3, x^5), each
+    with an intercept, from one pass of the pilot's cross products
+    (`_least_squares`).  c = b2 + b4 E[x^4](t) (`_exact_fourth_powers`) is
+    the exact mean of b2 x^2 + b4 x^4.  Where a power is a combination of
+    those before it, as for discrete data at t = 0, its b is 0, not what
+    rounding alone would set.  A zero frequency keeps every row 0.
+
+    x^4 enters only where |xi| sigma >= QUARTIC_CONTROL_RHO.  Below it cos p
+    is close to a quartic in x over the bulk of the law, so what the x^4
+    control leaves is mostly its own far tail, -b4 x^4: the controlled mean
+    and its standard error then move together, and z leans negative (for
+    the standard Gaussian at t = 1 and 2,000 cascades, z means -0.30,
+    -0.25 and -0.17 at |xi| sigma = 0.6, 1 and 1.5, against -0.09 at 2.2),
+    while the se it saves there is already far below the grid's largest."""
     velocities = wild_velocity_batch(t, mu0, kernel, seed, CONTROL_PILOT, workers,
                                      key=CONTROL_KEY)
-    units = np.linalg.norm(xi_grid, axis=1) * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
-    cov = np.zeros((5, 5, len(xi_grid)))  # of x^2, x, x^3, cos p and sin p
+    norms = np.linalg.norm(xi_grid, axis=1)
+    units = norms * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
+    cov = np.zeros((len(xi_grid), 7, 7))  # of x^2, x^4, x, x^3, x^5, cos p and sin p
     for i in np.flatnonzero(units):
         p = velocities @ xi_grid[i]
         x = p / units[i]
-        columns = np.array([x * x, x, x * x * x, *cos_sin(p)])
+        square = x * x
+        fourth = square * square
+        columns = np.array([square, fourth, x, square * x, fourth * x, *cos_sin(p)])
+        if units[i] < QUARTIC_CONTROL_RHO:
+            columns[1] = 0.0  # a zero column is unresolved, so its b4 is 0
         columns -= columns.mean(axis=1, keepdims=True)
-        cov[:, :, i] = columns @ columns.T
-
-    def slope(cxy, cxx):
-        return np.divide(cxy, cxx, out=np.zeros_like(cxy), where=cxx > 1e-10 * CONTROL_PILOT)
-
-    g = slope(cov[2, 1], cov[1, 1])  # x^3 on x
-    b3 = slope(cov[2, 4] - g * cov[1, 4], cov[2, 2] - g * cov[2, 1])
-    return np.array([slope(cov[0, 3], cov[0, 0]), slope(cov[1, 4], cov[1, 1]) - b3 * g, b3])
+        cov[i] = columns @ columns.T
+    even = _least_squares(cov, [0, 1], 5)
+    odd = _least_squares(cov, [2, 3, 4], 6)
+    directions = xi_grid / np.where(norms > 0.0, norms, 1.0)[:, None]
+    x4_means = _exact_fourth_powers(mu0, kernel, t, directions) / (mu0.m2 / 3.0) ** 2
+    offset = np.where(units > 0.0, even[0] + even[1] * x4_means, 0.0)
+    return np.vstack([even, offset, odd])
 
 
 def representation_crosscheck(
@@ -674,8 +747,9 @@ def representation_crosscheck(
 
     The empirical side carries control variates of exact mean
     (`_wild_cf_task`) when the datum meets `_controls_exact`: an exact
-    transform that is real (exact v -> -v symmetry), a finite m4 and an
-    isotropic, nonzero second-moment tensor.  Their coefficients come from
+    transform that is real (exact v -> -v symmetry), a finite m4 and m6, a
+    known fourth-moment tensor (for E[x^4](t), `_exact_fourth_powers`) and
+    an isotropic, nonzero second-moment tensor.  Their coefficients come from
     a pilot of CONTROL_PILOT cascades on stream CONTROL_KEY, (5, 2), fitted
     at each time, so each estimate stays a post-stratified plain mean of
     its controlled columns, with an honest standard error.  Every other
@@ -686,7 +760,8 @@ def representation_crosscheck(
     controlled = _controls_exact(mu0)
     provenance = "independent wild-cascade empirical transform"
     if controlled:
-        provenance += (", less control variates x^2 - 1, x and x^3 of exact mean "
+        provenance += (", less control variates x^2 - 1, x^4 - E[x^4](t) (from |xi| "
+                       f"sqrt(m2/3) >= {QUARTIC_CONTROL_RHO:g}), x, x^3 and x^5 of exact mean "
                        "(x = v . xi / (|xi| sqrt(m2/3))), fitted on a pilot of "
                        f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")
     for t in t_list:

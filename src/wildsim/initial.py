@@ -9,7 +9,9 @@ frozen auxiliary sample and which have no transform.
 
 A datum is its law plus only what a check reads: mean, covariance, m2, m4
 and m6 (m_h = E|V|^h; m4 and m6 are None if unknown, inf if divergent, and
-an m6 that overflows is inf; none is fabricated) and the exact transform
+an m6 that overflows is inf; none is fabricated), the fourth-moment tensor
+E[V (x) V (x) V (x) V] where it is known exactly (discrete laws, centred
+Gaussians and mixtures of them; None otherwise) and the exact transform
 cf, or None.  `require_cf` and `require_m4` say what a datum lacks, as a
 ConfigError.
 
@@ -84,7 +86,8 @@ def _radial(rho, p):
 class InitialDatum:
     """A sampleable initial law with the moments and transform checks read.
     mean, covariance and m2 have no defaults, so a datum built by hand states
-    them; m4, m6 and cf default to None, unknown."""
+    them; m4, m6, m4_tensor and cf default to None, unknown.  m4_tensor is
+    E[V_i V_j V_k V_l] as a (3, 3, 3, 3) array, whose double trace is m4."""
 
     name: str
     sampler: Callable = field(repr=False)
@@ -93,6 +96,7 @@ class InitialDatum:
     m2: float
     m4: float | None = None
     m6: float | None = None
+    m4_tensor: np.ndarray | None = field(default=None, repr=False)
     cf: Transform | None = field(default=None, repr=False)
 
     def require_cf(self) -> Transform:
@@ -160,6 +164,10 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
         k3 = 8.0 * np.trace(cov2 @ cov) + 24.0 * (mean @ cov2 @ mean)
         m2, m4, m6 = float(m2), float(m4), float(m2 * (m4 + 2.0 * k2) + k3)
     _require_finite(name, m2, m4)
+    tensor = None
+    if not np.any(mean):  # Isserlis: C_ij C_kl + C_ik C_jl + C_il C_jk
+        outer = np.multiply.outer(cov, cov)
+        tensor = outer + outer.transpose(0, 2, 1, 3) + outer.transpose(0, 2, 3, 1)
     return InitialDatum(
         name=name,
         sampler=partial(_gaussian_sampler, mean=mean, chol=chol),
@@ -168,6 +176,7 @@ def gaussian_datum(mean=(0.0, 0.0, 0.0), cov=None, name=None) -> InitialDatum:
         m2=m2,
         m4=m4,
         m6=m6,
+        m4_tensor=tensor,
         cf=(Transform(partial(_gaussian_project, mean=mean, cov=cov), _gaussian_profile)
             if np.any(mean)
             else Transform(partial(_quadratic_form, cov=cov), _centred_gaussian_profile)),
@@ -215,6 +224,9 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
                  for w, p in zip(weights, parts))
     with np.errstate(over="ignore"):  # a component's m6 may be inf; a weight 0 skips it
         m6 = float(sum(w * p.m6 for w, p in zip(weights, parts) if w > 0.0))
+    tensors = [(w, p.m4_tensor) for w, p in zip(weights, parts) if w > 0.0]
+    tensor = (None if any(part is None for _, part in tensors)
+              else sum(w * part for w, part in tensors))
     return InitialDatum(
         name=name,
         sampler=partial(_mixture_sampler, weights=weights, means=means, chols=chols),
@@ -223,6 +235,7 @@ def mixture_datum(components, name="mixture") -> InitialDatum:
         m2=float(np.trace(second)),
         m4=float(sum(w * p.m4 for w, p in zip(weights, parts))),
         m6=m6,
+        m4_tensor=tensor,
         cf=Transform(partial(_mixture_project, cfs=cfs),
                      partial(_mixture_profile, weights=weights, cfs=cfs)),
     )
@@ -265,12 +278,17 @@ def _symmetric_half(points, masses):
 
 
 def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialDatum:
+    """The law of mass masses[i] at points[i].  Atoms of mass 0 are dropped
+    first: they are not part of the law, and a far one would overflow its
+    moments (0 * inf)."""
     points = np.asarray(points, float).reshape(-1, 3)
     masses = np.asarray(masses, float)
     if len(points) != len(masses):
         raise BadSpec("points and masses must have equal length")
     if np.any(masses < 0) or abs(masses.sum() - 1.0) > 1e-12:
         raise BadSpec("masses must be nonnegative and sum to 1")
+    if not np.all(masses):
+        points, masses = points[masses > 0.0], masses[masses > 0.0]
     if normalize:
         with np.errstate(over="ignore", invalid="ignore"):
             # a symmetric law is centred already; subtracting its computed
@@ -287,6 +305,8 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         sq = np.einsum("ij,ij->i", points, points)
         m2, m4, m6 = float(masses @ sq), float(masses @ sq**2), float(masses @ sq**3)
         covariance = np.einsum("i,ij,ik->jk", masses, points, points)
+        pairs = np.einsum("ij,ik->ijk", points, points)
+        tensor = np.einsum("i,ijk,ilm->jklm", masses, pairs, pairs)
         if half is None:
             mean = masses @ points
             covariance -= np.outer(mean, mean)
@@ -309,6 +329,7 @@ def discrete_datum(points, masses, normalize=False, name="discrete") -> InitialD
         m2=m2,
         m4=m4,
         m6=m6,
+        m4_tensor=tensor,
         cf=cf,
     )
 

@@ -19,12 +19,15 @@ closed-form decay rate used by the diagnostics:
 
     lambda_b = -2 int x^2 (1 - x^2) b(x) dx          (spectral gap, <= 0)
     l_s      =    int (1 - x^2)^(s/2) b(x) dx
+    A_{4,l}  =    int [cos^4 P_l(cos) + sin^4 P_l(sin)] dbeta     (l = 0, 2, 4)
     f_b      =    int [sin^2 |3/2 sin^2 - 1/2| + cos^2 |3/2 cos^2 - 1/2|] dbeta
     g_b      =    int [sin^4 |5/2 sin^2 - 3/2| + cos^4 |5/2 cos^2 - 3/2|] dbeta
 
 f_b and g_b combine both branch factors of one split, so the quadratic and
 cubic weight sums contract by exactly exp(-(1 - f_b) t) and
 exp(-(1 - g_b) t); for symmetric kernels the two terms are equal.
+A_{4,l} - 1 is the rate of the degree-l part of the quartic form
+E[(u . v)^4] (l = 0, 2, 4), and A_{4,0} = 1 + lambda_b.
 
 The quadrature is numpy only.  An analytic kernel is integrated by a
 globally adaptive 7/15-point Gauss-Kronrod rule (QUADPACK's qk15 pair,
@@ -453,6 +456,26 @@ def l_s(kernel: CollisionKernel, s: float) -> float:
     """l_s = int (1 - x^2)^(s/2) b(x) dx, by quadrature to 1e-10: the
     per-split factor of E[sum_j |w_j|^s] = exp(-(1 - 2 l_s) t)."""
     return integrate_01(partial(_ls_integrand, fn=kernel.evaluator, s=float(s)),
+                        knots=kernel.table_knots)
+
+
+# P_l(y) for l = 0, 2, 4 as polynomials in y^2, highest power first
+_EVEN_LEGENDRE = {0: (1.0,), 2: (1.5, -0.5), 4: (35.0 / 8.0, -30.0 / 8.0, 3.0 / 8.0)}
+
+
+def _a4_integrand(x, fn, coefficients):
+    c2, s2 = x * x, 1.0 - x * x
+    return (c2 * c2 * np.polyval(coefficients, c2)
+            + s2 * s2 * np.polyval(coefficients, s2)) * fn(x)
+
+
+def a4(kernel: CollisionKernel, l: int) -> float:
+    """A_{4,l} = int [cos^4 P_l(cos) + sin^4 P_l(sin)] dbeta for l = 0, 2, 4,
+    by the quadrature of `l_s`: each collision maps the degree-l harmonic
+    part of the quartic form E[(u . v)^4] to A_{4,l} times itself, so it
+    decays as exp(-(1 - A_{4,l}) t); A_{4,0} = 1 + lambda_b."""
+    return integrate_01(partial(_a4_integrand, fn=kernel.evaluator,
+                                coefficients=_EVEN_LEGENDRE[l]),
                         knots=kernel.table_knots)
 
 

@@ -9,11 +9,14 @@ Each time draws CASCADES cascade sizes as `reduce_cascades` draws them
 (`chunk_slices`), with the `xabs` kernel and the `sixpoint` datum.  A
 layer's time is the best of --repeats passes over every chunk, divided by
 CASCADES.  The inputs a layer reads but does not make (records, uniforms,
-factors, leaf velocities) are built before its timer starts; the last three
+factors, leaf velocities) are built before its timer starts; the last four
 rows time a whole chunk task, record included.  The empirical transform
 task (`crosscheck`'s other side) runs with its control variates, whose
 coefficients are fitted on the pilot before any timer starts, and so does
-`conserve`'s velocity task, whose control means are closed forms.  Mean cascade
+`conserve`'s velocity task, whose control means are closed forms.  The
+last row times that side as `crosscheck` runs it at one time: the pilot
+(`_control_coefficients`, CONTROL_PILOT cascades of its own, counted in the
+time but not in CASCADES), then the task on every chunk.  Mean cascade
 sizes are e, e^3 and e^5.  Nothing here is a gate: the numbers depend on
 the host.
 """
@@ -83,6 +86,12 @@ def layers(t_index, t, kernel, mu0):
 
     grid = default_xi_grid()
     betas = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
+
+    def controlled_side(streams):
+        fitted = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
+        for c, rng in streams:
+            _wild_cf_task(c, rng, mu0, kernel, grid, betas=fitted)
+
     lambda_b = spectral_functionals(kernel).lambda_b
     mu4 = _exact_fourth_moment(mu0, lambda_b, t)
     mu6 = _exact_sixth_moment(mu0, lambda_b, l_s(kernel, 6), t)
@@ -105,6 +114,8 @@ def layers(t_index, t, kernel, mu0):
          lambda a: _wild_cf_task(a[0], a[1], mu0, kernel, grid, betas=betas)),
         ("`_velocity_moments_task` with controls, record included", fresh_streams,
          lambda a: _velocity_moments_task(a[0], a[1], mu0, kernel, mu4=mu4, mu6=mu6)),
+        ("controlled empirical transform, pilot included", lambda: [fresh_streams()],
+         controlled_side),
     ]
 
 

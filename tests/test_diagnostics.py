@@ -13,7 +13,9 @@ from wildsim.diagnostics import (
     _control_coefficients,
     _controls_exact,
     _exact_fourth_moment,
+    _exact_fourth_powers,
     _exact_sixth_moment,
+    _least_squares,
     _transform_grid,
     _wild_cf_task,
     _z_score,
@@ -28,6 +30,7 @@ from wildsim.diagnostics import (
     transform_grid_estimates,
     z_calibration,
 )
+from wildsim.cli import default_xi_grid
 from wildsim.errors import ConfigError, InsufficientSignal, PremiseFailed
 from wildsim.geometry import collision_frames
 from wildsim.initial import (
@@ -216,6 +219,15 @@ def test_conservation_controls_keep_their_gain(kernel, sixpoint):
     assert max(e.mc_se for e in report.entries) <= 0.0065
 
 
+def test_crosscheck_controls_keep_their_gain(kernel, sixpoint):
+    """The `transform_grid` benchmark's crosscheck run: with the x^4 and x^5
+    controls every standard error stays at or below 0.0025 (0.0021 at this
+    seed; 0.0042 with the x^2, x and x^3 controls alone)."""
+    report = representation_crosscheck(sixpoint, kernel, [1.0], default_xi_grid(), 20_000,
+                                       seed=1)
+    assert max(e.mc_se for e in report.entries) <= 0.0025
+
+
 def test_z_gate_fails_when_a_standard_error_overflows(kernel):
     for diff, se in [(1.0, math.inf), (-1.0, math.inf), (math.nan, 1.0),
                      (math.inf, 1.0), (0.0, math.nan)]:
@@ -375,7 +387,9 @@ def test_zero_frequency_rows_are_exact(kernel, sixpoint):
     # the controlled empirical side keeps rho = 0 at exactly (1, 0, 0, 0)
     assert _controls_exact(sixpoint)
     betas = _control_coefficients(sixpoint, kernel, 1.0, np.array(grid), 3, 1)
-    assert betas[:, 0].tolist() == [0.0, 0.0, 0.0] and np.all(betas[:, 1] != 0.0)
+    assert betas[:, 0].tolist() == [0.0] * 6
+    # at |xi| sigma = 1, below QUARTIC_CONTROL_RHO, x^4 stays out (b4 = 0)
+    assert betas[1, 1] == 0.0 and np.all(np.delete(betas[:, 1], 1) != 0.0)
     estimate, se_re, se_im = _transform_grid(_wild_cf_task, sixpoint, kernel, 1.0,
                                              np.array(grid), 200, 3, (5, 1), 1, betas=betas)
     assert (estimate[0].real, estimate[0].imag, se_re[0], se_im[0]) == (1.0, 0.0, 0.0, 0.0)
@@ -453,6 +467,77 @@ def test_velocity_control_means_are_exact(kernel, datum):
             assert np.all(np.abs((mean - reference) / se) <= 4.0), (key, t, mean, reference, se)
 
 
+def _fourth_and_fifth_powers(nus, rng, *, mu0, kernel, directions):
+    """Per cascade, x^4 and x^5 for x = v . u along each unit direction u
+    (columns), v one plain velocity draw."""
+    x = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ directions.T
+    fourth = x * x
+    fourth *= fourth
+    return {"x4": fourth, "x5": fourth * x}
+
+
+QUARTIC_DATA = {
+    "sixpoint": sixpoint_datum,
+    "gaussian": gaussian_datum,
+    # covariance I, but E[|V|^2 V V'] = diag(11, 10, 11) / 2 is not (m4 / 3) I: q2 != 0
+    "mixture": lambda: mixture_datum([(0.5, (0, 0, 0), np.diag([1.5, 1.0, 0.5])),
+                                      (0.5, (0, 0, 0), np.diag([0.5, 1.0, 1.5]))]),
+}
+
+
+@pytest.mark.parametrize("datum", sorted(QUARTIC_DATA))
+def test_transform_control_means_are_exact(kernel, datum):
+    """The means crosscheck's x^4 and x^5 controls rely on, from plain
+    velocity draws: E[(u . v)^4] = `_exact_fourth_powers` and
+    E[(u . v)^5] = 0 along e1, e2 and (1, 1, 1) / sqrt 3 at t = 0.5, 1 and
+    3, |z| <= 4.  Only the mixture has a degree-2 part (q2 = 1/7 along e1,
+    -2/7 along e2); its curve at t = 1 is 3.3927 along e1 and 3.0196 along
+    e2.  With the rates of the degree-2 and degree-4 parts swapped, or q2
+    dropped, the mixture's t = 1 check fails (by 0.052 and 0.159 along e2,
+    against a standard error near 0.010 at 10^6 draws)."""
+    mu0 = QUARTIC_DATA[datum]()
+    assert _controls_exact(mu0)
+    directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    quartic = np.einsum("ijkl,ni,nj,nk,nl->n", mu0.m4_tensor, *[directions] * 4)
+    np.testing.assert_allclose(_exact_fourth_powers(mu0, kernel, 0.0, directions), quartic,
+                               rtol=1e-12)
+    if datum == "mixture":
+        np.testing.assert_allclose(_exact_fourth_powers(mu0, kernel, 1.0, directions[:2]),
+                                   [3.3927, 3.0196], atol=5e-5)
+    for it, (t, n) in enumerate([(0.5, 200_000), (1.0, 1_000_000), (3.0, 100_000)]):
+        sums = reduce_cascades(_fourth_and_fifth_powers, 74, (it,), 1, t, n,
+                               mu0=mu0, kernel=kernel, directions=directions)
+        for key, reference in [("x4", _exact_fourth_powers(mu0, kernel, t, directions)),
+                               ("x5", 0.0)]:
+            mean, se = mean_se(sums, key)
+            assert np.all(se > 0.0), (key, t)
+            assert np.all(np.abs((mean - reference) / se) <= 4.0), (key, t, mean, reference, se)
+
+
+def test_least_squares_matches_lstsq_and_drops_unresolved_columns():
+    """`_least_squares` against numpy's least squares with an intercept, per
+    frequency; a regressor that repeats an earlier one gets slope 0, and
+    the one before it keeps the fit."""
+    rng = np.random.default_rng(8)
+    columns = []
+    for f in range(3):
+        x = rng.standard_normal(2000)
+        y = np.cos((f + 1) * x) + 0.1 * rng.standard_normal(2000)
+        columns.append([x * x, x**4, 3.0 * x * x, y])
+    columns = np.array(columns)
+    columns -= columns.mean(axis=2, keepdims=True)
+    cov = columns @ columns.transpose(0, 2, 1)
+    fitted = _least_squares(cov, [0, 1], 3)
+    for f in range(3):
+        design = np.column_stack([np.ones(2000), columns[f, 0], columns[f, 1]])
+        expected = np.linalg.lstsq(design, columns[f, 3], rcond=None)[0][1:]
+        np.testing.assert_allclose(fitted[:, f], expected, rtol=1e-9)
+    repeated = _least_squares(cov, [0, 2], 3)
+    assert np.all(repeated[1] == 0.0)
+    np.testing.assert_allclose(repeated[0], _least_squares(cov, [0], 3)[0], rtol=1e-12)
+
+
 def _sixth_weight_sums(nus, rng, *, kernel):
     """Per cascade, sum_j w_j^6 of the order-1 leaf weights."""
     record = germination_record(nus, kernel, rng)
@@ -490,8 +575,8 @@ TETRAHEDRON = [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.
 
 def test_controls_apply_exactly_to_symmetric_isotropic_laws():
     """The controls need a real transform (exact v -> -v symmetry), finite
-    m4 and m6 and covariance exactly (m2 / 3) I with m2 > 0; each datum
-    below fails one."""
+    m4 and m6, the fourth-moment tensor and covariance exactly (m2 / 3) I
+    with m2 > 0; each datum below fails one."""
     pair = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
     controlled = {
         "sixpoint": sixpoint_datum(),
@@ -509,6 +594,7 @@ def test_controls_apply_exactly_to_symmetric_isotropic_laws():
         "heavytail": heavytail_datum(3.5, normalize=True),
         "sampler": sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
         "unknown m6": replace(sixpoint_datum(), m6=None),
+        "unknown fourth-moment tensor": replace(sixpoint_datum(), m4_tensor=None),
     }
     assert np.array_equal(plain["tetrahedron"].covariance, np.eye(3))
     assert [name for name, mu0 in controlled.items() if not _controls_exact(mu0)] == []

@@ -98,6 +98,65 @@ def test_sixpoint_datum():
     _check_cf_bounds(s)
 
 
+@pytest.mark.parametrize("build", [
+    sixpoint_datum,
+    gaussian_datum,
+    lambda: gaussian_datum(cov=np.diag([1.0, 2.0, 0.5])),
+    lambda: mixture_datum([(0.5, (0, 0, 0), np.diag([1.5, 1.0, 0.5])),
+                           (0.5, (0, 0, 0), np.diag([0.5, 1.0, 1.5]))]),
+    lambda: discrete_datum([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]], [0.3, 0.7]),
+], ids=["sixpoint", "gaussian", "anisotropic", "mixture", "asymmetric-pair"])
+def test_fourth_moment_tensor_traces_to_m4(build):
+    """The tensor E[V_i V_j V_k V_l] is symmetric, its double trace is m4,
+    and its quartic form along a direction matches the sampler's fourth
+    power there."""
+    datum = build()
+    tensor = datum.m4_tensor
+    for axes in [(1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)]:
+        np.testing.assert_allclose(tensor, tensor.transpose(axes), rtol=1e-14, atol=0.0)
+    assert np.einsum("iijj", tensor) == pytest.approx(datum.m4, rel=1e-12)
+    u = np.array([0.6, -0.48, 0.64])
+    draws = datum.sampler(np.random.default_rng(5), 200_000) @ u
+    fourth = draws**4
+    quartic = np.einsum("ijkl,i,j,k,l", tensor, u, u, u, u)
+    assert abs(fourth.mean() - quartic) <= 4.0 * fourth.std(ddof=1) / math.sqrt(len(fourth))
+
+
+def test_fourth_moment_tensor_is_withheld_where_unknown():
+    assert gaussian_datum(mean=(0.5, 0.0, 0.0)).m4_tensor is None
+    assert mixture_datum([(0.5, (0.5, 0, 0), 1.0), (0.5, (-0.5, 0, 0), 1.0)]).m4_tensor is None
+    # a component of weight 0 is not part of the law
+    assert mixture_datum([(1.0, (0, 0, 0), 1.0), (0.0, (0.5, 0, 0), 1.0)]).m4_tensor is not None
+    assert heavytail_datum(3.5).m4_tensor is None
+    assert sampler_datum(lambda rng, size: rng.standard_normal((size, 3))).m4_tensor is None
+
+
+@pytest.mark.parametrize("far", [1e200, 1e60])
+def test_atoms_of_mass_zero_are_dropped(far):
+    """An atom of mass 0 is not part of the law: far away it used to
+    overflow m4 (1e200: 0 * inf) or make m6 nan (1e60).  The law is +-e1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        datum = discrete_datum([[far, 0, 0], [1, 0, 0], [-1, 0, 0]], [0.0, 0.5, 0.5])
+    assert (datum.m2, datum.m4, datum.m6) == (1.0, 1.0, 1.0)
+    assert datum.m4_tensor[0, 0, 0, 0] == 1.0 and np.count_nonzero(datum.m4_tensor) == 1
+    assert not np.iscomplexobj(datum.cf(np.zeros(3)))  # symmetric once the atom is gone
+    assert set(datum.sampler(np.random.default_rng(0), 100)[:, 0]) == {-1.0, 1.0}
+
+
+def test_sixpoint_keeps_its_bits_beside_an_atom_of_mass_zero():
+    six = sixpoint_datum()
+    points = np.vstack([np.eye(3), -np.eye(3), [[1e200, 0.0, 0.0]]])
+    padded = discrete_datum(points, [1.0 / 6.0] * 6 + [0.0], normalize=True, name="sixpoint")
+    assert (padded.m2, padded.m4, padded.m6) == (six.m2, six.m4, six.m6)
+    assert np.array_equal(padded.covariance, six.covariance)
+    assert np.array_equal(padded.m4_tensor, six.m4_tensor)
+    xi = np.random.default_rng(3).normal(size=(50, 3))
+    assert np.array_equal(padded.cf(xi), six.cf(xi))
+    assert np.array_equal(padded.sampler(np.random.default_rng(4), 64),
+                          six.sampler(np.random.default_rng(4), 64))
+
+
 def test_mixture_datum():
     m = mixture_datum([
         (0.25, (1.0, 0.0, 0.0), 0.5 * np.eye(3)),

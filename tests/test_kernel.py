@@ -30,6 +30,7 @@ from wildsim.kernel import (
     _GK_NODES,
     _GK_RULES,
     _build_beta_table,
+    a4,
     cos_sin,
     cosine,
     integrate_01,
@@ -137,6 +138,22 @@ def test_functionals_match_independent_quadrature(xabs):
     assert fn.l_s_table[3.0] == pytest.approx(
         gauss_legendre_01(lambda x: (1 - x**2) ** 1.5 * ev(x)), abs=1e-9
     )
+
+
+def test_quartic_rates_match_the_gap_and_closed_forms(xabs):
+    """A_{4,0} = 1 + lambda_b for every preset (the isotropic part of the
+    quartic form decays at the gap), to 1e-12.  For xabs, b = 2x, each
+    branch of A_{4,l} is int_0^1 u^2 P_l(sqrt u) du, so A_{4,2} = 5/12 and
+    A_{4,4} = 1/8; and both match an independent fixed-order quadrature."""
+    for preset in PRESETS:
+        kernel = make_kernel(preset)
+        assert abs(a4(kernel, 0) - 1.0 - spectral_functionals(kernel).lambda_b) <= 1e-12
+    assert a4(xabs, 2) == pytest.approx(5.0 / 12.0, abs=1e-9)
+    assert a4(xabs, 4) == pytest.approx(1.0 / 8.0, abs=1e-9)
+    ev = xabs.evaluator
+    p4 = np.polynomial.legendre.Legendre.basis(4)
+    assert a4(xabs, 4) == pytest.approx(gauss_legendre_01(
+        lambda x: (x**4 * p4(x) + (1 - x**2) ** 2 * p4(np.sqrt(1 - x**2))) * ev(x)), abs=1e-9)
 
 
 def test_sample_phi_moments(xabs):

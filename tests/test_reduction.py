@@ -3,6 +3,7 @@ pooling of sparse strata, standard errors, run identifiers and the
 calibration of identity z-scores across seeds."""
 
 import math
+from dataclasses import replace
 from itertools import pairwise
 
 import numpy as np
@@ -20,7 +21,7 @@ from wildsim.diagnostics import (
     conservation_check,
     run_identity_suite,
 )
-from wildsim.initial import gaussian_datum, sixpoint_datum
+from wildsim.initial import gaussian_datum, mixture_datum, sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
     SizeStrata,
@@ -203,8 +204,19 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     scheme = sampler.reduction_scheme()
     assert "theta + pi" in scheme["velocity_pairing"]
     assert "7 m2" in scheme["velocity_controls"]
-    # and so is crosscheck's control rule: its pilot size and stream
+    # and so is crosscheck's control rule: its pilot size and stream, its
+    # powers and where x^4 enters
     assert "2000 cascades" in scheme["transform_controls"]
+    assert "x^4 - E[x^4](t)" in scheme["transform_controls"]
+    assert "b5 x^5" in scheme["transform_controls"]
+    monkeypatch.setattr(sampler, "QUARTIC_CONTROL_RHO", 3.0)
+    assert cli._run_id("identities", config, kernel, None) != base
+    monkeypatch.setattr(sampler, "QUARTIC_CONTROL_RHO", 2.0)
+    assert cli._run_id("identities", config, kernel, None) == base
+    # E[x^4](t) reads the datum's fourth-moment tensor, which its echo names
+    six, echo = sixpoint_datum(), {**config, "mu0": "sixpoint"}
+    assert (cli._run_id("crosscheck", echo, kernel, replace(six, m4_tensor=2.0 * six.m4_tensor))
+            != cli._run_id("crosscheck", echo, kernel, six))
     monkeypatch.setattr(sampler, "CONTROL_PILOT", 1000)
     assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(sampler, "CONTROL_PILOT", 2000)
@@ -318,23 +330,38 @@ def test_conservation_z_scores_are_calibrated_across_seeds(kernel, t, n_samples,
         assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (key, z.std(ddof=1))
 
 
-@pytest.mark.parametrize("datum", ["sixpoint", "gaussian"])
+CROSSCHECK_DATA = {
+    "sixpoint": sixpoint_datum,
+    "gaussian": gaussian_datum,
+    "mixture": lambda: mixture_datum([(0.5, (0, 0, 0), np.diag([1.5, 1.0, 0.5])),
+                                      (0.5, (0, 0, 0), np.diag([0.5, 1.0, 1.5]))]),
+}
+
+
+@pytest.mark.parametrize("datum", ["sixpoint", "gaussian", "mixture"])
 def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
     """The same sweep for `crosscheck` at t = 1: the real and imaginary
     z-scores of the tree side (stream (5, 0)) minus the controlled empirical
     side (stream (5, 1), coefficients from the pilot on (5, 2)) have mean 0
     and sd 1 within 4 sigma at every frequency of the grid, so the pilot's
-    coefficients bias neither the estimate nor its standard error.  The
-    controlled real parts lean positive (over these seeds the largest z
-    mean is +0.15, against the gate's 0.2): over seeds 1000-1399, averaged
-    over the ten real parts of both data, the controlled z means exceeded
-    the plain ones by 0.07, 0.02 and 0.02 at 2,000, 5,000 and 20,000
-    cascades (one frequency's z mean carries noise of about 0.05 over 400
-    seeds).  The shift does not grow with the sample, as a bias of the
-    controls would, so it reads as skew (what the x^2 control leaves is
-    mostly the x^4 term); and over 4e7 cascades at t = 1 the control means
-    read within 2 standard errors of zero (2.2e-4 for x^2 - m2 / 3)."""
-    mu0 = sixpoint_datum() if datum == "sixpoint" else gaussian_datum()
+    coefficients bias neither the estimate nor its standard error.  Every
+    |xi| sigma here is below QUARTIC_CONTROL_RHO, so the real parts carry
+    x^2 alone and the imaginary parts x, x^3 and x^5.  The controlled real
+    parts lean positive (over these seeds the largest z mean is +0.18, the
+    mixture's, against the gate's 0.2): over seeds 1000-1399, averaged over
+    the five real parts, the controlled z means exceeded the plain ones on
+    the same draws by 0.11, 0.03 and 0.09 (sixpoint, Gaussian, mixture) at
+    2,000 cascades and 0.07, 0.11 and 0.10 at 5,000 (one frequency's z mean
+    carries noise of about 0.05 over 400 seeds).  Where x^4 joins, at
+    |xi| sigma = 2.2 on the default grid's five directions, the lean turns
+    negative: -0.12, -0.04 and -0.07 at 2,000 cascades, -0.08, -0.08 and
+    -0.07 at 5,000, with single means down to -0.21.  Neither lean grows
+    with the sample, as a bias of the controls would: it is the skew of
+    what the controls leave, whose far tail (x^4, then x^6) sets the
+    sample variance; and the control means are exact (over 2e7 plain
+    cascades at t = 1, E[(u . v)^4] met `_exact_fourth_powers` within
+    |z| <= 1.8 along five directions for sixpoint and the mixture)."""
+    mu0 = CROSSCHECK_DATA[datum]()
     grid = np.array([[0.8, 0.0, 0.0], [0.0, 0.0, 1.1], [0.5, 0.5, 0.5],
                      [-0.4, 0.8, 0.2], [1.2, -0.3, 0.9]])  # test_diagnostics.small_grid
     t, n_samples = 1.0, 2000
