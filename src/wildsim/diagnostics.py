@@ -39,7 +39,6 @@ from .kernel import S_POWERS, CollisionKernel, a4, cos_sin, l_s, spectral_functi
 from .sampler import (
     CONTROL_KEY,
     CONTROL_PILOT,
-    QUARTIC_CONTROL_RHO,
     cascade_velocities,
     draw_total,
     germination_record,
@@ -591,19 +590,18 @@ def cf_distance_curve(
 def _controls_exact(mu0: InitialDatum) -> bool:
     """Whether the control means of `_wild_cf_task` and
     `_velocity_moments_task` are exact at every t.  The datum must have an
-    exact transform, a finite m4 and m6 and its fourth-moment tensor, so
-    that its moments are the law's, not a sample's, and the controls have
-    finite means (every preset that qualifies is discrete, a centred
-    Gaussian or a centred Gaussian mixture, with every moment finite, so
-    their variances are finite too).
+    exact transform and a finite m4 and m6, so that its moments are the
+    law's, not a sample's, and the controls have finite means (every preset
+    that qualifies is discrete, a centred Gaussian or a centred Gaussian
+    mixture, with every moment finite, so their variances are finite too).
     Its transform must be real, which holds exactly when the law is
     symmetric under v -> -v; the collisions keep the symmetry, so every odd
     moment of the solution vanishes.  And
     its second-moment tensor (for a symmetric law, the covariance) must be
     exactly (m2 / 3) I with m2 > 0, which the collisions keep, so that
     E[(v . u)^2] = m2 / 3 for every unit u."""
-    return (mu0.cf is not None and mu0.m4_tensor is not None
-            and all(m is not None and math.isfinite(m) for m in (mu0.m4, mu0.m6))
+    return (mu0.cf is not None and all(m is not None and math.isfinite(m)
+                                       for m in (mu0.m4, mu0.m6))
             and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
 
@@ -633,27 +631,27 @@ def _exact_sixth_moment(mu0: InitialDatum, lambda_b: float, l6: float, t: float)
             + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3) * math.exp(-(1.0 - 2.0 * l6) * t))
 
 
-def _exact_fourth_powers(mu0: InitialDatum, kernel: CollisionKernel, t: float,
-                         directions) -> np.ndarray:
+def _exact_fourth_powers(mu0: InitialDatum, kernel: CollisionKernel, lambda_b: float,
+                         t: float, directions) -> np.ndarray:
     """E[(u . v)^4] at time t along each unit direction u (rows), for a
-    datum that meets `_controls_exact`.  With T = E[V (x) V (x) V (x) V],
-    the quartic form q(u) = E[(u . V)^4] splits into spherical-harmonic
-    degrees: q0 = m4 / 5, q2(u) = (6/7) (u' M u - m4 / 3) with
-    M = E[|V|^2 V V'] (T traced once) and q4 = q - q0 - q2.  Each collision
-    maps the degree-l part to A_{4,l} (`kernel.a4`) times itself, and the
-    cross term adds 6 s^4 int cos^2 sin^2 dbeta (s^2 = m2 / 3), so
-    E[(u . v)^4](t) = 3 s^4 + (q0 - 3 s^4) exp((A_{4,0} - 1) t)
-    + q2 exp((A_{4,2} - 1) t) + q4 exp((A_{4,4} - 1) t), with
-    A_{4,0} - 1 = lambda_b."""
-    tensor, s2 = mu0.m4_tensor, mu0.m2 / 3.0
+    datum that meets `_controls_exact` and has a fourth-moment tensor
+    T = E[V (x) V (x) V (x) V].  The quartic form q(u) = E[(u . V)^4]
+    splits into spherical-harmonic degrees: q0 = m4 / 5,
+    q2(u) = (6/7) (u' M u - m4 / 3) with M = E[|V|^2 V V'] (T traced once)
+    and q4 = q - q0 - q2.  Each collision maps the degree-l part to A_{4,l}
+    (`kernel.a4`) times itself, and the cross term adds
+    6 s^4 int cos^2 sin^2 dbeta (s^2 = m2 / 3), so
+    E[(u . v)^4](t) = 3 s^4 + (q0 - 3 s^4) exp(lambda_b t)
+    + q2 exp((A_{4,2} - 1) t) + q4 exp((A_{4,4} - 1) t): its isotropic
+    part is `_exact_fourth_moment` / 5, since A_{4,0} - 1 = lambda_b."""
+    tensor = mu0.m4_tensor
     quartic = np.einsum("ijkl,ni,nj,nk,nl->n", tensor, directions, directions, directions,
                         directions)
-    q0 = mu0.m4 / 5.0
     q2 = (6.0 / 7.0) * (np.einsum("ni,ij,nj->n", directions, np.einsum("iijk->jk", tensor),
                                   directions) - mu0.m4 / 3.0)
-    growth = [math.exp((a4(kernel, l) - 1.0) * t) for l in (0, 2, 4)]
-    return (3.0 * s2 * s2 + (q0 - 3.0 * s2 * s2) * growth[0] + q2 * growth[1]
-            + (quartic - q0 - q2) * growth[2])
+    return (_exact_fourth_moment(mu0, lambda_b, t) / 5.0
+            + q2 * math.exp((a4(kernel, 2) - 1.0) * t)
+            + (quartic - mu0.m4 / 5.0 - q2) * math.exp((a4(kernel, 4) - 1.0) * t))
 
 
 def _slope(cxy, cxx):
@@ -687,20 +685,19 @@ def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
     draws at time t from stream CONTROL_KEY, which no estimate reads, so
     the coefficients are independent of the draws they correct.  Per
     nonzero frequency, with p = xi . v and x = p / (|xi| sigma) of variance
-    1, cos p is regressed on (x^2, x^4) and sin p on (x, x^3, x^5), each
-    with an intercept, from one pass of the pilot's cross products
-    (`_least_squares`).  c = b2 + b4 E[x^4](t) (`_exact_fourth_powers`) is
-    the exact mean of b2 x^2 + b4 x^4.  Where a power is a combination of
-    those before it, as for discrete data at t = 0, its b is 0, not what
-    rounding alone would set.  A zero frequency keeps every row 0.
+    1, sin p is regressed on (x, x^3, x^5), and cos p on x^2 and on
+    (x^2, x^4), each with an intercept, from one pass of the pilot's cross
+    products (`_least_squares`); (b2, b4) is the average of the two cos p
+    fits.  c = b2 + b4 E[x^4](t) (`_exact_fourth_powers`) is the exact mean
+    of b2 x^2 + b4 x^4.  Where a power is a combination of those before it,
+    as for discrete data at t = 0, its b is 0, not what rounding alone would
+    set.  A zero frequency keeps every row 0.
 
-    x^4 enters only where |xi| sigma >= QUARTIC_CONTROL_RHO.  Below it cos p
-    is close to a quartic in x over the bulk of the law, so what the x^4
-    control leaves is mostly its own far tail, -b4 x^4: the controlled mean
-    and its standard error then move together, and z leans negative (for
-    the standard Gaussian at t = 1 and 2,000 cascades, z means -0.30,
-    -0.25 and -0.17 at |xi| sigma = 0.6, 1 and 1.5, against -0.09 at 2.2),
-    while the se it saves there is already far below the grid's largest."""
+    Any fixed coefficients keep each column's mean.  Far out in x what
+    the controls leave is their own polynomial, which skews the column, and
+    at small samples z leans with the skew: positive with x^2 alone,
+    negative with the full fit.  Their average keeps three quarters of the
+    full fit's variance gain, and its leans largely cancel."""
     velocities = wild_velocity_batch(t, mu0, kernel, seed, CONTROL_PILOT, workers,
                                      key=CONTROL_KEY)
     norms = np.linalg.norm(xi_grid, axis=1)
@@ -712,14 +709,15 @@ def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
         square = x * x
         fourth = square * square
         columns = np.array([square, fourth, x, square * x, fourth * x, *cos_sin(p)])
-        if units[i] < QUARTIC_CONTROL_RHO:
-            columns[1] = 0.0  # a zero column is unresolved, so its b4 is 0
         columns -= columns.mean(axis=1, keepdims=True)
         cov[i] = columns @ columns.T
-    even = _least_squares(cov, [0, 1], 5)
+    even = _least_squares(cov, [0, 1], 5)  # averaged with the fit on x^2 alone
+    even[0] += _least_squares(cov, [0], 5)[0]
+    even *= 0.5
     odd = _least_squares(cov, [2, 3, 4], 6)
     directions = xi_grid / np.where(norms > 0.0, norms, 1.0)[:, None]
-    x4_means = _exact_fourth_powers(mu0, kernel, t, directions) / (mu0.m2 / 3.0) ** 2
+    x4_means = _exact_fourth_powers(mu0, kernel, spectral_functionals(kernel).lambda_b, t,
+                                    directions) / (mu0.m2 / 3.0) ** 2
     offset = np.where(units > 0.0, even[0] + even[1] * x4_means, 0.0)
     return np.vstack([even, offset, odd])
 
@@ -746,23 +744,22 @@ def representation_crosscheck(
     from the same two streams, (5, 0) and (5, 1).
 
     The empirical side carries control variates of exact mean
-    (`_wild_cf_task`) when the datum meets `_controls_exact`: an exact
-    transform that is real (exact v -> -v symmetry), a finite m4 and m6, a
-    known fourth-moment tensor (for E[x^4](t), `_exact_fourth_powers`) and
-    an isotropic, nonzero second-moment tensor.  Their coefficients come from
-    a pilot of CONTROL_PILOT cascades on stream CONTROL_KEY, (5, 2), fitted
-    at each time, so each estimate stays a post-stratified plain mean of
-    its controlled columns, with an honest standard error.  Every other
-    datum takes the plain empirical transform.
+    (`_wild_cf_task`) when the datum meets `_controls_exact` (an exact
+    transform that is real, so exact v -> -v symmetry, a finite m4 and m6
+    and an isotropic, nonzero second-moment tensor) and has a known
+    fourth-moment tensor (for E[x^4](t), `_exact_fourth_powers`).  Their
+    coefficients come from a pilot of CONTROL_PILOT cascades on stream
+    CONTROL_KEY, (5, 2), fitted at each time, so each estimate stays a
+    post-stratified plain mean of its controlled columns, with an honest
+    standard error.  Every other datum takes the plain empirical transform.
     """
     xi_grid = np.asarray(xi_grid, float)
     report = IdentityReport("representation_crosscheck", pass_fraction_required=0.95)
-    controlled = _controls_exact(mu0)
+    controlled = _controls_exact(mu0) and mu0.m4_tensor is not None
     provenance = "independent wild-cascade empirical transform"
     if controlled:
-        provenance += (", less control variates x^2 - 1, x^4 - E[x^4](t) (from |xi| "
-                       f"sqrt(m2/3) >= {QUARTIC_CONTROL_RHO:g}), x, x^3 and x^5 of exact mean "
-                       "(x = v . xi / (|xi| sqrt(m2/3))), fitted on a pilot of "
+        provenance += (", less control variates x^2 - 1, x^4 - E[x^4](t), x, x^3 and x^5 "
+                       "of exact mean (x = v . xi / (|xi| sqrt(m2/3))), fitted on a pilot of "
                        f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")
     for t in t_list:
         est_tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, xi_grid,

@@ -443,7 +443,6 @@ MIN_STRATUM_DRAWS = 2  # a stratum with fewer draws is pooled with the strata of
                        # sizes after it (a short last group joins the group before it)
 CONTROL_PILOT = 2000   # cascades of the pilot that fits crosscheck's control coefficients
 CONTROL_KEY = (5, 2)   # the pilot's stream key, apart from crosscheck's (5, 0) and (5, 1)
-QUARTIC_CONTROL_RHO = 2.0  # crosscheck's x^4 control applies where |xi| sqrt(m2 / 3) >= this
 
 
 def reduction_scheme() -> dict:
@@ -466,11 +465,11 @@ def reduction_scheme() -> dict:
                 "m4 and m6, a known fourth-moment tensor and isotropic second moments: with "
                 "p = xi . v and x = p / (|xi| sqrt(m2 / 3)), cos p - b2 (x^2 - 1) "
                 "- b4 (x^4 - E[x^4](t)) and sin p - b1 x - b3 x^3 - b5 x^5, E[x^4](t) the "
-                "quartic form's degree-0, 2 and 4 parts at rates A_(4,l) - 1, b4 = 0 where "
-                f"|xi| sqrt(m2 / 3) < {QUARTIC_CONTROL_RHO}, the b fitted "
-                "by least squares (Gram-Schmidt in the orders x^2, x^4 and x, x^3, x^5, "
-                f"unresolved regressors dropped) on a pilot of {CONTROL_PILOT} cascades "
-                f"from stream {CONTROL_KEY}")}
+                "quartic form's degree-0, 2 and 4 parts at rates A_(4,l) - 1, (b2, b4) the "
+                "average of the least-squares fits on x^2 alone and on (x^2, x^4), "
+                "(b1, b3, b5) the least-squares fit (Gram-Schmidt in the orders x^2, x^4 "
+                "and x, x^3, x^5, unresolved regressors dropped), on a pilot of "
+                f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")}
 
 
 @dataclass(frozen=True)

@@ -205,14 +205,11 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert "theta + pi" in scheme["velocity_pairing"]
     assert "7 m2" in scheme["velocity_controls"]
     # and so is crosscheck's control rule: its pilot size and stream, its
-    # powers and where x^4 enters
+    # powers and how (b2, b4) is fitted
     assert "2000 cascades" in scheme["transform_controls"]
     assert "x^4 - E[x^4](t)" in scheme["transform_controls"]
     assert "b5 x^5" in scheme["transform_controls"]
-    monkeypatch.setattr(sampler, "QUARTIC_CONTROL_RHO", 3.0)
-    assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(sampler, "QUARTIC_CONTROL_RHO", 2.0)
-    assert cli._run_id("identities", config, kernel, None) == base
+    assert "average of the least-squares fits" in scheme["transform_controls"]
     # E[x^4](t) reads the datum's fourth-moment tensor, which its echo names
     six, echo = sixpoint_datum(), {**config, "mu0": "sixpoint"}
     assert (cli._run_id("crosscheck", echo, kernel, replace(six, m4_tensor=2.0 * six.m4_tensor))
@@ -343,27 +340,28 @@ def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
     """The same sweep for `crosscheck` at t = 1: the real and imaginary
     z-scores of the tree side (stream (5, 0)) minus the controlled empirical
     side (stream (5, 1), coefficients from the pilot on (5, 2)) have mean 0
-    and sd 1 within 4 sigma at every frequency of the grid, so the pilot's
-    coefficients bias neither the estimate nor its standard error.  Every
-    |xi| sigma here is below QUARTIC_CONTROL_RHO, so the real parts carry
-    x^2 alone and the imaginary parts x, x^3 and x^5.  The controlled real
-    parts lean positive (over these seeds the largest z mean is +0.18, the
-    mixture's, against the gate's 0.2): over seeds 1000-1399, averaged over
-    the five real parts, the controlled z means exceeded the plain ones on
-    the same draws by 0.11, 0.03 and 0.09 (sixpoint, Gaussian, mixture) at
-    2,000 cascades and 0.07, 0.11 and 0.10 at 5,000 (one frequency's z mean
-    carries noise of about 0.05 over 400 seeds).  Where x^4 joins, at
-    |xi| sigma = 2.2 on the default grid's five directions, the lean turns
-    negative: -0.12, -0.04 and -0.07 at 2,000 cascades, -0.08, -0.08 and
-    -0.07 at 5,000, with single means down to -0.21.  Neither lean grows
-    with the sample, as a bias of the controls would: it is the skew of
-    what the controls leave, whose far tail (x^4, then x^6) sets the
-    sample variance; and the control means are exact (over 2e7 plain
-    cascades at t = 1, E[(u . v)^4] met `_exact_fourth_powers` within
-    |z| <= 1.8 along five directions for sixpoint and the mixture)."""
+    and sd 1 within 4 sigma at every frequency, so the pilot's coefficients
+    bias neither the estimate nor its standard error.  The grid is
+    test_diagnostics.small_grid (|xi| sigma 0.8 to 1.53) and the default
+    grid's |xi| sigma = 2.2 shell, the one the `transform_grid` benchmark's
+    largest standard errors sit on.
+
+    The controlled real parts lean with the skew of what their controls
+    leave (`_control_coefficients`).  Over these seeds the largest real z
+    means are +0.149, +0.063 and +0.145 (sixpoint, Gaussian, mixture) on
+    the small grid and +0.092, -0.056 and +0.033 on the shell.  With the
+    full least-squares (b2, b4) they would be -0.42 and -0.50 (Gaussian and
+    mixture, small grid) and -0.199 (sixpoint, shell); with x^2 alone +0.18
+    (mixture, small grid).  The default grid's |xi| sigma = 0.6 shell, not swept here,
+    leans most: +0.197 for the mixture (+0.222 with x^2 alone).  The
+    control means are exact (over 2e7 plain cascades at t = 1, E[(u . v)^4]
+    met `_exact_fourth_powers` within |z| <= 1.8 along five directions for
+    sixpoint and the mixture)."""
     mu0 = CROSSCHECK_DATA[datum]()
-    grid = np.array([[0.8, 0.0, 0.0], [0.0, 0.0, 1.1], [0.5, 0.5, 0.5],
-                     [-0.4, 0.8, 0.2], [1.2, -0.3, 0.9]])  # test_diagnostics.small_grid
+    grid = np.vstack([[[0.8, 0.0, 0.0], [0.0, 0.0, 1.1], [0.5, 0.5, 0.5],
+                       [-0.4, 0.8, 0.2], [1.2, -0.3, 0.9]],  # test_diagnostics.small_grid
+                      cli.default_xi_grid()[-5:]])  # the rho = 2.2 shell
+    assert np.allclose(np.linalg.norm(grid[5:], axis=1), 2.2)
     t, n_samples = 1.0, 2000
     z = []
     for seed in SWEEP_SEEDS:
