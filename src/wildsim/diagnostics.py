@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientSignal, PremiseFailed
 from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
-from .kernel import S_POWERS, CollisionKernel, a4, cos_sin, l_s, spectral_functionals
+from .kernel import S_POWERS, CollisionKernel, KernelFunctionals, cos_sin, spectral_functionals
 from .sampler import (
     CONTROL_KEY,
     CONTROL_PILOT,
@@ -419,11 +419,10 @@ def conservation_check(
         raise ConfigError("conservation check needs a finite second moment")
     report = IdentityReport("conservation")
     controlled = _controls_exact(mu0)
-    if controlled:
-        lambda_b, l6 = spectral_functionals(kernel).lambda_b, l_s(kernel, 6)
+    fn = spectral_functionals(kernel) if controlled else None
     for it, t in enumerate(t_list):
-        moments = ({"mu4": _exact_fourth_moment(mu0, lambda_b, t),
-                    "mu6": _exact_sixth_moment(mu0, lambda_b, l6, t)} if controlled else {})
+        moments = ({"mu4": _exact_fourth_moment(mu0, fn, t),
+                    "mu6": _exact_sixth_moment(mu0, fn, t)} if controlled else {})
         sums = reduce_cascades(_velocity_moments_task, seed, (2, it), workers, t, n_samples,
                                mu0=mu0, kernel=kernel, **moments)
         references = [(f"v{m}", mu0.mean[m - 1],
@@ -606,19 +605,19 @@ def _controls_exact(mu0: InitialDatum) -> bool:
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
 
 
-def _exact_fourth_moment(mu0: InitialDatum, lambda_b: float, t: float) -> float:
+def _exact_fourth_moment(mu0: InitialDatum, fn: KernelFunctionals, t: float) -> float:
     """E|v|^4 at time t, 15 s^4 + (m4 - 15 s^4) exp(lambda_b t) with
     s^2 = m2 / 3, for a datum that meets `_controls_exact`: with
     v = sum_j w_j O_j V_j, sum_j w_j^2 = 1 and i.i.d. centred V_j of
     covariance s^2 I, E[|v|^4 | cascade] = 15 s^4 + W (m4 - 15 s^4), and
     E[W] = exp(lambda_b t)."""
     gaussian = 15.0 * (mu0.m2 / 3.0) ** 2
-    return gaussian + (mu0.m4 - gaussian) * math.exp(lambda_b * t)
+    return gaussian + (mu0.m4 - gaussian) * math.exp(fn.lambda_b * t)
 
 
-def _exact_sixth_moment(mu0: InitialDatum, lambda_b: float, l6: float, t: float) -> float:
+def _exact_sixth_moment(mu0: InitialDatum, fn: KernelFunctionals, t: float) -> float:
     """E|v|^6 at time t for a datum that meets `_controls_exact`, with
-    s^2 = m2 / 3 and l6 = `kernel.l_s` at s = 6:
+    s^2 = m2 / 3 and l6 = fn.l_s_table[6]:
     105 s^6 + 21 s^2 (m4 - 15 s^4) exp(lambda_b t)
     + (m6 - 21 s^2 m4 + 210 s^6) exp(-(1 - 2 l6) t).  With v as in
     `_exact_fourth_moment` and V symmetric under V -> -V, a cumulant
@@ -627,19 +626,20 @@ def _exact_sixth_moment(mu0: InitialDatum, lambda_b: float, l6: float, t: float)
     fourth cumulant with s^2 I being m4 - 15 s^4; and
     E[sum_j w_j^6] = exp(-(1 - 2 l6) t)."""
     s2 = mu0.m2 / 3.0
-    return (105.0 * s2**3 + 21.0 * s2 * (mu0.m4 - 15.0 * s2 * s2) * math.exp(lambda_b * t)
-            + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3) * math.exp(-(1.0 - 2.0 * l6) * t))
+    return (105.0 * s2**3 + 21.0 * s2 * (mu0.m4 - 15.0 * s2 * s2) * math.exp(fn.lambda_b * t)
+            + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3)
+            * expected_sum_closed_form(fn.l_s_table[6], t=t))
 
 
-def _exact_fourth_powers(mu0: InitialDatum, kernel: CollisionKernel, lambda_b: float,
-                         t: float, directions) -> np.ndarray:
+def _exact_fourth_powers(mu0: InitialDatum, fn: KernelFunctionals, t: float,
+                         directions) -> np.ndarray:
     """E[(u . v)^4] at time t along each unit direction u (rows), for a
     datum that meets `_controls_exact` and has a fourth-moment tensor
     T = E[V (x) V (x) V (x) V].  The quartic form q(u) = E[(u . V)^4]
     splits into spherical-harmonic degrees: q0 = m4 / 5,
     q2(u) = (6/7) (u' M u - m4 / 3) with M = E[|V|^2 V V'] (T traced once)
     and q4 = q - q0 - q2.  Each collision maps the degree-l part to A_{4,l}
-    (`kernel.a4`) times itself, and the cross term adds
+    (fn.a4_table, `kernel.a4`) times itself, and the cross term adds
     6 s^4 int cos^2 sin^2 dbeta (s^2 = m2 / 3), so
     E[(u . v)^4](t) = 3 s^4 + (q0 - 3 s^4) exp(lambda_b t)
     + q2 exp((A_{4,2} - 1) t) + q4 exp((A_{4,4} - 1) t): its isotropic
@@ -649,9 +649,9 @@ def _exact_fourth_powers(mu0: InitialDatum, kernel: CollisionKernel, lambda_b: f
                         directions)
     q2 = (6.0 / 7.0) * (np.einsum("ni,ij,nj->n", directions, np.einsum("iijk->jk", tensor),
                                   directions) - mu0.m4 / 3.0)
-    return (_exact_fourth_moment(mu0, lambda_b, t) / 5.0
-            + q2 * math.exp((a4(kernel, 2) - 1.0) * t)
-            + (quartic - mu0.m4 / 5.0 - q2) * math.exp((a4(kernel, 4) - 1.0) * t))
+    return (_exact_fourth_moment(mu0, fn, t) / 5.0
+            + q2 * math.exp((fn.a4_table[2] - 1.0) * t)
+            + (quartic - mu0.m4 / 5.0 - q2) * math.exp((fn.a4_table[4] - 1.0) * t))
 
 
 def _slope(cxy, cxx):
@@ -679,7 +679,7 @@ def _least_squares(cov, regressors, target) -> np.ndarray:
     return coefficients[:, regressors].T
 
 
-def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
+def _control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers) -> np.ndarray:
     """The rows (b2, b4, c, b1, b3, b5) of `_wild_cf_task`'s control
     coefficients, one column per frequency, fitted on CONTROL_PILOT velocity
     draws at time t from stream CONTROL_KEY, which no estimate reads, so
@@ -716,8 +716,7 @@ def _control_coefficients(mu0, kernel, t, xi_grid, seed, workers) -> np.ndarray:
     even *= 0.5
     odd = _least_squares(cov, [2, 3, 4], 6)
     directions = xi_grid / np.where(norms > 0.0, norms, 1.0)[:, None]
-    x4_means = _exact_fourth_powers(mu0, kernel, spectral_functionals(kernel).lambda_b, t,
-                                    directions) / (mu0.m2 / 3.0) ** 2
+    x4_means = _exact_fourth_powers(mu0, fn, t, directions) / (mu0.m2 / 3.0) ** 2
     offset = np.where(units > 0.0, even[0] + even[1] * x4_means, 0.0)
     return np.vstack([even, offset, odd])
 
@@ -756,6 +755,7 @@ def representation_crosscheck(
     xi_grid = np.asarray(xi_grid, float)
     report = IdentityReport("representation_crosscheck", pass_fraction_required=0.95)
     controlled = _controls_exact(mu0) and mu0.m4_tensor is not None
+    fn = spectral_functionals(kernel) if controlled else None
     provenance = "independent wild-cascade empirical transform"
     if controlled:
         provenance += (", less control variates x^2 - 1, x^4 - E[x^4](t), x, x^3 and x^5 "
@@ -765,7 +765,7 @@ def representation_crosscheck(
         est_tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, xi_grid,
                                                      n_samples, seed, (5, 0), workers)
         # after the tree side, so that its peak memory is not stacked on the pilot's
-        betas = (_control_coefficients(mu0, kernel, t, xi_grid, seed, workers)
+        betas = (_control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers)
                  if controlled else None)
         est_wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, xi_grid,
                                                      n_samples, seed, (5, 1), workers,
@@ -847,8 +847,9 @@ def envelope_check(
     on a radial grid; then counts violations over cascade draws at
     ENVELOPE_RADII radii on [0, R], R = (1/2) (1 / (m4 W))^(1/4) per sample.
     """
-    if not (lam > 0.0 and q > 0.0):
-        raise ConfigError(f"the envelope needs lam > 0 and q > 0, got ({lam!r}, {q!r})")
+    if not (lam > 0.0 and 0.0 < lam * lam < math.inf and q > 0.0):
+        raise ConfigError("the envelope needs lam > 0 with lam^2 a positive finite float, "
+                          f"and q > 0, got ({lam!r}, {q!r})")
     cf = mu0.require_cf()
     mu0.require_m4()
     rhos = np.linspace(0.0, PREMISE_RHO_MAX, 601)

@@ -27,7 +27,8 @@ f_b and g_b combine both branch factors of one split, so the quadratic and
 cubic weight sums contract by exactly exp(-(1 - f_b) t) and
 exp(-(1 - g_b) t); for symmetric kernels the two terms are equal.
 A_{4,l} - 1 is the rate of the degree-l part of the quartic form
-E[(u . v)^4] (l = 0, 2, 4), and A_{4,0} = 1 + lambda_b.
+E[(u . v)^4] (l = 0, 2, 4), and A_{4,0} = 1 + lambda_b.  Each functional
+is one call of `angle_integral`, int P(cos^2, sin^2) dbeta for its P.
 
 The quadrature is numpy only.  An analytic kernel is integrated by a
 globally adaptive 7/15-point Gauss-Kronrod rule (QUADPACK's qk15 pair,
@@ -416,12 +417,14 @@ def make_kernel(spec, *, validate_symmetry: bool = True) -> CollisionKernel:
 
 @dataclass(frozen=True)
 class KernelFunctionals:
-    """Spectral functionals of a kernel, all by quadrature to 1e-10."""
+    """Every per-split angle integral a check reads, by quadrature to 1e-10:
+    lambda_b, l_s for s in S_POWERS and s = 6, f_b, g_b and A_{4,l} (l = 2, 4)."""
 
     lambda_b: float
     l_s_table: dict[int, float]
     f_b: float
     g_b: float
+    a4_table: dict[int, float]
 
     def as_dict(self) -> dict:
         return {
@@ -429,74 +432,53 @@ class KernelFunctionals:
             "l_s": {str(s): v for s, v in self.l_s_table.items()},
             "f_b": self.f_b,
             "g_b": self.g_b,
+            "a4": {str(l): v for l, v in self.a4_table.items()},
         }
 
 
-def _lambda_integrand(x, fn):
-    return x * x * (1.0 - x * x) * fn(x)
-
-
-def _ls_integrand(x, fn, s):
-    return (1.0 - x * x) ** (s / 2.0) * fn(x)
-
-
-def _f_integrand(x, fn):
-    s2 = 1.0 - x * x
-    c2 = x * x
-    return (s2 * np.abs(1.5 * s2 - 0.5) + c2 * np.abs(1.5 * c2 - 0.5)) * fn(x)
-
-
-def _g_integrand(x, fn):
-    s2 = 1.0 - x * x
-    c2 = x * x
-    return (s2 * s2 * np.abs(2.5 * s2 - 1.5) + c2 * c2 * np.abs(2.5 * c2 - 1.5)) * fn(x)
+def angle_integral(kernel: CollisionKernel, f, points=None) -> float:
+    """int f(c^2, s^2) dbeta = int_0^1 f(x^2, 1 - x^2) b(x) dx, by
+    `integrate_01` with the kernel's table knots and the kink hints
+    `points`: the one quadrature behind every functional of this module."""
+    fn = kernel.evaluator
+    return integrate_01(lambda x: f(x * x, 1.0 - x * x) * fn(x), points=points,
+                        knots=kernel.table_knots)
 
 
 def l_s(kernel: CollisionKernel, s: float) -> float:
     """l_s = int (1 - x^2)^(s/2) b(x) dx, by quadrature to 1e-10: the
     per-split factor of E[sum_j |w_j|^s] = exp(-(1 - 2 l_s) t)."""
-    return integrate_01(partial(_ls_integrand, fn=kernel.evaluator, s=float(s)),
-                        knots=kernel.table_knots)
+    return angle_integral(kernel, lambda c2, s2: s2 ** (s / 2.0))
 
 
 # P_l(y) for l = 0, 2, 4 as polynomials in y^2, highest power first
 _EVEN_LEGENDRE = {0: (1.0,), 2: (1.5, -0.5), 4: (35.0 / 8.0, -30.0 / 8.0, 3.0 / 8.0)}
 
 
-def _a4_integrand(x, fn, coefficients):
-    c2, s2 = x * x, 1.0 - x * x
-    return (c2 * c2 * np.polyval(coefficients, c2)
-            + s2 * s2 * np.polyval(coefficients, s2)) * fn(x)
-
-
 def a4(kernel: CollisionKernel, l: int) -> float:
     """A_{4,l} = int [cos^4 P_l(cos) + sin^4 P_l(sin)] dbeta for l = 0, 2, 4,
-    by the quadrature of `l_s`: each collision maps the degree-l harmonic
+    by `angle_integral`: each collision maps the degree-l harmonic
     part of the quartic form E[(u . v)^4] to A_{4,l} times itself, so it
     decays as exp(-(1 - A_{4,l}) t); A_{4,0} = 1 + lambda_b."""
-    return integrate_01(partial(_a4_integrand, fn=kernel.evaluator,
-                                coefficients=_EVEN_LEGENDRE[l]),
-                        knots=kernel.table_knots)
+    p = _EVEN_LEGENDRE[l]
+    return angle_integral(kernel, lambda c2, s2: (c2 * c2 * np.polyval(p, c2)
+                                                  + s2 * s2 * np.polyval(p, s2)))
 
 
 def spectral_functionals(kernel: CollisionKernel) -> KernelFunctionals:
-    """Compute lambda_b, l_s for s in S_POWERS, f_b and g_b."""
-    fn = kernel.evaluator
-    knots = kernel.table_knots
-    lam = -2.0 * integrate_01(partial(_lambda_integrand, fn=fn), knots=knots)
-    ls = {s: l_s(kernel, s) for s in S_POWERS}
+    """Compute lambda_b, l_s for s in S_POWERS and s = 6, f_b, g_b and A_{4,l}."""
+    lam = -2.0 * angle_integral(kernel, lambda c2, s2: c2 * s2)
+    ls = {s: l_s(kernel, s) for s in (*S_POWERS, 6)}  # l_6 for E|v|^6
     # the absolute values kink where 3 sin^2 = 1 and 5 sin^2 = 3, on each side
-    f_b = integrate_01(
-        partial(_f_integrand, fn=fn),
-        points=[math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)],
-        knots=knots,
-    )
-    g_b = integrate_01(
-        partial(_g_integrand, fn=fn),
-        points=[math.sqrt(2.0 / 5.0), math.sqrt(3.0 / 5.0)],
-        knots=knots,
-    )
-    return KernelFunctionals(lambda_b=lam, l_s_table=ls, f_b=f_b, g_b=g_b)
+    f_b = angle_integral(
+        kernel, lambda c2, s2: s2 * np.abs(1.5 * s2 - 0.5) + c2 * np.abs(1.5 * c2 - 0.5),
+        points=[math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)])
+    g_b = angle_integral(
+        kernel, lambda c2, s2: (s2 * s2 * np.abs(2.5 * s2 - 1.5)
+                                + c2 * c2 * np.abs(2.5 * c2 - 1.5)),
+        points=[math.sqrt(2.0 / 5.0), math.sqrt(3.0 / 5.0)])
+    return KernelFunctionals(lambda_b=lam, l_s_table=ls, f_b=f_b, g_b=g_b,
+                             a4_table={l: a4(kernel, l) for l in (2, 4)})
 
 
 def cos_sin(x):

@@ -108,6 +108,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -593,10 +594,11 @@ def _chunk_entry(args):
 def _run_chunks(task, nus, seed, key, workers, kwargs):
     """task(nus[chunk], rng, **kwargs) over the chunks of descending sizes nus,
     in chunk order, chunk c on stream key + (c,) of seed; a task built from
-    module-level functions pickles to `workers` processes."""
+    module-level functions pickles to `workers` processes, at most one per
+    chunk and per CPU."""
     jobs = [(task, nus[chunk], seed, key + (c,), kwargs)
             for c, chunk in enumerate(chunk_slices(nus))]
-    workers = min(max(1, int(workers)), len(jobs))
+    workers = min(max(1, int(workers)), len(jobs), os.cpu_count() or 1)
     if workers == 1:
         return map(_chunk_entry, jobs)
     with multiprocessing.Pool(workers) as pool:

@@ -36,7 +36,7 @@ from wildsim.diagnostics import (
 )
 from wildsim.geometry import collision_frames
 from wildsim.initial import sixpoint_datum
-from wildsim.kernel import l_s, make_kernel, spectral_functionals
+from wildsim.kernel import make_kernel, spectral_functionals
 from wildsim.sampler import (
     chunk_slices,
     germination_record,
@@ -85,16 +85,16 @@ def layers(t_index, t, kernel, mu0):
         return out
 
     grid = default_xi_grid()
-    betas = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
+    fn = spectral_functionals(kernel)
+    betas = _control_coefficients(mu0, kernel, fn, t, grid, SEED, 1)
 
     def controlled_side(streams):
-        fitted = _control_coefficients(mu0, kernel, t, grid, SEED, 1)
+        fitted = _control_coefficients(mu0, kernel, fn, t, grid, SEED, 1)
         for c, rng in streams:
             _wild_cf_task(c, rng, mu0, kernel, grid, betas=fitted)
 
-    lambda_b = spectral_functionals(kernel).lambda_b
-    mu4 = _exact_fourth_moment(mu0, lambda_b, t)
-    mu6 = _exact_sixth_moment(mu0, lambda_b, l_s(kernel, 6), t)
+    mu4 = _exact_fourth_moment(mu0, fn, t)
+    mu6 = _exact_sixth_moment(mu0, fn, t)
     return [
         ("`germination_record` (angles, cuts, azimuths)", fresh_streams,
          lambda a: germination_record(a[0], kernel, a[1])),

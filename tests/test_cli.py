@@ -270,6 +270,10 @@ def test_crosscheck_command(tmp_path):
      "--xi-grid", '{"rho": [1e200], "directions": [[1,0,0]]}'],
     ["crosscheck", "--t", "0.5,1", "--samples", "200", "--seed", "1",
      "--xi-grid", '{"rho": [1], "directions": [[1e200,1e200,1e200]]}'],
+    # an envelope scale whose square overflows or underflows, which would put
+    # NaN into the premise bound and the envelope
+    ["envelope", "--samples", "20", "--mu0", "gaussian", "--lam", "1e200"],
+    ["envelope", "--samples", "20", "--mu0", "gaussian", "--lam", "1e-200"],
 ])
 def test_malformed_configuration_is_config_error(argv, tmp_path, capsys):
     if isinstance(argv[-1], dict):

@@ -391,7 +391,8 @@ def test_zero_frequency_rows_are_exact(kernel, sixpoint):
         assert other["se_re"] > 0.0
     # the controlled empirical side keeps rho = 0 at exactly (1, 0, 0, 0)
     assert _controls_exact(sixpoint)
-    betas = _control_coefficients(sixpoint, kernel, 1.0, np.array(grid), 3, 1)
+    betas = _control_coefficients(sixpoint, kernel, spectral_functionals(kernel), 1.0,
+                                  np.array(grid), 3, 1)
     assert betas[:, 0].tolist() == [0.0] * 6
     assert np.all(betas[:, 1] != 0.0)
     estimate, se_re, se_im = _transform_grid(_wild_cf_task, sixpoint, kernel, 1.0,
@@ -459,12 +460,12 @@ def test_velocity_control_means_are_exact(kernel, datum):
     size."""
     mu0 = CENTRED_ISOTROPIC[datum]()
     assert _controls_exact(mu0)
-    lambda_b, l6 = spectral_functionals(kernel).lambda_b, l_s(kernel, 6)
+    fn = spectral_functionals(kernel)
     for it, t in enumerate([0.5, 1.0, 3.0, 5.0]):
         sums = reduce_cascades(_control_moments, 72, (it,), 1, t, 40_000,
                                mu0=mu0, kernel=kernel)
-        for key, reference in [("fourth", _exact_fourth_moment(mu0, lambda_b, t)),
-                               ("sixth", _exact_sixth_moment(mu0, lambda_b, l6, t)),
+        for key, reference in [("fourth", _exact_fourth_moment(mu0, fn, t)),
+                               ("sixth", _exact_sixth_moment(mu0, fn, t)),
                                ("odd", 0.0), ("odd4", 0.0)]:
             mean, se = mean_se(sums, key)
             assert np.all(se > 0.0), (key, t)
@@ -504,18 +505,17 @@ def test_transform_control_means_are_exact(kernel, datum):
     directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     quartic = np.einsum("ijkl,ni,nj,nk,nl->n", mu0.m4_tensor, *[directions] * 4)
-    lambda_b = spectral_functionals(kernel).lambda_b
-    np.testing.assert_allclose(_exact_fourth_powers(mu0, kernel, lambda_b, 0.0, directions),
+    fn = spectral_functionals(kernel)
+    np.testing.assert_allclose(_exact_fourth_powers(mu0, fn, 0.0, directions),
                                quartic, rtol=1e-12)
     if datum == "mixture":
         np.testing.assert_allclose(
-            _exact_fourth_powers(mu0, kernel, lambda_b, 1.0, directions[:2]),
+            _exact_fourth_powers(mu0, fn, 1.0, directions[:2]),
             [3.3927, 3.0196], atol=5e-5)
     for it, (t, n) in enumerate([(0.5, 200_000), (1.0, 1_000_000), (3.0, 100_000)]):
         sums = reduce_cascades(_fourth_and_fifth_powers, 74, (it,), 1, t, n,
                                mu0=mu0, kernel=kernel, directions=directions)
-        for key, reference in [("x4", _exact_fourth_powers(mu0, kernel, lambda_b, t,
-                                                           directions)),
+        for key, reference in [("x4", _exact_fourth_powers(mu0, fn, t, directions)),
                                ("x5", 0.0)]:
             mean, se = mean_se(sums, key)
             assert np.all(se > 0.0), (key, t)
@@ -566,13 +566,12 @@ def test_sixth_weight_sum_decays_at_its_exact_rate(name):
         mean, se = map(float, mean_se(sums, "S6"))
         assert se > 0.0, t
         assert abs(mean - math.exp(-(1.0 - 2.0 * l6) * t)) <= 4.0 * se, (t, mean, se)
-    lambda_b = spectral_functionals(kernel).lambda_b
+    fn = spectral_functionals(kernel)
     for build in CENTRED_ISOTROPIC.values():
         mu0 = build()
-        assert _exact_sixth_moment(mu0, lambda_b, l6, 0.0) == pytest.approx(mu0.m6, rel=1e-12)
+        assert _exact_sixth_moment(mu0, fn, 0.0) == pytest.approx(mu0.m6, rel=1e-12)
     gaussian = gaussian_datum(cov=2.0)
-    assert _exact_sixth_moment(gaussian, lambda_b, l6, 2.0) == pytest.approx(105.0 * 8.0,
-                                                                         rel=1e-12)
+    assert _exact_sixth_moment(gaussian, fn, 2.0) == pytest.approx(105.0 * 8.0, rel=1e-12)
 
 
 # the vertices of a regular tetrahedron: mean exactly 0 and covariance exactly
@@ -648,7 +647,8 @@ def test_crosscheck_controls_survive_huge_frequencies(kernel, sixpoint):
     rather than in the phase, stay finite, so the report is made as the
     plain estimator's would be."""
     grid = np.array([[0.8, 0.0, 0.0], [1e150, 0.0, 0.0], [0.0, 3e140, 4e140]])
-    betas = _control_coefficients(sixpoint, kernel, 1.0, grid, 5, 1)
+    betas = _control_coefficients(sixpoint, kernel, spectral_functionals(kernel), 1.0, grid,
+                                  5, 1)
     assert np.all(np.isfinite(betas))
     report = representation_crosscheck(sixpoint, kernel, [1.0], grid, 300, seed=5)
     assert all(math.isfinite(e.mc_value) and math.isfinite(e.mc_se) for e in report.entries)

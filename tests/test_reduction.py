@@ -22,7 +22,7 @@ from wildsim.diagnostics import (
     run_identity_suite,
 )
 from wildsim.initial import gaussian_datum, mixture_datum, sixpoint_datum
-from wildsim.kernel import make_kernel
+from wildsim.kernel import make_kernel, spectral_functionals
 from wildsim.sampler import (
     SizeStrata,
     chunk_slices,
@@ -186,6 +186,43 @@ def test_draw_total_recovers_an_integer_count_exactly():
     total = draw_total(sums, "k")
     assert round(total) == int(counts.sum())
     assert abs(total - counts.sum()) < 1e-6
+
+
+def _chunk_first_draw(nus, rng):
+    return (len(nus), float(rng.random()))
+
+
+@pytest.mark.parametrize("cpus, workers, expected", [
+    (3, 10_000, 3), (3, 2, 2), (64, 10_000, 8), (None, 10_000, None)])
+def test_worker_pool_is_capped_at_the_cpu_and_chunk_counts(monkeypatch, cpus, workers,
+                                                           expected):
+    """`_run_chunks` asks for at most one process per CPU and per chunk
+    (here 8 chunks of one full-budget cascade each), with no pool at all
+    when the cap is 1; a stand-in Pool records the size it is asked for and
+    maps in this process, so no process starts.  Chunk results keep their
+    order and streams."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    nus = np.full(8, sampler.LEAF_BUDGET)
+    serial = list(sampler._run_chunks(_chunk_first_draw, nus, 5, (9,), 1, {}))
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sampler.multiprocessing, "Pool", RecordingPool)
+    assert list(sampler._run_chunks(_chunk_first_draw, nus, 5, (9,), workers, {})) == serial
+    assert sizes == ([] if expected is None else [expected])
+    assert len(serial) == 8 and len(set(serial)) == 8
 
 
 def test_run_id_names_the_reduction(kernel, monkeypatch):
@@ -363,11 +400,12 @@ def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
                       cli.default_xi_grid()[-5:]])  # the rho = 2.2 shell
     assert np.allclose(np.linalg.norm(grid[5:], axis=1), 2.2)
     t, n_samples = 1.0, 2000
+    fn = spectral_functionals(kernel)
     z = []
     for seed in SWEEP_SEEDS:
         tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, grid,
                                                  n_samples, seed, (5, 0), 1)
-        betas = _control_coefficients(mu0, kernel, t, grid, seed, 1)
+        betas = _control_coefficients(mu0, kernel, fn, t, grid, seed, 1)
         wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, grid,
                                                  n_samples, seed, (5, 1), 1, betas=betas)
         diff = tree - wild
