@@ -251,7 +251,7 @@ def _run_id(command, config, kernel, mu0) -> str:
         "suite": command, "version": __version__,
         "settings": {key: value for key, value in config.items() if key not in UNNAMED},
         "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
-        "mu0": datum, "reduction": reduction_scheme(),
+        "mu0": datum, "reduction": {**reduction_scheme(), **diagnostics.estimator_scheme()},
     }, sort_keys=True, default=str)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -37,8 +38,6 @@ from .geometry import collision_frames, frame_for
 from .initial import InitialDatum
 from .kernel import S_POWERS, CollisionKernel, KernelFunctionals, cos_sin, spectral_functionals
 from .sampler import (
-    CONTROL_KEY,
-    CONTROL_PILOT,
     cascade_velocities,
     draw_total,
     germination_record,
@@ -54,7 +53,7 @@ from .sampler import (
     wild_velocity_batch,
 )
 from .tree import ENUMERATION_LIMIT, enumerate_trees
-from .weights import expected_sum_closed_form, legendre_value
+from .weights import legendre_value
 
 DEFAULT_Z_THRESHOLD = 4.0
 ROUNDOFF_DIFF = 1e-12  # differences below this are roundoff: z = 0
@@ -63,6 +62,32 @@ PREMISE_RHO_MAX = 30.0   # the tail premise is checked on [0, PREMISE_RHO_MAX]
 A_STAR = 0.25            # tail threshold of the Markov bound P[W >= a*] <= E[W] / a*
 MIN_FIT_TIMES = 4        # times a rate fit needs (a line through two has no residual)
 AZIMUTH_POINTS = 4       # equispaced azimuths per split: exact for P_k, k <= 3
+CONTROL_PILOT = 2000     # cascades of the pilot that fits crosscheck's control coefficients
+CONTROL_KEY = (5, 2)     # the pilot's stream key, apart from crosscheck's (5, 0) and (5, 1)
+
+
+def estimator_scheme() -> dict:
+    """The velocity estimator's pairing and control rules and the
+    transform control rule, for run identifiers."""
+    return {"velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
+            "velocity_controls": (
+                "conserve, for data with an exact real transform, finite m4 and m6 and "
+                "isotropic second moments: with s^2 = m2 / 3, energy |v|^2 "
+                "- 25 (|v|^4 - mu4(t)) / (51 m2) + (|v|^6 - mu6(t)) / (17 m2^2), "
+                "mu4(t) = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t), mu6(t) = 105 s^6 "
+                "+ 21 s^2 (m4 - 15 s^4) exp(lambda_b t) "
+                "+ (m6 - 21 s^2 m4 + 210 s^6) exp(-(1 - 2 l6) t), and mean velocity "
+                "v_m (1 - 6 |v|^2 / (7 m2) + |v|^4 / (7 m2^2)), fixed coefficients"),
+            "transform_controls": (
+                "crosscheck's empirical side, for data with an exact real transform, finite "
+                "m4 and m6, a known fourth-moment tensor and isotropic second moments: with "
+                "p = xi . v and x = p / (|xi| sqrt(m2 / 3)), cos p - b2 (x^2 - 1) "
+                "- b4 (x^4 - E[x^4](t)) and sin p - b1 x - b3 x^3 - b5 x^5, E[x^4](t) the "
+                "quartic form's degree-0, 2 and 4 parts at rates A_(4,l) - 1, (b2, b4) the "
+                "average of the least-squares fits on x^2 alone and on (x^2, x^4), "
+                "(b1, b3, b5) the least-squares fit (Gram-Schmidt in the orders x^2, x^4 "
+                "and x, x^3, x^5, unresolved regressors dropped), on a pilot of "
+                f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")}
 
 
 # --- report containers --------------------------------------------------------
@@ -250,6 +275,17 @@ def _check(identity, params, value, se, reference, provenance, z_threshold,
 
 # --- chunk tasks (module level so they pickle) ------------------------------------
 
+def _horner(x, coefficients, out):
+    """out = np.polyval(coefficients, x), two or more coefficients, highest
+    power first, by Horner's rule in place in out (not x); returns out."""
+    np.multiply(x, coefficients[0], out=out)
+    for c in coefficients[1:-1]:
+        out += c
+        out *= x
+    out += coefficients[-1]
+    return out
+
+
 def _root_pairs(nus, rng, mu0, kernel) -> np.ndarray:
     """Each cascade's root velocity and its antithetic partner at root
     azimuth theta + pi (`sampler.replay`), shape (2, cascades, 3): a
@@ -272,21 +308,15 @@ def _velocity_moments_task(nus, rng, mu0, kernel, mu4=None, mu6=None):
     pair = _root_pairs(nus, rng, mu0, kernel)
     if mu4 is None:
         energy = np.einsum("pij,pij->i", pair, pair) / 2.0
-    else:  # in place, by Horner in |v|^2: the factor on v, then the energy
+    else:  # polynomials in |v|^2: the factor on v, then the energy
         m2 = mu0.m2
         square = np.einsum("pij,pij->pi", pair, pair)
-        control = square * (1.0 / (7.0 * m2 * m2))
-        control -= 6.0 / (7.0 * m2)
-        control *= square
-        control += 1.0
+        control = _horner(square, (1.0 / (7.0 * m2 * m2), -6.0 / (7.0 * m2), 1.0),
+                          np.empty_like(square))
         pair *= control[:, :, None]
-        np.multiply(square, 1.0 / (17.0 * m2 * m2), out=control)
-        control -= 25.0 / (51.0 * m2)
-        control *= square
-        control += 1.0
-        control *= square
-        control += 25.0 * mu4 / (51.0 * m2) - mu6 / (17.0 * m2 * m2)
-        energy = control.mean(axis=0)
+        energy = _horner(square, (1.0 / (17.0 * m2 * m2), -25.0 / (51.0 * m2), 1.0,
+                                  25.0 * mu4 / (51.0 * m2) - mu6 / (17.0 * m2 * m2)),
+                         control).mean(axis=0)
     mean = pair.mean(axis=0)
     return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2], "energy": energy}
 
@@ -323,18 +353,12 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
     for i, (b2, b4, c, b1, b3, b5) in enumerate(betas.T):
         p = velocities @ xi_grid[i]
         re[:, i], im[:, i] = cos_sin(p)
-        if units[i] > 0.0:  # in place, by Horner in x^2
+        if units[i] > 0.0:  # polynomials in x^2, in place
             x = np.divide(p, units[i], out=p)
             square = x * x
-            control = square * b4
-            control += b2
-            control *= square
-            control -= c
+            control = _horner(square, (b4, b2, -c), np.empty_like(square))
             re[:, i] -= control
-            np.multiply(square, b5, out=control)
-            control += b3
-            control *= square
-            control += b1
+            _horner(square, (b5, b3, b1), control)
             control *= x
             im[:, i] -= control
     return {"re": re, "im": im}
@@ -376,24 +400,22 @@ def run_identity_suite(
     workers: int = 1,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
-    """Monte Carlo means of the weight statistics against their closed forms."""
+    """Monte Carlo means of the weight statistics against their closed forms,
+    exp(rate t) with the rates of `KernelFunctionals.rates`."""
     fn = spectral_functionals(kernel)
+    targets = [*((f"abs_pow_{s}", f"sum|w|^{s}") for s in S_POWERS),
+               ("zeta", "sum w^2|zeta|"), ("eta", "sum|w^3 eta|"), ("W", "sum w^4")]
     report = IdentityReport("identities", kernel_functionals=fn.as_dict())
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             weight_sums, seed, (1, it), workers, t, n_samples,
             kernel=kernel, s_powers=S_POWERS, a_star=A_STAR,
         )
-        targets = [(f"abs_pow_{s}", f"sum|w|^{s}",
-                    expected_sum_closed_form(fn.l_s_table[s], t=t)) for s in S_POWERS]
-        targets.append(("zeta", "sum w^2|zeta|", math.exp(-(1.0 - fn.f_b) * t)))
-        targets.append(("eta", "sum|w^3 eta|", math.exp(-(1.0 - fn.g_b) * t)))
-        targets.append(("W", "sum w^4", math.exp(fn.lambda_b * t)))
-        for key, label, reference in targets:
+        for key, label in targets:
             mean, se = map(float, mean_se(sums, key))
             report.entries.append(_check(
-                label, {"t": t, "n_samples": n_samples}, mean, se, reference,
-                "closed form from kernel quadrature", z_threshold))
+                label, {"t": t, "n_samples": n_samples}, mean, se,
+                math.exp(fn.rates[key] * t), "closed form from kernel quadrature", z_threshold))
         tail_mean, tail_se = map(float, mean_se(sums, "W_tail"))
         bound = min(1.0, math.exp(fn.lambda_b * t) / A_STAR)
         report.entries.append(_check(
@@ -597,11 +619,14 @@ def _controls_exact(mu0: InitialDatum) -> bool:
     symmetric under v -> -v; the collisions keep the symmetry, so every odd
     moment of the solution vanishes.  And
     its second-moment tensor (for a symmetric law, the covariance) must be
-    exactly (m2 / 3) I with m2 > 0, which the collisions keep, so that
-    E[(v . u)^2] = m2 / 3 for every unit u."""
+    exactly (m2 / 3) I with m2^3 a normal float (so m2 > 0), which the
+    collisions keep, so that E[(v . u)^2] = m2 / 3 for every unit u; as
+    m4 >= m2^2 and m6 >= m2^3, no moment or coefficient the controls read
+    then underflows, and with m6 finite m2^3 cannot overflow."""
     return (mu0.cf is not None and all(m is not None and math.isfinite(m)
                                        for m in (mu0.m4, mu0.m6))
-            and mu0.m2 > 0.0 and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
+            and mu0.m2 ** 3 >= sys.float_info.min
+            and np.array_equal(mu0.covariance, (mu0.m2 / 3.0) * np.eye(3))
             and not np.iscomplexobj(mu0.cf(np.zeros(3))))
 
 
@@ -624,11 +649,11 @@ def _exact_sixth_moment(mu0: InitialDatum, fn: KernelFunctionals, t: float) -> f
     expansion gives E[|v|^6 | cascade] = 105 s^6 + 21 s^2 (m4 - 15 s^4) W
     + (m6 - 21 s^2 m4 + 210 s^6) sum_j w_j^6, every contraction of V's
     fourth cumulant with s^2 I being m4 - 15 s^4; and
-    E[sum_j w_j^6] = exp(-(1 - 2 l6) t)."""
+    E[sum_j w_j^6] = exp(-(1 - 2 l6) t), rate abs_pow_6 of fn.rates."""
     s2 = mu0.m2 / 3.0
     return (105.0 * s2**3 + 21.0 * s2 * (mu0.m4 - 15.0 * s2 * s2) * math.exp(fn.lambda_b * t)
             + (mu0.m6 - 21.0 * s2 * mu0.m4 + 210.0 * s2**3)
-            * expected_sum_closed_form(fn.l_s_table[6], t=t))
+            * math.exp(fn.rates["abs_pow_6"] * t))
 
 
 def _exact_fourth_powers(mu0: InitialDatum, fn: KernelFunctionals, t: float,
@@ -650,8 +675,8 @@ def _exact_fourth_powers(mu0: InitialDatum, fn: KernelFunctionals, t: float,
     q2 = (6.0 / 7.0) * (np.einsum("ni,ij,nj->n", directions, np.einsum("iijk->jk", tensor),
                                   directions) - mu0.m4 / 3.0)
     return (_exact_fourth_moment(mu0, fn, t) / 5.0
-            + q2 * math.exp((fn.a4_table[2] - 1.0) * t)
-            + (quartic - mu0.m4 / 5.0 - q2) * math.exp((fn.a4_table[4] - 1.0) * t))
+            + q2 * math.exp(fn.rates["quartic_2"] * t)
+            + (quartic - mu0.m4 / 5.0 - q2) * math.exp(fn.rates["quartic_4"] * t))
 
 
 def _slope(cxy, cxx):

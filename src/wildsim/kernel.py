@@ -426,6 +426,16 @@ class KernelFunctionals:
     g_b: float
     a4_table: dict[int, float]
 
+    @property
+    def rates(self) -> dict[str, float]:
+        """The exact rate r of each per-split statistic, whose mean at time t
+        is exp(r t): abs_pow_s (sum_j |w_j|^s) 2 l_s - 1, zeta f_b - 1,
+        eta g_b - 1, W lambda_b and quartic_l (the degree-l quartic part)
+        A_{4,l} - 1."""
+        return {**{f"abs_pow_{s}": 2.0 * v - 1.0 for s, v in self.l_s_table.items()},
+                "zeta": self.f_b - 1.0, "eta": self.g_b - 1.0, "W": self.lambda_b,
+                **{f"quartic_{l}": v - 1.0 for l, v in self.a4_table.items()}}
+
     def as_dict(self) -> dict:
         return {
             "lambda_b": self.lambda_b,

@@ -37,11 +37,11 @@ live in one flat buffer, and two passes walk the levels:
   antithetic partner of the same law for a few vector operations:
   delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
   `decay --moment v1^4` average their velocity statistics over the pair,
-  still one unbiased row per cascade, and `conserve` subtracts control
-  variates of known mean from the pair where the datum allows
-  (`diagnostics._velocity_moments_task`); `simulate` keeps the plain draw,
-  and so does `crosscheck`, whose empirical transform subtracts control
-  variates of known mean from it instead (`diagnostics._wild_cf_task`).
+  still one unbiased row per cascade; `simulate` and `crosscheck` keep the
+  plain draw.  What a suite makes of the draws beyond that (its control
+  variates, their constants and their rules in the run id) belongs to
+  `wildsim.diagnostics`; this module's own constants are the reduction's,
+  which `reduction_scheme` names.
 
 Both passes cost O(depth) Python-level steps per chunk; the depth grows
 like log nu while nu grows like e^t.  Level loops gather with `take` and
@@ -140,7 +140,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 def _check_time(t: float) -> None:
     if not t >= 0.0:
         raise ConfigError(f"time must be a nonnegative number, got {t!r}")
-    if math.exp(t) > NU_CAP:
+    if math.exp(min(t, 709.0)) > NU_CAP:  # exp(709) is finite and above the cap
         raise TimeTooLarge(
             f"expected cascade size exp({t:g}) exceeds the cap {NU_CAP}"
         )
@@ -442,35 +442,12 @@ def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) 
 SIZE_STRATA = 16       # equal-probability bins of the size law at t; atoms stay whole
 MIN_STRATUM_DRAWS = 2  # a stratum with fewer draws is pooled with the strata of larger
                        # sizes after it (a short last group joins the group before it)
-CONTROL_PILOT = 2000   # cascades of the pilot that fits crosscheck's control coefficients
-CONTROL_KEY = (5, 2)   # the pilot's stream key, apart from crosscheck's (5, 0) and (5, 1)
 
 
 def reduction_scheme() -> dict:
-    """The constants of the post-stratified reduction, the velocity
-    estimator's pairing and control rules and the transform control rule,
-    for run identifiers."""
+    """The constants of the post-stratified reduction, for run identifiers."""
     return {"scheme": "post-stratified on nu", "strata": SIZE_STRATA,
-            "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes",
-            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
-            "velocity_controls": (
-                "conserve, for data with an exact real transform, finite m4 and m6 and "
-                "isotropic second moments: with s^2 = m2 / 3, energy |v|^2 "
-                "- 25 (|v|^4 - mu4(t)) / (51 m2) + (|v|^6 - mu6(t)) / (17 m2^2), "
-                "mu4(t) = 15 s^4 + (m4 - 15 s^4) exp(lambda_b t), mu6(t) = 105 s^6 "
-                "+ 21 s^2 (m4 - 15 s^4) exp(lambda_b t) "
-                "+ (m6 - 21 s^2 m4 + 210 s^6) exp(-(1 - 2 l6) t), and mean velocity "
-                "v_m (1 - 6 |v|^2 / (7 m2) + |v|^4 / (7 m2^2)), fixed coefficients"),
-            "transform_controls": (
-                "crosscheck's empirical side, for data with an exact real transform, finite "
-                "m4 and m6, a known fourth-moment tensor and isotropic second moments: with "
-                "p = xi . v and x = p / (|xi| sqrt(m2 / 3)), cos p - b2 (x^2 - 1) "
-                "- b4 (x^4 - E[x^4](t)) and sin p - b1 x - b3 x^3 - b5 x^5, E[x^4](t) the "
-                "quartic form's degree-0, 2 and 4 parts at rates A_(4,l) - 1, (b2, b4) the "
-                "average of the least-squares fits on x^2 alone and on (x^2, x^4), "
-                "(b1, b3, b5) the least-squares fit (Gram-Schmidt in the orders x^2, x^4 "
-                "and x, x^3, x^5, unresolved regressors dropped), on a pilot of "
-                f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")}
+            "min_stratum_draws": MIN_STRATUM_DRAWS, "pool": "toward larger sizes"}
 
 
 @dataclass(frozen=True)

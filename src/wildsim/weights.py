@@ -11,8 +11,9 @@ for `legendre` and the checks; the weight reductions
 (`wildsim.sampler.weight_sums`) write the orders 2 and 3 from their closed
 forms P2(x) = 1.5 x^2 - 0.5 and P3(x) = x (2.5 x^2 - 1.5), grow the squared
 order-1 weights, and form |w|^s as products of w^2 and |w|.
-The mean of sum_j |weight_j|^s over the growth chain obeys a
-one-dimensional recursion with closed form `expected_sum_closed_form`.
+The mean of sum_j |weight_j|^s over the growth chain at a fixed size obeys
+a one-dimensional recursion, `expected_sum_closed_form`; mixed over the
+size law at time t it is exp(r t), r from `kernel.KernelFunctionals.rates`.
 
 Also here: the tail parameters of the partition and the Newton
 elementary-symmetric bound used for uniform integrability of the envelope.
@@ -50,31 +51,17 @@ class WeightArray:
     order: int
 
 
-def expected_sum_closed_form(alpha: float, n: int | None = None, t: float | None = None):
-    """Mean of sum_j |weight_j|^s over the chain, with alpha the per-split factor.
-
-    For fixed tree size n the value a_n obeys a_1 = 1,
-    a_{n+1} = (1 + (2 alpha - 1)/n) a_n; when 1 - 2 alpha is a positive
-    integer m this collapses to signed binomials that vanish for n > m.
-    Mixing over the geometric size law at time t gives exp(-(1 - 2 alpha) t).
+def expected_sum_closed_form(alpha: float, n: int) -> float:
+    """Mean of sum_j |weight_j|^s over the chain at tree size n, with alpha
+    the per-split factor: a_1 = 1, a_{n+1} = (1 + (2 alpha - 1)/n) a_n,
+    which at alpha = 0 is 1 and then exactly 0.  Mixing over the geometric
+    size law at time t gives exp((2 alpha - 1) t), for alpha = l_s the
+    rate abs_pow_s of `kernel.KernelFunctionals.rates`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if (n is None) == (t is None):
-        raise ValueError("give exactly one of n, t")
-    if t is not None:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return math.exp(-(1.0 - 2.0 * alpha) * t)
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 1.0 - 2.0 * alpha
-    m_int = round(m)
-    if m_int >= 1 and abs(m - m_int) < 1e-12:
-        # integer branch: avoids the gamma-function poles
-        if n > m_int:
-            return 0.0
-        return float((-1) ** (n + 1) * math.comb(m_int - 1, n - 1))
     value = 1.0
     for size in range(1, n):
         value *= 1.0 + (2.0 * alpha - 1.0) / size

@@ -513,9 +513,11 @@ def _weight_sums_failing_on_chunk_one(nus, rng, **kwargs):
 
 
 def test_time_above_the_size_cap_is_a_runtime_error(capsys):
-    assert main(["identities", "--t", "14", "--samples", "10"]) == EXIT_RUNTIME
-    assert capsys.readouterr().err == (
-        "error: expected cascade size exp(14) exceeds the cap 1000000\n")
+    # exp(t) overflows a float above t = 709.78; those times fail the same way
+    for t, shown in (("14", "14"), ("1000", "1000"), ("1e308", "1e+308")):
+        assert main(["identities", "--t", t, "--samples", "10"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: expected cascade size exp({shown}) exceeds the cap 1000000\n")
 
 
 def _sizes_out_of_memory(t, rng, size):

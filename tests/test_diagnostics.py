@@ -186,7 +186,7 @@ def _plain_velocity_task(nus, rng, *, mu0, kernel):
             "energy": np.einsum("pij,pij->i", pair, pair) / 2.0}
 
 
-@pytest.mark.parametrize("datum", ["shifted", "sampler", "unknown-m6"])
+@pytest.mark.parametrize("datum", ["shifted", "sampler", "unknown-m6", "tiny"])
 def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
     """A datum that fails a premise of the velocity controls takes the
     plain columns on streams (2, t index), bit for bit; a datum that meets
@@ -195,6 +195,7 @@ def test_conservation_falls_back_to_the_plain_columns(kernel, datum):
         "shifted": lambda: gaussian_datum(mean=(0.5, 0.0, 0.0)),
         "sampler": lambda: sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
         "unknown-m6": lambda: replace(sixpoint_datum(), m6=None),
+        "tiny": lambda: gaussian_datum(cov=1e-200),  # m2^3 underflows
     }[datum]()
     assert not _controls_exact(mu0)
     times, n, seed = [1.0, 3.0], 2000, 46
@@ -522,6 +523,19 @@ def test_transform_control_means_are_exact(kernel, datum):
             assert np.all(np.abs((mean - reference) / se) <= 4.0), (key, t, mean, reference, se)
 
 
+def test_horner_equals_polyval():
+    """The controls' in-place Horner step is np.polyval exactly, on finite
+    inputs, for float and numpy-scalar coefficients alike."""
+    rng = np.random.default_rng(17)
+    x = 3.0 * rng.standard_normal((2, 501))
+    for degree in (1, 2, 3, 5):
+        for coefficients in (tuple(map(float, rng.standard_normal(degree + 1))),
+                             tuple(rng.standard_normal(degree + 1))):
+            out = np.empty_like(x)
+            assert diagnostics._horner(x, coefficients, out) is out
+            assert np.array_equal(out, np.polyval(coefficients, x))
+
+
 def test_least_squares_matches_lstsq_and_drops_unresolved_columns():
     """`_least_squares` against numpy's least squares with an intercept, per
     frequency; a regressor that repeats an earlier one gets slope 0, and
@@ -614,7 +628,7 @@ def _plain_wild_task(nus, rng, *, mu0, kernel, xi_grid):
 
 
 @pytest.mark.parametrize("datum", ["shifted", "anisotropic", "tetrahedron", "heavytail",
-                                   "sampler", "no-tensor"])
+                                   "sampler", "no-tensor", "tiny"])
 def test_crosscheck_falls_back_to_the_plain_empirical_transform(kernel, datum):
     """A datum that fails a premise of the controls, or has no fourth-moment
     tensor for E[x^4](t), takes the plain cos/sin reduction on stream
@@ -626,6 +640,7 @@ def test_crosscheck_falls_back_to_the_plain_empirical_transform(kernel, datum):
         "heavytail": lambda: heavytail_datum(3.5, normalize=True),
         "sampler": lambda: sampler_datum(lambda rng, size: rng.standard_normal((size, 3))),
         "no-tensor": lambda: replace(sixpoint_datum(), m4_tensor=None),
+        "tiny": lambda: gaussian_datum(cov=1e-200),  # m2^3 underflows
     }[datum]()
     assert not _controls_exact(mu0) or mu0.m4_tensor is None
     grid, n, seed = small_grid(), 300, 45

@@ -300,6 +300,23 @@ def test_beta_table_equals_scipy_cumulative_simpson(name):
     assert np.array_equal(cdf, want_cdf)
 
 
+@pytest.mark.parametrize("name", ["xabs", "cubic", "sqrtmix", "blend", "table", "truncated"])
+def test_rates_give_the_closed_form_means_bit_for_bit(name):
+    """exp(rates[key] t) equals each mean as written from the functionals
+    themselves, -(1 - 2 l_s), -(1 - f_b), -(1 - g_b), lambda_b and
+    A_{4,l} - 1 times t, bit for bit."""
+    fn = spectral_functionals(ORACLE_KERNELS[name]())
+    assert sorted(fn.rates) == ["W", "abs_pow_1", "abs_pow_2", "abs_pow_3", "abs_pow_4",
+                                "abs_pow_6", "eta", "quartic_2", "quartic_4", "zeta"]
+    for t in (0.0, 0.5, 1.0, 2.0, 3.0, 7.25):
+        means = {**{f"abs_pow_{s}": math.exp(-(1.0 - 2.0 * l) * t)
+                    for s, l in fn.l_s_table.items()},
+                 "zeta": math.exp(-(1.0 - fn.f_b) * t), "eta": math.exp(-(1.0 - fn.g_b) * t),
+                 "W": math.exp(fn.lambda_b * t),
+                 **{f"quartic_{l}": math.exp((a - 1.0) * t) for l, a in fn.a4_table.items()}}
+        assert {key: math.exp(rate * t) for key, rate in fn.rates.items()} == means
+
+
 def test_gauss_kronrod_pair_is_exact_for_polynomials():
     # 15 Kronrod nodes integrate degree 22 exactly, the 7 Gauss nodes 13
     kronrod, gauss = _GK_RULES[:, 0], _GK_RULES[:, 0] - _GK_RULES[:, 1]

@@ -1,12 +1,15 @@
-"""Detection power: the checks against a known engine defect.
+"""Detection power: the checks against known engine defects.
 
-Each test breaks the engine on purpose, by monkeypatching `replay` in both
-`wildsim.sampler` (the empirical velocity draws of `crosscheck` and its
-pilot) and `wildsim.diagnostics` (`conserve`'s root pairs), so that every
-replayed velocity comes out scaled by SCALE, and asks whether the checks
-notice at the benchmark's settings: `crosscheck` on sixpoint at t = 1 on
-the default grid with 20,000 cascades, and `conserve` at t = 3, 4 and 5
-with 5,000 cascades, at seeds 1 to 4.
+Each test breaks the engine on purpose and asks whether the checks notice
+at the benchmark's settings, at seeds 1 to 4: `crosscheck` on sixpoint at
+t = 1 on the default grid with 20,000 cascades, `conserve` at t = 3, 4
+and 5 with 5,000 cascades, and `identities` on xabs at t = 0.5, 1, 2 and
+3 with 10,000 cascades.  The velocity scale defect monkeypatches `replay`
+in both `wildsim.sampler` (the empirical velocity draws of `crosscheck`
+and its pilot) and `wildsim.diagnostics` (`conserve`'s root pairs), so
+that every replayed velocity comes out scaled by SCALE.  The angle-law
+defect monkeypatches `CollisionKernel.inverse_beta_cdf`, so that every
+drawn collision angle phi becomes min(pi, ANGLE_STRETCH phi).
 
 `conserve`'s exact-mean controls keep each column unbiased on correct
 code, but their means come from the same theory the check tests, so under
@@ -18,6 +21,7 @@ failure to reach it is marked xfail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +31,13 @@ import wildsim.diagnostics as diagnostics
 import wildsim.sampler as sampler
 from wildsim.cli import default_xi_grid
 from wildsim.initial import sixpoint_datum
-from wildsim.kernel import make_kernel
+from wildsim.kernel import CollisionKernel, make_kernel
 
 SCALE = 1.03
+ANGLE_STRETCH = 1.02  # at 1.01 seed 2 passes identities
 SEEDS = (1, 2, 3, 4)
 CONSERVE_TIMES = [3.0, 4.0, 5.0]
+IDENTITY_TIMES = [0.5, 1.0, 2.0, 3.0]
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,17 @@ def scaled_engine(monkeypatch):
 
     monkeypatch.setattr(sampler, "replay", scaled)
     monkeypatch.setattr(diagnostics, "replay", scaled)
+
+
+@pytest.fixture
+def stretched_angles(monkeypatch):
+    """Every collision angle the engine draws, min(pi, ANGLE_STRETCH phi)."""
+    original = CollisionKernel.inverse_beta_cdf
+
+    def stretched(self, u):
+        return np.minimum(math.pi, ANGLE_STRETCH * original(self, u))
+
+    monkeypatch.setattr(CollisionKernel, "inverse_beta_cdf", stretched)
 
 
 def _mean_energy_z(mu0, kernel):
@@ -84,3 +101,22 @@ def test_controlled_conserve_fails_a_velocity_scale_defect(kernel, scaled_engine
     controlled = sixpoint_datum()
     assert diagnostics._controls_exact(controlled)
     assert _mean_energy_z(controlled, kernel) >= 4.0
+
+
+def test_identities_fail_an_angle_law_defect(kernel, stretched_angles):
+    """The references are angle integrals of the kernel itself, which the
+    defect leaves alone; each seed reads a largest |z| of 5.6 to 7.8."""
+    for seed in SEEDS:
+        report = diagnostics.run_identity_suite(kernel, IDENTITY_TIMES, 10_000, seed)
+        assert not report.passed, seed
+
+
+def test_crosscheck_passes_an_angle_law_defect(kernel, stretched_angles):
+    """Both sides of crosscheck, the weight-and-rotation transform and the
+    replayed velocities (its pilot too), draw their angles from the same
+    stretched law, so they still agree: crosscheck tests the representation,
+    not the angle law."""
+    for seed in SEEDS:
+        report = diagnostics.representation_crosscheck(
+            sixpoint_datum(), kernel, [1.0], default_xi_grid(), 20_000, seed)
+        assert report.passed, seed

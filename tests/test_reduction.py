@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wildsim.cli as cli
+import wildsim.diagnostics as diagnostics
 import wildsim.sampler as sampler
 from wildsim.diagnostics import (
     IdentityEntry,
@@ -238,7 +239,7 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
     assert cli._run_id("identities", config, kernel, None) == base
     # the velocity estimator's pairing and control rules are named as well
-    scheme = sampler.reduction_scheme()
+    scheme = diagnostics.estimator_scheme()
     assert "theta + pi" in scheme["velocity_pairing"]
     assert "7 m2" in scheme["velocity_controls"]
     # and so is crosscheck's control rule: its pilot size and stream, its
@@ -251,21 +252,21 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     six, echo = sixpoint_datum(), {**config, "mu0": "sixpoint"}
     assert (cli._run_id("crosscheck", echo, kernel, replace(six, m4_tensor=2.0 * six.m4_tensor))
             != cli._run_id("crosscheck", echo, kernel, six))
-    monkeypatch.setattr(sampler, "CONTROL_PILOT", 1000)
+    monkeypatch.setattr(diagnostics, "CONTROL_PILOT", 1000)
     assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(sampler, "CONTROL_PILOT", 2000)
+    monkeypatch.setattr(diagnostics, "CONTROL_PILOT", 2000)
     assert cli._run_id("identities", config, kernel, None) == base
-    monkeypatch.setattr(sampler, "CONTROL_KEY", (5, 3))
+    monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 3))
     assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(sampler, "CONTROL_KEY", (5, 2))
+    monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 2))
     assert cli._run_id("identities", config, kernel, None) == base
-    monkeypatch.setattr(cli, "reduction_scheme",
+    monkeypatch.setattr(diagnostics, "estimator_scheme",
                         lambda: {**scheme, "transform_controls": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(cli, "reduction_scheme",
+    monkeypatch.setattr(diagnostics, "estimator_scheme",
                         lambda: {**scheme, "velocity_pairing": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(cli, "reduction_scheme",
+    monkeypatch.setattr(diagnostics, "estimator_scheme",
                         lambda: {**scheme, "velocity_controls": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
 

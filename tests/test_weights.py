@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from oracles import cascade_trees
 from wildsim.errors import NotNormalized
-from wildsim.kernel import make_kernel, spectral_functionals
+from wildsim.kernel import KernelFunctionals, make_kernel, spectral_functionals
 from wildsim.sampler import grow, rng_stream, tree_record, weight_sums
 from wildsim.tree import LEAF, McKeanTree, enumerate_trees, sample_tree, tree_probability
 from wildsim.weights import (
@@ -122,13 +122,15 @@ def test_w_statistic():
 def test_expected_sum_closed_form_small_cases():
     assert expected_sum_closed_form(0.37, n=1) == 1.0
     assert expected_sum_closed_form(1.0 / 3.0, n=2) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    # integer branch at alpha = 0: everything beyond n = 1 vanishes
+    # at alpha = 0 everything beyond n = 1 vanishes
     assert expected_sum_closed_form(0.0, n=1) == 1.0
     for n in (2, 3, 7):
         assert expected_sum_closed_form(0.0, n=n) == 0.0
-    # time-mixed value
-    assert expected_sum_closed_form(0.4, t=2.0) == pytest.approx(math.exp(-0.4), abs=1e-15)
-    assert expected_sum_closed_form(0.5, t=3.0) == 1.0
+    # time-mixed value, exp(rate t) with the rate 2 alpha - 1 of KernelFunctionals.rates
+    fn = KernelFunctionals(lambda_b=-0.5, l_s_table={1: 0.4, 2: 0.5}, f_b=0.5, g_b=0.5,
+                           a4_table={})
+    assert math.exp(fn.rates["abs_pow_1"] * 2.0) == pytest.approx(math.exp(-0.4), abs=1e-15)
+    assert math.exp(fn.rates["abs_pow_2"] * 3.0) == 1.0
 
 
 def test_expected_sum_matches_gamma_ratio():
