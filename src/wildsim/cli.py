@@ -239,8 +239,8 @@ def _run_id(command, config, kernel, mu0) -> str:
     law, the datum when the report echoes one (its name, m2, m4, m6, mean,
     covariance, fourth-moment tensor and first eight draws from a fixed
     stream), the constants of the reduction (stratum count, pooling rule
-    and the rules of the velocity and transform estimators) and the package
-    version."""
+    and the rules of the weight, velocity and transform estimators) and the
+    package version."""
     datum = None
     if "mu0" in config:
         arrays = (mu0.mean, mu0.covariance, mu0.sampler(rng_stream(0), 8))

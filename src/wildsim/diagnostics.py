@@ -67,9 +67,10 @@ CONTROL_KEY = (5, 2)     # the pilot's stream key, apart from crosscheck's (5, 0
 
 
 def estimator_scheme() -> dict:
-    """The velocity estimator's pairing and control rules and the
-    transform control rule, for run identifiers."""
-    return {"velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
+    """The weight, velocity and transform estimators' rules, for run identifiers."""
+    return {"weight_sums": ("identities, decay W: leaf sums mirror-symmetrised, "
+                            "h = (g_L + g_R) / 2; P[W >= a*] on the root pair"),
+            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
             "velocity_controls": (
                 "conserve, for data with an exact real transform, finite m4 and m6 and "
                 "isotropic second moments: with s^2 = m2 / 3, energy |v|^2 "
@@ -403,13 +404,14 @@ def run_identity_suite(
     """Monte Carlo means of the weight statistics against their closed forms,
     exp(rate t) with the rates of `KernelFunctionals.rates`."""
     fn = spectral_functionals(kernel)
-    targets = [*((f"abs_pow_{s}", f"sum|w|^{s}") for s in S_POWERS),
+    powers = S_POWERS[:-1]  # sum_j |w_j|^4 is W, checked against lambda_b (any kernel)
+    targets = [*((f"abs_pow_{s}", f"sum|w|^{s}") for s in powers),
                ("zeta", "sum w^2|zeta|"), ("eta", "sum|w^3 eta|"), ("W", "sum w^4")]
     report = IdentityReport("identities", kernel_functionals=fn.as_dict())
     for it, t in enumerate(t_list):
         sums = reduce_cascades(
             weight_sums, seed, (1, it), workers, t, n_samples,
-            kernel=kernel, s_powers=S_POWERS, a_star=A_STAR,
+            kernel=kernel, s_powers=powers, a_star=A_STAR,
         )
         for key, label in targets:
             mean, se = map(float, mean_se(sums, key))

@@ -65,7 +65,7 @@ SYMMETRY_TOL = 1e-8
 SYMMETRY_GRID = 1000
 BETA_TABLE_NODES = 16385  # 4 * 4096 + 1, comfortably above the 4096 minimum
 GUIDE_BUCKETS = 4 * (BETA_TABLE_NODES - 1)  # a power of two, so u * G is exact
-S_POWERS = (1, 2, 3, 4)  # the orders s of l_s, and of the sum_j |w_j|^s identities
+S_POWERS = (1, 2, 3, 4)  # the orders s of l_s and of sum_j |w_j|^s (s = 4 is W)
 
 
 # --- preset kernels ---------------------------------------------------------

@@ -12,95 +12,61 @@ The engine runs a chunk of cascades in lockstep, one tree level per vector
 step.  Their sizes are sorted in descending order; each cascade's leaves
 are contiguous, in left-to-right tree order, and the nodes of all cascades
 are numbered level by level (`GerminationRecord`).  Leaf and node values
-live in one flat buffer, and two passes walk the levels:
+live in one flat buffer, and three passes walk the levels:
 
 * forward (`grow`), roots first: a node's value v becomes v * left on its
   left subtree and v * right on its right.  Scalar factors
-  (P_k(cos phi), P_k(sin phi)) give the order-k Legendre leaf weights, each
-  order in a one-dimensional `grow` of its own: the weight reductions grow
-  the squared order-1 weights from (cos^2 phi, sin^2 phi) and the orders 2
-  and 3 from the closed forms P2(x) = 1.5 x^2 - 0.5 and
-  P3(x) = x (2.5 x^2 - 1.5).  The collision frames left(phi, theta) and
+  (cos phi, sin phi) give the order-1 leaf weights of the transforms
+  (`leaf_frames`); the collision frames left(phi, theta) and
   right(phi, theta) give the leaf rotations, and frames over an axis of
   azimuth draws give them for every draw at once.
+* backward (`_fold`), deepest level first: a leaf is 1, a node
+  h (S(left) + S(right)) with h the mean of its two factors; the root holds
+  a weight statistic averaged over the tree's child swaps (`weight_sums`).
 * backward (`replay`), deepest level first: i.i.d. initial velocities at
   the leaves are folded through pairwise collisions, one vectorised call
-  per level over every cascade of the chunk, so each merge sees fully
-  collapsed subtrees; the root keeps one draw from the solution.  A node
-  keeps only its first outgoing velocity v + delta (`deflection`; the
-  second one is w - delta), written in place.  The trigonometry of every node
-  is done once per chunk, before the level loop: the factors cos^2 phi,
-  cos theta cos phi sin phi and sin theta cos phi sin phi, each angle's
-  (cos, sin) pair from one vectorised tangent of its half angle
-  (`kernel.cos_sin`).  On request the pass also
-  returns each cascade's root collision at azimuth theta + pi, an
-  antithetic partner of the same law for a few vector operations:
-  delta(theta + pi) = 2 cos^2(phi) (w - v) - delta(theta).  `conserve` and
-  `decay --moment v1^4` average their velocity statistics over the pair,
-  still one unbiased row per cascade; `simulate` and `crosscheck` keep the
-  plain draw.  What a suite makes of the draws beyond that (its control
-  variates, their constants and their rules in the run id) belongs to
-  `wildsim.diagnostics`; this module's own constants are the reduction's,
-  which `reduction_scheme` names.
+  per level, and the root keeps one draw from the solution; a node keeps
+  its first outgoing velocity v + delta (`deflection`), from trigonometric
+  factors computed once per chunk.  On request it also returns each root
+  collision at azimuth theta + pi, an antithetic partner of the same law,
+  which `conserve` and `decay --moment v1^4` average with the plain draw.
+  What a suite makes of the draws beyond that (its control variates and
+  their rules in the run id) belongs to `wildsim.diagnostics`; this
+  module's own constants are the reduction's (`reduction_scheme`).
 
-Both passes cost O(depth) Python-level steps per chunk; the depth grows
-like log nu while nu grows like e^t.  Level loops gather with `take` and
-work on (3, k) blocks: `replay` takes a level's two inputs with
-buffer.take(left, axis=1), runs `_deflect` once on the (3, k) pair and
-writes v + delta with one np.add, and the level builder gathers with
-take.  On numpy 2.4 a multi-axis fancy gather buffer[:, idx] costs about
-4x buffer.take(idx, axis=1) (21 against 5 ns an index).  A record draws
+Each pass costs O(depth) Python-level steps per chunk (depth ~ log nu).
+Level loops gather with `take`: `replay` with take(axis=1) on (3, k)
+blocks (on numpy 2.4, 5 ns an index against 21 for buffer[:, idx]), `_fold`
+with take(axis=0) on a row-major block (5.7 against 7.2 ns for
+take(axis=1) on the transpose), the level builder with take.  A record draws
 all node angles, then the cuts of the tree shapes, then the azimuths,
 which the weight reductions never read and skip.  `tree_record` builds
 the record of one prescribed tree from cuts that select its shape,
 through the same level builder, for checks conditional on the tree.
 
-Statistics are per-cascade reductions of these leaf arrays (np.add.reduceat
-and np.multiply.reduceat over the offsets), and `reduce_cascades` turns them
-into estimates.  It draws every size of an estimate from
-rng_stream(seed, *key), sorts them in descending order and
-post-stratifies on them, since their law is known exactly: `size_strata`
-cuts it into SIZE_STRATA = 16 equal-probability bins at whole sizes, with
-exact probabilities p_h, and `SizeStrata.pooled` pools each bin holding
-fewer than MIN_STRATUM_DRAWS = 2 draws with the bins of larger sizes after
-it (a short last group joins the one before).  The sizes are then cut into
+Statistics are per-cascade values (a fold's roots, or reductions of leaf
+arrays over the offsets), and `reduce_cascades` turns them into estimates.
+It draws every size of an estimate from rng_stream(seed, *key), sorts them
+in descending order and post-stratifies on them, since their law is known
+exactly (`size_strata`, `SizeStrata.pooled`).  The sizes are cut into
 chunks of at most LEAF_BUDGET leaves, chunk c drawing from
-rng_stream(seed, *key, c).  Each stratum is a contiguous slice of a chunk;
-a chunk keeps (count, mean, M2) per stratum, and chunks merge in chunk
-order with the pairwise update of Chan, Golub and LeVeque, so an estimate
-depends on the seed alone, whatever the worker count.  `_run_chunks` is the
-one chunk driver: `reduce_cascades` summarizes what its chunks return, and
+rng_stream(seed, *key, c); a chunk keeps (count, mean, M2) per stratum,
+and chunks merge in chunk order (`merge_sums`), so an estimate depends on
+the seed alone, whatever the worker count.  `_run_chunks` is the one chunk
+driver: `reduce_cascades` summarizes what its chunks return, and
 `wild_velocity_batch` keeps their raw velocity draws.  `mean_se` reads the
-estimate sum_h p_h xbar_h and its standard error
-sqrt(sum_h p_h^2 s_h^2 / n_h).  Between-size variance, most of it for the
-weight statistics, drops out; the draws are those of a plain mean (at
-t = 0 there is one stratum, and the estimate is the plain mean).  Each
-reduction grows only what it reads: W = sum_j w_j^4 needs only the squared
-order-1 weights, grown from scalar (cos^2 phi, 1 - cos^2 phi) factors, and
-`weight_sums` returns there when W is all it is asked for.  The full
-statistics go on from the same w^2, so both give the same W, and take the
-powers of |w| as products (|w|^3 = w^2 |w|, and sum_j |w_j|^4 is W) rather
-than through pow.  The single-draw views
-(`draw_tree_sample`, `wild_velocity`) are one-cascade chunks of the same
-engine.
+estimate sum_h p_h xbar_h and its standard error; between-size variance,
+most of it for the weight statistics, drops out.  The single-draw views
+(`draw_tree_sample`, `wild_velocity`) are one-cascade chunks of the engine.
 
 The transform estimator (`transform_sums`, over a whole grid of
-frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or its
-conditional expectation given the tree, angles and rotations,
-prod_j cf(rho w_j psi_j).  The datum picks it: the conditional product
-needs the exact initial transform and is taken whenever the datum has one
-(conditioning never increases variance); the raw average needs only draws
-and serves every other datum, such as a sampler-only one.  For a symmetric
-initial law cf is real, so the product is taken over floats.  The leaf
-directions psi_j = B R_j e3, with B the frame of the frequency's direction
-(`geometry.frame_for`) and R_j the leaf rotation, depend on xi / rho
-alone, and a grid is mostly a few directions at several radii (the
-default one is five directions times four radii).  So the grid is
-evaluated one direction at a time: psi_j once per direction, then S, or
-the projection of w_j psi_j (`initial.Transform`: atom phases, quadratic
-forms or norms), once per direction, and per frequency one scaling of S
-by rho, or one evaluation of the transform's profile at rho (for the
-symmetric discrete laws, one cosine per leaf and atom pair).
+frequencies) averages exp(i rho S) with S = sum_j w_j psi_j . V_j, or,
+for a datum with an exact transform cf, its conditional expectation given
+the tree, angles and rotations, prod_j cf(rho w_j psi_j) (real for a
+symmetric law).  The leaf directions psi_j = B R_j e3 depend on xi / rho
+alone, so the grid is evaluated one direction at a time: psi_j and S, or
+the projection of w_j psi_j (`initial.Transform`), once per direction,
+then per frequency one scaling by rho or one evaluation of the profile.
 """
 
 from __future__ import annotations
@@ -197,10 +163,10 @@ class GerminationRecord:
     are numbered in level order over the whole chunk: level k (roots at
     k = 0) holds the nodes bounds[k] .. bounds[k + 1] - 1.
     Slots index one buffer of leaves then nodes: slot i < n_leaves is leaf i,
-    slot n_leaves + k is node k.  Node k's subtrees sit at slots left[k] and
-    right[k], always a leaf or a node of the next level, and roots[j] is the
-    slot of cascade j's root (its only leaf when nus[j] = 1).  left and right
-    are strided views of one (nodes, 2) array, each node's pair side by side.
+    slot n_leaves + k is node k.  Node k's subtrees sit at the slots
+    children[k] = (left[k], right[k]), always a leaf or a node of the next
+    level, and roots[j] is the slot of cascade j's root (its only leaf when
+    nus[j] = 1).  left and right are strided views of children.
     """
 
     nus: np.ndarray
@@ -208,9 +174,11 @@ class GerminationRecord:
     bounds: np.ndarray
     phis: np.ndarray
     thetas: np.ndarray | None
-    left: np.ndarray
-    right: np.ndarray
+    children: np.ndarray
     roots: np.ndarray
+
+    left = property(lambda self: self.children[:, 0])
+    right = property(lambda self: self.children[:, 1])
 
     @property
     def n_leaves(self) -> int:
@@ -287,7 +255,7 @@ def _build_levels(nus, cuts, phis, thetas) -> GerminationRecord:
         bounds.append(b)
     return GerminationRecord(
         nus=nus, offsets=offsets, bounds=np.array(bounds), phis=phis, thetas=thetas,
-        left=slots[:, 0], right=slots[:, 1], roots=roots,
+        children=slots, roots=roots,
     )
 
 
@@ -619,59 +587,91 @@ def draw_total(sums: dict, key: str):
     return (sums["count"] * sums[key][0]).sum(axis=-1)
 
 
+def _fold(block, left, right, levels):
+    """Backward fold, in place on block (1 + nodes rows): row 0 holds every
+    leaf's 1 and row 1 + k node k's factor h, which becomes
+    h (S(left) + S(right)) from the child rows left[k] and right[k]."""
+    for a, b in levels:
+        s = block.take(left[a:b], axis=0)
+        s += block.take(right[a:b], axis=0)
+        block[1 + a:1 + b] *= s
+    return block
+
+
+def _root_pair(cos_4, sin_4, left, right, levels, roots):
+    """Per cascade, the plain W = sum_j w_j^4, folded as cos^4 phi S(left)
+    + sin^4 phi S(right) on the rows of `_fold`, and its root mirror
+    W' = sin^4 phi W(left) + cos^4 phi W(right), the root-swapped tree's W."""
+    buffer = np.empty(len(cos_4) + 1)
+    buffer[0] = 1.0
+    buffer[1:] = cos_4
+    for a, b in levels:
+        x, y = buffer.take(left[a:b]), buffer.take(right[a:b])
+        buffer[1 + a:1 + b] = buffer[1 + a:1 + b] * x + sin_4[a:b] * y
+    plain = buffer.take(roots)
+    pair = plain.copy()
+    if levels:  # x, y and b are the roots' level's, the loop's last: nodes 0 .. b - 1
+        np.add(x * sin_4[:b], y * cos_4[:b], out=pair[:b])
+    return plain, pair
+
+
 def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
                 a_star: float | None = None) -> dict:
     """Per-cascade sum_j |w_j|^s for each s of s_powers (a subset of
     1 .. 4), sum_j w_j^2 |zeta_j|, sum_j |w_j^3 eta_j|, W = sum_j w_j^4 and
-    (given a_star) the tail indicator W >= a_star, with w, zeta, eta the
+    (given a_star) the tail indicator of W >= a_star, with w, zeta, eta the
     order-1, -2 and -3 leaf weights.  No azimuth is drawn.
 
-    The order-1 weights are grown squared, w^2, with the factors
-    cos^2 phi = 1 / (1 + tan^2 phi) and sin^2 phi = 1 - cos^2 phi, at one
-    vectorised tangent per node, and W is reduced from them; with no
-    s_powers and no a_star the result holds W alone.  The full path goes on
-    from the same w^2, so both paths give the same W.  It takes
-    (cos phi, sin phi) from one more tangent, of the half angle
-    (`kernel.cos_sin`), writes the closed forms P2(x) = 1.5 x^2 - 0.5 and
-    P3(x) = x (2.5 x^2 - 1.5) in place, and grows each order with its own
-    one-dimensional `grow`.  The powers are products: |w| = sqrt(w^2),
-    |w|^3 = w^2 |w|, and sum_j |w_j|^4 is W itself."""
+    Each sum over the leaves of a product of split factors (g_L(phi) on a
+    left turn, g_R(phi) on a right one) is averaged over the 2^(nu - 1)
+    trees got by swapping subtrees at any nodes: `_fold` with
+    h = (g_L + g_R) / 2, one column per statistic.  A swap keeps the shape
+    law (a cut L becomes s - L), so the average has the plain sum's mean
+    under any angle law.  g(x) is |x|, x^2, |x|^3, x^2 |P2(x)|,
+    |x^3 P3(x)| = x^4 |2.5 x^2 - 1.5| and x^4 at x = cos phi and sin phi.
+    W alone (no s_powers, no a_star) is W's column folded by itself, the
+    same bits.  W_tail averages the indicators of the plain W and its root
+    mirror (`_root_pair`), an exchangeable pair.  Block and factors share
+    one allocation; the full block's, sized for LEAF_BUDGET nodes, is reused."""
     record = germination_record(nus, kernel, rng, azimuths=False)
-    cos_sq = np.tan(record.phis)
-    cos_sq *= cos_sq
-    cos_sq += 1.0
-    np.divide(1.0, cos_sq, out=cos_sq)
-    w_sq = grow(record, cos_sq, 1.0 - cos_sq, 1.0)
-    sum_w4 = record.per_cascade(w_sq * w_sq)
-    if not s_powers and a_star is None:
-        return {"W": sum_w4}
-    cos_p, sin_p = cos_sin(record.phis)
-    p2 = np.empty((2, len(record.phis)))  # P2(cos phi), P2(sin phi)
-    scratch = np.empty(len(record.phis))
-    for x, out in zip((cos_p, sin_p), p2):
-        np.multiply(x, x, out=out)
-        np.multiply(out, 2.5, out=scratch)
-        scratch -= 1.5
-        x *= scratch  # x now holds P3(x)
-        out *= 1.5
-        out -= 0.5
-    zeta = grow(record, p2[0], p2[1], 1.0)
-    eta = grow(record, cos_p, sin_p, 1.0)
-    w = np.sqrt(w_sq)
-    w_cube = w_sq * w
-    leaf_powers = {1: w, 2: w_sq, 3: w_cube}
-    stats = {f"abs_pow_{s}": sum_w4 if s == 4 else record.per_cascade(leaf_powers[s])
-             for s in s_powers}
-    np.abs(zeta, out=zeta)
-    zeta *= w_sq
-    stats["zeta"] = record.per_cascade(zeta)
-    np.abs(eta, out=eta)
-    eta *= w_cube
-    stats["eta"] = record.per_cascade(eta)
-    stats["W"] = sum_w4
+    shift = record.n_leaves - 1  # slot n + k (node k) -> row 1 + k, leaf slots -> row 0
+    np.maximum(record.children, shift, out=record.children)
+    np.subtract(record.children, shift, out=record.children)
+    left, right, roots = record.left, record.right, np.maximum(record.roots - shift, 0)
+    levels, m = list(record.levels())[::-1], len(record.phis)
+    names = ("abs_pow_1", "abs_pow_2", "abs_pow_3", "zeta", "eta", "W")
+    width = len(names) if s_powers or a_star is not None else 1
+    work = np.empty((width + 4) * (max(m, LEAF_BUDGET) if width > 1 else m) + width)
+    block = work[:width * (m + 1)].reshape(m + 1, width)
+    squares, fourth = work[width * (m + 1):(width + 4) * m + width].reshape(2, 2, m)
+    np.square(np.tan(record.phis, out=squares[1]), out=squares[1])  # tan^2, then sin^2
+    np.divide(1.0, squares[1] + 1.0, out=squares[0])  # cos^2 = 1 / (1 + tan^2)
+    squares[1] *= squares[0]
+    np.multiply(squares, squares, out=fourth)
+    stats = {}
     if a_star is not None:
-        stats["W_tail"] = (sum_w4 >= a_star).astype(float)
-    return stats
+        plain, pair = _root_pair(*fourth, left, right, levels, roots)
+        stats["W_tail"] = 0.5 * np.add(plain >= a_star, pair >= a_star, dtype=float)
+    block[0] = 1.0
+    h = block[1:].T  # h[i] is column i's g(cos phi) + g(sin phi), halved before the fold
+    np.add(*fourth, out=h[-1])
+    if width > 1:
+        for x_sq, x_4 in zip(squares, fourth):  # eta's factor, over x^4
+            x_4 *= np.abs(x_sq * 2.5 - 1.5)
+        np.add(*fourth, out=h[4])
+        g = np.sqrt(squares, out=fourth)  # |x|, then |x|^3, then zeta's factor
+        np.add(*g, out=h[0])
+        np.add(*squares, out=h[1])
+        g *= squares
+        np.add(*g, out=h[2])
+        np.abs(squares * 1.5 - 0.5, out=g)
+        g *= squares
+        np.add(*g, out=h[3])
+    block[1:] *= 0.5
+    columns = dict(zip(names[-width:], _fold(block, left, right, levels).take(roots, axis=0).T))
+    columns["abs_pow_4"] = columns["W"]
+    keys = (*(f"abs_pow_{s}" for s in s_powers), *names[3:]) if width > 1 else ("W",)
+    return {**{key: columns[key] for key in keys}, **stats}
 
 
 def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid) -> dict:

@@ -2,15 +2,13 @@
 
 Each leaf of a collision tree carries, for every Legendre order k, the
 product of P_k(cos phi) / P_k(sin phi) factors collected along its
-root-to-leaf path (cosine on left turns, sine on right turns); the cascade
-engine (`wildsim.sampler.grow`) multiplies them out.  Order k = 1 gives the
-amplitude weights whose squares sum to one; k = 2 and k = 3 are the
-quadratic and cubic families entering the conditional moment identities.
-`legendre_value` evaluates P_k at any order by the three-term recurrence,
-for `legendre` and the checks; the weight reductions
-(`wildsim.sampler.weight_sums`) write the orders 2 and 3 from their closed
-forms P2(x) = 1.5 x^2 - 0.5 and P3(x) = x (2.5 x^2 - 1.5), grow the squared
-order-1 weights, and form |w|^s as products of w^2 and |w|.
+root-to-leaf path (cosine on left turns, sine on right turns).  Order
+k = 1 gives the amplitude weights whose squares sum to one (`grow`
+multiplies them out for the transforms); k = 2 and k = 3 are the
+quadratic and cubic families of the conditional moment identities.
+`legendre_value` evaluates P_k by the three-term recurrence; the weight
+reductions (`wildsim.sampler.weight_sums`) fold sums of leaf products up
+the tree, with P2 and P3 in closed form, averaged over child swaps.
 The mean of sum_j |weight_j|^s over the growth chain at a fixed size obeys
 a one-dimensional recursion, `expected_sum_closed_form`; mixed over the
 size law at time t it is exp(r t), r from `kernel.KernelFunctionals.rates`.

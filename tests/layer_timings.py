@@ -38,9 +38,9 @@ from wildsim.geometry import collision_frames
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel, spectral_functionals
 from wildsim.sampler import (
+    _fold,
     chunk_slices,
     germination_record,
-    grow,
     leaf_frames,
     replay,
     rng_stream,
@@ -70,11 +70,17 @@ def layers(t_index, t, kernel, mu0):
     def uniforms():
         return [rng.random(int(c.sum()) - len(c)) for c, rng in fresh_streams()]
 
-    def w_sq_factors():
+    def w_fold_inputs():  # W's one-row block and rows, as `weight_sums` folds them
         out = []
         for record in records(azimuths=False):
+            shift = record.n_leaves - 1
+            left, right, roots = (np.maximum(slots - shift, 0)
+                                  for slots in (record.left, record.right, record.roots))
             cos_sq = 1.0 / (1.0 + np.tan(record.phis) ** 2)
-            out.append((record, cos_sq, 1.0 - cos_sq))
+            block = np.empty(len(cos_sq) + 1)
+            block[0] = 1.0
+            block[1:] = 0.5 * (cos_sq**2 + (1.0 - cos_sq) ** 2)
+            out.append((block, left, right, list(record.levels())[::-1], roots))
         return out
 
     def replay_inputs():
@@ -101,7 +107,7 @@ def layers(t_index, t, kernel, mu0):
         ("the same, `azimuths=False`", fresh_streams,
          lambda a: germination_record(a[0], kernel, a[1], azimuths=False)),
         ("`inverse_beta_cdf` alone", uniforms, kernel.inverse_beta_cdf),
-        ("`grow` of w² (W alone)", w_sq_factors, lambda a: grow(a[0], a[1], a[2], 1.0)),
+        ("one-row `_fold` (W alone)", w_fold_inputs, lambda a: _fold(*a[:4]).take(a[4])),
         ("`collision_frames`", records, lambda r: collision_frames(r.phis, r.thetas)),
         ("`leaf_frames` (weights and rotations)", records, leaf_frames),
         ("`replay`", replay_inputs, lambda a: replay(*a)),

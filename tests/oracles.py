@@ -1,7 +1,8 @@
 """Recursive references the cascade engine is checked against.
 
-Each function builds one cascade's leaf weights, leaf rotations or
-collision outcome by recursion over a `McKeanTree`, the way the paper
+Each function builds one cascade's leaf weights, leaf rotations,
+child-swap average of a leaf sum (and the swapped trees it averages over)
+or collision outcome by recursion over a `McKeanTree`, the way the paper
 writes them down, independently of the level-by-level engine in
 `wildsim.sampler`; `rotation_z` and `is_rotation` are the rotation helpers
 the geometry checks share.  Angles are in recursive order: the last one
@@ -74,6 +75,34 @@ def _fill_weights(tree, phis, k, factor, out):
     n_l = tree.left.leaf_count
     _fill_weights(tree.left, phis[: n_l - 1], k, factor * float(legendre_value(k, c)), out)
     _fill_weights(tree.right, phis[n_l - 1 : -1], k, factor * float(legendre_value(k, s)), out)
+
+
+def symmetrised_sum(tree: McKeanTree, phis, factor) -> float:
+    """sum_j prod_{i in anc(j)} g_i over the leaves, averaged over every
+    child swap of the tree, by S(leaf) = 1 and S(node) = h (S(left) + S(right)),
+    h = (factor(cos phi) + factor(sin phi)) / 2 at the node's angle."""
+    if tree.is_leaf:
+        return 1.0
+    n_l = tree.left.leaf_count
+    h = (factor(math.cos(phis[-1])) + factor(math.sin(phis[-1]))) / 2.0
+    return h * (symmetrised_sum(tree.left, phis[: n_l - 1], factor)
+                + symmetrised_sum(tree.right, phis[n_l - 1 : -1], factor))
+
+
+def swap_images(tree: McKeanTree, phis):
+    """Every one of the 2^(n - 1) images (tree, phis) of a tree and its
+    angles under swapping the two subtrees at any set of its nodes, each
+    node keeping its angle; phis in recursive order, as lists."""
+    if tree.is_leaf:
+        yield tree, []
+        return
+    n_l = tree.left.leaf_count
+    lefts = list(swap_images(tree.left, list(phis[: n_l - 1])))
+    rights = list(swap_images(tree.right, list(phis[n_l - 1 : -1])))
+    for left, l_phis in lefts:
+        for right, r_phis in rights:
+            yield McKeanTree(left, right), l_phis + r_phis + [phis[-1]]
+            yield McKeanTree(right, left), r_phis + l_phis + [phis[-1]]
 
 
 def rotation_array(tree: McKeanTree, phis, thetas) -> RotationArray:

@@ -63,7 +63,7 @@ def test_criterion_02_identity_suite(kernel):
         kernel, [0.5, 1.0, 2.0, 3.0], 100_000, seed=8802, z_threshold=4.0
     )
     weight_entries = [e for e in report.entries if e.identity.startswith("sum")]
-    assert len(weight_entries) == 4 * 7  # s = 1..4, zeta, eta, W at each t
+    assert len(weight_entries) == 4 * 6  # s = 1..3, zeta, eta, W (s = 4) at each t
     failures = [e for e in weight_entries if not e.passed]
     assert not failures, [(e.identity, e.params, e.z_score) for e in failures]
     assert report.passed

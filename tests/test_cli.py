@@ -33,7 +33,7 @@ def test_identities_writes_report(tmp_path):
     assert payload["passed"] is True
     assert payload["config"]["seed"] == 42
     assert payload["kernel"]["lambda_b"] == pytest.approx(-1 / 3, abs=1e-9)
-    assert len(payload["entries"]) == 16
+    assert len(payload["entries"]) == 14  # 6 weight sums and the tail bound per time
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("identity,params,mc_value")
 

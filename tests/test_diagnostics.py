@@ -99,7 +99,7 @@ def test_identity_suite_small(kernel):
     payload = report.as_dict()
     assert payload["suite"] == "identities"
     assert payload["kernel"]["lambda_b"] == pytest.approx(-1.0 / 3.0, abs=1e-9)
-    assert len(payload["entries"]) == 2 * 8
+    assert len(payload["entries"]) == 2 * 7
 
 
 def test_identity_suite_zero_time_is_exact(kernel):

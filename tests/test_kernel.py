@@ -317,6 +317,15 @@ def test_rates_give_the_closed_form_means_bit_for_bit(name):
         assert {key: math.exp(rate * t) for key, rate in fn.rates.items()} == means
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_quartic_weight_rate_is_the_spectral_gap(name):
+    """`identities` checks sum_j |w_j|^4 = W once, against lambda_b, which
+    holds for any kernel; 2 l_4 - 1 equals lambda_b under the exchange
+    symmetry, which every preset solves, so the two quadratures agree."""
+    fn = spectral_functionals(make_kernel(name))
+    assert abs(fn.rates["abs_pow_4"] - fn.lambda_b) <= 1e-12
+
+
 def test_gauss_kronrod_pair_is_exact_for_polynomials():
     # 15 Kronrod nodes integrate degree 22 exactly, the 7 Gauss nodes 13
     kronrod, gauss = _GK_RULES[:, 0], _GK_RULES[:, 0] - _GK_RULES[:, 1]

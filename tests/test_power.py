@@ -34,7 +34,7 @@ from wildsim.initial import sixpoint_datum
 from wildsim.kernel import CollisionKernel, make_kernel
 
 SCALE = 1.03
-ANGLE_STRETCH = 1.02  # at 1.01 seed 2 passes identities
+ANGLE_STRETCH = 1.02  # at 1.01 seed 3 passes identities
 SEEDS = (1, 2, 3, 4)
 CONSERVE_TIMES = [3.0, 4.0, 5.0]
 IDENTITY_TIMES = [0.5, 1.0, 2.0, 3.0]
@@ -105,10 +105,24 @@ def test_controlled_conserve_fails_a_velocity_scale_defect(kernel, scaled_engine
 
 def test_identities_fail_an_angle_law_defect(kernel, stretched_angles):
     """The references are angle integrals of the kernel itself, which the
-    defect leaves alone; each seed reads a largest |z| of 5.6 to 7.8."""
+    defect leaves alone; each seed reads a largest |z| of 7.8 to 10.1, with
+    6 to 9 of the 24 leaf-product entries failing (the plain sums failed 2
+    to 6, with a largest |z| of 5.6 to 7.8).
+
+    The entries are averaged over the tree's child swaps, and that keeps
+    their power against any angle law: at size n the plain sum's mean
+    obeys F_n = (a + b) / (n - 1) sum_{L < n} F_L, with a = E g_L and
+    b = E g_R the mean left and right factors, so it reads the law only
+    through a + b, and the swap average's factor (g_L + g_R) / 2 has mean
+    (a + b) / 2 on both sides, the same recursion.  What the average cannot
+    see is where the engine puts each factor: a defect that ties the larger
+    factor to the larger subtree moves the plain mean and not this one.
+    `crosscheck` still tests factor placement, through `leaf_frames`."""
     for seed in SEEDS:
         report = diagnostics.run_identity_suite(kernel, IDENTITY_TIMES, 10_000, seed)
-        assert not report.passed, seed
+        products = [e for e in report.entries if e.identity.startswith("sum")]
+        assert len(products) == 6 * len(IDENTITY_TIMES)
+        assert sum(not e.passed for e in products) >= 5, seed
 
 
 def test_crosscheck_passes_an_angle_law_defect(kernel, stretched_angles):

@@ -164,7 +164,7 @@ def test_pooled_groups_span_chunks(kernel):
     serial = run_identity_suite(kernel, [t], n, seed=seed, workers=1)
     twice = run_identity_suite(kernel, [t], n, seed=seed, workers=2)
     assert serial.entries == twice.entries
-    keys = ["abs_pow_1", "abs_pow_2", "abs_pow_3", "abs_pow_4", "zeta", "eta", "W", "W_tail"]
+    keys = ["abs_pow_1", "abs_pow_2", "abs_pow_3", "zeta", "eta", "W", "W_tail"]
     for key, entry in zip(keys, serial.entries, strict=True):
         x = np.concatenate([part[key] for part in parts])
         members = [x[group == g] for g in range(len(pooled.probs))]
@@ -238,8 +238,12 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert cli._run_id("identities", config, kernel, None) != base
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
     assert cli._run_id("identities", config, kernel, None) == base
-    # the velocity estimator's pairing and control rules are named as well
+    # the weight statistics' symmetrisation and tail pairing, and the velocity
+    # estimator's pairing and control rules, are named as well
     scheme = diagnostics.estimator_scheme()
+    assert "mirror-symmetrised" in scheme["weight_sums"]
+    assert "(g_L + g_R) / 2" in scheme["weight_sums"]
+    assert "root pair" in scheme["weight_sums"]
     assert "theta + pi" in scheme["velocity_pairing"]
     assert "7 m2" in scheme["velocity_controls"]
     # and so is crosscheck's control rule: its pilot size and stream, its
@@ -269,6 +273,11 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     monkeypatch.setattr(diagnostics, "estimator_scheme",
                         lambda: {**scheme, "velocity_controls": "none"})
     assert cli._run_id("identities", config, kernel, None) != base
+    # a report of the plain leaf sums and tail is another run
+    decay = cli._run_id("decay", config, kernel, None)
+    monkeypatch.setattr(diagnostics, "estimator_scheme", lambda: {**scheme, "weight_sums": "plain"})
+    assert cli._run_id("identities", config, kernel, None) != base
+    assert cli._run_id("decay", config, kernel, None) != decay
 
 
 def _entry(z, diff=1.0, two_sided=True):
@@ -338,8 +347,7 @@ def test_identity_z_scores_are_calibrated_across_seeds(kernel, t, n_samples):
         for entry in run_identity_suite(kernel, [t], n_samples, seed=seed).entries:
             scores.setdefault(entry.identity, []).append(entry.z_score)
     n = len(SWEEP_SEEDS)
-    for label in ("sum|w|^1", "sum|w|^3", "sum|w|^4", "sum w^2|zeta|", "sum|w^3 eta|",
-                  "sum w^4"):
+    for label in ("sum|w|^1", "sum|w|^3", "sum w^2|zeta|", "sum|w^3 eta|", "sum w^4"):
         z = np.array(scores[label])
         assert abs(z.mean()) <= 4.0 / math.sqrt(n), (label, z.mean())
         assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * n), (label, z.std(ddof=1))

@@ -13,8 +13,10 @@ from wildsim.errors import NoAnalyticCf, TimeTooLarge
 from wildsim.geometry import frame_for
 from wildsim.initial import gaussian_datum, sampler_datum, sixpoint_datum
 from wildsim.kernel import cos_sin, make_kernel
-from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array, rotation_z
+from oracles import (cascade_trees, collide, is_rotation, leaf_weights, rotation_array,
+                     rotation_z, swap_images, symmetrised_sum)
 from wildsim.sampler import (
+    _root_pair,
     chunk_slices,
     draw_tree_sample,
     germination_record,
@@ -33,6 +35,7 @@ from wildsim.sampler import (
     wild_velocity_batch,
 )
 from wildsim.tree import McKeanTree, sample_tree
+from wildsim.weights import legendre_value
 
 
 @pytest.fixture(scope="module")
@@ -384,24 +387,78 @@ def test_weight_sums_w_alone_matches_full_path(kernel, t):
     assert np.array_equal(alone["W"], full["W"])
 
 
+# each statistic's per-split factor g at x = cos phi (left turn) or sin phi (right turn)
+WEIGHT_FACTORS = {**{f"abs_pow_{s}": functools.partial(lambda s, x: abs(x) ** s, s)
+                     for s in (1, 2, 3, 4)},
+                  "zeta": lambda x: x**2 * abs(float(legendre_value(2, x))),
+                  "eta": lambda x: abs(x**3 * float(legendre_value(3, x))),
+                  "W": lambda x: x**4}
+A_STAR = 0.25
+
+
+def _plain_sums(tree, phis):
+    """Each statistic of WEIGHT_FACTORS as the plain sum over the leaves of
+    one tree, from its recursive order-1, -2 and -3 weights."""
+    w, zeta, eta = (np.abs(leaf_weights(tree, phis, k).values) for k in (1, 2, 3))
+    return {**{f"abs_pow_{s}": np.sum(w**s) for s in (1, 2, 3, 4)},
+            "zeta": np.sum(w**2 * zeta), "eta": np.sum(w**3 * eta), "W": np.sum(w**4)}
+
+
 @pytest.mark.parametrize("t, seed", [(1.0, 51), (3.0, 52)])
 def test_weight_sums_match_recursive_weights(kernel, t, seed):
-    """Every statistic of `weight_sums`, per cascade, against the recursive
-    order-1, -2 and -3 leaf weights of the same record, powers taken with **."""
+    """Every statistic of `weight_sums`, per cascade, against the recursion
+    S = h (S(left) + S(right)) over the record's trees, powers taken with
+    **; the tail's plain W and root mirror W' against the recursive order-1
+    weights of the tree and of its root swap, and W_tail against the mean
+    of their indicators, wherever neither lies within 1e-12 of a*."""
     nus, _ = sorted_sizes(t, rng_stream(seed), 300)
-    stats = weight_sums(nus, rng_stream(seed, 1), kernel=kernel)
+    stats = weight_sums(nus, rng_stream(seed, 1), kernel=kernel, a_star=A_STAR)
     record = germination_record(nus, kernel, rng_stream(seed, 1), azimuths=False)
-    reference = {key: [] for key in stats}
+    reference = {key: [] for key in WEIGHT_FACTORS}
+    pairs = []
     for tree, phis, _, _ in cascade_trees(record):
-        w, zeta, eta = (np.abs(leaf_weights(tree, phis, k).values) for k in (1, 2, 3))
-        for s in (1, 2, 3, 4):
-            reference[f"abs_pow_{s}"].append(np.sum(w**s))
-        reference["zeta"].append(np.sum(w**2 * zeta))
-        reference["eta"].append(np.sum(w**3 * eta))
-        reference["W"].append(np.sum(w**4))
-    assert max(nus) > 1 and stats.keys() == reference.keys()
+        for key, factor in WEIGHT_FACTORS.items():
+            reference[key].append(symmetrised_sum(tree, phis, factor))
+        mirror = tree if tree.is_leaf else McKeanTree(tree.right, tree.left)
+        n_l = 1 if tree.is_leaf else tree.left.leaf_count
+        mirror_phis = phis[n_l - 1:-1] + phis[:n_l - 1] + phis[-1:]
+        pairs.append([np.sum(leaf_weights(*image).values ** 4)
+                      for image in ((tree, phis), (mirror, mirror_phis))])
+    assert max(nus) > 1 and stats.keys() == {*reference, "W_tail"}
     for key, values in reference.items():
         np.testing.assert_allclose(stats[key], values, rtol=1e-13, err_msg=key)
+    pairs = np.array(pairs)
+    shift = record.n_leaves - 1
+    rows = [np.maximum(slots - shift, 0) for slots in (record.left, record.right, record.roots)]
+    cos_4, sin_4 = np.cos(record.phis) ** 4, np.sin(record.phis) ** 4
+    folded = _root_pair(cos_4, sin_4, rows[0], rows[1], list(record.levels())[::-1], rows[2])
+    np.testing.assert_allclose(np.transpose(folded), pairs, rtol=1e-13)
+    clear = np.all(np.abs(pairs - A_STAR) > 1e-12, axis=1)
+    assert clear.sum() > 250 and 0.0 < stats["W_tail"].mean() < 1.0
+    expected = np.mean(pairs >= A_STAR, axis=1)
+    assert np.array_equal(stats["W_tail"][clear], expected[clear])
+    assert {0.0, 0.5, 1.0} == set(stats["W_tail"].tolist())
+
+
+@pytest.mark.parametrize("t, seed", [(1.0, 53), (2.0, 54)])
+def test_weight_sums_average_every_child_swap(kernel, t, seed):
+    """Enumeration oracle: for every cascade of at most 8 leaves, each
+    statistic of `weight_sums` is, to 1e-13, the mean of its plain leaf sum
+    over all 2^(nu - 1) child-swap images of the cascade's tree and angles."""
+    nus, _ = sorted_sizes(t, rng_stream(seed), 200)
+    stats = weight_sums(nus, rng_stream(seed, 1), kernel=kernel)
+    record = germination_record(nus, kernel, rng_stream(seed, 1), azimuths=False)
+    checked = 0
+    for j, (tree, phis, _, _) in enumerate(cascade_trees(record)):
+        if tree.leaf_count > 8:
+            continue
+        images = [_plain_sums(*image) for image in swap_images(tree, phis)]
+        assert len(images) == 2 ** (tree.leaf_count - 1)
+        for key in WEIGHT_FACTORS:
+            mean = np.mean([image[key] for image in images])
+            assert stats[key][j] == pytest.approx(mean, rel=1e-13, abs=1e-13), (key, tree)
+        checked += tree.leaf_count > 2  # where a swap below the root moves the sum
+    assert checked > 20
 
 
 def test_transform_grid_modulus_invariant(kernel):
