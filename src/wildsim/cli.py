@@ -13,7 +13,8 @@ derives from --seed; WILDSIM_WORKERS sets the default worker count.
 in `_run_id`: the run id digests every echoed setting except those in
 UNNAMED (--out, --csv and --workers, which change no number and no
 verdict), the kernel's angle table, the datum when the report echoes one,
-the reduction constants and the package version.
+the reduction constants, the estimator rules the command reads
+(`_estimator_rules`) and the package version.
 """
 
 from __future__ import annotations
@@ -233,14 +234,32 @@ def _write_outputs(payload: dict, rows: list[dict], config) -> None:
             writer.writerows(rows)
 
 
+ESTIMATOR_RULES = {  # command: the entries of diagnostics.estimator_scheme it reads
+    "identities": ("weight_sums",),
+    "conserve": ("velocity_images", "velocity_controls"),
+    "crosscheck": ("transform_controls",),
+}
+
+
+def _estimator_rules(command, config) -> dict:
+    """The estimator rules a command's numbers depend on, by name:
+    ESTIMATOR_RULES, and for decay its moment's (W reads the weight sums,
+    v1^4 the root images)."""
+    if command == "decay":
+        names = ("velocity_images",) if config.get("moment") == "v1^4" else ("weight_sums",)
+    else:
+        names = ESTIMATOR_RULES.get(command, ())
+    scheme = diagnostics.estimator_scheme()
+    return {name: scheme[name] for name in names}
+
+
 def _run_id(command, config, kernel, mu0) -> str:
     """Digest of what a report's numbers and verdicts depend on: its
     command, its echoed settings bar UNNAMED, the kernel's tabulated angle
     law, the datum when the report echoes one (its name, m2, m4, m6, mean,
     covariance, fourth-moment tensor and first eight draws from a fixed
-    stream), the constants of the reduction (stratum count, pooling rule
-    and the rules of the weight, velocity and transform estimators) and the
-    package version."""
+    stream), the constants of the reduction (stratum count and pooling
+    rule), the estimator rules the command reads and the package version."""
     datum = None
     if "mu0" in config:
         arrays = (mu0.mean, mu0.covariance, mu0.sampler(rng_stream(0), 8))
@@ -251,7 +270,7 @@ def _run_id(command, config, kernel, mu0) -> str:
         "suite": command, "version": __version__,
         "settings": {key: value for key, value in config.items() if key not in UNNAMED},
         "kernel": hashlib.sha1(kernel.beta_cdf_values.tobytes()).hexdigest(),
-        "mu0": datum, "reduction": {**reduction_scheme(), **diagnostics.estimator_scheme()},
+        "mu0": datum, "reduction": {**reduction_scheme(), **_estimator_rules(command, config)},
     }, sort_keys=True, default=str)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 

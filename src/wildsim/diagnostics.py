@@ -67,10 +67,13 @@ CONTROL_KEY = (5, 2)     # the pilot's stream key, apart from crosscheck's (5, 0
 
 
 def estimator_scheme() -> dict:
-    """The weight, velocity and transform estimators' rules, for run identifiers."""
+    """The weight, velocity and transform estimators' rules, for run
+    identifiers, each of which names the rules its command reads."""
     return {"weight_sums": ("identities, decay W: leaf sums mirror-symmetrised, "
                             "h = (g_L + g_R) / 2; P[W >= a*] on the root pair"),
-            "velocity_pairing": "conserve and v1^4 average root azimuths theta, theta + pi",
+            "velocity_images": ("conserve and v1^4 average 16 root images: the root's "
+                                "children swapped or not, each root child's children "
+                                "swapped or not, root azimuth theta or theta + pi"),
             "velocity_controls": (
                 "conserve, for data with an exact real transform, finite m4 and m6 and "
                 "isotropic second moments: with s^2 = m2 / 3, energy |v|^2 "
@@ -287,44 +290,47 @@ def _horner(x, coefficients, out):
     return out
 
 
-def _root_pairs(nus, rng, mu0, kernel) -> np.ndarray:
-    """Each cascade's root velocity and its antithetic partner at root
-    azimuth theta + pi (`sampler.replay`), shape (2, cascades, 3): a
-    statistic averaged over the pair is one unbiased row per cascade with
-    less variance."""
+def _root_images(nus, rng, mu0, kernel) -> np.ndarray:
+    """Each cascade's 16 root images (`sampler.replay`), shape
+    (16, cascades, 3): the root velocities of the cascade with the
+    children swapped at the root and at its children, in every
+    combination, and the root azimuth turned by pi.  Each image is a draw
+    from the solution, so a statistic averaged over them is one unbiased
+    row per cascade with less variance."""
     record = germination_record(nus, kernel, rng)
-    return np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
+    return replay(record, mu0.sampler(rng, record.n_leaves), images=True)
 
 
 def _velocity_moments_task(nus, rng, mu0, kernel, mu4=None, mu6=None):
     """Per cascade, the mean velocity v1, v2, v3 and the energy |v|^2, each
-    averaged over the root pair.  Given mu4 = E|v|^4 and mu6 = E|v|^6 at the
-    chunk's time (`_exact_fourth_moment`, `_exact_sixth_moment`), for a
-    datum that meets `_controls_exact`, they carry control variates of exact
-    mean with the limiting Maxwellian's optimal coefficients:
+    averaged over the 16 root images.  Given mu4 = E|v|^4 and mu6 = E|v|^6
+    at the chunk's time (`_exact_fourth_moment`, `_exact_sixth_moment`),
+    for a datum that meets `_controls_exact`, they carry control variates
+    of exact mean with the limiting Maxwellian's optimal coefficients,
+    image by image:
     |v|^2 - 25 (|v|^4 - mu4) / (51 m2) + (|v|^6 - mu6) / (17 m2^2) and
     v_m (1 - 6 |v|^2 / (7 m2) + |v|^4 / (7 m2^2)), whose control has mean 0
     by the v -> -v symmetry.  A fixed coefficient keeps each column's mean
     and its plain standard error."""
-    pair = _root_pairs(nus, rng, mu0, kernel)
+    images = _root_images(nus, rng, mu0, kernel)
     if mu4 is None:
-        energy = np.einsum("pij,pij->i", pair, pair) / 2.0
+        energy = np.einsum("pij,pij->i", images, images) / len(images)
     else:  # polynomials in |v|^2: the factor on v, then the energy
         m2 = mu0.m2
-        square = np.einsum("pij,pij->pi", pair, pair)
+        square = np.einsum("pij,pij->pi", images, images)
         control = _horner(square, (1.0 / (7.0 * m2 * m2), -6.0 / (7.0 * m2), 1.0),
                           np.empty_like(square))
-        pair *= control[:, :, None]
+        images *= control[:, :, None]
         energy = _horner(square, (1.0 / (17.0 * m2 * m2), -25.0 / (51.0 * m2), 1.0,
                                   25.0 * mu4 / (51.0 * m2) - mu6 / (17.0 * m2 * m2)),
                          control).mean(axis=0)
-    mean = pair.mean(axis=0)
+    mean = images.mean(axis=0)
     return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2], "energy": energy}
 
 
 def _fourth_moment_task(nus, rng, mu0, kernel, axis):
-    """Per cascade, (v . axis)^4 averaged over the root pair."""
-    return {"v1_fourth": ((_root_pairs(nus, rng, mu0, kernel) @ axis) ** 4).mean(axis=0)}
+    """Per cascade, (v . axis)^4 averaged over the 16 root images."""
+    return {"v1_fourth": ((_root_images(nus, rng, mu0, kernel) @ axis) ** 4).mean(axis=0)}
 
 
 def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
@@ -436,9 +442,12 @@ def conservation_check(
     z_threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> IdentityReport:
     """Mean velocity and energy of cascade draws against the initial values,
-    less control variates of exact mean (`_velocity_moments_task`) for a
-    datum that meets `_controls_exact`; each entry's provenance names its
-    control, a sum of two terms."""
+    each cascade's statistic averaged over its 16 root images
+    (`_root_images`), less control variates of exact mean
+    (`_velocity_moments_task`) for a datum that meets `_controls_exact`;
+    each entry's provenance names its control, a sum of two terms.  The
+    images use no exact mean: each is a draw from the solution, so a
+    velocity-scale or shift defect moves all of them."""
     if not math.isfinite(mu0.m2):
         raise ConfigError("conservation check needs a finite second moment")
     report = IdentityReport("conservation")
@@ -479,7 +488,9 @@ def moment_decay_fit(
     needed; its mean is exactly exp(lambda_b t)).  moment_spec 'v1^4'
     tracks the directional fourth-moment deviation |E[(v . u)^4] - 3| of
     cascade velocity draws for a normalized datum against the limiting
-    value 3, with u the unit `direction` (default: the first axis).
+    value 3, with u the unit `direction` (default: the first axis), each
+    cascade's (v . u)^4 averaged over its 16 root images
+    (`_fourth_moment_task`).
 
     The deviation generally mixes the gap eigenmode with a
     faster-decaying fourth-order harmonic whose weight depends on the

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -208,7 +208,13 @@ def _adaptive_gauss_kronrod(fn, edges, target):
     return total, float(np.sum(error))
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
+@cache
+def _gauss_rule():
+    """The 12-point Gauss-Legendre rule on [-1, 1], (nodes, weights),
+    computed on first use: only tabulated kernels read it, and leggauss
+    imports numpy.polynomial and makes the run's first LAPACK call, which
+    together add about 1.1 MB of resident memory to every command."""
+    return np.polynomial.legendre.leggauss(12)
 
 
 def _segmented_gauss(fn, knots, extra=None) -> float:
@@ -218,9 +224,10 @@ def _segmented_gauss(fn, knots, extra=None) -> float:
     edges = np.array(sorted(p for p in pts if 0.0 <= p <= 1.0))
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
-    x = a[:, None] + half[:, None] * (_GAUSS_NODES[None, :] + 1.0)
+    nodes, weights = _gauss_rule()
+    x = a[:, None] + half[:, None] * (nodes[None, :] + 1.0)
     vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-    return float(np.sum(half * (vals @ _GAUSS_WEIGHTS)))
+    return float(np.sum(half * (vals @ weights)))
 
 
 @dataclass(frozen=True)

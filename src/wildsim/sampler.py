@@ -27,9 +27,18 @@ live in one flat buffer, and three passes walk the levels:
   the leaves are folded through pairwise collisions, one vectorised call
   per level, and the root keeps one draw from the solution; a node keeps
   its first outgoing velocity v + delta (`deflection`), from trigonometric
-  factors computed once per chunk.  On request it also returns each root
-  collision at azimuth theta + pi, an antithetic partner of the same law,
-  which `conserve` and `decay --moment v1^4` average with the plain draw.
+  factors computed once per chunk.  On request it returns instead 16 root
+  images per cascade, which `conserve` and `decay --moment v1^4` average.
+  Each image is a draw from the solution.  Swapping a node's two subtrees
+  keeps the shape law (a cut L becomes s - L), and it turns the node's
+  output into its second outgoing velocity w - delta, which is the first
+  outgoing velocity of the collision of (w, v) at the azimuth that turns
+  the transverse unit e of frame_for(u) into -e in frame_for(-u); that
+  azimuth is a measure-preserving map of the uniform one.  Turning the
+  root azimuth by pi is another.  The images take every combination of
+  swaps at the root and at its two children, with and without the
+  half-turn, for one subtraction at level 1 and a root collision on four
+  input pairs, O(cascades) work per chunk.
   What a suite makes of the draws beyond that (its control variates and
   their rules in the run id) belongs to `wildsim.diagnostics`; this
   module's own constants are the reduction's (`reduction_scheme`).
@@ -359,7 +368,7 @@ def _deflect(v, w, cos_sq, k1, k2):
     return g
 
 
-def replay(record: GerminationRecord, velocities, mirror: bool = False):
+def replay(record: GerminationRecord, velocities, images: bool = False):
     """Backward pass: fold leaf velocities, shape (leaves, 3), through the
     record one tree level at a time, deepest level first: a node's output
     is the first outgoing velocity of the collision of its left and right
@@ -370,33 +379,78 @@ def replay(record: GerminationRecord, velocities, mirror: bool = False):
     (cascades, 3), bit-identical to a recursive fold of `deflection`,
     gathered from the slots record.roots, where `grow` puts the roots.
 
-    With mirror, returns (roots, mirrored): mirrored is the root velocity
-    with the root collision's azimuth turned by pi, the same subtrees below
-    it, got by reflecting the root through its mean over the azimuth,
-    v + cos^2(phi) (w - v), read from the chunk's factors.  A cascade of
-    one leaf has no root collision, so its mirrored root is its leaf."""
+    With images, returns instead the 16 root images of each cascade, shape
+    (16, cascades, 3): image 8 o + 2 p + h is the root velocity of the
+    cascade with the root's children swapped if o = 1, the left child's
+    children swapped if bit 0 of p is set, the right child's if bit 1 is,
+    and the root azimuth turned by pi if h = 1.  Image 0 is the plain root
+    and image 1 its half-turn, the same bits as the plain root and as
+    v + 2 cos^2(phi) (w - v) - root, its reflection through the mean over
+    the azimuth.  Swapping a node's children turns its output into its
+    second outgoing velocity, w - delta = v + w - (v + delta), so level 1
+    keeps both outputs (one subtraction), and the root collides its four
+    input pairs (v, w), v the left child's first or second output and w the
+    right child's, in one `_deflect` call; a leaf child is the same either
+    way.  A half-turn reflects each output through its mean over the
+    azimuth, and the second output at it is v + w less the first.  A
+    cascade of one leaf has no collision: all its images are its leaf.
+    Each image is a draw from the solution (see the module docstring): a
+    swap keeps the shape law and maps the swapped node's uniform azimuth to
+    a uniform one, and so does the half-turn."""
     n = record.n_leaves
     buffer = np.empty((3, n + len(record.phis)))
     buffer[:, :n] = np.asarray(velocities, float).T
     cos_sq, k1, k2 = _node_factors(record.phis, record.thetas)
-    for a, b in reversed(list(record.levels())):
+    levels = list(record.levels())
+    for a, b in reversed(levels[1:] if images else levels):
         v = buffer.take(record.left[a:b], axis=1)
         w = buffer.take(record.right[a:b], axis=1)
         delta = _deflect(v, w, cos_sq[a:b], k1[a:b], k2[a:b])
         np.add(v, delta, out=buffer[:, n + a:n + b])
-    roots = buffer.take(record.roots, axis=1).T
-    if not mirror:
-        return roots
-    mirrored = roots.copy()
-    if len(record.phis):  # v, w and b are the root level's, the loop's last:
-        # 2 (v + cos^2(phi) (w - v)) - root for the first b cascades, which split
-        flipped = w - v
-        flipped *= cos_sq[:b]
-        flipped += v
-        flipped *= 2.0
-        flipped -= buffer[:, n:n + b]
-        mirrored[:b] = flipped.T
-    return roots, mirrored
+    if not images:
+        return buffer.take(record.roots, axis=1).T
+    b = levels[0][1] if levels else 0  # the cascades that split, the first b
+    inputs = np.empty((2, 3, 2, b))  # each root child's (first, second) output
+    left, right = record.left[:b], record.right[:b]
+    buffer.take(left, axis=1, out=inputs[0, :, 0])
+    buffer.take(right, axis=1, out=inputs[1, :, 0])
+    if len(levels) > 1:  # w and delta are level 1's, the loop's last
+        np.subtract(w, delta, out=buffer[:, n + b:n + levels[1][1]])
+        del v, w, delta
+    buffer.take(left, axis=1, out=inputs[0, :, 1])
+    buffer.take(right, axis=1, out=inputs[1, :, 1])
+    leaves = buffer.take(record.roots[b:], axis=1)  # the other cascades' one leaf
+    factors = [f[:b].copy() for f in (cos_sq, k1, k2)]
+    del buffer, cos_sq, k1, k2  # the chunk's largest blocks, freed before the images'
+    return _root_level_images(inputs, factors, leaves)
+
+
+def _root_level_images(inputs, factors, leaves):
+    """`replay`'s 16 images per cascade, shape (16, cascades, 3), from the
+    root collisions' inputs, shape (2, 3, 2, b): the left and the right
+    child's first and second outputs for the b cascades that split, their
+    root factors (`_node_factors`) and the leaves of the other cascades,
+    shape (3, cascades - b).  The four input pairs broadcast in one
+    `_deflect` call."""
+    b = inputs.shape[-1]
+    cos_sq = factors[0]
+    v, w = inputs[0, :, None], inputs[1, :, :, None]  # (3, 1, 2, b), (3, 2, 1, b)
+    # axes (component, o, bit 1 of p, bit 0 of p, h, cascade)
+    out = np.empty((3, 2, 2, 2, 2, b + leaves.shape[1]))
+    delta = _deflect(v, w, *factors)
+    first, second = out[:, 0, ..., :b], out[:, 1, ..., :b]
+    np.add(v, delta, out=first[..., 0, :])
+    np.subtract(w, delta, out=second[..., 0, :])
+    turned = first[..., 1, :]  # 2 (v + cos^2(phi) (w - v)) - first
+    np.subtract(w, v, out=turned)
+    turned *= cos_sq
+    turned += v
+    turned *= 2.0
+    turned -= first[..., 0, :]
+    np.add(v, w, out=second[..., 1, :])
+    second[..., 1, :] -= turned
+    out[..., b:] = leaves[:, None, None, None, None]
+    return out.reshape(3, 16, -1).transpose(1, 2, 0)
 
 
 def cascade_velocities(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel) -> np.ndarray:

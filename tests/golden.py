@@ -86,8 +86,9 @@ def engine_values() -> dict:
     rng = rng_stream(21)
     nus, _ = sorted_sizes(3.0, rng, 40)
     record = germination_record(nus, xabs, rng)
-    roots, mirrored = replay(record, sixpoint_datum().sampler(rng, record.n_leaves), mirror=True)
-    out = {"replay/sixpoint/roots": roots, "replay/sixpoint/mirrored": mirrored}
+    images = replay(record, sixpoint_datum().sampler(rng, record.n_leaves), images=True)
+    out = {"replay/sixpoint/roots": images[0], "replay/sixpoint/mirrored": images[1],
+           "replay/sixpoint/images": images}
     for label, kwargs in (("all", {"a_star": 0.25}), ("W", {"s_powers": ()})):
         rng = rng_stream(31)
         nus, _ = sorted_sizes(3.0, rng, 40)

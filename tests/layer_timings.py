@@ -111,7 +111,7 @@ def layers(t_index, t, kernel, mu0):
         ("`collision_frames`", records, lambda r: collision_frames(r.phis, r.thetas)),
         ("`leaf_frames` (weights and rotations)", records, leaf_frames),
         ("`replay`", replay_inputs, lambda a: replay(*a)),
-        ("`replay(..., mirror=True)`", replay_inputs, lambda a: replay(*a, mirror=True)),
+        ("`replay(..., images=True)`", replay_inputs, lambda a: replay(*a, images=True)),
         ("`weight_sums`, all statistics, record included", fresh_streams,
          lambda a: weight_sums(a[0], a[1], kernel=kernel)),
         ("`transform_sums`, default 20-point grid, all included", fresh_streams,

@@ -594,3 +594,33 @@ def test_cli_runs_without_loading_scipy():
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+NO_POLYNOMIAL_SCRIPT = """
+import contextlib, io, sys
+import wildsim.cli
+from wildsim.kernel import make_kernel, spectral_functionals
+
+commands = [["identities", "--t", "0.5,1"], ["conserve", "--t", "0.5"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [wildsim.cli.main([*argv, "--kernel", "xabs", "--samples", "300", "--seed", "5"])
+             for argv in commands]
+assert all(code in (0, 3) for code in codes), codes
+assert "numpy.polynomial" not in sys.modules
+# a tabulated kernel's quadrature reads the Gauss-Legendre rule, which loads it
+spectral_functionals(make_kernel({"table": [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]]}))
+assert "numpy.polynomial" in sys.modules
+print("ok")
+"""
+
+
+def test_analytic_kernel_commands_leave_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule of tabulated kernels is computed on first use:
+    # numpy.polynomial and the first LAPACK call cost every command memory
+    src = str(Path(wildsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", NO_POLYNOMIAL_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

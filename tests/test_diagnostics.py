@@ -178,12 +178,12 @@ def test_conservation_shifted_mean(kernel):
 
 def _plain_velocity_task(nus, rng, *, mu0, kernel):
     """conserve's columns without controls: v1, v2, v3 and |v|^2, each
-    averaged over the root pair."""
+    averaged over the 16 root images."""
     record = germination_record(nus, kernel, rng)
-    pair = np.stack(replay(record, mu0.sampler(rng, record.n_leaves), mirror=True))
-    mean = pair.mean(axis=0)
+    images = replay(record, mu0.sampler(rng, record.n_leaves), images=True)
+    mean = images.mean(axis=0)
     return {"v1": mean[:, 0], "v2": mean[:, 1], "v3": mean[:, 2],
-            "energy": np.einsum("pij,pij->i", pair, pair) / 2.0}
+            "energy": np.einsum("pij,pij->i", images, images) / 16.0}
 
 
 @pytest.mark.parametrize("datum", ["shifted", "sampler", "unknown-m6", "tiny"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from golden import GOLDEN, VALUE_TOL, add_missing, drift, engine_digests, engine_values
 from oracles import cascade_trees, collide, is_rotation, leaf_weights, rotation_array
 from wildsim.diagnostics import _fourth_moment_task, _velocity_moments_task
-from wildsim.geometry import left_frame, right_frame
+from wildsim.geometry import frame_for, left_frame, right_frame
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import make_kernel
 from wildsim.sampler import (
@@ -173,7 +173,7 @@ def test_mirrored_root_is_the_collision_at_the_opposite_azimuth(seed, pairs, sca
     record = germination_record([2] * pairs + [1, 1], KERNEL, rng)
     velocities = scale * rng.standard_normal((record.n_leaves, 3))
     velocities[1] = velocities[0]  # an identical pair passes through unchanged
-    roots, mirrored = replay(record, velocities, mirror=True)
+    roots, mirrored = replay(record, velocities, images=True)[:2]
     assert np.array_equal(roots, replay(record, velocities))
     v, w = velocities[0:2 * pairs:2].T, velocities[1:2 * pairs:2].T
     opposite = collide(v, w, record.phis, record.thetas + math.pi)[0].T
@@ -182,14 +182,75 @@ def test_mirrored_root_is_the_collision_at_the_opposite_azimuth(seed, pairs, sca
     assert np.array_equal(mirrored[pairs:], velocities[2 * pairs:])  # nu = 1: the leaf
 
 
+def swapped(record, nodes, thetas):
+    """The record with the children of `nodes` swapped and their azimuths
+    set to thetas."""
+    children, azimuths = record.children.copy(), record.thetas.copy()
+    children[nodes] = children[nodes, ::-1]
+    azimuths[nodes] = thetas
+    return replace(record, children=children, thetas=azimuths)
+
+
+def collision_inputs(record, velocities, nodes):
+    """The (left, right) input velocities of the collisions at `nodes`, as
+    (3, k) blocks: plain replays gathered at the children's slots."""
+    return tuple(replay(replace(record, roots=slots[nodes]), velocities).T
+                 for slots in (record.left, record.right))
+
+
+def swapped_azimuths(v, w, thetas):
+    """The azimuths at which w colliding with v has first outgoing velocity
+    w - delta, delta the deflection of v by w at thetas: with
+    u = (w - v) / |w - v|, the azimuth that turns the transverse unit e of
+    frame_for(u) into -e in frame_for(-u), so omega becomes -omega.  A
+    pair with w = v keeps its azimuth (delta = 0 at any)."""
+    d = (w - v).T
+    norm = np.linalg.norm(d, axis=1, keepdims=True)
+    u = d / np.where(norm > 0.0, norm, 1.0)
+    plain, turned = frame_for(u), frame_for(-u)
+    e = np.cos(thetas)[:, None] * plain[..., 0] + np.sin(thetas)[:, None] * plain[..., 1]
+    out = np.arctan2(-np.sum(e * turned[..., 1], axis=1), -np.sum(e * turned[..., 0], axis=1))
+    return np.where(norm[:, 0] > 0.0, out, thetas)
+
+
+def plain_images(record, velocities):
+    """The 16 root images of `replay(..., images=True)` from 16 plain
+    replays, and the root collisions' four input pairs (v, w): image
+    8 o + 2 p + h replays the record with the children swapped, each
+    swapped node at its `swapped_azimuths`, at the root's children that
+    split for bit 0 (left) and bit 1 (right) of p, at the root for o = 1,
+    and with pi added to the root azimuth for h = 1."""
+    n, bounds = record.n_leaves, record.bounds
+    roots = np.arange(bounds[1] if len(bounds) > 1 else 0)  # the root nodes
+    images, pairs = np.empty((16, len(record.nus), 3)), []
+    for p in range(4):
+        tree = record
+        for bit, slots in ((1, record.left[roots]), (2, record.right[roots])):
+            nodes = slots[slots >= n] - n
+            if p & bit:
+                thetas = swapped_azimuths(*collision_inputs(tree, velocities, nodes),
+                                          tree.thetas[nodes])
+                tree = swapped(tree, nodes, thetas)
+        v, w = collision_inputs(tree, velocities, roots)
+        pairs.append((v, w))
+        for o in range(2):
+            image = swapped(tree, roots, swapped_azimuths(v, w, tree.thetas[roots])) if o else tree
+            for h in range(2):
+                thetas = image.thetas.copy()
+                thetas[roots] += h * math.pi
+                images[8 * o + 2 * p + h] = replay(replace(image, thetas=thetas), velocities)
+    return images, pairs
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, chunk_sizes, times)
-def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
-    """The paired estimator against the plain one: each statistic is the
-    mean of a plain replay of the record and of a replay with pi added to
-    every root azimuth, on the same leaf velocities; and so is each
-    controlled statistic, given a fourth- and a sixth-moment mean mu4 and
-    mu6."""
+def test_image_velocity_statistics_average_sixteen_plain_replays(seed, size, t):
+    """The image estimator against the plain one: `replay`'s 16 root
+    images are plain replays of the record with children swapped at the
+    root and at its children and with pi added to the root azimuth
+    (`plain_images`), on the same leaf velocities; each statistic is their
+    mean, and so is each controlled statistic, given a fourth- and a
+    sixth-moment mean mu4 and mu6."""
     nus, _ = sorted_sizes(t, rng_stream(seed), size)
     probe = np.array([0.6, 0.0, 0.8])
     stats = {**_velocity_moments_task(nus, rng_stream(seed, 1), SIXPOINT, KERNEL),
@@ -199,12 +260,11 @@ def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
     rng = rng_stream(seed, 1)
     record = germination_record(nus, KERNEL, rng)
     velocities = SIXPOINT.sampler(rng, record.n_leaves)
-    thetas = record.thetas.copy()
-    thetas[slice(*record.bounds[:2])] += math.pi  # the root level
-    pair = np.stack([replay(record, velocities),
-                     replay(replace(record, thetas=thetas), velocities)])
-    expected = {"v1": pair[..., 0], "v2": pair[..., 1], "v3": pair[..., 2],
-                "energy": np.sum(pair**2, axis=-1), "v1_fourth": (pair @ probe) ** 4}
+    images, _ = plain_images(record, velocities)
+    np.testing.assert_allclose(replay(record, velocities, images=True), images, rtol=1e-12,
+                               atol=1e-12)
+    expected = {"v1": images[..., 0], "v2": images[..., 1], "v3": images[..., 2],
+                "energy": np.sum(images**2, axis=-1), "v1_fourth": (images @ probe) ** 4}
     assert stats.keys() == expected.keys()
     for key, values in expected.items():
         np.testing.assert_allclose(stats[key], values.mean(axis=0), rtol=1e-12, atol=1e-12,
@@ -220,6 +280,26 @@ def test_paired_velocity_statistics_average_two_plain_replays(seed, size, t):
     for key, values in expected.items():
         np.testing.assert_allclose(controlled[key], values.mean(axis=0), rtol=1e-12,
                                    atol=1e-12, err_msg=key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, chunk_sizes, times)
+def test_root_images_conserve_momentum_and_energy(seed, size, t):
+    """For each of the root collision's four input pairs (v, w), its two
+    outgoing velocities v' and w' (images 2 p + h and 8 + 2 p + h) keep
+    v' + w' = v + w and |v'|^2 + |w'|^2 = |v|^2 + |w|^2, at the root
+    azimuth and at its half-turn."""
+    record, rng = chunk(seed, size, t)
+    velocities = SIXPOINT.sampler(rng, record.n_leaves)
+    images = replay(record, velocities, images=True)
+    _, pairs = plain_images(record, velocities)
+    for p, (v, w) in enumerate(pairs):
+        k = v.shape[1]  # the cascades that split
+        for h in range(2):
+            first, second = images[2 * p + h, :k], images[8 + 2 * p + h, :k]
+            np.testing.assert_allclose(first + second, (v + w).T, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(np.sum(first**2 + second**2, axis=1),
+                                       np.sum(v**2 + w**2, axis=0), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

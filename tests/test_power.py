@@ -6,8 +6,9 @@ t = 1 on the default grid with 20,000 cascades, `conserve` at t = 3, 4
 and 5 with 5,000 cascades, and `identities` on xabs at t = 0.5, 1, 2 and
 3 with 10,000 cascades.  The velocity scale defect monkeypatches `replay`
 in both `wildsim.sampler` (the empirical velocity draws of `crosscheck`
-and its pilot) and `wildsim.diagnostics` (`conserve`'s root pairs), so
-that every replayed velocity comes out scaled by SCALE.  The angle-law
+and its pilot) and `wildsim.diagnostics` (the root images of `conserve`
+and `decay --moment v1^4`), so that every replayed velocity comes out
+scaled by SCALE.  The angle-law
 defect monkeypatches `CollisionKernel.inverse_beta_cdf`, so that every
 drawn collision angle phi becomes min(pi, ANGLE_STRETCH phi).
 
@@ -47,12 +48,11 @@ def kernel():
 
 @pytest.fixture
 def scaled_engine(monkeypatch):
-    """Every velocity `replay` returns, the mirrored roots too, times SCALE."""
+    """Every velocity `replay` returns, each root image too, times SCALE."""
     original = sampler.replay
 
-    def scaled(record, velocities, mirror=False):
-        roots = original(record, velocities, mirror=mirror)
-        return tuple(SCALE * r for r in roots) if mirror else SCALE * roots
+    def scaled(record, velocities, images=False):
+        return SCALE * original(record, velocities, images=images)
 
     monkeypatch.setattr(sampler, "replay", scaled)
     monkeypatch.setattr(diagnostics, "replay", scaled)
@@ -88,16 +88,18 @@ def test_crosscheck_fails_a_velocity_scale_defect(kernel, scaled_engine):
 
 
 def test_plain_conserve_fails_a_velocity_scale_defect(kernel, scaled_engine):
-    """Energy's mean z reads 7.94 (0.06 on the unbroken engine)."""
+    """Energy's mean z reads 15.25 (0.28 on the unbroken engine; 7.94 when
+    each cascade read its root pair instead of its 16 root images)."""
     plain = replace(sixpoint_datum(), m6=None)
     assert not diagnostics._controls_exact(plain)
-    assert _mean_energy_z(plain, kernel) >= 4.0
+    assert _mean_energy_z(plain, kernel) >= 10.0
 
 
 @pytest.mark.xfail(strict=True, reason="the exact-mean controls cancel most of a scale "
                    "defect's shift in the energy column (ROADMAP, direction 1)")
 def test_controlled_conserve_fails_a_velocity_scale_defect(kernel, scaled_engine):
-    """Energy's mean z reads 1.24 (-0.18 on the unbroken engine)."""
+    """Energy's mean z reads 2.44 (-0.18 on the unbroken engine; 1.24 on
+    the root pair)."""
     controlled = sixpoint_datum()
     assert diagnostics._controls_exact(controlled)
     assert _mean_energy_z(controlled, kernel) >= 4.0

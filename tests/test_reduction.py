@@ -239,12 +239,13 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     monkeypatch.setattr(sampler, "MIN_STRATUM_DRAWS", 2)
     assert cli._run_id("identities", config, kernel, None) == base
     # the weight statistics' symmetrisation and tail pairing, and the velocity
-    # estimator's pairing and control rules, are named as well
+    # estimator's images and control rules, are named as well
     scheme = diagnostics.estimator_scheme()
     assert "mirror-symmetrised" in scheme["weight_sums"]
     assert "(g_L + g_R) / 2" in scheme["weight_sums"]
     assert "root pair" in scheme["weight_sums"]
-    assert "theta + pi" in scheme["velocity_pairing"]
+    assert "16 root images" in scheme["velocity_images"]
+    assert "theta + pi" in scheme["velocity_images"]
     assert "7 m2" in scheme["velocity_controls"]
     # and so is crosscheck's control rule: its pilot size and stream, its
     # powers and how (b2, b4) is fitted
@@ -256,23 +257,37 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     six, echo = sixpoint_datum(), {**config, "mu0": "sixpoint"}
     assert (cli._run_id("crosscheck", echo, kernel, replace(six, m4_tensor=2.0 * six.m4_tensor))
             != cli._run_id("crosscheck", echo, kernel, six))
+    # each rule moves the run ids of the commands that read it, and no others
+    runs = {name: (settings, mu0) for name, settings, mu0 in (
+        ("identities", config, None), ("decay W", {**config, "moment": "W"}, None),
+        ("decay v1^4", {**echo, "moment": "v1^4"}, six), ("conserve", echo, six),
+        ("crosscheck", echo, six), ("cfcurve", echo, six), ("envelope", echo, six),
+        ("simulate", echo, six), ("legendre", {"tree_size": 4, "seed": 1}, None))}
+
+    def moved(before):
+        return {name for name, run_id in run_ids().items() if run_id != before[name]}
+
+    def run_ids():
+        return {name: cli._run_id(name.split()[0], settings, kernel, mu0)
+                for name, (settings, mu0) in runs.items()}
+
+    ids, estimator_scheme = run_ids(), diagnostics.estimator_scheme
+    for rule, readers in (("weight_sums", {"identities", "decay W"}),
+                          ("velocity_images", {"conserve", "decay v1^4"}),
+                          ("velocity_controls", {"conserve"}),
+                          ("transform_controls", {"crosscheck"})):
+        monkeypatch.setattr(diagnostics, "estimator_scheme", lambda: {**scheme, rule: "none"})
+        assert moved(ids) == readers, rule
+    monkeypatch.setattr(diagnostics, "estimator_scheme", estimator_scheme)
+    assert moved(ids) == set()
     monkeypatch.setattr(diagnostics, "CONTROL_PILOT", 1000)
-    assert cli._run_id("identities", config, kernel, None) != base
+    assert moved(ids) == {"crosscheck"}
     monkeypatch.setattr(diagnostics, "CONTROL_PILOT", 2000)
-    assert cli._run_id("identities", config, kernel, None) == base
+    assert moved(ids) == set()
     monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 3))
-    assert cli._run_id("identities", config, kernel, None) != base
+    assert moved(ids) == {"crosscheck"}
     monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 2))
-    assert cli._run_id("identities", config, kernel, None) == base
-    monkeypatch.setattr(diagnostics, "estimator_scheme",
-                        lambda: {**scheme, "transform_controls": "none"})
-    assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(diagnostics, "estimator_scheme",
-                        lambda: {**scheme, "velocity_pairing": "none"})
-    assert cli._run_id("identities", config, kernel, None) != base
-    monkeypatch.setattr(diagnostics, "estimator_scheme",
-                        lambda: {**scheme, "velocity_controls": "none"})
-    assert cli._run_id("identities", config, kernel, None) != base
+    assert moved(ids) == set()
     # a report of the plain leaf sums and tail is another run
     decay = cli._run_id("decay", config, kernel, None)
     monkeypatch.setattr(diagnostics, "estimator_scheme", lambda: {**scheme, "weight_sums": "plain"})
