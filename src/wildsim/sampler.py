@@ -385,8 +385,8 @@ def replay(record: GerminationRecord, velocities, images: bool = False):
     children swapped if bit 0 of p is set, the right child's if bit 1 is,
     and the root azimuth turned by pi if h = 1.  Image 0 is the plain root
     and image 1 its half-turn, the same bits as the plain root and as
-    v + 2 cos^2(phi) (w - v) - root, its reflection through the mean over
-    the azimuth.  Swapping a node's children turns its output into its
+    2 (v + cos^2(phi) (w - v)) - root, its reflection through the mean
+    over the azimuth.  Swapping a node's children turns its output into its
     second outgoing velocity, w - delta = v + w - (v + delta), so level 1
     keeps both outputs (one subtraction), and the root collides its four
     input pairs (v, w), v the left child's first or second output and w the
