@@ -237,7 +237,7 @@ def _write_outputs(payload: dict, rows: list[dict], config) -> None:
 ESTIMATOR_RULES = {  # command: the entries of diagnostics.estimator_scheme it reads
     "identities": ("weight_sums",),
     "conserve": ("velocity_images", "velocity_controls"),
-    "crosscheck": ("transform_controls",),
+    "crosscheck": ("transform_controls", "transform_split"),
 }
 
 

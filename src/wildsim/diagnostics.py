@@ -64,6 +64,7 @@ MIN_FIT_TIMES = 4        # times a rate fit needs (a line through two has no res
 AZIMUTH_POINTS = 4       # equispaced azimuths per split: exact for P_k, k <= 3
 CONTROL_PILOT = 2000     # cascades of the pilot that fits crosscheck's control coefficients
 CONTROL_KEY = (5, 2)     # the pilot's stream key, apart from crosscheck's (5, 0) and (5, 1)
+TREE_SHARE = 0.5         # crosscheck's tree-side cascades per empirical-side cascade, rounded up
 
 
 def estimator_scheme() -> dict:
@@ -91,7 +92,10 @@ def estimator_scheme() -> dict:
                 "average of the least-squares fits on x^2 alone and on (x^2, x^4), "
                 "(b1, b3, b5) the least-squares fit (Gram-Schmidt in the orders x^2, x^4 "
                 "and x, x^3, x^5, unresolved regressors dropped), on a pilot of "
-                f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")}
+                f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}"),
+            "transform_split": (
+                f"crosscheck: the tree side draws ceil({TREE_SHARE} n) cascades from stream "
+                "(5, 0), the empirical side n, the --samples count, from stream (5, 1)")}
 
 
 # --- report containers --------------------------------------------------------
@@ -759,6 +763,39 @@ def _control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers) -> np.ndar
     return np.vstack([even, offset, odd])
 
 
+def _tree_samples(n_samples: int) -> int:
+    """The cascades crosscheck's tree side draws against n_samples on its
+    empirical side: ceil(TREE_SHARE n_samples), at least 1 for n_samples >= 1."""
+    return math.ceil(TREE_SHARE * n_samples)
+
+
+def _crosscheck_sides(mu0, kernel, fn, t, xi_grid, n_samples, seed, workers):
+    """The two transform estimates `representation_crosscheck` compares at
+    time t, each as (estimates, se_re, se_im) over xi_grid: the tree side
+    (`transform_sums`) from `_tree_samples(n_samples)` cascades on stream
+    (5, 0), then the empirical side (`_wild_cf_task`) from n_samples
+    cascades on stream (5, 1).  Given the kernel's functionals fn, the
+    empirical side carries the control variates whose coefficients
+    `_control_coefficients` fits on its pilot; with fn None it is plain.
+
+    The tree side draws fewer cascades because it costs 3 to 5 times as
+    much per cascade as the empirical side, with a third or less of its
+    standard error: for two independent samples the difference's variance
+    at fixed work is least at n_tree / n_empirical = (sigma_T / sigma_W)
+    sqrt(c_W / c_T) (Cochran, Sampling Techniques, 3rd ed., 5.5), about 0.2
+    at t = 1.  TREE_SHARE = 1/2 takes most of that gain and keeps the
+    `transform_grid` benchmark's largest standard error under 0.0025
+    (0.00241 at seed 1; 1/3 would read 0.00253)."""
+    tree = _transform_grid(transform_sums, mu0, kernel, t, xi_grid, _tree_samples(n_samples),
+                           seed, (5, 0), workers)
+    # after the tree side, so that its peak memory is not stacked on the pilot's
+    betas = (None if fn is None
+             else _control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers))
+    wild = _transform_grid(_wild_cf_task, mu0, kernel, t, xi_grid, n_samples, seed, (5, 1),
+                           workers, betas=betas)
+    return tree, wild
+
+
 def representation_crosscheck(
     mu0: InitialDatum,
     kernel: CollisionKernel,
@@ -778,7 +815,10 @@ def representation_crosscheck(
     randomness (weights/rotations vs folded collisions), so matching
     z-scores validate the representation itself.  The report passes when
     at least 95% of the frequencies match at each time; every time draws
-    from the same two streams, (5, 0) and (5, 1).
+    from the same two streams, (5, 0) and (5, 1).  The empirical side
+    draws n_samples cascades and the tree side, the costlier per cascade
+    and the less noisy, ceil(TREE_SHARE n_samples) (`_crosscheck_sides`);
+    each entry's params name both counts, n_tree and n_empirical.
 
     The empirical side carries control variates of exact mean
     (`_wild_cf_task`) when the datum meets `_controls_exact` (an exact
@@ -799,23 +839,19 @@ def representation_crosscheck(
         provenance += (", less control variates x^2 - 1, x^4 - E[x^4](t), x, x^3 and x^5 "
                        "of exact mean (x = v . xi / (|xi| sqrt(m2/3))), fitted on a pilot of "
                        f"{CONTROL_PILOT} cascades from stream {CONTROL_KEY}")
+    n_tree = _tree_samples(n_samples)
     for t in t_list:
-        est_tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, xi_grid,
-                                                     n_samples, seed, (5, 0), workers)
-        # after the tree side, so that its peak memory is not stacked on the pilot's
-        betas = (_control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers)
-                 if controlled else None)
-        est_wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, xi_grid,
-                                                     n_samples, seed, (5, 1), workers,
-                                                     betas=betas)
+        (tree, se_re_t, se_im_t), (wild, se_re_w, se_im_w) = _crosscheck_sides(
+            mu0, kernel, fn, t, xi_grid, n_samples, seed, workers)
         for i, xi in enumerate(xi_grid):
-            diff = est_tree[i] - est_wild[i]
+            diff = tree[i] - wild[i]
             se_re = math.hypot(se_re_t[i], se_re_w[i])
             se_im = math.hypot(se_im_t[i], se_im_w[i])
             report.entries.append(_check(
-                "transform_match", {"xi": list(map(float, xi)), "t": t}, abs(diff),
-                math.hypot(se_re, se_im), 0.0, provenance, z_threshold, two_sided=False,
-                parts=[(diff.real, se_re), (diff.imag, se_im)]))
+                "transform_match",
+                {"xi": list(map(float, xi)), "t": t, "n_tree": n_tree, "n_empirical": n_samples},
+                abs(diff), math.hypot(se_re, se_im), 0.0, provenance, z_threshold,
+                two_sided=False, parts=[(diff.real, se_re), (diff.imag, se_im)]))
     return report
 
 

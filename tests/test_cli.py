@@ -422,6 +422,17 @@ def test_crosscheck_writes_every_time(tmp_path):
     assert [float(row["mc_value"]) for row in rows] == [e["mc_value"] for e in entries]
 
 
+@pytest.mark.parametrize("samples", [1, 2])
+def test_crosscheck_runs_with_one_tree_cascade(samples, tmp_path, capsys):
+    """ceil(n / 2) is at least 1, so the smallest sample counts still run."""
+    out = tmp_path / "cross.json"
+    code = main(["crosscheck", "--t", "0.5", "--samples", str(samples), "--seed", "1",
+                 "--xi-grid", "[[1,0,0],[0,0.6,0.8]]", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED), capsys.readouterr().err
+    params = [entry["params"] for entry in json.loads(out.read_text())["entries"]]
+    assert [(p["n_tree"], p["n_empirical"]) for p in params] == [(1, samples)] * 2
+
+
 def test_max_rate_bounds_a_fitted_rate(tmp_path):
     out = tmp_path / "fit.json"
 

@@ -17,6 +17,7 @@ from wildsim.diagnostics import (
     _exact_sixth_moment,
     _least_squares,
     _transform_grid,
+    _tree_samples,
     _wild_cf_task,
     _z_score,
     cf_distance_curve,
@@ -45,11 +46,14 @@ from wildsim.initial import (
 from wildsim.kernel import cos_sin, l_s, make_kernel, spectral_functionals
 from wildsim.sampler import (
     cascade_velocities,
+    chunk_slices,
     germination_record,
     leaf_frames,
     mean_se,
     reduce_cascades,
     replay,
+    rng_stream,
+    sorted_sizes,
     transform_sums,
 )
 
@@ -135,7 +139,8 @@ def _fit_values(fit):
     return fit.values.tolist(), fit.std_errors.tolist(), fit.fitted_rate
 
 
-# each runs several chunks: at t = 2.5 the 3000 cascades hold about 36k leaves
+# each runs several chunks: at t = 2.5 the 3000 cascades hold about 36k leaves,
+# and crosscheck's tree side, 1500 cascades, about 18k
 CHUNKED_SUITES = {
     "crosscheck": lambda kernel, mu0, workers: report_values(representation_crosscheck(
         mu0, kernel, [2.5], small_grid(), 3000, seed=14, workers=workers)),
@@ -159,6 +164,14 @@ CHUNKED_SUITES = {
 def test_chunked_suites_reduce_identically_at_two_workers(suite, kernel, sixpoint):
     run = CHUNKED_SUITES[suite]
     assert run(kernel, sixpoint, 1) == run(kernel, sixpoint, 2)
+
+
+def test_chunked_crosscheck_spans_chunks_on_both_sides():
+    """The crosscheck run of CHUNKED_SUITES merges more than one chunk on
+    its tree side as well as on its empirical side."""
+    for key, n_samples in (((5, 0), _tree_samples(3000)), ((5, 1), 3000)):
+        nus, _ = sorted_sizes(2.5, rng_stream(14, *key), n_samples)
+        assert len(chunk_slices(nus)) >= 2, key
 
 
 def test_conservation_small(kernel, sixpoint):
@@ -226,9 +239,10 @@ def test_conservation_controls_keep_their_gain(kernel, sixpoint):
 
 def test_crosscheck_controls_keep_their_gain(kernel, sixpoint):
     """The `transform_grid` benchmark's crosscheck run: with the x^4 and x^5
-    controls every standard error stays at or below 0.0025 (0.0023 at this
-    seed, 0.0021 with the full least-squares b4 and 0.0042 with the x^2, x
-    and x^3 controls alone)."""
+    controls every standard error stays at or below 0.0025 (0.0024 at this
+    seed; with 20,000 cascades on the tree side too, 0.0023, 0.0021 with the
+    full least-squares b4 and 0.0042 with the x^2, x and x^3 controls
+    alone)."""
     report = representation_crosscheck(sixpoint, kernel, [1.0], default_xi_grid(), 20_000,
                                        seed=1)
     assert max(e.mc_se for e in report.entries) <= 0.0025
@@ -337,6 +351,16 @@ def test_crosscheck_pass_fraction_holds_at_each_time():
     assert uneven.pass_fraction == 0.95
     assert not uneven.passed
     assert report(1, 1).passed
+
+
+def test_crosscheck_entries_name_each_sides_cascades(kernel, sixpoint):
+    """The tree side draws ceil(n / 2) cascades, at least one, and the
+    empirical side n; every entry names both counts."""
+    for n, n_tree in ((1, 1), (2, 1), (301, 151)):
+        report = representation_crosscheck(sixpoint, kernel, [0.5, 1.0], small_grid(), n,
+                                           seed=47)
+        assert {(e.params["n_tree"], e.params["n_empirical"])
+                for e in report.entries} == {(n_tree, n)}
 
 
 def test_representation_crosscheck_zero_time(kernel, sixpoint):
@@ -645,7 +669,9 @@ def test_crosscheck_falls_back_to_the_plain_empirical_transform(kernel, datum):
     assert not _controls_exact(mu0) or mu0.m4_tensor is None
     grid, n, seed = small_grid(), 300, 45
     report = representation_crosscheck(mu0, kernel, [1.0], grid, n, seed=seed)
-    tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, 1.0, grid, n,
+    n_tree = report.entries[0].params["n_tree"]
+    assert n_tree == _tree_samples(n) == 150
+    tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, 1.0, grid, n_tree,
                                              seed, (5, 0), 1)
     sums = reduce_cascades(_plain_wild_task, seed, (5, 1), 1, 1.0, n,
                            mu0=mu0, kernel=kernel, xi_grid=grid)

@@ -10,7 +10,11 @@ and its pilot) and `wildsim.diagnostics` (the root images of `conserve`
 and `decay --moment v1^4`), so that every replayed velocity comes out
 scaled by SCALE.  The angle-law
 defect monkeypatches `CollisionKernel.inverse_beta_cdf`, so that every
-drawn collision angle phi becomes min(pi, ANGLE_STRETCH phi).
+drawn collision angle phi becomes min(pi, ANGLE_STRETCH phi).  The frame
+defect monkeypatches `leaf_frames` in `wildsim.sampler`, which only
+`crosscheck`'s tree side reads here, so that each split hands its left
+collision frame to its right subtree and its right frame to its left one,
+while the leaf weights stay as they were.
 
 `conserve`'s exact-mean controls keep each column unbiased on correct
 code, but their means come from the same theory the check tests, so under
@@ -31,6 +35,7 @@ import pytest
 import wildsim.diagnostics as diagnostics
 import wildsim.sampler as sampler
 from wildsim.cli import default_xi_grid
+from wildsim.geometry import RotationArray, collision_frames
 from wildsim.initial import sixpoint_datum
 from wildsim.kernel import CollisionKernel, make_kernel
 
@@ -69,6 +74,19 @@ def stretched_angles(monkeypatch):
     monkeypatch.setattr(CollisionKernel, "inverse_beta_cdf", stretched)
 
 
+@pytest.fixture
+def swapped_frames(monkeypatch):
+    """`leaf_frames` with each split's left and right collision frames
+    exchanged; the weights, cos phi to the left and sin phi to the right,
+    are unchanged, so sum_j w_j^2 = 1 still holds for every cascade."""
+    def swapped(record):
+        weights = sampler.grow(record, np.cos(record.phis), np.sin(record.phis), 1.0)
+        left, right = collision_frames(record.phis, record.thetas)
+        return weights, RotationArray(rotations=sampler.grow(record, right, left, np.eye(3)))
+
+    monkeypatch.setattr(sampler, "leaf_frames", swapped)
+
+
 def _mean_energy_z(mu0, kernel):
     z = [entry.z_score
          for seed in SEEDS
@@ -80,7 +98,21 @@ def _mean_energy_z(mu0, kernel):
 
 
 def test_crosscheck_fails_a_velocity_scale_defect(kernel, scaled_engine):
-    """Each seed fails 12 entries, with a largest z of 10.76 to 10.98."""
+    """Each seed fails 12 entries, with a largest z of 10.56 to 11.25
+    (10.76 to 10.98 when the tree side drew 20,000 cascades too)."""
+    for seed in SEEDS:
+        report = diagnostics.representation_crosscheck(
+            sixpoint_datum(), kernel, [1.0], default_xi_grid(), 20_000, seed)
+        assert not report.passed, seed
+
+
+def test_crosscheck_fails_a_frame_placement_defect(kernel, swapped_frames):
+    """A defect on the tree side alone, which keeps the weights normalised
+    (a plain weight scale would not, and reads z of about 300).  Each seed
+    fails all 20 entries, with a largest z of 19.74 to 22.20."""
+    record = sampler.germination_record(np.array([6, 3, 1]), kernel, sampler.rng_stream(1))
+    weights, _ = sampler.leaf_frames(record)
+    np.testing.assert_allclose(record.per_cascade(weights**2), 1.0, rtol=1e-14)
     for seed in SEEDS:
         report = diagnostics.representation_crosscheck(
             sixpoint_datum(), kernel, [1.0], default_xi_grid(), 20_000, seed)

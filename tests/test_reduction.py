@@ -16,9 +16,7 @@ from wildsim.diagnostics import (
     IdentityEntry,
     IdentityReport,
     _check,
-    _control_coefficients,
-    _transform_grid,
-    _wild_cf_task,
+    _crosscheck_sides,
     conservation_check,
     run_identity_suite,
 )
@@ -34,7 +32,6 @@ from wildsim.sampler import (
     size_strata,
     sorted_sizes,
     summarize,
-    transform_sums,
     weight_sums,
 )
 
@@ -253,6 +250,8 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     assert "x^4 - E[x^4](t)" in scheme["transform_controls"]
     assert "b5 x^5" in scheme["transform_controls"]
     assert "average of the least-squares fits" in scheme["transform_controls"]
+    # and how crosscheck splits its cascades between its two sides
+    assert "ceil(0.5 n)" in scheme["transform_split"]
     # E[x^4](t) reads the datum's fourth-moment tensor, which its echo names
     six, echo = sixpoint_datum(), {**config, "mu0": "sixpoint"}
     assert (cli._run_id("crosscheck", echo, kernel, replace(six, m4_tensor=2.0 * six.m4_tensor))
@@ -275,7 +274,8 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     for rule, readers in (("weight_sums", {"identities", "decay W"}),
                           ("velocity_images", {"conserve", "decay v1^4"}),
                           ("velocity_controls", {"conserve"}),
-                          ("transform_controls", {"crosscheck"})):
+                          ("transform_controls", {"crosscheck"}),
+                          ("transform_split", {"crosscheck"})):
         monkeypatch.setattr(diagnostics, "estimator_scheme", lambda: {**scheme, rule: "none"})
         assert moved(ids) == readers, rule
     monkeypatch.setattr(diagnostics, "estimator_scheme", estimator_scheme)
@@ -287,6 +287,10 @@ def test_run_id_names_the_reduction(kernel, monkeypatch):
     monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 3))
     assert moved(ids) == {"crosscheck"}
     monkeypatch.setattr(diagnostics, "CONTROL_KEY", (5, 2))
+    assert moved(ids) == set()
+    monkeypatch.setattr(diagnostics, "TREE_SHARE", 1.0)
+    assert moved(ids) == {"crosscheck"}
+    monkeypatch.setattr(diagnostics, "TREE_SHARE", 0.5)
     assert moved(ids) == set()
     # a report of the plain leaf sums and tail is another run
     decay = cli._run_id("decay", config, kernel, None)
@@ -399,22 +403,27 @@ CROSSCHECK_DATA = {
 @pytest.mark.parametrize("datum", ["sixpoint", "gaussian", "mixture"])
 def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
     """The same sweep for `crosscheck` at t = 1: the real and imaginary
-    z-scores of the tree side (stream (5, 0)) minus the controlled empirical
-    side (stream (5, 1), coefficients from the pilot on (5, 2)) have mean 0
-    and sd 1 within 4 sigma at every frequency, so the pilot's coefficients
-    bias neither the estimate nor its standard error.  The grid is
+    z-scores of the tree side (stream (5, 0), 1,000 cascades) minus the
+    controlled empirical side (stream (5, 1), 2,000 cascades, coefficients
+    from the pilot on (5, 2)), as `_crosscheck_sides` splits them, have
+    mean 0 and sd 1 within 4 sigma at every frequency, so neither the
+    pilot's coefficients nor the smaller tree side bias the estimate or its
+    standard error.  The grid is
     test_diagnostics.small_grid (|xi| sigma 0.8 to 1.53) and the default
     grid's |xi| sigma = 2.2 shell, the one the `transform_grid` benchmark's
     largest standard errors sit on.
 
     The controlled real parts lean with the skew of what their controls
     leave (`_control_coefficients`).  Over these seeds the largest real z
-    means are +0.149, +0.063 and +0.145 (sixpoint, Gaussian, mixture) on
-    the small grid and +0.092, -0.056 and +0.033 on the shell.  With the
-    full least-squares (b2, b4) they would be -0.42 and -0.50 (Gaussian and
-    mixture, small grid) and -0.199 (sixpoint, shell); with x^2 alone +0.18
-    (mixture, small grid).  The default grid's |xi| sigma = 0.6 shell, not swept here,
-    leans most: +0.197 for the mixture (+0.222 with x^2 alone).  The
+    means are +0.135, +0.063 and +0.145 (sixpoint, Gaussian, mixture) on
+    the small grid and +0.080, -0.056 and +0.033 on the shell, and the sds
+    run from 0.873 to 1.083.  With 2,000 cascades on both sides, sixpoint's
+    read +0.149 and +0.092 (the Gaussian's tree side is exact, so its z
+    does not move), and with the full least-squares (b2, b4) they would
+    be -0.42 and -0.50 (Gaussian and mixture, small grid) and -0.199
+    (sixpoint, shell); with x^2 alone +0.18 (mixture, small grid).  The
+    default grid's |xi| sigma = 0.6 shell, not swept here, leans most:
+    +0.197 for the mixture (+0.222 with x^2 alone).  The
     control means are exact (over 2e7 plain cascades at t = 1, E[(u . v)^4]
     met `_exact_fourth_powers` within |z| <= 1.8 along five directions for
     sixpoint and the mixture)."""
@@ -427,11 +436,8 @@ def test_crosscheck_z_scores_are_calibrated_across_seeds(kernel, datum):
     fn = spectral_functionals(kernel)
     z = []
     for seed in SWEEP_SEEDS:
-        tree, se_re_t, se_im_t = _transform_grid(transform_sums, mu0, kernel, t, grid,
-                                                 n_samples, seed, (5, 0), 1)
-        betas = _control_coefficients(mu0, kernel, fn, t, grid, seed, 1)
-        wild, se_re_w, se_im_w = _transform_grid(_wild_cf_task, mu0, kernel, t, grid,
-                                                 n_samples, seed, (5, 1), 1, betas=betas)
+        (tree, se_re_t, se_im_t), (wild, se_re_w, se_im_w) = _crosscheck_sides(
+            mu0, kernel, fn, t, grid, n_samples, seed, 1)
         diff = tree - wild
         z.append(np.concatenate([diff.real / np.hypot(se_re_t, se_re_w),
                                  diff.imag / np.hypot(se_im_t, se_im_w)]))
