@@ -354,13 +354,13 @@ def test_crosscheck_pass_fraction_holds_at_each_time():
 
 
 def test_crosscheck_entries_name_each_sides_cascades(kernel, sixpoint):
-    """The tree side draws ceil(n / 2) cascades, at least one, and the
-    empirical side n; every entry names both counts."""
-    for n, n_tree in ((1, 1), (2, 1), (301, 151)):
-        report = representation_crosscheck(sixpoint, kernel, [0.5, 1.0], small_grid(), n,
-                                           seed=47)
-        assert {(e.params["n_tree"], e.params["n_empirical"])
-                for e in report.entries} == {(n_tree, n)}
+    """The tree side draws ceil(n / 2) cascades and the empirical side n;
+    every entry, at every time, names both counts."""
+    report = representation_crosscheck(sixpoint, kernel, [0.5, 1.0], small_grid(), 301,
+                                       seed=47)
+    assert len(report.entries) == 2 * len(small_grid())
+    assert {(e.params["n_tree"], e.params["n_empirical"])
+            for e in report.entries} == {(151, 301)}
 
 
 def test_representation_crosscheck_zero_time(kernel, sixpoint):
