@@ -408,18 +408,20 @@ COMMANDS = {  # name: (function, the settings it reads)
 ONE_TIME = ("envelope", "simulate")  # the commands that run at one time
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given the name of one, of that
+    command alone: its subparser is the one the full parser holds."""
     parser = argparse.ArgumentParser(
         prog="wildsim",
         description="Monte Carlo verification suite for Maxwellian collision cascades",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, reads) in COMMANDS.items():
+    for name in [command] if command in COMMANDS else COMMANDS:
         # no abbreviations: legendre's --t would be read as --tree-size
         cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.set_defaults(command_parser=cmd)
         cmd.add_argument("--config", help="JSON config file (flags override it)")
-        for key in reads:
+        for key in COMMANDS[name][1]:
             setting = SETTINGS[key]
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help,
                              type=setting.kind if setting.kind in (int, float) else None,
@@ -428,7 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
+    """Run the command argv names (sys.argv[1:] by default) and return its
+    exit code.  When argv[0] names a command only that command's parser is
+    built; --help, a misspelt command or no arguments build all eight, so
+    the top-level usage lists every command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, unread = build_parser(argv[0] if argv else None).parse_known_args(argv)
     if unread:  # shown with the command's own usage, which lists its flags
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:

@@ -40,6 +40,7 @@ from .kernel import S_POWERS, CollisionKernel, KernelFunctionals, cos_sin, spect
 from .sampler import (
     cascade_velocities,
     draw_total,
+    frequency_rays,
     germination_record,
     grow,
     leaf_frames,
@@ -344,31 +345,35 @@ def _wild_cf_task(nus, rng, mu0, kernel, xi_grid, betas=None):
     Given betas, rows (b2, b4, c, b1, b3, b5) per frequency
     (`_control_coefficients`), each column at a nonzero frequency carries
     control variates of exactly known mean instead: with
-    x = p / (|xi| sigma) = v . u / sigma, where u = xi / |xi| and
-    sigma^2 = m2 / 3, cos p - (b2 x^2 + b4 x^4 - c) and
-    sin p - (b1 x + b3 x^3 + b5 x^5), where c is the exact mean of
-    b2 x^2 + b4 x^4.  The odd controls have mean 0 for a datum that meets
-    the premises of `_controls_exact`, so each column keeps its mean.  The
-    columns are made one frequency at a time from the draws, so no block of
-    phases is held beside the re and im blocks; these are column-major, so
-    each column is contiguous and its moments sum as a one-dimensional
-    array's.  A zero frequency keeps its exact (1, 0)."""
+    x = v . u / sigma, where u = xi / |xi| and sigma^2 = m2 / 3,
+    cos p - (b2 x^2 + b4 x^4 - c) and sin p - (b1 x + b3 x^3 + b5 x^5),
+    where c is the exact mean of b2 x^2 + b4 x^4.  The odd controls have
+    mean 0 for a datum that meets the premises of `_controls_exact`, so
+    each column keeps its mean.  x and x^2 depend on the direction alone,
+    so they are made once per direction (`frequency_rays`); per frequency
+    only p = |xi| sigma x, its cos and sin and the two Horner steps.  No
+    block of phases is held beside the re and im blocks; these are
+    column-major, so each column is contiguous and its moments sum as a
+    one-dimensional array's.  A zero frequency keeps its exact (1, 0)."""
     xi_grid = np.asarray(xi_grid)
     if betas is None:
         re, im = cos_sin(cascade_velocities(nus, rng, mu0=mu0, kernel=kernel) @ xi_grid.T)
         return {"re": re, "im": im}
     velocities = cascade_velocities(nus, rng, mu0=mu0, kernel=kernel)
-    units = np.linalg.norm(xi_grid, axis=1) * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
-    re = np.empty((len(velocities), len(xi_grid)), order="F")
+    sigma = math.sqrt(mu0.m2 / 3.0)
+    rhos, units, rays = frequency_rays(xi_grid)
+    re = np.empty((len(velocities), len(rhos)), order="F")
     im = np.empty_like(re)
-    for i, (b2, b4, c, b1, b3, b5) in enumerate(betas.T):
-        p = velocities @ xi_grid[i]
-        re[:, i], im[:, i] = cos_sin(p)
-        if units[i] > 0.0:  # polynomials in x^2, in place
-            x = np.divide(p, units[i], out=p)
-            square = x * x
-            control = _horner(square, (b4, b2, -c), np.empty_like(square))
-            re[:, i] -= control
+    re[:, rhos == 0.0], im[:, rhos == 0.0] = 1.0, 0.0
+    for members in rays:
+        x = velocities @ units[members[0]]
+        x /= sigma
+        square = x * x
+        control = np.empty_like(square)
+        for i in members:  # p = |xi| sigma x, then polynomials in x^2, in place
+            b2, b4, c, b1, b3, b5 = betas[:, i]
+            re[:, i], im[:, i] = cos_sin(np.multiply(x, rhos[i] * sigma, out=control))
+            re[:, i] -= _horner(square, (b4, b2, -c), control)
             _horner(square, (b5, b3, b1), control)
             control *= x
             im[:, i] -= control
@@ -726,14 +731,16 @@ def _control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers) -> np.ndar
     coefficients, one column per frequency, fitted on CONTROL_PILOT velocity
     draws at time t from stream CONTROL_KEY, which no estimate reads, so
     the coefficients are independent of the draws they correct.  Per
-    nonzero frequency, with p = xi . v and x = p / (|xi| sigma) of variance
-    1, sin p is regressed on (x, x^3, x^5), and cos p on x^2 and on
-    (x^2, x^4), each with an intercept, from one pass of the pilot's cross
-    products (`_least_squares`); (b2, b4) is the average of the two cos p
-    fits.  c = b2 + b4 E[x^4](t) (`_exact_fourth_powers`) is the exact mean
-    of b2 x^2 + b4 x^4.  Where a power is a combination of those before it,
-    as for discrete data at t = 0, its b is 0, not what rounding alone would
-    set.  A zero frequency keeps every row 0.
+    nonzero frequency, with p = xi . v and x = v . u / sigma of variance 1
+    (u = xi / |xi|), sin p is regressed on (x, x^3, x^5), and cos p on x^2
+    and on (x^2, x^4), each with an intercept, from one pass of the pilot's
+    cross products (`_least_squares`); (b2, b4) is the average of the two
+    cos p fits.  The centred powers of x depend on the direction alone, so
+    they are made once per direction (`frequency_rays`), and only cos p and
+    sin p per frequency.  c = b2 + b4 E[x^4](t) (`_exact_fourth_powers`) is
+    the exact mean of b2 x^2 + b4 x^4.  Where a power is a combination of
+    those before it, as for discrete data at t = 0, its b is 0, not what
+    rounding alone would set.  A zero frequency keeps every row 0.
 
     Any fixed coefficients keep each column's mean.  Far out in x what
     the controls leave is their own polynomial, which skews the column, and
@@ -742,24 +749,29 @@ def _control_coefficients(mu0, kernel, fn, t, xi_grid, seed, workers) -> np.ndar
     full fit's variance gain, and its leans largely cancel."""
     velocities = wild_velocity_batch(t, mu0, kernel, seed, CONTROL_PILOT, workers,
                                      key=CONTROL_KEY)
-    norms = np.linalg.norm(xi_grid, axis=1)
-    units = norms * math.sqrt(mu0.m2 / 3.0)  # |xi| sigma
-    cov = np.zeros((len(xi_grid), 7, 7))  # of x^2, x^4, x, x^3, x^5, cos p and sin p
-    for i in np.flatnonzero(units):
-        p = velocities @ xi_grid[i]
-        x = p / units[i]
-        square = x * x
-        fourth = square * square
-        columns = np.array([square, fourth, x, square * x, fourth * x, *cos_sin(p)])
-        columns -= columns.mean(axis=1, keepdims=True)
-        cov[i] = columns @ columns.T
+    sigma = math.sqrt(mu0.m2 / 3.0)
+    rhos, units, rays = frequency_rays(xi_grid)
+    cov = np.zeros((len(rhos), 7, 7))
+    columns = np.empty((7, len(velocities)))  # x^2, x^4, x, x^3, x^5, cos p and sin p
+    square, fourth, x, cube, fifth, cos, sin = columns
+    for members in rays:  # the powers of x once per direction, centred
+        projection = velocities @ units[members[0]]
+        np.divide(projection, sigma, out=x)
+        np.multiply(x, x, out=square)
+        np.multiply(square, square, out=fourth)
+        np.multiply(square, x, out=cube)
+        np.multiply(fourth, x, out=fifth)
+        columns[:5] -= columns[:5].mean(axis=1, keepdims=True)
+        for i in members:
+            cos[:], sin[:] = cos_sin(rhos[i] * projection)
+            columns[5:] -= columns[5:].mean(axis=1, keepdims=True)
+            cov[i] = columns @ columns.T
     even = _least_squares(cov, [0, 1], 5)  # averaged with the fit on x^2 alone
     even[0] += _least_squares(cov, [0], 5)[0]
     even *= 0.5
     odd = _least_squares(cov, [2, 3, 4], 6)
-    directions = xi_grid / np.where(norms > 0.0, norms, 1.0)[:, None]
-    x4_means = _exact_fourth_powers(mu0, fn, t, directions) / (mu0.m2 / 3.0) ** 2
-    offset = np.where(units > 0.0, even[0] + even[1] * x4_means, 0.0)
+    x4_means = _exact_fourth_powers(mu0, fn, t, units) / (mu0.m2 / 3.0) ** 2
+    offset = np.where(rhos > 0.0, even[0] + even[1] * x4_means, 0.0)
     return np.vstack([even, offset, odd])
 
 

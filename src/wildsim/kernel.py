@@ -330,13 +330,12 @@ def _symmetry_residual(fn, n_grid=SYMMETRY_GRID) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _simpson_first_halves(y, dx):
-    """Simpson integral over the first interval of each node triple, for
-    unequal widths (Cartwright 2017, eq. 8); on reversed inputs, over the
-    second.  Written operation for operation as scipy.integrate's
-    cumulative_simpson does it, so tables match it bit for bit."""
-    x21, x32 = dx[:-1], dx[1:]
-    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+def _simpson_first_halves(f1, f2, f3, x21, x32):
+    """Simpson integral over the first interval of each node triple
+    (f1, f2, f3) with widths (x21, x32), for unequal widths (Cartwright
+    2017, eq. 8); on a triple given in reverse, over its second interval.
+    Written operation for operation as scipy.integrate's cumulative_simpson
+    does it, so tables match it bit for bit."""
     x31 = x21 + x32
     x21_x31 = x21 / x31
     x21_x32 = x21 / x32
@@ -348,16 +347,21 @@ def _simpson_first_halves(y, dx):
 
 
 def _cumulative_simpson(y, x):
-    """Cumulative Simpson integral of samples y(x) from x[0], starting at 0:
-    even intervals take the forward three-node rule, odd ones (and the
-    last) the backward one."""
+    """Cumulative Simpson integral of samples y(x) from x[0], starting at 0.
+    The node triples (0, 1, 2), (2, 3, 4), ... give their first interval
+    by the forward three-node rule and their second by the backward one;
+    with an odd number of intervals the last takes the backward rule on the
+    last three nodes.  scipy evaluates both rules on every triple and keeps
+    these, so only these are evaluated."""
     dx = np.diff(x)
-    forward = _simpson_first_halves(y, dx)
-    backward = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+    n = len(dx) // 2
     pieces = np.empty(len(dx))
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
+    pieces[:2 * n:2] = _simpson_first_halves(
+        y[:2 * n:2], y[1:2 * n:2], y[2:2 * n + 1:2], dx[:2 * n:2], dx[1:2 * n:2])
+    pieces[1:2 * n:2] = _simpson_first_halves(
+        y[2:2 * n + 1:2], y[1:2 * n:2], y[:2 * n:2], dx[1:2 * n:2], dx[:2 * n:2])
+    if len(dx) % 2:
+        pieces[-1:] = _simpson_first_halves(y[-1:], y[-2:-1], y[-3:-2], dx[-1:], dx[-2:-1])
     return np.concatenate([[0.0], np.cumsum(pieces)])
 
 

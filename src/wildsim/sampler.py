@@ -76,6 +76,8 @@ symmetric law).  The leaf directions psi_j = B R_j e3 depend on xi / rho
 alone, so the grid is evaluated one direction at a time: psi_j and S, or
 the projection of w_j psi_j (`initial.Transform`), once per direction,
 then per frequency one scaling by rho or one evaluation of the profile.
+The conditional product of a cascade with nu = 1 is the same for all of
+them, so each chunk evaluates it once.
 """
 
 from __future__ import annotations
@@ -728,6 +730,20 @@ def weight_sums(nus, rng, *, kernel: CollisionKernel, s_powers=(1, 2, 3, 4),
     return {**{key: columns[key] for key in keys}, **stats}
 
 
+def frequency_rays(xi_grid):
+    """The radii rho = |xi| of a grid's frequencies, their unit vectors
+    xi / rho (0 at xi = 0), and the index lists of the nonzero frequencies
+    that share one unit vector (compared as bytes), in grid order, for the
+    work that depends on a frequency's direction alone."""
+    xi_grid = np.asarray(xi_grid, float)
+    rhos = np.linalg.norm(xi_grid, axis=1)
+    units = xi_grid / np.where(rhos > 0.0, rhos, 1.0)[:, None]
+    rays = {}
+    for i in np.flatnonzero(rhos):
+        rays.setdefault(units[i].tobytes(), []).append(i)
+    return rhos, units, list(rays.values())
+
+
 def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_grid) -> dict:
     """Per-cascade transform estimator at every grid frequency, as real
     parts 're' and imaginary parts 'im' of shape (cascades, frequencies)
@@ -737,39 +753,49 @@ def transform_sums(nus, rng, *, mu0: InitialDatum, kernel: CollisionKernel, xi_g
     prod_j cf(rho w_j psi_j); any other takes exp(i rho S) with velocities
     drawn at the leaves.  The leaf directions psi_j depend on the
     frequency's direction xi / rho alone, so frequencies that share one
-    (as bytes) share one psi: the conditional path projects w_j psi_j
-    (cf.project) once per direction and evaluates cf.profile at rho per
-    frequency, the raw path reduces S = sum_j w_j psi_j . V_j once per
-    direction and takes cos and sin of rho S per frequency.  Memory stays O(leaves + cascades x frequencies).
-    The output columns are stored contiguously, so each frequency's moments
-    sum in the same order as a one-dimensional array's.
+    (`frequency_rays`) share one psi: the conditional path projects
+    w_j psi_j (cf.project) once per direction and evaluates cf.profile at
+    rho per frequency, the raw path reduces S = sum_j w_j psi_j . V_j once
+    per direction and takes cos and sin of rho S per frequency.  On the
+    conditional path every cascade with nu = 1 has weight 1 and the
+    identity rotation, so one value.  They end the chunk (sizes descend)
+    and draw no angle, so the record stops at the first of them (the
+    second in a chunk of them alone) and its row is copied to the rest,
+    bit for bit what each would give.  Memory stays O(leaves + cascades x
+    frequencies).  The output columns are stored contiguously, so each
+    frequency's moments sum in the same order as a one-dimensional array's.
     """
-    record = germination_record(nus, kernel, rng)
+    cf = mu0.cf
+    head = len(nus)
+    if cf is not None:  # up to the first of the nu = 1 cascades that end the
+        # chunk, and two at least: a one-row matrix-vector product takes
+        # another path in numpy, with other roundoff
+        split = np.flatnonzero(np.asarray(nus) > 1)
+        head = min(head, 2 + (int(split[-1]) if len(split) else 0))
+        del split
+    # the cascades past head have no node, so their record draws what the
+    # whole chunk's would
+    record = germination_record(nus[:head], kernel, rng)
     weights, rotations = leaf_frames(record)
     # the third columns as contiguous rows, which the matmuls read faster;
     # the (leaves, 3, 3) rotations are freed before the first cf call
     columns = np.ascontiguousarray(rotations.third_columns())
     del rotations
-    cf = mu0.cf
     if cf is None:
         velocities = mu0.sampler(rng, record.n_leaves)
-    xi_grid = np.asarray(xi_grid, float)
-    rhos = np.linalg.norm(xi_grid, axis=1)
-    units = xi_grid / np.where(rhos > 0.0, rhos, 1.0)[:, None]
-    real = np.empty((len(nus), len(xi_grid)), order="F")
-    imag = np.empty((len(nus), len(xi_grid)), order="F")
+    rhos, units, rays = frequency_rays(xi_grid)
+    real = np.empty((len(nus), len(rhos)), order="F")
+    imag = np.empty((len(nus), len(rhos)), order="F")
     real[:, rhos == 0.0], imag[:, rhos == 0.0] = 1.0, 0.0
-    directions = {}
-    for i in np.flatnonzero(rhos):
-        directions.setdefault(units[i].tobytes(), []).append(i)
-    for members in directions.values():
+    for members in rays:
         psi = columns @ frame_for(units[members[0]]).T
         if cf is not None:
             psi *= weights[:, None]
             projection = cf.project(psi)
             for i in members:
                 values = record.per_cascade(cf.profile(projection, rhos[i]), np.multiply)
-                real[:, i], imag[:, i] = values.real, values.imag
+                real[:head, i], imag[:head, i] = values.real, values.imag
+                real[head:, i], imag[head:, i] = values[-1].real, values[-1].imag
         else:
             s = record.per_cascade(weights * np.einsum("ji,ji->j", psi, velocities))
             for i in members:

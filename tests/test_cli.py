@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 import wildsim
 from wildsim import diagnostics, sampler
-from wildsim.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from wildsim.cli import (
+    COMMANDS,
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    build_parser,
+    main,
+)
 from wildsim.sampler import LEAF_BUDGET, weight_sums
 
 
@@ -331,6 +339,33 @@ def test_command_rejects_a_setting_it_does_not_read(argv, tmp_path, capsys):
     assert main([*argv[:-1], *samples, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_is_the_full_parsers_subparser(command, capsys):
+    """main builds only the parser of the command argv[0] names: its help
+    is the full build's, and an unknown flag prints that same usage and
+    exits 2."""
+    def subparser(parser):
+        return parser.parse_known_args([command])[0].command_parser
+
+    full, alone = subparser(build_parser()), subparser(build_parser(command))
+    assert alone.format_help() == full.format_help()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"{full.format_usage()}{full.prog}: error: unrecognized arguments: --no-such-flag\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["crosschek"], ["--help"]])
+def test_no_command_lists_every_command(argv, capsys):
+    """Without a command, or with a misspelt one, the usage lists all eight."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == (0 if argv == ["--help"] else 2)
+    captured = capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
 
 
 SUITE_ARGS = {

@@ -30,6 +30,7 @@ from wildsim.kernel import (
     _GK_NODES,
     _GK_RULES,
     _build_beta_table,
+    _cumulative_simpson,
     a4,
     cos_sin,
     cosine,
@@ -298,6 +299,19 @@ def test_beta_table_equals_scipy_cumulative_simpson(name):
     want_phi, want_cdf = _scipy_beta_table(evaluator)
     assert np.array_equal(phi, want_phi)
     assert np.array_equal(cdf, want_cdf)
+
+
+@pytest.mark.parametrize("nodes", [3, 4, 5, 6, 17, 30])
+def test_cumulative_simpson_equals_scipy_on_uneven_nodes(nodes):
+    """Every interval count, odd (the last interval by the backward rule on
+    the last three nodes) and even, on unequal widths, bit for bit."""
+    from scipy import integrate
+
+    rng = np.random.default_rng(nodes)
+    x = np.cumsum(rng.random(nodes) + 0.1)
+    y = rng.standard_normal(nodes)
+    assert np.array_equal(_cumulative_simpson(y, x),
+                          integrate.cumulative_simpson(y, x=x, initial=0.0))
 
 
 @pytest.mark.parametrize("name", ["xabs", "cubic", "sqrtmix", "blend", "table", "truncated"])

@@ -221,6 +221,36 @@ def test_transform_sums_match_each_frequency_alone(kernel, grid, make_datum):
         assert np.array_equal(raw["re"][:, i], re) and np.array_equal(raw["im"][:, i], im)
 
 
+@pytest.mark.parametrize("part", ["chunk", "one_unsplit", "unsplit_only", "two_unsplit"])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("make_datum", [sixpoint_datum, gaussian_datum])
+def test_transform_sums_one_leaf_cascades_match_every_leaf(kernel, make_datum, t, part):
+    """The conditional path evaluates the grid on one of the nu = 1
+    cascades that end a chunk and copies its row to the others; every row
+    equals the evaluation of every leaf, as the loop below writes it, bit
+    for bit: for a whole chunk, for one that ends in a single nu = 1
+    cascade and for chunks of nu = 1 cascades alone, two of them or more
+    (a one-row product would round otherwise)."""
+    mu0, xi_grid = make_datum(), TRANSFORM_GRIDS["radii"]
+    nus, _ = sorted_sizes(t, rng_stream(18), 300)
+    split = int(np.count_nonzero(nus > 1))
+    assert 0 < split < len(nus) - 1
+    nus = {"chunk": nus, "one_unsplit": nus[:split + 1], "unsplit_only": nus[split:],
+           "two_unsplit": nus[-2:]}[part]
+    sums = transform_sums(nus, rng_stream(19), mu0=mu0, kernel=kernel, xi_grid=xi_grid)
+    record = germination_record(nus, kernel, rng_stream(19))
+    weights, rotations = leaf_frames(record)
+    columns = np.ascontiguousarray(rotations.third_columns())
+    for i, (xi, rho) in enumerate(zip(xi_grid, np.linalg.norm(xi_grid, axis=1))):
+        if rho == 0.0:
+            continue
+        psi = columns @ frame_for(xi / rho).T
+        psi *= weights[:, None]
+        values = record.per_cascade(mu0.cf.profile(mu0.cf.project(psi), rho), np.multiply)
+        assert np.array_equal(sums["re"][:, i], values.real)
+        assert np.array_equal(sums["im"][:, i], values.imag)
+
+
 def test_wrapped_transform_keeps_its_rays(kernel):
     """A transform wrapped by functools.wraps, as a timer or a logger wraps
     it, carries its projection and profile along, so the grid reduction
